@@ -1,22 +1,23 @@
-// Factor-once cross-validation: times SelectSrdaAlpha's fold-downdate
-// engine against the two loops it replaces on an Isolet-scale problem
-// (n = 1024 features, 5 stratified folds, the paper's 9-point alpha grid).
+// Cross-validation strategies for SRDA's alpha search, timed on an
+// Isolet-scale problem (n = 1024 features, 5 stratified folds, the paper's
+// 9-point alpha grid).
 //
-// Strategies, oldest first:
+// Strategies:
 //   rebuild per fold    — a fresh FitSrda per (fold, alpha): every grid
 //                         point pays its own Gram build and factorization
 //                         (the pre-engine CV loop).
-//   per-fold Gram cache — one RidgeSolver per training fold: each fold
-//                         builds its Gram once and refactors per alpha.
-//   fold downdates      — SelectSrdaAlpha today: one solver bound to the
-//                         full dataset, every fold factor derived by a
-//                         rank-(|fold|+1) downdate of the parent's cached
-//                         factor. One Gram build for the whole grid.
+//   fold downdates      — one solver bound to the full dataset, every fold
+//                         factor derived by a rank-(|fold|+1) downdate of
+//                         the parent's cached factor (RidgeSolver::
+//                         ExcludeRows). One Gram build for the whole grid.
+//   per-fold Gram cache — SelectSrdaAlpha today: one RidgeSolver per
+//                         training fold, so each fold builds its Gram once
+//                         and refactors per alpha.
 //
 // All three must agree on the per-alpha CV errors and the selected alpha;
 // a separate traced pass proves via the ridge.fold_downdate_hit /
-// _fallback counters that every fold factor came from a downdate and none
-// fell back to a rebuild.
+// _fallback counters that every downdate-strategy fold factor came from a
+// downdate and none fell back to a rebuild.
 //
 // Pass --smoke for a seconds-long run without shape checks.
 
@@ -46,6 +47,7 @@ namespace bench {
 namespace {
 
 struct FoldSets {
+  std::vector<std::vector<int>> held_out;
   std::vector<DenseDataset> train;
   std::vector<DenseDataset> validation;
 };
@@ -58,6 +60,7 @@ FoldSets BuildFoldSets(const DenseDataset& dataset, int num_folds,
   const std::vector<std::vector<int>> folds =
       StratifiedFolds(dataset.labels, dataset.num_classes, num_folds, &rng);
   FoldSets sets;
+  sets.held_out = folds;
   for (int f = 0; f < num_folds; ++f) {
     std::vector<int> train_indices;
     for (int other = 0; other < num_folds; ++other) {
@@ -117,21 +120,29 @@ AlphaSearchResult RebuildPerFold(const DenseDataset& dataset,
   return Finalize(std::move(errors), num_folds, alphas);
 }
 
-// Previous engine behaviour: one solver per training fold, so each fold
-// builds its Gram once and pays one refactorization per alpha.
-AlphaSearchResult CachedGramPerFold(const DenseDataset& dataset,
-                                    const std::vector<double>& alphas,
-                                    int num_folds, uint64_t seed) {
+// Fold-downdate engine: one solver bound to the full dataset, each fold's
+// solver derived from it by ExcludeRows. Alpha-outer / fold-inner, so the
+// parent factors each grid point once and all k children downdate from it
+// before the next alpha evicts the parent's single-entry factor cache.
+AlphaSearchResult FoldDowndates(const DenseDataset& dataset,
+                                const std::vector<double>& alphas,
+                                int num_folds, uint64_t seed) {
   const FoldSets sets = BuildFoldSets(dataset, num_folds, seed);
-  std::vector<double> errors(alphas.size(), 0.0);
+  RidgeSolver full(&dataset.features);
+  std::vector<RidgeSolver> fold_solvers;
   for (int f = 0; f < num_folds; ++f) {
-    const DenseDataset& train = sets.train[static_cast<size_t>(f)];
-    RidgeSolver solver(&train.features);
-    for (size_t a = 0; a < alphas.size(); ++a) {
+    fold_solvers.push_back(
+        full.ExcludeRows(sets.held_out[static_cast<size_t>(f)]));
+  }
+  std::vector<double> errors(alphas.size(), 0.0);
+  for (size_t a = 0; a < alphas.size(); ++a) {
+    for (int f = 0; f < num_folds; ++f) {
+      const DenseDataset& train = sets.train[static_cast<size_t>(f)];
       SrdaOptions options;
       options.alpha = alphas[a];
       const SrdaModel model =
-          FitSrda(&solver, train.labels, train.num_classes, options);
+          FitSrda(&fold_solvers[static_cast<size_t>(f)], train.labels,
+                  train.num_classes, options);
       errors[a] +=
           FoldError(model, train, sets.validation[static_cast<size_t>(f)]);
     }
@@ -179,7 +190,8 @@ int Main(int argc, char** argv) {
     alphas.push_back(ratio / (1.0 - ratio));
   }
 
-  std::cout << "Experiment: factor-once CV via fold downdates\n"
+  std::cout << "Experiment: CV alpha search, fold downdates vs per-fold "
+               "Gram cache\n"
             << "Profile: " << (smoke ? "smoke (tiny sizes, no checks)" : "full")
             << "\n"
             << "Dataset: " << m << " x " << n << ", " << num_folds
@@ -192,16 +204,17 @@ int Main(int argc, char** argv) {
 
   Stopwatch cached_watch;
   const AlphaSearchResult cached =
-      CachedGramPerFold(data, alphas, num_folds, seed);
+      SelectSrdaAlpha(data, alphas, num_folds, seed);
   const double cached_seconds = cached_watch.ElapsedSeconds();
 
   Stopwatch downdate_watch;
   const AlphaSearchResult downdated =
-      SelectSrdaAlpha(data, alphas, num_folds, seed);
+      FoldDowndates(data, alphas, num_folds, seed);
   const double downdate_seconds = downdate_watch.ElapsedSeconds();
 
   const double max_diff_rebuild = MaxErrorDiff(rebuilt, downdated);
   const double max_diff_cached = MaxErrorDiff(cached, downdated);
+  const double max_diff_cached_rebuild = MaxErrorDiff(cached, rebuilt);
   const double speedup_rebuild =
       downdate_seconds > 0.0 ? rebuild_seconds / downdate_seconds : 0.0;
   const double speedup_cached =
@@ -232,7 +245,7 @@ int Main(int argc, char** argv) {
   const double hits_before = CounterValue("ridge.fold_downdate_hit");
   const double fallbacks_before = CounterValue("ridge.fold_downdate_fallback");
   const AlphaSearchResult traced =
-      SelectSrdaAlpha(data, alphas, num_folds, seed);
+      FoldDowndates(data, alphas, num_folds, seed);
   const double hits = CounterValue("ridge.fold_downdate_hit") - hits_before;
   const double fallbacks =
       CounterValue("ridge.fold_downdate_fallback") - fallbacks_before;
@@ -261,6 +274,7 @@ int Main(int argc, char** argv) {
        << "  \"max_error_diff_vs_rebuild\": " << max_diff_rebuild << ",\n"
        << "  \"best_alpha_rebuild\": " << rebuilt.best_alpha << ",\n"
        << "  \"best_alpha_downdate\": " << downdated.best_alpha << ",\n"
+       << "  \"best_alpha_cached_gram\": " << cached.best_alpha << ",\n"
        << "  \"fold_downdate_hits\": " << hits << ",\n"
        << "  \"fold_downdate_fallbacks\": " << fallbacks << "\n}\n";
   std::cout << "wrote BENCH_cv_downdate.json\n";
@@ -273,6 +287,10 @@ int Main(int argc, char** argv) {
                    "downdate and rebuild select the same alpha");
   ok &= ShapeCheck(max_diff_rebuild <= 1e-8,
                    "per-alpha CV errors match the rebuild within 1e-8");
+  ok &= ShapeCheck(cached.best_index == rebuilt.best_index &&
+                       max_diff_cached_rebuild <= 1e-8,
+                   "SelectSrdaAlpha (per-fold Gram cache) matches the "
+                   "rebuild's alpha and CV errors within 1e-8");
   ok &= ShapeCheck(
       hits == static_cast<double>(num_folds) * alphas.size() &&
           fallbacks == 0.0,

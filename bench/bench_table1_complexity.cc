@@ -39,12 +39,16 @@
 #include "matrix/simd/simd.h"
 #include "select/model_selection.h"
 #include "sparse/sparse_matrix.h"
+#include "tests/column_striped_solve.h"
 
 namespace srda {
 namespace bench {
 namespace {
 
 constexpr int kNumClasses = 10;
+// Right-hand sides of the solve benchmarks: the c - 1 = 67 responses of
+// the 68-class faces data.
+constexpr int kSolveResponses = 67;
 
 DenseDataset RandomDense(int m, int n, Rng* rng) {
   DenseDataset dataset;
@@ -147,9 +151,10 @@ KernelTiming TimeKernelAtLevel(simd::CpuLevel level, Fn&& fn, int reps) {
   return timing;
 }
 
-// Measures the blocked kernels (Gram, gemm, Cholesky, rank-8 downdate)
-// against their unblocked counterparts at one size, under whatever
-// BlockConfig is active, at both the scalar and the best dispatch level.
+// Measures the blocked kernels (Gram, gemm, Cholesky, rank-8 downdate, and
+// the solve of kSolveResponses right-hand sides) against their unblocked
+// counterparts at one size, under whatever BlockConfig is active, at both
+// the scalar and the best dispatch level.
 std::vector<KernelRow> MeasureKernelRows(int n, int reps, Rng* rng) {
   const simd::CpuLevel best = simd::ActiveLevel();
   const Matrix a = RandomMatrix(n, n, rng);
@@ -203,7 +208,18 @@ std::vector<KernelRow> MeasureKernelRows(int n, int reps, Rng* rng) {
         CholeskyRankKDowndate(&l, v);
       });
 
-  return {gram_row, gemm_row, chol_row, downdate_row};
+  // Both solve sides read the same factor; the reference is the
+  // column-striped loop the blocked sweep replaced.
+  const Matrix rhs = RandomMatrix(n, kSolveResponses, rng);
+  KernelRow solve_row = measure(
+      "solve",
+      [&] {
+        AddFlops(2.0 * n * n * kSolveResponses);
+        ColumnStripedSolveMatrix(chol.factor(), rhs);
+      },
+      [&] { chol.SolveMatrix(rhs); });
+
+  return {gram_row, gemm_row, chol_row, downdate_row, solve_row};
 }
 
 void AppendKernelRow(const KernelRow& row, TablePrinter* table) {
@@ -361,9 +377,10 @@ int SweepBlocks(bool smoke, bool full, Rng* rng) {
 // outputs, for the ctest gate that runs this binary under
 // SRDA_CPU_LEVEL=scalar and under the detected best level and compares the
 // two files byte-for-byte. The digest covers a dense normal-equations fit,
-// a sparse LSQR fit, a cross-validated alpha search, and a rank-k
-// downdated factor — each at 1 and at 4 threads — so any dispatch level or
-// thread count changing any output bit changes the file.
+// a sparse LSQR fit, a cross-validated alpha search, a rank-k downdated
+// factor, and a multi-panel SolveMatrix — each at 1 and at 4 threads — so
+// any dispatch level or thread count changing any output bit changes the
+// file.
 uint64_t Fnv1a(const double* values, size_t count, uint64_t hash) {
   const unsigned char* bytes = reinterpret_cast<const unsigned char*>(values);
   for (size_t i = 0; i < count * sizeof(double); ++i) {
@@ -392,6 +409,13 @@ int WriteDigest(const std::string& path, Rng* rng) {
     for (int j = 0; j < v.cols(); ++j) v(i, j) *= 0.01;
   }
 
+  // The dense fit's n = 48 factor fits in one panel; this n = 200 solve
+  // with the faces workload's 67 responses runs the blocked sweep's GEMM
+  // updates.
+  Matrix solve_spd = Gram(RandomMatrix(203, 200, rng));
+  AddDiagonal(static_cast<double>(solve_spd.rows()), &solve_spd);
+  const Matrix solve_rhs = RandomMatrix(200, kSolveResponses, rng);
+
   for (int threads : {1, 4}) {
     SetGlobalThreadCount(threads);
     const SrdaModel dense_model =
@@ -407,11 +431,14 @@ int WriteDigest(const std::string& path, Rng* rng) {
     chol.Factor(spd);
     Matrix l = chol.factor();
     CholeskyRankKDowndate(&l, v);
+    Cholesky solve_chol;
+    solve_chol.Factor(solve_spd);
 
     hash = HashMatrix(dense_model.embedding.projection(), hash);
     hash = HashMatrix(sparse_model.embedding.projection(), hash);
     hash = Fnv1a(search.errors.data(), search.errors.size(), hash);
     hash = HashMatrix(l, hash);
+    hash = HashMatrix(solve_chol.SolveMatrix(solve_rhs), hash);
   }
   SetGlobalThreadCount(0);
 

@@ -27,9 +27,12 @@ done
 
 # Second pass under chunk->thread pinning: the residue scheduler replaces
 # the atomic chunk cursor, so its claim/retire handshake needs its own
-# race coverage.
+# race coverage. The blocked triangular solves (blocking_test) and the
+# batched preconditioned LSQR substitutions (linalg_lsqr_test) run a
+# ParallelFor per panel, so they ride along.
 export SRDA_PIN_THREADS=1
-for t in parallel_test simd_test core_srda_test; do
+for t in parallel_test simd_test core_srda_test blocking_test \
+         linalg_lsqr_test; do
   echo "== TSan (pinned): $t =="
   ./build-tsan/tests/"$t" --gtest_filter='-*DeathTest*'
 done

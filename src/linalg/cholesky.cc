@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -37,6 +38,121 @@ bool FactorDiagonalBlock(Matrix* l, int p0, int p1, double pivot_floor) {
     }
   }
   return true;
+}
+
+// How a triangular sweep finishes row i once its update chain is complete:
+// SolveMatrix multiplies by the hoisted reciprocal 1/l_ii, the batched
+// substitutions divide so every column stays bitwise equal to the vector
+// ForwardSubstitute / BackSubstituteTransposed.
+enum class DiagonalStep { kReciprocal, kDivide };
+
+void FinishRow(double diag, DiagonalStep step, double* row, int width) {
+  if (step == DiagonalStep::kDivide) {
+    for (int j = 0; j < width; ++j) row[j] /= diag;
+  } else {
+    const double inv = 1.0 / diag;
+    for (int j = 0; j < width; ++j) row[j] *= inv;
+  }
+}
+
+// Solves L X = B in place (x holds B on entry), right-looking over panels
+// of nb rows. Each panel's diagonal block runs the serial per-row loop;
+// its update of every row below is a GEMM through gemm_tile, row-parallel,
+// with the panel packed negated: c + (-l)·x is bitwise c - l·x. Element
+// (i, j) therefore subtracts l_ik·x_kj for k = 0..i-1 ascending and then
+// finishes, whatever the panel width, thread count, or SIMD level.
+void ForwardSweep(const Matrix& l, DiagonalStep step, Matrix* x) {
+  const int n = l.rows();
+  const int width = x->cols();
+  if (width == 0) return;
+  const BlockConfig& blk = GetBlockConfig();
+  const simd::KernelTable& kt = simd::Dispatch();
+  for (int p0 = 0; p0 < n; p0 += blk.nb) {
+    const int p1 = std::min(p0 + blk.nb, n);
+    const int kk = p1 - p0;
+    for (int i = p0; i < p1; ++i) {
+      const double* lrow = l.RowPtr(i);
+      double* xrow_i = x->RowPtr(i);
+      for (int k = p0; k < i; ++k) {
+        const double lik = lrow[k];
+        const double* xrow_k = x->RowPtr(k);
+        for (int j = 0; j < width; ++j) xrow_i[j] -= lik * xrow_k[j];
+      }
+      SRDA_CHECK_NE(lrow[i], 0.0) << "singular triangular matrix at " << i;
+      FinishRow(lrow[i], step, xrow_i, width);
+    }
+    if (p1 == n) break;
+    // Rows below the panel read only the finished rows [p0, p1) and write
+    // only themselves, so the row partition is race-free.
+    ParallelFor(p1, n, [&](int row_begin, int row_end) {
+      PanelScratch scratch;
+      double* pack = scratch.Acquire(static_cast<size_t>(blk.mc) * kk);
+      for (int i0 = row_begin; i0 < row_end; i0 += blk.mc) {
+        const int i1 = std::min(i0 + blk.mc, row_end);
+        for (int i = i0; i < i1; ++i) {
+          const double* lrow = l.RowPtr(i) + p0;
+          double* prow = pack + static_cast<size_t>(i - i0) * kk;
+          for (int k = 0; k < kk; ++k) prow[k] = -lrow[k];
+        }
+        kt.gemm_tile(pack, kk, kk, x->data(), width, p0, x->data(), width,
+                     i0, i1, 0, width);
+      }
+    });
+  }
+}
+
+// Solves L^T X = B in place, panels bottom-up. The diagonal block runs
+// the serial scatter loop; its update of every row above is a GEMM whose
+// reduction walks the panel's rows in DESCENDING order: the panel is
+// packed transposed and row-reversed (pack[c][r] = -l(p1-1-r, c)) against
+// a row-reversed copy of the solved block. Element (c, j) thus subtracts
+// l_ic·x_ij for i = n-1 down to c+1 before it finishes — the scatter
+// form's chain, at any panel width, thread count, or SIMD level.
+void BackwardSweep(const Matrix& l, DiagonalStep step, Matrix* x) {
+  const int n = l.rows();
+  const int width = x->cols();
+  if (width == 0) return;
+  const BlockConfig& blk = GetBlockConfig();
+  const simd::KernelTable& kt = simd::Dispatch();
+  std::vector<double> solved;
+  for (int p1 = n; p1 > 0;) {
+    const int p0 = std::max(p1 - blk.nb, 0);
+    const int kk = p1 - p0;
+    for (int i = p1 - 1; i >= p0; --i) {
+      const double* lrow = l.RowPtr(i);
+      double* xrow_i = x->RowPtr(i);
+      SRDA_CHECK_NE(lrow[i], 0.0) << "singular triangular matrix at " << i;
+      FinishRow(lrow[i], step, xrow_i, width);
+      for (int k = p0; k < i; ++k) {
+        const double lik = lrow[k];
+        double* xrow_k = x->RowPtr(k);
+        for (int j = 0; j < width; ++j) xrow_k[j] -= lik * xrow_i[j];
+      }
+    }
+    if (p0 == 0) break;
+    solved.resize(static_cast<size_t>(kk) * width);
+    for (int r = 0; r < kk; ++r) {
+      const double* xrow = x->RowPtr(p1 - 1 - r);
+      std::copy(xrow, xrow + width,
+                solved.begin() + static_cast<ptrdiff_t>(r) * width);
+    }
+    ParallelFor(0, p0, [&](int row_begin, int row_end) {
+      PanelScratch scratch;
+      double* pack = scratch.Acquire(static_cast<size_t>(blk.mc) * kk);
+      for (int c0 = row_begin; c0 < row_end; c0 += blk.mc) {
+        const int c1 = std::min(c0 + blk.mc, row_end);
+        for (int r = 0; r < kk; ++r) {
+          const double* lrow = l.RowPtr(p1 - 1 - r);
+          for (int c = c0; c < c1; ++c) {
+            pack[static_cast<size_t>(c - c0) * kk + r] = -lrow[c];
+          }
+        }
+        kt.gemm_tile(pack, kk, kk, solved.data(), width, 0, x->data(), width,
+                     c0, c1, 0, width);
+      }
+    });
+    p1 = p0;
+  }
 }
 
 }  // namespace
@@ -131,45 +247,8 @@ Matrix Cholesky::SolveMatrix(const Matrix& b) const {
   }
   AddFlops(2.0 * n * n * b.cols());
   Matrix x = b;
-  // Both substitution sweeps read each factor row once and apply it to a
-  // whole stripe of columns, so the factor streams through cache once per
-  // sweep no matter how many right-hand sides there are. Each column's
-  // update chain matches the single-vector Solve exactly and never
-  // depends on the stripe boundaries, so any thread count produces the
-  // same bits.
-  ParallelFor(0, b.cols(), [&](int col_begin, int col_end) {
-    const int cb = col_begin;
-    const int width = col_end - col_begin;
-    // Forward: L y = b, rows top-down.
-    for (int i = 0; i < n; ++i) {
-      const double* lrow = l_.RowPtr(i);
-      double* xrow_i = x.RowPtr(i) + cb;
-      for (int k = 0; k < i; ++k) {
-        const double lik = lrow[k];
-        if (lik == 0.0) continue;
-        const double* xrow_k = x.RowPtr(k) + cb;
-        for (int j = 0; j < width; ++j) xrow_i[j] -= lik * xrow_k[j];
-      }
-      SRDA_CHECK_NE(lrow[i], 0.0) << "singular triangular matrix at " << i;
-      const double inv = 1.0 / lrow[i];
-      for (int j = 0; j < width; ++j) xrow_i[j] *= inv;
-    }
-    // Backward: L^T x = y, rows bottom-up, scattering row i's solution
-    // into the rows above it (row-wise reads of L, no strided column
-    // walk).
-    for (int i = n - 1; i >= 0; --i) {
-      const double* lrow = l_.RowPtr(i);
-      double* xrow_i = x.RowPtr(i) + cb;
-      const double inv = 1.0 / lrow[i];
-      for (int j = 0; j < width; ++j) xrow_i[j] *= inv;
-      for (int k = 0; k < i; ++k) {
-        const double lik = lrow[k];
-        if (lik == 0.0) continue;
-        double* xrow_k = x.RowPtr(k) + cb;
-        for (int j = 0; j < width; ++j) xrow_k[j] -= lik * xrow_i[j];
-      }
-    }
-  });
+  ForwardSweep(l_, DiagonalStep::kReciprocal, &x);
+  BackwardSweep(l_, DiagonalStep::kReciprocal, &x);
   return x;
 }
 
@@ -250,24 +329,7 @@ Matrix ForwardSubstituteMatrix(const Matrix& l, const Matrix& b) {
   const int n = l.rows();
   AddFlops(static_cast<double>(n) * n * b.cols());
   Matrix x = b;
-  // Mirrors the vector ForwardSubstitute per column: same subtraction chain
-  // (no zero-skip) and a per-row division, so each column is bitwise equal
-  // to the vector routine regardless of the stripe partition.
-  ParallelFor(0, b.cols(), [&](int col_begin, int col_end) {
-    const int width = col_end - col_begin;
-    for (int i = 0; i < n; ++i) {
-      const double* lrow = l.RowPtr(i);
-      double* xrow_i = x.RowPtr(i) + col_begin;
-      for (int k = 0; k < i; ++k) {
-        const double lik = lrow[k];
-        const double* xrow_k = x.RowPtr(k) + col_begin;
-        for (int j = 0; j < width; ++j) xrow_i[j] -= lik * xrow_k[j];
-      }
-      SRDA_CHECK_NE(lrow[i], 0.0) << "singular triangular matrix at " << i;
-      const double diag = lrow[i];
-      for (int j = 0; j < width; ++j) xrow_i[j] /= diag;
-    }
-  });
+  ForwardSweep(l, DiagonalStep::kDivide, &x);
   return x;
 }
 
@@ -277,24 +339,7 @@ Matrix BackSubstituteTransposedMatrix(const Matrix& l, const Matrix& b) {
   const int n = l.rows();
   AddFlops(static_cast<double>(n) * n * b.cols());
   Matrix x = b;
-  // Scatter form per column, matching the vector BackSubstituteTransposed
-  // bit for bit: x_i /= l_ii first, then row i of L is scattered into the
-  // rows above.
-  ParallelFor(0, b.cols(), [&](int col_begin, int col_end) {
-    const int width = col_end - col_begin;
-    for (int i = n - 1; i >= 0; --i) {
-      const double* lrow = l.RowPtr(i);
-      SRDA_CHECK_NE(lrow[i], 0.0) << "singular triangular matrix at " << i;
-      const double diag = lrow[i];
-      double* xrow_i = x.RowPtr(i) + col_begin;
-      for (int j = 0; j < width; ++j) xrow_i[j] /= diag;
-      for (int k = 0; k < i; ++k) {
-        const double lik = lrow[k];
-        double* xrow_k = x.RowPtr(k) + col_begin;
-        for (int j = 0; j < width; ++j) xrow_k[j] -= lik * xrow_i[j];
-      }
-    }
-  });
+  BackwardSweep(l, DiagonalStep::kDivide, &x);
   return x;
 }
 

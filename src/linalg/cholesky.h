@@ -11,7 +11,9 @@
 // Every element's update chain runs over the reduction index in one fixed
 // ascending order regardless of the ParallelFor partition, so — like the
 // rest of the library — 1-thread and N-thread factors are bitwise
-// identical.
+// identical. The multi-right-hand-side triangular solves sweep the same
+// panels: a serial diagonal block, then a row-parallel GEMM update of the
+// rows not yet solved.
 
 #ifndef SRDA_LINALG_CHOLESKY_H_
 #define SRDA_LINALG_CHOLESKY_H_
@@ -40,10 +42,15 @@ class Cholesky {
   // Solves A x = b using the stored factor. Requires a successful Factor().
   Vector Solve(const Vector& b) const;
 
-  // Solves A X = B for all k columns of B at once (B is n x k). The
-  // substitution sweeps run over column stripes in parallel, touching each
-  // factor row once per sweep instead of once per column — no per-column
-  // Col()/SetCol() copies.
+  // Solves A X = B for all k columns of B at once (B is n x k). Both
+  // substitution sweeps are blocked and right-looking over panels of
+  // BlockConfig::nb rows: a serial per-row loop inside each panel's
+  // diagonal block, then a row-parallel GEMM update (simd gemm_tile) of
+  // every remaining row, so the factor streams through cache once per
+  // sweep. Each element keeps the per-row loop's subtraction chain (forward
+  // ascending, backward descending) and is finished by the reciprocal of
+  // its pivot, so the result is bitwise identical at any thread count,
+  // panel width, and SIMD level.
   Matrix SolveMatrix(const Matrix& b) const;
 
   // The lower-triangular factor L. Requires a successful Factor().
@@ -79,10 +86,11 @@ Vector BackSubstituteTransposed(const Matrix& l, const Vector& b);
 Vector BackSubstitute(const Matrix& r, const Vector& b);
 
 // Batched forms of ForwardSubstitute / BackSubstituteTransposed: solve
-// L X = B (resp. L^T X = B) for all k columns of B (n x k) at once, column
-// stripes in parallel. Each column's arithmetic is EXACTLY the single-vector
-// routine's (per-row division, no zero-skip), so column j of the result is
-// bitwise identical to ForwardSubstitute(l, B.Col(j)) at any thread count.
+// L X = B (resp. L^T X = B) for all k columns of B (n x k) at once, through
+// the same blocked sweep as Cholesky::SolveMatrix. Each column's arithmetic
+// is EXACTLY the single-vector routine's (same subtraction chain, per-row
+// division), so column j of the result is bitwise identical to
+// ForwardSubstitute(l, B.Col(j)) at any thread count.
 // The preconditioned LSQR path leans on that contract to keep batched and
 // serial preconditioned solves bitwise equal.
 Matrix ForwardSubstituteMatrix(const Matrix& l, const Matrix& b);

@@ -77,24 +77,21 @@ AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
   result.errors.assign(alphas.size(), 0.0);
 
   // One draw of the folds serves every candidate (paired comparison).
-  // Factor-once CV: one solver is bound to the FULL dataset and each
-  // training fold's solver derives from it via ExcludeRows, so every
-  // Cholesky factor a fold needs comes from a rank-(|fold|+1) downdate of
-  // the parent's cached factor instead of a per-fold Gram rebuild (the
-  // full build runs only on the downdate engine's condition fallback).
-  // The loop runs alpha-outer / fold-inner so the parent factors each grid
-  // point exactly once and all k children downdate from it before the next
-  // alpha evicts the parent's single-entry factor cache: a k-fold x
-  // g-alpha grid pays one Gram build and g full factorizations total.
-  // For a fixed alpha the error sum still accumulates over folds in
-  // ascending order, matching the historical loop orders.
+  // Per-fold Gram cache: one solver is bound to each training fold, so a
+  // fold builds its centered data and Gram once and pays one Cholesky
+  // refactorization per alpha. This beats deriving each fold factor from a
+  // full-data factor by a rank-(|fold|+1) downdate (RidgeSolver::
+  // ExcludeRows), which costs more than the refactor it saves at the
+  // paper's sizes (BENCH_cv_downdate.json). The loop runs alpha-outer /
+  // fold-inner, so for a fixed alpha the error sum accumulates over folds
+  // in ascending order, matching the historical loop orders.
   Rng rng(seed);
   const std::vector<std::vector<int>> folds =
       StratifiedFolds(dataset.labels, dataset.num_classes, num_folds, &rng);
-  RidgeSolver full(&dataset.features);
   std::vector<DenseDataset> train_sets;
   std::vector<DenseDataset> validation_sets;
   std::vector<RidgeSolver> fold_solvers;
+  // Reserved up front: each solver points at its fold's features.
   train_sets.reserve(static_cast<size_t>(num_folds));
   validation_sets.reserve(static_cast<size_t>(num_folds));
   fold_solvers.reserve(static_cast<size_t>(num_folds));
@@ -109,7 +106,7 @@ AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
     std::sort(train_indices.begin(), train_indices.end());
     train_sets.push_back(Subset(dataset, train_indices));
     validation_sets.push_back(Subset(dataset, folds[static_cast<size_t>(f)]));
-    fold_solvers.push_back(full.ExcludeRows(folds[static_cast<size_t>(f)]));
+    fold_solvers.emplace_back(&train_sets.back().features);
   }
   for (size_t a = 0; a < alphas.size(); ++a) {
     for (int f = 0; f < num_folds; ++f) {

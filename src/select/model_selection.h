@@ -42,7 +42,9 @@ struct AlphaSearchResult {
 };
 
 // Grid-searches SRDA's ridge parameter by k-fold cross-validation with a
-// nearest-centroid classifier in the embedded space.
+// nearest-centroid classifier in the embedded space. Each training fold
+// binds one RidgeSolver, so a k-fold x g-alpha grid pays k Gram builds and
+// one Cholesky refactorization per grid point.
 AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
                                   const std::vector<double>& alphas,
                                   int num_folds, uint64_t seed);

@@ -1,11 +1,13 @@
 // Tests for the cache-blocking layer: blocked level-3 kernels against the
 // srda::naive references at adversarial sizes, the blocked Cholesky against
-// the serial reference, the batched SolveMatrix, bitwise thread-count
+// the serial reference, the blocked SolveMatrix against the column-striped
+// solve it replaced, bitwise thread-count / panel-width / SIMD-level
 // determinism of the blocked paths, SRDA_BLOCK_* config resolution, and the
 // runtime flop counter.
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,9 @@
 #include "linalg/cholesky.h"
 #include "matrix/blas.h"
 #include "matrix/blocking.h"
+#include "matrix/simd/simd.h"
+#include "tests/column_striped_solve.h"
+#include "tests/scoped_level.h"
 
 namespace srda {
 namespace {
@@ -43,6 +48,10 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
   return bytes == 0 || std::memcmp(a.data(), b.data(), bytes) == 0;
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 // The blocked kernels drop the naive loops' zero-skips and reassociate the
 // k-sums across panels, so agreement is to rounding, not bitwise.
 void ExpectNear(const Matrix& a, const Matrix& b, double tolerance) {
@@ -50,6 +59,15 @@ void ExpectNear(const Matrix& a, const Matrix& b, double tolerance) {
   ASSERT_EQ(a.cols(), b.cols());
   EXPECT_LE(MaxAbsDiff(a, b), tolerance);
 }
+
+// Sizes straddling the default panel width of the triangular sweeps, and
+// right-hand-side counts from one column to the faces workload's 67.
+constexpr int kSolveSizes[] = {1, 63, 64, 65, 150, 300};
+constexpr int kSolveRhs[] = {1, 5, 67};
+
+// Panel widths for a size-n sweep: single rows, a few panels, the default,
+// and one panel covering everything.
+std::vector<int> SolvePanelWidths(int n) { return {1, 16, 64, n + 1}; }
 
 // Restores the default block config and a single-threaded pool after each
 // test, so tests that shrink tiles or raise the thread count cannot leak
@@ -255,6 +273,113 @@ TEST_F(BlockingTest, SolveMatrixMatchesPerColumnSolve) {
       EXPECT_NEAR(x(i, j), column[i], 1e-10) << "col " << j;
     }
   }
+  // The blocked sweep reproduces the column-striped solve bit for bit at
+  // every size, right-hand-side count, panel width, thread count, and SIMD
+  // level.
+  for (const int n : kSolveSizes) {
+    const Matrix spd = RandomSpd(n, &rng);
+    Cholesky chol;
+    ASSERT_TRUE(chol.Factor(spd)) << "n=" << n;
+    for (const int k : kSolveRhs) {
+      const Matrix b = RandomMatrix(n, k, &rng);
+      const Matrix want = ColumnStripedSolveMatrix(chol.factor(), b);
+      for (const simd::CpuLevel level : simd::SupportedLevels()) {
+        ScopedLevel forced(level);
+        for (const int nb : SolvePanelWidths(n)) {
+          BlockConfig config;
+          config.nb = nb;
+          SetBlockConfig(config);
+          for (const int threads : {1, 4}) {
+            SetGlobalThreadCount(threads);
+            EXPECT_TRUE(BitwiseEqual(chol.SolveMatrix(b), want))
+                << "n=" << n << " k=" << k << " nb=" << nb
+                << " threads=" << threads << " "
+                << simd::CpuLevelName(level);
+          }
+        }
+      }
+    }
+  }
+}
+
+// A block-diagonal SPD matrix has a factor with exact zeros, which the
+// column-striped solve skipped and the GEMM update multiplies through.
+// Skipping a zero term only changes the sign of an exact-zero result, so
+// the two agree as values (+0 == -0) everywhere.
+TEST_F(BlockingTest, SolveMatrixWithZerosInFactorMatchesColumnStripedSolve) {
+  Rng rng(27);
+  const int n = 150;
+  const int block = 40;  // Straddles the panel edges of every tested nb.
+  const Matrix dense = RandomSpd(n, &rng);
+  Matrix spd(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (i / block == j / block) spd(i, j) = dense(i, j);
+    }
+  }
+  Matrix b = RandomMatrix(n, 9, &rng);
+  // A zero right-hand side in one diagonal block: its solution is exact
+  // zeros, the case where the sign may differ.
+  for (int i = block; i < 2 * block; ++i) {
+    for (int j = 0; j < b.cols(); ++j) b(i, j) = 0.0;
+  }
+  Cholesky chol;
+  ASSERT_TRUE(chol.Factor(spd));
+  EXPECT_EQ(chol.factor()(2 * block, 0), 0.0);
+  const Matrix want = ColumnStripedSolveMatrix(chol.factor(), b);
+  for (const int nb : SolvePanelWidths(n)) {
+    BlockConfig config;
+    config.nb = nb;
+    SetBlockConfig(config);
+    for (const int threads : {1, 4}) {
+      SetGlobalThreadCount(threads);
+      const Matrix x = chol.SolveMatrix(b);
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < b.cols(); ++j) {
+          ASSERT_EQ(x(i, j), want(i, j))
+              << "(" << i << "," << j << ") nb=" << nb
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+// The batched substitutions share the blocked sweep and must stay bitwise
+// equal, column by column, to the single-vector routines.
+TEST_F(BlockingTest, BatchedSubstitutionsMatchVectorRoutines) {
+  Rng rng(28);
+  for (const int n : {1, 65, 150}) {
+    const Matrix spd = RandomSpd(n, &rng);
+    Cholesky chol;
+    ASSERT_TRUE(chol.Factor(spd));
+    const Matrix& l = chol.factor();
+    const Matrix b = RandomMatrix(n, 5, &rng);
+    for (const simd::CpuLevel level : simd::SupportedLevels()) {
+      ScopedLevel forced(level);
+      for (const int nb : SolvePanelWidths(n)) {
+        BlockConfig config;
+        config.nb = nb;
+        SetBlockConfig(config);
+        for (const int threads : {1, 4}) {
+          SetGlobalThreadCount(threads);
+          const Matrix forward = ForwardSubstituteMatrix(l, b);
+          const Matrix backward = BackSubstituteTransposedMatrix(l, b);
+          for (int j = 0; j < b.cols(); ++j) {
+            const Vector column = b.Col(j);
+            const Vector fwd = ForwardSubstitute(l, column);
+            const Vector bwd = BackSubstituteTransposed(l, column);
+            for (int i = 0; i < n; ++i) {
+              ASSERT_TRUE(SameBits(forward(i, j), fwd[i]))
+                  << "forward n=" << n << " nb=" << nb << " t=" << threads;
+              ASSERT_TRUE(SameBits(backward(i, j), bwd[i]))
+                  << "backward n=" << n << " nb=" << nb << " t=" << threads;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(BlockingTest, BackSubstituteTransposedSolvesTransposedSystem) {
@@ -277,23 +402,30 @@ TEST_F(BlockingTest, BackSubstituteTransposedSolvesTransposedSystem) {
 
 TEST_F(BlockingTest, BlockedCholeskyBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(24);
-  const int n = 150;  // Several panels at the default nb = 64.
-  const Matrix spd = RandomSpd(n, &rng);
-  const Matrix rhs = RandomMatrix(n, 5, &rng);
+  for (const int n : kSolveSizes) {
+    const Matrix spd = RandomSpd(n, &rng);
+    for (const int k : kSolveRhs) {
+      const Matrix rhs = RandomMatrix(n, k, &rng);
 
-  SetGlobalThreadCount(1);
-  Cholesky chol1;
-  ASSERT_TRUE(chol1.Factor(spd));
-  const Matrix solve1 = chol1.SolveMatrix(rhs);
+      SetGlobalThreadCount(1);
+      Cholesky chol1;
+      ASSERT_TRUE(chol1.Factor(spd));
+      const Matrix solve1 = chol1.SolveMatrix(rhs);
 
-  SetGlobalThreadCount(4);
-  Cholesky chol4;
-  ASSERT_TRUE(chol4.Factor(spd));
-  const Matrix solve4 = chol4.SolveMatrix(rhs);
-  SetGlobalThreadCount(1);
+      SetGlobalThreadCount(4);
+      Cholesky chol4;
+      ASSERT_TRUE(chol4.Factor(spd));
+      const Matrix solve4 = chol4.SolveMatrix(rhs);
+      SetGlobalThreadCount(1);
 
-  EXPECT_TRUE(BitwiseEqual(chol1.factor(), chol4.factor()));
-  EXPECT_TRUE(BitwiseEqual(solve1, solve4));
+      EXPECT_TRUE(BitwiseEqual(chol1.factor(), chol4.factor()))
+          << "n=" << n << " k=" << k;
+      EXPECT_TRUE(BitwiseEqual(solve1, solve4)) << "n=" << n << " k=" << k;
+      EXPECT_TRUE(
+          BitwiseEqual(solve1, ColumnStripedSolveMatrix(chol1.factor(), rhs)))
+          << "n=" << n << " k=" << k;
+    }
+  }
 }
 
 TEST_F(BlockingTest, FlopCounterTracksKernelWork) {

@@ -1,5 +1,9 @@
 // Tests for modified Gram-Schmidt orthonormalization.
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -87,6 +91,61 @@ TEST(GramSchmidtTest, NearlyDependentColumnsBenefitFromReorthogonalization) {
   basis(1, 1) = -1e-8;
   ASSERT_EQ(ModifiedGramSchmidt(&basis, 1e-14), 2);
   EXPECT_LT(MaxAbsDiff(Gram(basis), Matrix::Identity(2)), 1e-12);
+}
+
+// The column-walk MGS the transposed implementation replaced, kept as the
+// bitwise oracle: the same per-element operations, reading the row-major
+// basis with a stride of `cols` doubles.
+Matrix ColumnWalkGramSchmidt(Matrix b, double tolerance) {
+  const int rows = b.rows();
+  const auto column_dot = [&](int x, int y) {
+    double sum = 0.0;
+    for (int i = 0; i < rows; ++i) sum += b(i, x) * b(i, y);
+    return sum;
+  };
+  std::vector<int> kept;
+  for (int j = 0; j < b.cols(); ++j) {
+    const double original_norm = std::sqrt(column_dot(j, j));
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int kept_col : kept) {
+        const double proj = column_dot(kept_col, j);
+        for (int i = 0; i < rows; ++i) b(i, j) -= proj * b(i, kept_col);
+      }
+    }
+    const double residual_norm = std::sqrt(column_dot(j, j));
+    if (original_norm == 0.0 || residual_norm <= tolerance * original_norm) {
+      continue;
+    }
+    const double inv = 1.0 / residual_norm;
+    for (int i = 0; i < rows; ++i) b(i, j) *= inv;
+    kept.push_back(j);
+  }
+  Matrix compacted(rows, static_cast<int>(kept.size()));
+  for (size_t out = 0; out < kept.size(); ++out) {
+    for (int i = 0; i < rows; ++i) {
+      compacted(i, static_cast<int>(out)) = b(i, kept[out]);
+    }
+  }
+  return compacted;
+}
+
+TEST(GramSchmidtTest, BitwiseEqualToColumnWalk) {
+  Rng rng(4);
+  // SRDA's response shape in miniature: an all-ones column, class
+  // indicators, and one dependent column that must be dropped.
+  const int rows = 97;
+  const int cols = 12;
+  Matrix basis = RandomMatrix(rows, cols, &rng);
+  for (int i = 0; i < rows; ++i) {
+    basis(i, 0) = 1.0;
+    basis(i, 5) = basis(i, 1) - 2.0 * basis(i, 3);
+  }
+  const Matrix want = ColumnWalkGramSchmidt(basis, 1e-10);
+  ASSERT_EQ(ModifiedGramSchmidt(&basis), cols - 1);
+  ASSERT_EQ(want.cols(), basis.cols());
+  EXPECT_EQ(std::memcmp(want.data(), basis.data(),
+                        sizeof(double) * rows * basis.cols()),
+            0);
 }
 
 // Property sweep: orthonormality across shapes and ranks.

@@ -24,6 +24,7 @@
 #include "matrix/simd/kernel_impl.h"
 #include "matrix/simd/simd.h"
 #include "select/model_selection.h"
+#include "tests/scoped_level.h"
 
 namespace srda {
 namespace {
@@ -54,19 +55,6 @@ std::vector<double> RandomBuffer(size_t count, Rng* rng) {
   for (double& v : buffer) v = rng->NextGaussian();
   return buffer;
 }
-
-// Forces a dispatch level for the duration of a scope and restores the
-// detected default afterwards, so test order never leaks a forced level.
-class ScopedLevel {
- public:
-  explicit ScopedLevel(simd::CpuLevel level) : previous_(simd::ActiveLevel()) {
-    SRDA_CHECK(simd::SetDispatchLevel(level));
-  }
-  ~ScopedLevel() { simd::SetDispatchLevel(previous_); }
-
- private:
-  simd::CpuLevel previous_;
-};
 
 // The vector levels available in this binary on this CPU, scalar included.
 std::vector<simd::CpuLevel> Levels() { return simd::SupportedLevels(); }
