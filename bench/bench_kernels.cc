@@ -156,8 +156,8 @@ void BM_Lsqr(benchmark::State& state) {
     }
   }
   const SparseMatrix sparse = std::move(builder).Build();
-  Vector b(m);
-  for (int i = 0; i < m; ++i) b[i] = rng.NextGaussian();
+  Matrix b(m, 1);
+  for (int i = 0; i < m; ++i) b(i, 0) = rng.NextGaussian();
   const SparseOperator op(&sparse);
   LsqrOptions options;
   options.max_iterations = 15;
@@ -165,7 +165,7 @@ void BM_Lsqr(benchmark::State& state) {
   options.atol = 0.0;
   options.btol = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Lsqr(op, b, options));
+    benchmark::DoNotOptimize(LsqrBatch(op, b, options));
   }
 }
 BENCHMARK(BM_Lsqr)->Arg(1000)->Arg(4000);

@@ -5,20 +5,17 @@
 // iterations to reach a tight tolerance while the sketch-preconditioned
 // operator is near an isometry.
 //
-// Three stages, all against one exact normal-equations reference:
-//   plain LSQR        — generous iteration budget, tight tolerances.
-//   preconditioned    — same budget/tolerances at two sketch sizes (2n and
-//                       4n rows); must converge in >= 2x fewer iterations
-//                       to the same solution.
-//   pure sketch-solve — zero iterations, reported with its computed error
-//                       bound (no accuracy claim beyond the bound holding).
+// Two stages, both against one exact normal-equations reference:
+//   plain LSQR     — generous iteration budget, tight tolerances.
+//   preconditioned — same budget/tolerances at two sketch sizes (2n and 4n
+//                    rows); must converge in >= 2x fewer iterations to the
+//                    same solution.
 // Plus a 1-vs-4-thread preconditioned pair, compared bitwise.
 //
 // Pass --smoke for a seconds-long run without shape checks.
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -135,27 +132,6 @@ int Main(int argc, char** argv) {
                            "precond s=" + std::to_string(factor) + "n"));
   }
 
-  // Pure sketch-solve: zero iterations, rigorous error bound.
-  double sketch_solve_seconds = 0.0;
-  double sketch_solve_bound = 0.0;
-  double sketch_solve_diff = 0.0;
-  {
-    const SparseOperator data(&corpus.features);
-    RidgeSolver solver(&data);
-    SketchConfig config;
-    config.mode = SketchMode::kSolve;
-    config.sketch_rows = std::min(m, 4 * n);
-    solver.SetSketch(config);
-    Stopwatch watch;
-    const RidgeSolution solution = solver.Solve(responses, alpha);
-    sketch_solve_seconds = watch.ElapsedSeconds();
-    SRDA_CHECK(solution.ok) << "sketch-solve failed";
-    for (double bound : solution.sketch_error_bounds) {
-      sketch_solve_bound = std::max(sketch_solve_bound, bound);
-    }
-    sketch_solve_diff = MaxAbsDiff(solution.coefficients, exact.coefficients);
-  }
-
   // Thread determinism: the preconditioned fit is bitwise identical at any
   // thread count (fixed sketch seed).
   const int saved_threads = GlobalThreadCount();
@@ -189,11 +165,6 @@ int Main(int argc, char** argv) {
                   FormatDouble(run.max_diff_vs_exact, 8),
                   run.converged ? "yes" : "NO"});
   }
-  char sketch_row[128];
-  std::snprintf(sketch_row, sizeof(sketch_row), "%.3g (bound %.3g)",
-                sketch_solve_diff, sketch_solve_bound);
-  table.AddRow({"sketch-solve", std::to_string(std::min(m, 4 * n)), "0",
-                FormatDouble(sketch_solve_seconds, 3), sketch_row, "-"});
   table.Print(std::cout);
   std::cout << "1-vs-4-thread preconditioned fits bitwise identical: "
             << (thread_bitwise ? "yes" : "NO") << "\n";
@@ -223,10 +194,6 @@ int Main(int argc, char** argv) {
          << (i + 1 < runs.size() ? ",\n" : "\n");
   }
   json << "  ],\n"
-       << "  \"sketch_solve\": {\"sketch_rows\": " << std::min(m, 4 * n)
-       << ", \"seconds\": " << sketch_solve_seconds
-       << ", \"max_diff_vs_exact\": " << sketch_solve_diff
-       << ", \"max_error_bound\": " << sketch_solve_bound << "},\n"
        << "  \"thread_bitwise_identical\": "
        << (thread_bitwise ? "true" : "false") << "\n}\n";
   std::cout << "wrote BENCH_sketch_precond.json\n";
@@ -244,8 +211,6 @@ int Main(int argc, char** argv) {
                        runs[2].max_diff_vs_exact < 1e-4,
                    "preconditioned solutions match the exact normal-equations "
                    "path within 1e-4");
-  ok &= ShapeCheck(sketch_solve_diff <= sketch_solve_bound,
-                   "pure sketch-solve error is within its computed bound");
   ok &= ShapeCheck(thread_bitwise,
                    "preconditioned fit bitwise identical at 1 vs 4 threads");
   return ok ? 0 : 1;

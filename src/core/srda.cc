@@ -47,7 +47,6 @@ SrdaModel FitSrda(RidgeSolver* solver, const std::vector<int>& labels,
   }
   model.total_lsqr_iterations = solution.total_lsqr_iterations;
   model.lsqr_diagnostics = std::move(solution.lsqr);
-  model.sketch_error_bounds = std::move(solution.sketch_error_bounds);
   model.embedding = LinearEmbedding(std::move(solution.coefficients),
                                     std::move(solution.bias));
   model.converged = true;

@@ -56,8 +56,7 @@ struct SrdaOptions {
   // Randomized sketching (solver/ridge_solver.h): kOff trains exactly as
   // before; kPrecondition runs LSQR with the factored sketched Gram as a
   // right preconditioner (exact solutions, fewer iterations; forces the
-  // LSQR solver); kSolve returns the sketched solution directly with
-  // per-response error bounds (SrdaModel::sketch_error_bounds).
+  // LSQR solver).
   SketchConfig sketch;
 };
 
@@ -70,9 +69,6 @@ struct SrdaModel {
   // Per-response LSQR convergence record (iterations, final residual, stop
   // reason); empty on the normal-equations path.
   std::vector<RidgeRhsDiagnostics> lsqr_diagnostics;
-  // Upper bounds on the distance from each response's coefficients to the
-  // exact ridge solution; filled by SketchMode::kSolve fits only.
-  std::vector<double> sketch_error_bounds;
   bool converged = false;
 };
 
@@ -81,7 +77,7 @@ SrdaModel FitSrda(const Matrix& x, const std::vector<int>& labels,
                   int num_classes, const SrdaOptions& options = {});
 
 // Trains SRDA on sparse data with LSQR; the data matrix is only touched
-// through A*x / A^T*x products.
+// through A*X / A^T*X block products.
 SrdaModel FitSrda(const SparseMatrix& x, const std::vector<int>& labels,
                   int num_classes, const SrdaOptions& options = {});
 

@@ -39,7 +39,6 @@ TrainResult TrainDenseByName(const std::string& name, const Matrix& x,
     result.embedding = std::move(model.embedding);
     result.total_lsqr_iterations = model.total_lsqr_iterations;
     result.lsqr_diagnostics = std::move(model.lsqr_diagnostics);
-    result.sketch_error_bounds = std::move(model.sketch_error_bounds);
     return result;
   }
   SRDA_CHECK(options.sketch.mode == SketchMode::kOff)

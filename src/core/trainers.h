@@ -39,7 +39,6 @@ struct TrainResult {
   // SRDA solver diagnostics; empty/zero for every other trainer.
   int total_lsqr_iterations = 0;
   std::vector<RidgeRhsDiagnostics> lsqr_diagnostics;
-  std::vector<double> sketch_error_bounds;
 };
 
 // The registered trainer names, in canonical order.

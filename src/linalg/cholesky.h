@@ -91,8 +91,8 @@ Vector BackSubstitute(const Matrix& r, const Vector& b);
 // is EXACTLY the single-vector routine's (same subtraction chain, per-row
 // division), so column j of the result is bitwise identical to
 // ForwardSubstitute(l, B.Col(j)) at any thread count.
-// The preconditioned LSQR path leans on that contract to keep batched and
-// serial preconditioned solves bitwise equal.
+// The preconditioned LSQR path leans on that contract to keep each batched
+// column bitwise equal to a one-column solve.
 Matrix ForwardSubstituteMatrix(const Matrix& l, const Matrix& b);
 Matrix BackSubstituteTransposedMatrix(const Matrix& l, const Matrix& b);
 

@@ -5,20 +5,6 @@
 
 namespace srda {
 
-Matrix LinearOperator::ApplyMulti(const Matrix& x) const {
-  SRDA_CHECK_EQ(x.rows(), cols()) << "A*X shape mismatch";
-  Matrix y(rows(), x.cols());
-  for (int j = 0; j < x.cols(); ++j) y.SetCol(j, Apply(x.Col(j)));
-  return y;
-}
-
-Matrix LinearOperator::ApplyTransposedMulti(const Matrix& x) const {
-  SRDA_CHECK_EQ(x.rows(), rows()) << "A^T*X shape mismatch";
-  Matrix y(cols(), x.cols());
-  for (int j = 0; j < x.cols(); ++j) y.SetCol(j, ApplyTransposed(x.Col(j)));
-  return y;
-}
-
 DenseOperator::DenseOperator(const Matrix* matrix) : matrix_(matrix) {
   SRDA_CHECK(matrix != nullptr);
 }
@@ -26,17 +12,9 @@ DenseOperator::DenseOperator(const Matrix* matrix) : matrix_(matrix) {
 int DenseOperator::rows() const { return matrix_->rows(); }
 int DenseOperator::cols() const { return matrix_->cols(); }
 
-Vector DenseOperator::Apply(const Vector& x) const {
-  return Multiply(*matrix_, x);
-}
-
-Vector DenseOperator::ApplyTransposed(const Vector& x) const {
-  return MultiplyTransposed(*matrix_, x);
-}
-
 Matrix DenseOperator::ApplyMulti(const Matrix& x) const {
   // The blocked GEMM folds each output element's k-terms in one ascending
-  // chain, exactly like the gemv dot product, so columns match Apply bitwise.
+  // chain that no other column touches, so columns are independent.
   return Multiply(*matrix_, x);
 }
 
@@ -50,14 +28,6 @@ SparseOperator::SparseOperator(const SparseMatrix* matrix) : matrix_(matrix) {
 
 int SparseOperator::rows() const { return matrix_->rows(); }
 int SparseOperator::cols() const { return matrix_->cols(); }
-
-Vector SparseOperator::Apply(const Vector& x) const {
-  return matrix_->Multiply(x);
-}
-
-Vector SparseOperator::ApplyTransposed(const Vector& x) const {
-  return matrix_->MultiplyTransposed(x);
-}
 
 Matrix SparseOperator::ApplyMulti(const Matrix& x) const {
   return matrix_->MultiplyDense(x);
@@ -79,30 +49,12 @@ CenterColumnsOperator::CenterColumnsOperator(const LinearOperator* base,
 int CenterColumnsOperator::rows() const { return base_->rows(); }
 int CenterColumnsOperator::cols() const { return base_->cols(); }
 
-Vector CenterColumnsOperator::Apply(const Vector& x) const {
-  SRDA_CHECK_EQ(x.size(), cols()) << "(A - 1 mean^T)*x shape mismatch";
-  Vector y = base_->Apply(x);
-  const double shift = Dot(*mean_, x);
-  for (int i = 0; i < y.size(); ++i) y[i] -= shift;
-  return y;
-}
-
-Vector CenterColumnsOperator::ApplyTransposed(const Vector& x) const {
-  SRDA_CHECK_EQ(x.size(), rows()) << "(A - 1 mean^T)^T*x shape mismatch";
-  Vector y = base_->ApplyTransposed(x);
-  double ones_dot = 0.0;
-  for (int i = 0; i < x.size(); ++i) ones_dot += x[i];
-  const double* pm = mean_->data();
-  for (int j = 0; j < y.size(); ++j) y[j] -= ones_dot * pm[j];
-  return y;
-}
-
 Matrix CenterColumnsOperator::ApplyMulti(const Matrix& x) const {
   SRDA_CHECK_EQ(x.rows(), cols()) << "(A - 1 mean^T)*X shape mismatch";
   Matrix y = base_->ApplyMulti(x);
   const int d = x.cols();
-  // Per-column shifts accumulate over features in ascending order — the
-  // same chain as Dot(mean, x_j) in the single-vector path.
+  // Per-column shifts accumulate over features in ascending order, one
+  // chain per column.
   Vector shifts(d);
   double* ps = shifts.data();
   const double* pm = mean_->data();
@@ -142,28 +94,6 @@ AppendOnesColumnOperator::AppendOnesColumnOperator(const LinearOperator* base)
 
 int AppendOnesColumnOperator::rows() const { return base_->rows(); }
 int AppendOnesColumnOperator::cols() const { return base_->cols() + 1; }
-
-Vector AppendOnesColumnOperator::Apply(const Vector& x) const {
-  SRDA_CHECK_EQ(x.size(), cols()) << "[A 1]*x shape mismatch";
-  // Split x into the base part and the bias coefficient.
-  Vector base_x(base_->cols());
-  for (int j = 0; j < base_->cols(); ++j) base_x[j] = x[j];
-  const double bias = x[base_->cols()];
-  Vector y = base_->Apply(base_x);
-  for (int i = 0; i < y.size(); ++i) y[i] += bias;
-  return y;
-}
-
-Vector AppendOnesColumnOperator::ApplyTransposed(const Vector& x) const {
-  SRDA_CHECK_EQ(x.size(), rows()) << "[A 1]^T*x shape mismatch";
-  Vector base_y = base_->ApplyTransposed(x);
-  double ones_dot = 0.0;
-  for (int i = 0; i < x.size(); ++i) ones_dot += x[i];
-  Vector y(cols());
-  for (int j = 0; j < base_y.size(); ++j) y[j] = base_y[j];
-  y[base_->cols()] = ones_dot;
-  return y;
-}
 
 Matrix AppendOnesColumnOperator::ApplyMulti(const Matrix& x) const {
   SRDA_CHECK_EQ(x.rows(), cols()) << "[A 1]*X shape mismatch";

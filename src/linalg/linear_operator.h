@@ -1,7 +1,7 @@
 // Abstract matrix-free linear operator.
 //
-// LSQR (and any other iterative solver) only needs the two products A*x and
-// A^T*y. Expressing that as an interface lets the same solver run on dense
+// LSQR (and any other iterative solver) only needs the two products A*X and
+// A^T*Y. Expressing that as an interface lets the same solver run on dense
 // matrices, CSR matrices, and the paper's "append a constant 1 feature"
 // bias-absorption trick (Section III-B) without ever materializing an
 // augmented or centered matrix.
@@ -15,14 +15,16 @@
 
 namespace srda {
 
-// Interface for an m x n linear map. Implementations must be thread-
-// compatible (const methods only read).
+// Interface for an m x n linear map, applied to blocks of k columns at
+// once so batched solvers (LsqrBatch) make one pass over the underlying
+// data for all right-hand sides. Implementations must be thread-compatible
+// (const methods only read).
 //
-// The multi-RHS products ApplyMulti / ApplyTransposedMulti exist so batched
-// solvers (LsqrBatch) can make one pass over the underlying data for all
-// right-hand sides. Overrides must keep each output column bitwise identical
-// to the corresponding single-vector product — the default implementations
-// guarantee this by delegating column by column.
+// Column-independence contract: column j of a product depends only on
+// column j of the input — its bits must not change with k, with which other
+// columns ride along, or with the thread count. LsqrBatch relies on this:
+// converged columns drop out of the packed pass, so a column's result must
+// equal a one-column call on that column alone.
 class LinearOperator {
  public:
   virtual ~LinearOperator() = default;
@@ -30,19 +32,11 @@ class LinearOperator {
   virtual int rows() const = 0;
   virtual int cols() const = 0;
 
-  // y = A * x; x.size() == cols(), result.size() == rows().
-  virtual Vector Apply(const Vector& x) const = 0;
+  // Y = A * X; X is cols() x k, result is rows() x k.
+  virtual Matrix ApplyMulti(const Matrix& x) const = 0;
 
-  // y = A^T * x; x.size() == rows(), result.size() == cols().
-  virtual Vector ApplyTransposed(const Vector& x) const = 0;
-
-  // Y = A * X; X is cols() x k, result is rows() x k. Column j of the
-  // result is bitwise equal to Apply(column j of X).
-  virtual Matrix ApplyMulti(const Matrix& x) const;
-
-  // Y = A^T * X; X is rows() x k, result is cols() x k. Column j of the
-  // result is bitwise equal to ApplyTransposed(column j of X).
-  virtual Matrix ApplyTransposedMulti(const Matrix& x) const;
+  // Y = A^T * X; X is rows() x k, result is cols() x k.
+  virtual Matrix ApplyTransposedMulti(const Matrix& x) const = 0;
 };
 
 // Wraps a dense matrix (not owned; must outlive the operator).
@@ -52,8 +46,6 @@ class DenseOperator final : public LinearOperator {
 
   int rows() const override;
   int cols() const override;
-  Vector Apply(const Vector& x) const override;
-  Vector ApplyTransposed(const Vector& x) const override;
   Matrix ApplyMulti(const Matrix& x) const override;
   Matrix ApplyTransposedMulti(const Matrix& x) const override;
 
@@ -73,8 +65,6 @@ class SparseOperator final : public LinearOperator {
 
   int rows() const override;
   int cols() const override;
-  Vector Apply(const Vector& x) const override;
-  Vector ApplyTransposed(const Vector& x) const override;
   Matrix ApplyMulti(const Matrix& x) const override;
   Matrix ApplyTransposedMulti(const Matrix& x) const override;
 
@@ -98,8 +88,6 @@ class CenterColumnsOperator final : public LinearOperator {
 
   int rows() const override;
   int cols() const override;
-  Vector Apply(const Vector& x) const override;
-  Vector ApplyTransposed(const Vector& x) const override;
   Matrix ApplyMulti(const Matrix& x) const override;
   Matrix ApplyTransposedMulti(const Matrix& x) const override;
 
@@ -120,8 +108,6 @@ class AppendOnesColumnOperator final : public LinearOperator {
 
   int rows() const override;
   int cols() const override;  // base->cols() + 1
-  Vector Apply(const Vector& x) const override;
-  Vector ApplyTransposed(const Vector& x) const override;
   Matrix ApplyMulti(const Matrix& x) const override;
   Matrix ApplyTransposedMulti(const Matrix& x) const override;
 

@@ -53,12 +53,10 @@ void RecordPrecondIterations(int iterations) {
 // ||z|| = ||L^T x||, not ||x||. With the rows folded in, the inner solve
 // runs undamped and minimizes the original damped objective exactly.
 //
-// Bitwise contract: every product applies the matrix triangular-solve
-// routines (whose columns are bitwise equal to the vector routines) and the
-// base operator's Multi products (same contract), so column j of a Multi
-// product is bitwise identical to the single-vector product on column j —
-// preconditioned LsqrBatch stays bitwise equal to serial preconditioned
-// Lsqr, at any thread count.
+// Column independence: the matrix triangular solves and the base
+// operator's products each compute column j from column j alone, and so
+// does everything in between, so a preconditioned column's bits do not
+// depend on which other columns share the batch, at any thread count.
 class PrecondDampedOperator final : public LinearOperator {
  public:
   PrecondDampedOperator(const LinearOperator* base, const Matrix* l,
@@ -70,32 +68,6 @@ class PrecondDampedOperator final : public LinearOperator {
 
   int rows() const override { return rows_; }
   int cols() const override { return base_->cols(); }
-
-  Vector Apply(const Vector& z) const override {
-    TraceSpan span("sketch.apply");
-    const Vector x = BackSubstituteTransposed(*l_, z);
-    Vector top = base_->Apply(x);
-    if (damp_ == 0.0) return top;
-    const int m = base_->rows();
-    const int n = base_->cols();
-    Vector out(rows_);
-    for (int i = 0; i < m; ++i) out[i] = top[i];
-    for (int i = 0; i < n; ++i) out[m + i] = damp_ * x[i];
-    return out;
-  }
-
-  Vector ApplyTransposed(const Vector& y) const override {
-    TraceSpan span("sketch.apply");
-    const int m = base_->rows();
-    const int n = base_->cols();
-    Vector top(m);
-    for (int i = 0; i < m; ++i) top[i] = y[i];
-    Vector t = base_->ApplyTransposed(top);
-    if (damp_ > 0.0) {
-      for (int i = 0; i < n; ++i) t[i] += damp_ * y[m + i];
-    }
-    return ForwardSubstitute(*l_, t);
-  }
 
   Matrix ApplyMulti(const Matrix& z) const override {
     TraceSpan span("sketch.apply");
@@ -157,6 +129,21 @@ LsqrOptions InnerOptions(const LsqrOptions& options) {
   return inner;
 }
 
+// Per-column bidiagonalization state for LsqrBatch; `active` is false once
+// a stopping rule fired (the column's iterate is then frozen and it drops
+// out of the batched operator passes).
+struct LsqrColumnState {
+  Vector u, v, w;
+  double alpha = 0.0;
+  double beta = 0.0;
+  double phibar = 0.0;
+  double rhobar = 0.0;
+  double bnorm = 0.0;
+  double anorm_sq = 0.0;
+  double psi_sq_sum = 0.0;
+  bool active = false;
+};
+
 }  // namespace
 
 const char* LsqrStopName(LsqrStop stop) {
@@ -177,168 +164,6 @@ const char* LsqrStopName(LsqrStop stop) {
   return "unknown";
 }
 
-LsqrResult Lsqr(const LinearOperator& a, const Vector& b,
-                const LsqrOptions& options) {
-  SRDA_CHECK_EQ(b.size(), a.rows()) << "LSQR rhs size mismatch";
-  SRDA_CHECK_GT(options.max_iterations, 0);
-  SRDA_CHECK_GE(options.damp, 0.0);
-  if (options.right_precond != nullptr) {
-    const Matrix& l = *options.right_precond;
-    SRDA_CHECK_EQ(l.rows(), a.cols()) << "right_precond shape mismatch";
-    SRDA_CHECK_EQ(l.cols(), a.cols()) << "right_precond must be square";
-    PrecondDampedOperator pre(&a, &l, options.damp);
-    Vector rhs(pre.rows());  // [b; 0]: the damp rows carry a zero target.
-    for (int i = 0; i < b.size(); ++i) rhs[i] = b[i];
-    LsqrResult result = Lsqr(pre, rhs, InnerOptions(options));
-    result.x = BackSubstituteTransposed(l, result.x);
-    RecordPrecondIterations(result.iterations);
-    return result;
-  }
-
-  const int n = a.cols();
-  TraceSpan span("lsqr.solve");
-  if (span.recording()) {
-    span.AddArg("max_iterations",
-                static_cast<double>(options.max_iterations));
-  }
-  LsqrResult result;
-  result.x = Vector(n);
-
-  // Golub-Kahan bidiagonalization starting vectors.
-  Vector u = b;
-  double beta = Norm2(u);
-  if (beta == 0.0) {
-    // b == 0: the minimizer is x == 0.
-    result.converged = true;
-    result.stop = LsqrStop::kRhsZero;
-    RecordLsqrMetrics(result);
-    return result;
-  }
-  Scale(1.0 / beta, &u);
-  Vector v = a.ApplyTransposed(u);
-  double alpha = Norm2(v);
-  if (alpha == 0.0) {
-    // A^T b == 0: x == 0 is already the normal-equations solution.
-    result.residual_norm = beta;
-    result.converged = true;
-    result.stop = LsqrStop::kNormalZero;
-    RecordLsqrMetrics(result);
-    return result;
-  }
-  Scale(1.0 / alpha, &v);
-
-  Vector w = v;
-  double phibar = beta;
-  double rhobar = alpha;
-  const double bnorm = beta;
-  double anorm_sq = 0.0;  // Frobenius-norm estimate of [A; damp I].
-  double res_normal = alpha * beta;
-  // Paige-Saunders damped residual: ||[b; 0] - [A; damp I] x_k||^2 ==
-  // phibar_k^2 + sum_{i<=k} psi_i^2, so the psi^2 terms accumulate across
-  // iterations rather than being read off the current one.
-  double psi_sq_sum = 0.0;
-
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    TraceSpan iter_span("lsqr.iteration");
-    // Continue the bidiagonalization: beta_{k+1} u_{k+1} = A v_k - alpha_k u_k.
-    Vector au = a.Apply(v);
-    for (int i = 0; i < au.size(); ++i) au[i] -= alpha * u[i];
-    u = std::move(au);
-    beta = Norm2(u);
-    if (beta > 0.0) {
-      Scale(1.0 / beta, &u);
-      Vector atv = a.ApplyTransposed(u);
-      for (int i = 0; i < n; ++i) atv[i] -= beta * v[i];
-      v = std::move(atv);
-      alpha = Norm2(v);
-      if (alpha > 0.0) Scale(1.0 / alpha, &v);
-    } else {
-      alpha = 0.0;
-    }
-    anorm_sq += alpha * alpha + beta * beta + options.damp * options.damp;
-
-    // Eliminate the damping entry with a first rotation.
-    const double rhobar1 = std::hypot(rhobar, options.damp);
-    const double c1 = rhobar / rhobar1;
-    const double s1 = options.damp / rhobar1;
-    const double psi = s1 * phibar;
-    psi_sq_sum += psi * psi;
-    phibar = c1 * phibar;
-
-    // Plane rotation annihilating beta.
-    const double rho = std::hypot(rhobar1, beta);
-    const double c = rhobar1 / rho;
-    const double s = beta / rho;
-    const double theta = s * alpha;
-    rhobar = -c * alpha;
-    const double phi = c * phibar;
-    phibar = s * phibar;
-
-    // Update the iterate and the search direction.
-    const double t1 = phi / rho;
-    const double t2 = -theta / rho;
-    for (int i = 0; i < n; ++i) {
-      result.x[i] += t1 * w[i];
-      w[i] = v[i] + t2 * w[i];
-    }
-
-    result.iterations = iter;
-    // With damp == 0 every psi is 0 and this reduces to |phibar| exactly.
-    result.residual_norm = psi_sq_sum == 0.0
-                               ? std::fabs(phibar)
-                               : std::sqrt(phibar * phibar + psi_sq_sum);
-    res_normal = std::fabs(phibar) * alpha * std::fabs(c);
-    result.normal_residual_norm = res_normal;
-    if (iter_span.recording()) {
-      iter_span.AddArg("iter", static_cast<double>(iter));
-      iter_span.AddArg("residual", result.residual_norm);
-    }
-
-    // Paige-Saunders stopping rules 1 and 2.
-    const double anorm = std::sqrt(anorm_sq);
-    const double xnorm = Norm2(result.x);
-    if (result.residual_norm <=
-        options.btol * bnorm + options.atol * anorm * xnorm) {
-      result.converged = true;
-      result.stop = LsqrStop::kResidualTol;
-      break;
-    }
-    if (anorm > 0.0 && result.residual_norm > 0.0 &&
-        res_normal / (anorm * result.residual_norm) <= options.atol) {
-      result.converged = true;
-      result.stop = LsqrStop::kNormalResidualTol;
-      break;
-    }
-    if (alpha == 0.0) {  // Exact breakdown: solution reached.
-      result.converged = true;
-      result.stop = LsqrStop::kBreakdown;
-      break;
-    }
-  }
-  RecordLsqrMetrics(result);
-  return result;
-}
-
-namespace {
-
-// Per-column bidiagonalization state for LsqrBatch. Mirrors the local
-// variables of Lsqr exactly; `active` is false once a stopping rule fired
-// (the column's iterate is then frozen and it drops out of the batched
-// operator passes).
-struct LsqrColumnState {
-  Vector u, v, w;
-  double alpha = 0.0;
-  double beta = 0.0;
-  double phibar = 0.0;
-  double rhobar = 0.0;
-  double bnorm = 0.0;
-  double anorm_sq = 0.0;
-  double psi_sq_sum = 0.0;
-  bool active = false;
-};
-
-}  // namespace
-
 std::vector<LsqrResult> LsqrBatch(const LinearOperator& a, const Matrix& b,
                                   const LsqrOptions& options) {
   SRDA_CHECK_EQ(b.rows(), a.rows()) << "LSQR batch rhs size mismatch";
@@ -356,9 +181,7 @@ std::vector<LsqrResult> LsqrBatch(const LinearOperator& a, const Matrix& b,
       for (int j = 0; j < b.cols(); ++j) dst[j] = src[j];
     }
     std::vector<LsqrResult> results = LsqrBatch(pre, rhs, InnerOptions(options));
-    // One batched back-substitution maps every column's z back to x; per
-    // column it is bitwise the vector BackSubstituteTransposed the serial
-    // preconditioned Lsqr applies.
+    // One batched back-substitution maps every column's z back to x.
     Matrix z(a.cols(), b.cols());
     for (int j = 0; j < b.cols(); ++j) {
       z.SetCol(j, results[static_cast<size_t>(j)].x);
@@ -383,8 +206,8 @@ std::vector<LsqrResult> LsqrBatch(const LinearOperator& a, const Matrix& b,
   std::vector<LsqrResult> results(static_cast<size_t>(d));
   std::vector<LsqrColumnState> state(static_cast<size_t>(d));
 
-  // Start the bidiagonalization: u_j = b_j / ||b_j||. Columns with b_j == 0
-  // converge immediately at x == 0, as in the serial solver.
+  // Start the Golub-Kahan bidiagonalization: u_j = b_j / ||b_j||. Columns
+  // with b_j == 0 converge immediately at x == 0.
   std::vector<int> pending;
   for (int j = 0; j < d; ++j) {
     results[j].x = Vector(n);
@@ -478,8 +301,7 @@ std::vector<LsqrResult> LsqrBatch(const LinearOperator& a, const Matrix& b,
     }
 
     // Finish the iteration per column: v/alpha update, the two plane
-    // rotations, the iterate update, and the stopping rules — verbatim the
-    // serial recurrence.
+    // rotations, the iterate update, and the Paige-Saunders stopping rules.
     ParallelFor(0, static_cast<int>(active.size()), [&](int tb, int te) {
       for (int t = tb; t < te; ++t) {
         const int j = active[t];
@@ -497,6 +319,10 @@ std::vector<LsqrResult> LsqrBatch(const LinearOperator& a, const Matrix& b,
         st.anorm_sq += st.alpha * st.alpha + st.beta * st.beta +
                        options.damp * options.damp;
 
+        // Eliminate the damping entry with a first rotation. The damped
+        // residual ||[b; 0] - [A; damp I] x_k||^2 == phibar_k^2 +
+        // sum_{i<=k} psi_i^2, so the psi^2 terms accumulate across
+        // iterations rather than being read off the current one.
         const double rhobar1 = std::hypot(st.rhobar, options.damp);
         const double c1 = st.rhobar / rhobar1;
         const double s1 = options.damp / rhobar1;
@@ -504,6 +330,7 @@ std::vector<LsqrResult> LsqrBatch(const LinearOperator& a, const Matrix& b,
         st.psi_sq_sum += psi * psi;
         st.phibar = c1 * st.phibar;
 
+        // Plane rotation annihilating beta.
         const double rho = std::hypot(rhobar1, st.beta);
         const double c = rhobar1 / rho;
         const double s = st.beta / rho;
@@ -520,6 +347,7 @@ std::vector<LsqrResult> LsqrBatch(const LinearOperator& a, const Matrix& b,
         }
 
         res.iterations = iter;
+        // With damp == 0 every psi is 0 and this reduces to |phibar|.
         res.residual_norm =
             st.psi_sq_sum == 0.0
                 ? std::fabs(st.phibar)

@@ -1,7 +1,7 @@
 // LSQR iterative solver for sparse least squares (Paige & Saunders, 1982).
 //
-// Solves min_x ||A x - b||^2 + damp^2 ||x||^2 using only the products A*x
-// and A^T*y, which is what gives SRDA its linear-time sparse path (Section
+// Solves min_x ||A x - b||^2 + damp^2 ||x||^2 using only the block products
+// A*X and A^T*Y, which is what gives SRDA its linear-time sparse path (Section
 // III-C2 of the paper: each iteration costs 2*nnz + O(m + n) flam, and 15-20
 // iterations suffice in the paper's experiments).
 
@@ -70,19 +70,16 @@ struct LsqrResult {
   LsqrStop stop = LsqrStop::kIterationLimit;
 };
 
-// Runs LSQR on the (possibly damped) least-squares problem.
-// b.size() must equal a.rows(); the solution has a.cols() entries.
-LsqrResult Lsqr(const LinearOperator& a, const Vector& b,
-                const LsqrOptions& options = {});
-
-// Batched multi-RHS LSQR: solves the damped problem independently for every
-// column of b (a.rows() x d), sharing the operator passes — one ApplyMulti
-// and one ApplyTransposedMulti per iteration cover all still-active columns,
-// so sparse data is traversed once per iteration instead of once per RHS.
-// The per-column scalar recurrences run on the thread pool. Column j's
-// result is bitwise identical to Lsqr(a, column j of b, options): each
-// column follows exactly the serial recurrence, and columns that hit a
-// stopping rule are frozen and dropped from subsequent passes.
+// Batched multi-RHS LSQR, the repo's only LSQR: solves the damped problem
+// independently for every column of b (a.rows() x d; a single right-hand
+// side is a one-column b), sharing the operator passes — one ApplyMulti and
+// one ApplyTransposedMulti per iteration cover all still-active columns, so
+// sparse data is traversed once per iteration instead of once per RHS. The
+// per-column scalar recurrences run on the thread pool; results[j].x has
+// a.cols() entries. Columns that hit a stopping rule are frozen and dropped
+// from later passes, so this relies on the operator's column-independence
+// contract (linalg/linear_operator.h): column j's result is bitwise the
+// same whichever other columns share the batch, and at any thread count.
 std::vector<LsqrResult> LsqrBatch(const LinearOperator& a, const Matrix& b,
                                   const LsqrOptions& options = {});
 

@@ -16,18 +16,6 @@ namespace {
 // next chunk. The first chunk is a straight copy — matching the in-RAM
 // fold's `y = std::move(partials[0])` bit for bit (0.0 + v would flip a
 // negative zero) — later chunks add elementwise in ascending chunk order.
-void FoldChunk(int folded, Vector* partial, Vector* y) {
-  double* py = y->data();
-  double* pp = partial->data();
-  const int n = y->size();
-  if (folded == 0) {
-    std::memcpy(py, pp, static_cast<size_t>(n) * sizeof(double));
-  } else {
-    for (int j = 0; j < n; ++j) py[j] += pp[j];
-  }
-  std::memset(pp, 0, static_cast<size_t>(n) * sizeof(double));
-}
-
 void FoldChunk(int folded, Matrix* partial, Matrix* y) {
   double* py = y->data();
   double* pp = partial->data();
@@ -51,25 +39,6 @@ ShardedOperator::ShardedOperator(RowShardSource* source) : source_(source) {
 int ShardedOperator::rows() const { return source_->rows(); }
 int ShardedOperator::cols() const { return source_->cols(); }
 
-Vector ShardedOperator::Apply(const Vector& x) const {
-  SRDA_CHECK_EQ(x.size(), cols()) << "sharded A*x shape mismatch";
-  TraceSpan span("sharded.apply");
-  Vector y(rows());
-  source_->Reset();
-  RowShard shard;
-  int next_row = 0;
-  while (source_->Next(&shard)) {
-    SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
-    const Vector part = shard.dense != nullptr ? Multiply(*shard.dense, x)
-                                               : shard.sparse->Multiply(x);
-    std::memcpy(y.data() + next_row, part.data(),
-                static_cast<size_t>(part.size()) * sizeof(double));
-    next_row += shard.rows();
-  }
-  SRDA_CHECK_EQ(next_row, rows()) << "shard stream ended early";
-  return y;
-}
-
 Matrix ShardedOperator::ApplyMulti(const Matrix& x) const {
   SRDA_CHECK_EQ(x.rows(), cols()) << "sharded A*X shape mismatch";
   TraceSpan span("sharded.apply");
@@ -88,65 +57,6 @@ Matrix ShardedOperator::ApplyMulti(const Matrix& x) const {
     next_row += shard.rows();
   }
   SRDA_CHECK_EQ(next_row, rows()) << "shard stream ended early";
-  return y;
-}
-
-Vector ShardedOperator::ApplyTransposed(const Vector& x) const {
-  SRDA_CHECK_EQ(x.size(), rows()) << "sharded A^T*x shape mismatch";
-  TraceSpan span("sharded.apply_t");
-  Vector y(cols());
-  source_->Reset();
-  RowShard shard;
-  int next_row = 0;
-  if (!source_->sparse()) {
-    while (source_->Next(&shard)) {
-      SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
-      Vector segment(shard.rows());
-      for (int i = 0; i < segment.size(); ++i) segment[i] = x[next_row + i];
-      MultiplyTransposedAccumulate(*shard.dense, segment, &y);
-      next_row += shard.rows();
-    }
-    SRDA_CHECK_EQ(next_row, rows()) << "shard stream ended early";
-    return y;
-  }
-
-  // Sparse: accumulate on the global chunk grid, folding each finished
-  // chunk in ascending order (see the header). With a single chunk the
-  // in-RAM kernel accumulates straight into y; target aliases y to match.
-  const int num_chunks = FixedChunkCount(rows(), kSparseTransposeChunkRows);
-  const bool fold = num_chunks > 1;
-  Vector partial(fold ? cols() : 0);
-  Vector* target = fold ? &partial : &y;
-  int folded = 0;
-  while (source_->Next(&shard)) {
-    SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
-    const SparseMatrix& s = *shard.sparse;
-    AddFlops(2.0 * static_cast<double>(s.NumNonZeros()));
-    double* pt = target->data();
-    for (int i = 0; i < s.rows(); ++i) {
-      const int g = next_row + i;
-      if (fold) {
-        const int chunk = g / kSparseTransposeChunkRows;
-        while (folded < chunk) {
-          FoldChunk(folded, &partial, &y);
-          ++folded;
-          pt = target->data();
-        }
-      }
-      const double xi = x[g];
-      if (xi == 0.0) continue;
-      const int nnz = s.RowNonZeros(i);
-      const int* idx = s.RowIndices(i);
-      const double* values = s.RowValues(i);
-      for (int k = 0; k < nnz; ++k) pt[idx[k]] += xi * values[k];
-    }
-    next_row += s.rows();
-  }
-  SRDA_CHECK_EQ(next_row, rows()) << "shard stream ended early";
-  while (fold && folded < num_chunks) {
-    FoldChunk(folded, &partial, &y);
-    ++folded;
-  }
   return y;
 }
 
@@ -169,6 +79,9 @@ Matrix ShardedOperator::ApplyTransposedMulti(const Matrix& x) const {
     return y;
   }
 
+  // Sparse: accumulate on the global chunk grid, folding each finished
+  // chunk in ascending order (see the header). With a single chunk the
+  // in-RAM kernel accumulates straight into y; target aliases y to match.
   const int num_chunks = FixedChunkCount(rows(), kSparseTransposeChunkRows);
   const bool fold = num_chunks > 1;
   Matrix partial(fold ? cols() : 0, fold ? d : 0);

@@ -9,20 +9,20 @@
 //
 // Determinism: every product is bitwise identical to the in-RAM kernel on
 // the concatenated matrix, at any shard size and thread count.
-//  * A*x / A*X compute disjoint output rows per shard — the per-row chains
-//    are untouched by the partition.
-//  * Dense A^T*x / A^T*X continue each output element's ascending-k
-//    accumulation chain across shards via the chain-continuing blas
-//    kernels (MultiplyTransposedAccumulate / MultiplyTransposedAAccumulate).
-//  * Sparse A^T*x / A^T*X replicate the global kSparseTransposeChunkRows
-//    reduction grid of SparseMatrix::MultiplyTransposed{,Dense}: rows
+//  * A*X computes disjoint output rows per shard — the per-row chains are
+//    untouched by the partition.
+//  * Dense A^T*X continues each output element's ascending-k accumulation
+//    chain across shards via the chain-continuing blas kernel
+//    MultiplyTransposedAAccumulate.
+//  * Sparse A^T*X replicates the global kSparseTransposeChunkRows
+//    reduction grid of SparseMatrix::MultiplyTransposedDense: rows
 //    accumulate into the current chunk's partial (carried across shard
 //    boundaries when a shard splits a chunk) and partials fold in ascending
 //    chunk order, reproducing the in-RAM fold exactly.
 //
 // Unlike the other LinearOperators, a ShardedOperator is NOT thread-
 // compatible: each product Reset()s and drains the source's cursor, so only
-// one caller may use it at a time (LSQR's serial product sequence is fine).
+// one caller may use it at a time (LSQR issues one product at a time).
 
 #ifndef SRDA_LINALG_SHARDED_OPERATOR_H_
 #define SRDA_LINALG_SHARDED_OPERATOR_H_
@@ -76,8 +76,6 @@ class ShardedOperator final : public LinearOperator {
 
   int rows() const override;
   int cols() const override;
-  Vector Apply(const Vector& x) const override;
-  Vector ApplyTransposed(const Vector& x) const override;
   Matrix ApplyMulti(const Matrix& x) const override;
   Matrix ApplyTransposedMulti(const Matrix& x) const override;
 

@@ -92,15 +92,7 @@ Vector Multiply(const Matrix& a, const Vector& x) {
 }
 
 Vector MultiplyTransposed(const Matrix& a, const Vector& x) {
-  Vector y(a.cols());
-  MultiplyTransposedAccumulate(a, x, &y);
-  return y;
-}
-
-void MultiplyTransposedAccumulate(const Matrix& a, const Vector& x,
-                                  Vector* y) {
   SRDA_CHECK_EQ(a.rows(), x.size()) << "A^T*x shape mismatch";
-  SRDA_CHECK_EQ(a.cols(), y->size()) << "A^T*x output size mismatch";
   TraceSpan span("gemv_t");
   if (span.recording()) {
     span.AddArg("flops", 2.0 * a.rows() * a.cols());
@@ -108,13 +100,15 @@ void MultiplyTransposedAccumulate(const Matrix& a, const Vector& x,
                                a.cols() + a.rows()));
   }
   AddFlops(2.0 * a.rows() * a.cols());
-  double* py = y->data();
+  Vector y(a.cols());
+  double* py = y.data();
   for (int i = 0; i < a.rows(); ++i) {
     const double* row = a.RowPtr(i);
     const double xi = x[i];
     if (xi == 0.0) continue;
     for (int j = 0; j < a.cols(); ++j) py[j] += xi * row[j];
   }
+  return y;
 }
 
 namespace {

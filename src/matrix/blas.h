@@ -76,10 +76,6 @@ void GramAccumulateUpper(const Matrix& a, Matrix* c);
 // Copies the strict upper triangle onto the lower triangle.
 void SymmetrizeFromUpper(Matrix* c);
 
-// y += A^T * x.
-void MultiplyTransposedAccumulate(const Matrix& a, const Vector& x,
-                                  Vector* y);
-
 // sums += per-column sums of A: the ColumnMeans accumulation without the
 // final 1/m scale, so a streamed mean matches the in-RAM one bitwise.
 void ColumnSumsAccumulate(const Matrix& a, Vector* sums);

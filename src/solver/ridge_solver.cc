@@ -370,7 +370,8 @@ void RidgeSolver::EnsureOperatorMean(const LinearOperator* data) {
   if (operator_mean_ready_) return;
   // Column means through the operator itself (A^T 1 / m): works for
   // dense and sparse data without densifying either.
-  operator_mean_ = data->ApplyTransposed(Vector(data->rows(), 1.0));
+  operator_mean_ =
+      data->ApplyTransposedMulti(Matrix(data->rows(), 1, 1.0)).Col(0);
   Scale(1.0 / data->rows(), &operator_mean_);
   operator_mean_ready_ = true;
 }
@@ -390,7 +391,6 @@ void RidgeSolver::EnsureSketch(const LinearOperator* data) {
   opts.sketch_rows = sketch_config_.sketch_rows > 0
                          ? sketch_config_.sketch_rows
                          : std::max(1, std::min(m, 4 * n_effective));
-  sketch_options_ = opts;
   // Sketch the raw rows through the cheapest kernel the binding offers;
   // the generic operator fallback only fires for operator types without
   // row access.
@@ -473,11 +473,6 @@ const Matrix& RidgeSolver::centered() {
 RidgeSolution RidgeSolver::Solve(const Matrix& responses, double alpha,
                                  const RidgeSolveOptions& options) {
   SRDA_CHECK_GE(alpha, 0.0) << "alpha must be non-negative";
-  if (sketch_config_.mode == SketchMode::kSolve) {
-    SRDA_CHECK(binding_ != Binding::kGram)
-        << "pure sketch-solve needs row-level data";
-    return SolveSketched(responses, alpha);
-  }
   RidgeMethod method = options.method;
   if (method == RidgeMethod::kAuto) {
     const bool streaming_only =
@@ -665,88 +660,6 @@ RidgeSolution RidgeSolver::SolveLsqr(const Matrix& responses, double alpha,
     diag.converged = result.converged;
     diag.stop = result.stop;
     solution.lsqr.push_back(diag);
-  }
-  solution.ok = true;
-  return solution;
-}
-
-// Pure sketch-solve (SketchMode::kSolve): the minimizer of the sketched
-// objective min ||S X̄ a - S y||² + alpha ||a||² is
-// (sketchᵀ sketch + alpha I)⁻¹ sketchᵀ (S y) — one cached s-row factor, one
-// sketch of the responses, zero LSQR iterations. The reported error bound
-// uses the exact quadratic identity a* = â - H⁻¹ ∇f(â) for the TRUE
-// objective f (Hessian H = 2(X̄ᵀX̄ + alpha I) ⪰ 2 alpha I):
-// ||â - a*|| <= ||∇f(â)|| / (2 alpha) = ||X̄ᵀ(X̄ â - y) + alpha â|| / alpha,
-// computed with one forward and one transposed pass over the exact operator.
-RidgeSolution RidgeSolver::SolveSketched(const Matrix& responses,
-                                         double alpha) {
-  TraceSpan span("ridge.solve_sketched");
-  if (span.recording()) {
-    span.AddArg("rhs", static_cast<double>(responses.cols()));
-    span.AddArg("alpha", alpha);
-  }
-  SRDA_CHECK_GT(alpha, 0.0)
-      << "pure sketch-solve needs alpha > 0 (the error bound scales as "
-         "1/alpha and the sketched Gram may be singular)";
-  const LinearOperator* data = ResolveOperator();
-  SRDA_CHECK_EQ(responses.rows(), data->rows()) << "response count mismatch";
-
-  RidgeSolution solution;
-  const Cholesky* chol = SketchedFactorAt(data, alpha);
-  if (chol == nullptr) return solution;
-
-  const Matrix sketched_responses = SketchRows(responses, sketch_options_);
-  const Matrix full =
-      chol->SolveMatrix(MultiplyTransposedA(sketch_, sketched_responses));
-
-  const int n = data->cols();
-  const int d = responses.cols();
-
-  // Gradient of the exact objective at the sketched solution, evaluated
-  // through the effective operator of this bias mode.
-  const auto fill_bounds = [&](const LinearOperator& effective) {
-    Matrix residual = effective.ApplyMulti(full);
-    for (int i = 0; i < residual.rows(); ++i) {
-      const double* y = responses.RowPtr(i);
-      double* r = residual.RowPtr(i);
-      for (int j = 0; j < d; ++j) r[j] -= y[j];
-    }
-    Matrix gradient = effective.ApplyTransposedMulti(residual);
-    solution.sketch_error_bounds.assign(static_cast<size_t>(d), 0.0);
-    for (int j = 0; j < d; ++j) {
-      double norm_sq = 0.0;
-      for (int i = 0; i < gradient.rows(); ++i) {
-        const double g = gradient(i, j) + alpha * full(i, j);
-        norm_sq += g * g;
-      }
-      solution.sketch_error_bounds[static_cast<size_t>(j)] =
-          std::sqrt(norm_sq) / alpha;
-    }
-  };
-
-  if (bias_mode_ == RidgeBias::kImplicitCentering) {
-    EnsureOperatorMean(data);
-    const CenterColumnsOperator centered(data, &operator_mean_);
-    fill_bounds(centered);
-    solution.coefficients = full;
-    solution.bias = Vector(d);
-    for (int j = 0; j < d; ++j) {
-      solution.bias[j] = -Dot(operator_mean_, full.Col(j));
-    }
-  } else if (bias_mode_ == RidgeBias::kAugmentedOnes) {
-    const AppendOnesColumnOperator augmented(data);
-    fill_bounds(augmented);
-    solution.coefficients = Matrix(n, d);
-    solution.bias = Vector(d);
-    for (int i = 0; i < n; ++i) {
-      const double* src = full.RowPtr(i);
-      double* dst = solution.coefficients.RowPtr(i);
-      for (int j = 0; j < d; ++j) dst[j] = src[j];
-    }
-    for (int j = 0; j < d; ++j) solution.bias[j] = full(n, j);
-  } else {
-    fill_bounds(*data);
-    solution.coefficients = full;
   }
   solution.ok = true;
   return solution;

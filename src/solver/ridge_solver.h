@@ -14,9 +14,9 @@
 // refactorization per grid point (the paper's §III-C / Fig. 5 amortization).
 //
 // Determinism contract: every path reuses the repo's bitwise-deterministic
-// kernels, and the batched LSQR path reproduces the serial per-column
-// recurrence exactly, so results are bitwise identical to the pre-refactor
-// per-trainer solves at any thread count.
+// kernels, and the batched LSQR path gives each response exactly the bits
+// of a one-column solve, so results are bitwise identical to the
+// pre-refactor per-trainer solves at any thread count.
 
 #ifndef SRDA_SOLVER_RIDGE_SOLVER_H_
 #define SRDA_SOLVER_RIDGE_SOLVER_H_
@@ -83,12 +83,6 @@ enum class SketchMode {
   // ill-conditioned data; if the sketched factor fails (alpha == 0 on a
   // rank-deficient sketch) the solve falls back to plain LSQR.
   kPrecondition,
-  // Solve() returns the minimizer of the SKETCHED objective
-  // min ||S(X̄ a - y)||² + alpha ||a||² directly — one s-row factor and no
-  // iterations at all, with a computed per-response error bound vs the
-  // exact path in RidgeSolution::sketch_error_bounds. Requires alpha > 0
-  // and row-level data (not a Gram binding).
-  kSolve,
 };
 
 struct SketchConfig {
@@ -125,13 +119,6 @@ struct RidgeSolution {
   int total_lsqr_iterations = 0;
   // Per-response convergence diagnostics (empty on the direct paths).
   std::vector<RidgeRhsDiagnostics> lsqr;
-  // Filled by pure sketch solves (SketchMode::kSolve) only: a rigorous
-  // per-response upper bound on ||â_j - a*_j||₂, the distance from the
-  // sketched coefficients to the exact ridge solution. Derived from the
-  // exact quadratic identity a* = â - H⁻¹∇f(â) with H ⪰ 2 alpha I, so
-  // ||â - a*|| <= ||X̄ᵀ(X̄ â - y) + alpha â|| / alpha — computed with two
-  // passes over the (exact) data operator.
-  std::vector<double> sketch_error_bounds;
 };
 
 // One instance per training-data binding. Solve() may be called repeatedly
@@ -230,8 +217,7 @@ class RidgeSolver {
   RidgeSolution SolveNormalEquations(const Matrix& responses, double alpha);
   RidgeSolution SolveLsqr(const Matrix& responses, double alpha,
                           const RidgeSolveOptions& options);
-  RidgeSolution SolveSketched(const Matrix& responses, double alpha);
-  // The operator view of the bound data the LSQR/sketch paths run on
+  // The operator view of the bound data the LSQR path runs on
   // (creates and caches the DenseOperator for dense bindings).
   const LinearOperator* ResolveOperator();
   void EnsureOperatorMean(const LinearOperator* data);
@@ -284,13 +270,10 @@ class RidgeSolver {
   Vector operator_mean_;
 
   // Sketch caches (SetSketch): the alpha-independent sketch of the
-  // effective solve matrix, the resolved sketch options (rows/kind/seed —
-  // reused to sketch the responses in pure sketch solves), and the last
-  // factored (sketchᵀ sketch + alpha I).
+  // effective solve matrix and the last factored (sketchᵀ sketch + alpha I).
   SketchConfig sketch_config_;
   bool sketch_ready_ = false;
   Matrix sketch_;
-  SketchOptions sketch_options_;
   bool sketch_factor_ready_ = false;
   double sketch_factor_alpha_ = 0.0;
   bool sketch_factor_ok_ = false;

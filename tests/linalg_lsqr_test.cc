@@ -1,13 +1,18 @@
 // Tests for the LSQR solver and the linear-operator wrappers.
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "linalg/cholesky.h"
 #include "linalg/linear_operator.h"
 #include "linalg/lsqr.h"
+#include "linalg/sharded_operator.h"
 #include "matrix/blas.h"
 #include "sparse/sparse_matrix.h"
 
@@ -22,18 +27,38 @@ Matrix RandomMatrix(int rows, int cols, Rng* rng) {
   return m;
 }
 
+// One-column right-hand side for LsqrBatch, the single-RHS solve.
+Matrix Column(const Vector& v) {
+  Matrix m(v.size(), 1);
+  m.SetCol(0, v);
+  return m;
+}
+
+LsqrResult LsqrOneColumn(const LinearOperator& a, const Vector& b,
+                         const LsqrOptions& options = {}) {
+  return LsqrBatch(a, Column(b), options)[0];
+}
+
+// <A X, Y> == <X, A^T Y> column by column.
+void ExpectAdjoint(const LinearOperator& op, const Matrix& x, const Matrix& y) {
+  const Matrix ax = op.ApplyMulti(x);
+  const Matrix aty = op.ApplyTransposedMulti(y);
+  for (int j = 0; j < x.cols(); ++j) {
+    EXPECT_NEAR(Dot(ax.Col(j), y.Col(j)), Dot(x.Col(j), aty.Col(j)), 1e-10)
+        << "column " << j;
+  }
+}
+
 TEST(DenseOperatorTest, MatchesMatrixProducts) {
   Rng rng(1);
   const Matrix a = RandomMatrix(6, 4, &rng);
   const DenseOperator op(&a);
   EXPECT_EQ(op.rows(), 6);
   EXPECT_EQ(op.cols(), 4);
-  Vector x(4);
-  for (int i = 0; i < 4; ++i) x[i] = rng.NextGaussian();
-  EXPECT_LT(MaxAbsDiff(op.Apply(x), Multiply(a, x)), 1e-14);
-  Vector y(6);
-  for (int i = 0; i < 6; ++i) y[i] = rng.NextGaussian();
-  EXPECT_LT(MaxAbsDiff(op.ApplyTransposed(y), MultiplyTransposed(a, y)),
+  const Matrix x = RandomMatrix(4, 3, &rng);
+  EXPECT_LT(MaxAbsDiff(op.ApplyMulti(x), Multiply(a, x)), 1e-14);
+  const Matrix y = RandomMatrix(6, 3, &rng);
+  EXPECT_LT(MaxAbsDiff(op.ApplyTransposedMulti(y), MultiplyTransposedA(a, y)),
             1e-14);
 }
 
@@ -43,10 +68,13 @@ TEST(SparseOperatorTest, MatchesSparseProducts) {
   builder.Add(2, 1, -1.0);
   const SparseMatrix sparse = std::move(builder).Build();
   const SparseOperator op(&sparse);
-  const Vector y = op.Apply(Vector{1.0, 1.0});
-  EXPECT_DOUBLE_EQ(y[0], 2.0);
-  EXPECT_DOUBLE_EQ(y[1], 0.0);
-  EXPECT_DOUBLE_EQ(y[2], -1.0);
+  const Matrix y = op.ApplyMulti(Matrix(2, 1, 1.0));
+  EXPECT_DOUBLE_EQ(y(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(y(1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(y(2, 0), -1.0);
+  const Matrix x = op.ApplyTransposedMulti(Matrix(3, 1, 1.0));
+  EXPECT_DOUBLE_EQ(x(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(x(1, 0), -1.0);
 }
 
 TEST(AppendOnesColumnOperatorTest, AppendsBiasColumn) {
@@ -55,11 +83,10 @@ TEST(AppendOnesColumnOperatorTest, AppendsBiasColumn) {
   const DenseOperator base(&a);
   const AppendOnesColumnOperator op(&base);
   EXPECT_EQ(op.cols(), 4);
-  Vector x{1.0, 2.0, 3.0, 10.0};
-  const Vector y = op.Apply(x);
+  const Matrix y = op.ApplyMulti(Column(Vector{1.0, 2.0, 3.0, 10.0}));
   // Equivalent to A * x[0:3] + 10.
   const Vector expected = Multiply(a, Vector{1.0, 2.0, 3.0});
-  for (int i = 0; i < 5; ++i) EXPECT_NEAR(y[i], expected[i] + 10.0, 1e-13);
+  for (int i = 0; i < 5; ++i) EXPECT_NEAR(y(i, 0), expected[i] + 10.0, 1e-13);
 }
 
 TEST(AppendOnesColumnOperatorTest, TransposeSumsLastRow) {
@@ -67,10 +94,9 @@ TEST(AppendOnesColumnOperatorTest, TransposeSumsLastRow) {
   const Matrix a = RandomMatrix(4, 2, &rng);
   const DenseOperator base(&a);
   const AppendOnesColumnOperator op(&base);
-  Vector y{1.0, 2.0, 3.0, 4.0};
-  const Vector x = op.ApplyTransposed(y);
-  EXPECT_EQ(x.size(), 3);
-  EXPECT_NEAR(x[2], 10.0, 1e-13);  // Sum of y.
+  const Matrix x = op.ApplyTransposedMulti(Column(Vector{1.0, 2.0, 3.0, 4.0}));
+  EXPECT_EQ(x.rows(), 3);
+  EXPECT_NEAR(x(2, 0), 10.0, 1e-13);  // Sum of y.
 }
 
 TEST(AppendOnesColumnOperatorTest, AdjointIdentity) {
@@ -78,11 +104,9 @@ TEST(AppendOnesColumnOperatorTest, AdjointIdentity) {
   const Matrix a = RandomMatrix(7, 5, &rng);
   const DenseOperator base(&a);
   const AppendOnesColumnOperator op(&base);
-  Vector x(6);
-  Vector y(7);
-  for (int i = 0; i < 6; ++i) x[i] = rng.NextGaussian();
-  for (int i = 0; i < 7; ++i) y[i] = rng.NextGaussian();
-  EXPECT_NEAR(Dot(op.Apply(x), y), Dot(x, op.ApplyTransposed(y)), 1e-10);
+  const Matrix x = RandomMatrix(6, 3, &rng);
+  const Matrix y = RandomMatrix(7, 3, &rng);
+  ExpectAdjoint(op, x, y);
 }
 
 TEST(LsqrTest, SolvesConsistentSquareSystem) {
@@ -96,7 +120,7 @@ TEST(LsqrTest, SolvesConsistentSquareSystem) {
   options.max_iterations = 200;
   options.atol = 1e-12;
   options.btol = 1e-12;
-  const LsqrResult result = Lsqr(op, b, options);
+  const LsqrResult result = LsqrOneColumn(op, b, options);
   EXPECT_LT(MaxAbsDiff(result.x, x_true), 1e-6);
 }
 
@@ -104,7 +128,7 @@ TEST(LsqrTest, ZeroRhsGivesZeroSolution) {
   Rng rng(6);
   const Matrix a = RandomMatrix(4, 3, &rng);
   const DenseOperator op(&a);
-  const LsqrResult result = Lsqr(op, Vector(4));
+  const LsqrResult result = LsqrOneColumn(op, Vector(4));
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, 0);
   EXPECT_EQ(Norm2(result.x), 0.0);
@@ -124,7 +148,7 @@ TEST(LsqrTest, OverdeterminedMatchesNormalEquations) {
   const DenseOperator op(&a);
   LsqrOptions options;
   options.max_iterations = 100;
-  const LsqrResult result = Lsqr(op, b, options);
+  const LsqrResult result = LsqrOneColumn(op, b, options);
   EXPECT_LT(MaxAbsDiff(result.x, reference), 1e-6);
 }
 
@@ -147,7 +171,7 @@ TEST(LsqrTest, DampedMatchesRidgeNormalEquations) {
   options.damp = std::sqrt(alpha);  // damp^2 == alpha
   options.atol = 1e-12;
   options.btol = 1e-12;
-  const LsqrResult result = Lsqr(op, b, options);
+  const LsqrResult result = LsqrOneColumn(op, b, options);
   EXPECT_LT(MaxAbsDiff(result.x, reference), 1e-6);
 }
 
@@ -170,7 +194,7 @@ TEST(LsqrTest, UnderdeterminedRidgeRegularized) {
   options.damp = std::sqrt(alpha);
   options.atol = 1e-13;
   options.btol = 1e-13;
-  const LsqrResult result = Lsqr(op, b, options);
+  const LsqrResult result = LsqrOneColumn(op, b, options);
   EXPECT_LT(MaxAbsDiff(result.x, reference), 1e-6);
 }
 
@@ -191,8 +215,8 @@ TEST(LsqrTest, SparseOperatorPath) {
   options.max_iterations = 150;
   const SparseOperator sparse_op(&sparse);
   const DenseOperator dense_op(&dense);
-  const LsqrResult sparse_result = Lsqr(sparse_op, b, options);
-  const LsqrResult dense_result = Lsqr(dense_op, b, options);
+  const LsqrResult sparse_result = LsqrOneColumn(sparse_op, b, options);
+  const LsqrResult dense_result = LsqrOneColumn(dense_op, b, options);
   EXPECT_LT(MaxAbsDiff(sparse_result.x, dense_result.x), 1e-9);
 }
 
@@ -206,7 +230,7 @@ TEST(LsqrTest, IterationCapRespected) {
   options.max_iterations = 5;
   options.atol = 0.0;
   options.btol = 0.0;
-  const LsqrResult result = Lsqr(op, b, options);
+  const LsqrResult result = LsqrOneColumn(op, b, options);
   EXPECT_EQ(result.iterations, 5);
   EXPECT_FALSE(result.converged);
 }
@@ -219,7 +243,7 @@ TEST(LsqrTest, ResidualNormEstimateAccurate) {
   const DenseOperator op(&a);
   LsqrOptions options;
   options.max_iterations = 100;
-  const LsqrResult result = Lsqr(op, b, options);
+  const LsqrResult result = LsqrOneColumn(op, b, options);
   Vector residual = Multiply(a, result.x);
   Axpy(-1.0, b, &residual);
   EXPECT_NEAR(result.residual_norm, Norm2(residual),
@@ -243,7 +267,7 @@ TEST(LsqrTest, DampedResidualNormMatchesAugmentedSystem) {
   options.damp = damp;
   options.atol = 1e-14;
   options.btol = 1e-14;
-  const LsqrResult result = Lsqr(op, b, options);
+  const LsqrResult result = LsqrOneColumn(op, b, options);
 
   // Explicit augmented residual: ||b - A x||^2 + damp^2 ||x||^2.
   Vector residual = Multiply(a, result.x);
@@ -266,15 +290,12 @@ TEST(CenterColumnsOperatorTest, MatchesExplicitlyCenteredMatrix) {
   EXPECT_EQ(op.rows(), 9);
   EXPECT_EQ(op.cols(), 5);
 
-  Vector x(5);
-  for (int i = 0; i < 5; ++i) x[i] = rng.NextGaussian();
-  EXPECT_LT(MaxAbsDiff(op.Apply(x), Multiply(centered_dense, x)), 1e-13);
-
-  Vector y(9);
-  for (int i = 0; i < 9; ++i) y[i] = rng.NextGaussian();
-  EXPECT_LT(
-      MaxAbsDiff(op.ApplyTransposed(y), MultiplyTransposed(centered_dense, y)),
-      1e-13);
+  const Matrix x = RandomMatrix(5, 3, &rng);
+  EXPECT_LT(MaxAbsDiff(op.ApplyMulti(x), Multiply(centered_dense, x)), 1e-13);
+  const Matrix y = RandomMatrix(9, 3, &rng);
+  EXPECT_LT(MaxAbsDiff(op.ApplyTransposedMulti(y),
+                       MultiplyTransposedA(centered_dense, y)),
+            1e-13);
 }
 
 TEST(CenterColumnsOperatorTest, AdjointIdentity) {
@@ -283,17 +304,15 @@ TEST(CenterColumnsOperatorTest, AdjointIdentity) {
   const Vector mean = ColumnMeans(a);
   const DenseOperator base(&a);
   const CenterColumnsOperator op(&base, &mean);
-  Vector x(6);
-  Vector y(8);
-  for (int i = 0; i < 6; ++i) x[i] = rng.NextGaussian();
-  for (int i = 0; i < 8; ++i) y[i] = rng.NextGaussian();
-  EXPECT_NEAR(Dot(op.Apply(x), y), Dot(x, op.ApplyTransposed(y)), 1e-10);
+  const Matrix x = RandomMatrix(6, 3, &rng);
+  const Matrix y = RandomMatrix(8, 3, &rng);
+  ExpectAdjoint(op, x, y);
 }
 
 TEST(LsqrDeathTest, RhsSizeMismatchAborts) {
   const Matrix a(3, 2);
   const DenseOperator op(&a);
-  EXPECT_DEATH(Lsqr(op, Vector(2)), "size mismatch");
+  EXPECT_DEATH(LsqrOneColumn(op, Vector(2)), "size mismatch");
 }
 
 // The paper's claim: ~15-20 iterations are enough for regression problems.
@@ -313,8 +332,133 @@ TEST(LsqrTest, TwentyIterationsNearConvergedOnWellConditioned) {
   LsqrOptions options;
   options.max_iterations = 20;
   options.damp = 1.0;
-  const LsqrResult result = Lsqr(op, b, options);
+  const LsqrResult result = LsqrOneColumn(op, b, options);
   EXPECT_LT(MaxAbsDiff(result.x, reference), 1e-4);
+}
+
+// --- The operator contract: column independence. ---
+
+// One row of the table: an operator and the explicit dense matrix it
+// represents.
+struct OperatorCase {
+  std::string name;
+  const LinearOperator* op;
+  const Matrix* expected;
+};
+
+// Inputs with an all-zero column and scattered exact zeros, so the sparse
+// kernels' zero skips fire in some columns and not in others.
+Matrix ContractInput(int rows, int cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix x = RandomMatrix(rows, cols, &rng);
+  for (int i = 0; i < rows; ++i) {
+    x(i, 1) = 0.0;
+    if (i % 3 == 0) x(i, cols - 1) = 0.0;
+  }
+  return x;
+}
+
+void ExpectBitwiseEqual(const Matrix& a, const Matrix& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < a.cols(); ++j) {
+      ASSERT_EQ(a(i, j), b(i, j)) << what << " at (" << i << ", " << j << ")";
+    }
+  }
+}
+
+// Column j of a k-column product must be bitwise the product on column j
+// alone — the property LsqrBatch relies on when converged columns leave the
+// packed pass — at 1 and 4 threads, with the same bits at both. The values
+// and the adjoint identity are checked against the explicit matrix.
+TEST(OperatorContractTest, ColumnsIndependentOfTheirNeighbours) {
+  Rng rng(21);
+  // Dense sizes span several GEMM tiles; the sparse matrix crosses the
+  // 512-row transpose chunk grid.
+  const Matrix dense = RandomMatrix(150, 70, &rng);
+  SparseMatrixBuilder builder(700, 40);
+  for (int i = 0; i < 700; ++i) {
+    if (i % 13 == 5) continue;  // empty row
+    for (int j = 0; j < 40; ++j) {
+      if (rng.NextDouble() < 0.2) builder.Add(i, j, rng.NextGaussian());
+    }
+  }
+  const SparseMatrix sparse = std::move(builder).Build();
+  const Matrix sparse_dense = sparse.ToDense();
+
+  const Vector sparse_mean = ColumnMeans(sparse_dense);
+  Matrix centered = sparse_dense;
+  SubtractRowVector(sparse_mean, &centered);
+  Matrix augmented(dense.rows(), dense.cols() + 1, 1.0);
+  for (int i = 0; i < dense.rows(); ++i) {
+    for (int j = 0; j < dense.cols(); ++j) augmented(i, j) = dense(i, j);
+  }
+
+  const DenseOperator dense_op(&dense);
+  const SparseOperator sparse_op(&sparse);
+  const CenterColumnsOperator center_op(&sparse_op, &sparse_mean);
+  const AppendOnesColumnOperator ones_op(&dense_op);
+  std::vector<OperatorCase> cases = {
+      {"dense", &dense_op, &dense},
+      {"sparse", &sparse_op, &sparse_dense},
+      {"center_columns(sparse)", &center_op, &centered},
+      {"append_ones(dense)", &ones_op, &augmented},
+  };
+  std::vector<std::unique_ptr<RowShardSource>> sources;
+  std::vector<std::unique_ptr<ShardedOperator>> sharded;
+  for (int shard_rows : {1, 37, 149, 150}) {
+    sources.push_back(
+        std::make_unique<DenseMatrixShardSource>(&dense, shard_rows));
+    sharded.push_back(std::make_unique<ShardedOperator>(sources.back().get()));
+    cases.push_back({"sharded(dense, " + std::to_string(shard_rows) + ")",
+                     sharded.back().get(), &dense});
+  }
+  for (int shard_rows : {1, 300, 699, 700}) {
+    sources.push_back(
+        std::make_unique<SparseMatrixShardSource>(&sparse, shard_rows));
+    sharded.push_back(std::make_unique<ShardedOperator>(sources.back().get()));
+    cases.push_back({"sharded(sparse, " + std::to_string(shard_rows) + ")",
+                     sharded.back().get(), &sparse_dense});
+  }
+
+  const int k = 5;
+  const int saved = GlobalThreadCount();
+  for (const OperatorCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Matrix x = ContractInput(c.op->cols(), k, 31);
+    const Matrix y = ContractInput(c.op->rows(), k, 32);
+    Matrix products[2][2];
+    const int thread_counts[2] = {1, 4};
+    for (int t = 0; t < 2; ++t) {
+      SetGlobalThreadCount(thread_counts[t]);
+      const Matrix ax = c.op->ApplyMulti(x);
+      const Matrix aty = c.op->ApplyTransposedMulti(y);
+      for (int j = 0; j < k; ++j) {
+        const std::string column = " column " + std::to_string(j) + " at " +
+                                   std::to_string(thread_counts[t]) +
+                                   " threads";
+        ExpectBitwiseEqual(ax.Block(0, j, ax.rows(), 1),
+                           c.op->ApplyMulti(x.Block(0, j, x.rows(), 1)),
+                           "A*X" + column);
+        ExpectBitwiseEqual(aty.Block(0, j, aty.rows(), 1),
+                           c.op->ApplyTransposedMulti(
+                               y.Block(0, j, y.rows(), 1)),
+                           "A^T*Y" + column);
+      }
+      products[t][0] = ax;
+      products[t][1] = aty;
+    }
+    SetGlobalThreadCount(saved);
+    ExpectBitwiseEqual(products[0][0], products[1][0], "A*X, 1 vs 4 threads");
+    ExpectBitwiseEqual(products[0][1], products[1][1],
+                       "A^T*Y, 1 vs 4 threads");
+    EXPECT_LT(MaxAbsDiff(products[0][0], Multiply(*c.expected, x)), 1e-12);
+    EXPECT_LT(MaxAbsDiff(products[0][1], MultiplyTransposedA(*c.expected, y)),
+              1e-12);
+    ExpectAdjoint(*c.op, x, y);
+  }
 }
 
 }  // namespace

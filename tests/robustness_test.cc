@@ -222,8 +222,8 @@ TEST(RobustnessTest, SrdaAbsurdFeatureScalesFailsCleanly) {
 TEST(RobustnessTest, LsqrOnZeroOperator) {
   const Matrix zero(5, 3);
   const DenseOperator op(&zero);
-  Vector b(5, 1.0);
-  const LsqrResult result = Lsqr(op, b);
+  const Matrix b(5, 1, 1.0);
+  const LsqrResult result = LsqrBatch(op, b)[0];
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(Norm2(result.x), 0.0);  // A^T b = 0 -> x = 0 is optimal.
 }
@@ -235,12 +235,12 @@ TEST(RobustnessTest, LsqrHugeDamping) {
     for (int j = 0; j < 4; ++j) a(i, j) = rng.NextGaussian();
   }
   const DenseOperator op(&a);
-  Vector b(10);
-  for (int i = 0; i < 10; ++i) b[i] = rng.NextGaussian();
+  Matrix b(10, 1);
+  for (int i = 0; i < 10; ++i) b(i, 0) = rng.NextGaussian();
   LsqrOptions options;
   options.damp = 1e8;  // Essentially forces x -> 0.
   options.max_iterations = 50;
-  const LsqrResult result = Lsqr(op, b, options);
+  const LsqrResult result = LsqrBatch(op, b, options)[0];
   EXPECT_LT(Norm2(result.x), 1e-10);
 }
 

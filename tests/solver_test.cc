@@ -20,6 +20,7 @@
 #include "matrix/blas.h"
 #include "solver/ridge_solver.h"
 #include "sparse/sparse_matrix.h"
+#include "tests/serial_lsqr.h"
 
 namespace srda {
 namespace {
@@ -77,15 +78,15 @@ bool ReferenceNormalEquations(const Matrix& x, const Matrix& responses,
 
 // Verbatim copy of the pre-refactor per-column LSQR path on the implicitly
 // centered operator (core/srda.cc, SolveWithLsqr), minus the thread pool:
-// each column was the unchanged serial recurrence, so a plain loop is the
-// same arithmetic.
+// each column was the unchanged serial recurrence (tests/serial_lsqr.h), so
+// a plain loop is the same arithmetic.
 void ReferenceLsqrCentered(const LinearOperator& data, const Matrix& responses,
                            double alpha, int max_iterations, Matrix* projection,
                            Vector* bias, int* total_iterations) {
   const int m = data.rows();
   const int n = data.cols();
   const int d = responses.cols();
-  Vector mean = data.ApplyTransposed(Vector(m, 1.0));
+  Vector mean = ApplyTransposedColumn(data, Vector(m, 1.0));
   Scale(1.0 / m, &mean);
   const CenterColumnsOperator centered(&data, &mean);
   LsqrOptions lsqr_options;
@@ -97,7 +98,8 @@ void ReferenceLsqrCentered(const LinearOperator& data, const Matrix& responses,
   *bias = Vector(d);
   *total_iterations = 0;
   for (int j = 0; j < d; ++j) {
-    const LsqrResult result = Lsqr(centered, responses.Col(j), lsqr_options);
+    const LsqrResult result =
+        SerialLsqr(centered, responses.Col(j), lsqr_options);
     *total_iterations += result.iterations;
     for (int i = 0; i < n; ++i) (*projection)(i, j) = result.x[i];
     (*bias)[j] = -Dot(mean, result.x);
@@ -118,7 +120,8 @@ void ReferenceLsqrAugmented(const LinearOperator& data, const Matrix& responses,
   *projection = Matrix(n, d);
   *bias = Vector(d);
   for (int j = 0; j < d; ++j) {
-    const LsqrResult result = Lsqr(augmented, responses.Col(j), lsqr_options);
+    const LsqrResult result =
+        SerialLsqr(augmented, responses.Col(j), lsqr_options);
     for (int i = 0; i < n; ++i) (*projection)(i, j) = result.x[i];
     (*bias)[j] = result.x[n];
   }
@@ -235,7 +238,7 @@ TEST(LsqrBatchTest, MatchesPerColumnLsqrBitwise) {
   const std::vector<LsqrResult> batched = LsqrBatch(data, b, options);
   ASSERT_EQ(4u, batched.size());
   for (int j = 0; j < 4; ++j) {
-    const LsqrResult serial = Lsqr(data, b.Col(j), options);
+    const LsqrResult serial = SerialLsqr(data, b.Col(j), options);
     EXPECT_EQ(0.0, MaxAbsDiff(batched[static_cast<size_t>(j)].x, serial.x))
         << "column " << j;
     EXPECT_EQ(serial.iterations, batched[static_cast<size_t>(j)].iterations)
@@ -257,13 +260,13 @@ TEST(LsqrBatchTest, MixedConvergenceMatchesSerial) {
   Matrix b = RandomMatrix(30, 3, 22);
   // Make column 0 exactly solvable (in the range of A) so it converges fast.
   const Vector seed_x = RandomMatrix(10, 1, 23).Col(0);
-  const Vector ax = data.Apply(seed_x);
+  const Vector ax = ApplyColumn(data, seed_x);
   for (int i = 0; i < 30; ++i) b(i, 0) = ax[i];
   LsqrOptions options;
   options.max_iterations = 60;
   const std::vector<LsqrResult> batched = LsqrBatch(data, b, options);
   for (int j = 0; j < 3; ++j) {
-    const LsqrResult serial = Lsqr(data, b.Col(j), options);
+    const LsqrResult serial = SerialLsqr(data, b.Col(j), options);
     EXPECT_EQ(0.0, MaxAbsDiff(batched[static_cast<size_t>(j)].x, serial.x))
         << "column " << j;
     EXPECT_EQ(serial.iterations, batched[static_cast<size_t>(j)].iterations)

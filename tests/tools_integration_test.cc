@@ -181,6 +181,24 @@ TEST(ToolsIntegrationTest, HelpAndBadFlagsExitCleanly) {
   EXPECT_NE(output.find("unknown flag"), std::string::npos);
 }
 
+TEST(ToolsIntegrationTest, SketchSolveModeIsAUsageError) {
+  // Sketching only preconditions LSQR; "solve" is not a sketch mode.
+  const std::string data = TempPath("sketch-blobs.csv");
+  const std::string model = TempPath("sketch-blobs.model");
+  WriteDenseCsvFile(MakeBlobsDataset(60, 6, {0, 1, 2}, 3), data);
+  std::remove(model.c_str());
+  std::string output;
+  EXPECT_NE(RunCommand(ToolPath("srda_train") + " --data=" + data +
+                           " --sketch-mode=solve --model-out=" + model,
+                       &output),
+            0);
+  EXPECT_NE(output.find("unknown --sketch-mode=solve"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+  EXPECT_FALSE(std::ifstream(model).good()) << "no model may be written";
+  std::remove(data.c_str());
+}
+
 TEST(ToolsIntegrationTest, SemiSupervisedTrainerTrains) {
   // semi_srda eigendecomposes an m x m matrix, so it gets a small dataset
   // instead of riding the digits loop above.

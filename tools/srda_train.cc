@@ -4,8 +4,9 @@
 //   srda_train --data=FILE [--format=csv|libsvm|binary]
 //              [--algorithm=srda|lda|rlda|idr_qr|fisherfaces|semi_srda]
 //              [--alpha=1.0] [--solver=normal|lsqr] [--lsqr-iterations=20]
-//              [--shard-rows=N] [--model-format=text|binary]
-//              --model-out=FILE
+//              [--shard-rows=N] [--sketch-mode=off|precond]
+//              [--sketch-size=N] [--sketch-kind=count|gaussian]
+//              [--model-format=text|binary] --model-out=FILE
 //
 // CSV rows are "label,x1,...,xn"; LibSVM is the standard sparse format;
 // binary is the repo's seekable SRDB container (srda_io). Sparse data
@@ -23,10 +24,9 @@
 //
 // --sketch-mode=precond trains SRDA with LSQR right-preconditioned by a
 // factored randomized sketch of the data (same solutions, fewer iterations
-// on ill-conditioned data); --sketch-mode=solve returns the sketched
-// solution directly with per-response error bounds printed. --sketch-size=N
-// sets the sketch rows (0 = auto, 4x the feature count), --sketch-kind
-// picks count-sketch (default) or Gaussian. SRDA only.
+// on ill-conditioned data). --sketch-size=N sets the sketch rows (0 = auto,
+// 4x the feature count), --sketch-kind picks count-sketch (default) or
+// Gaussian. SRDA only.
 //
 // --trace-out=FILE writes a Chrome/Perfetto trace of the training run;
 // --metrics prints the phase/metrics summary without writing a trace. Either
@@ -63,7 +63,7 @@ constexpr char kUsage[] =
     "semi_srda]\n"
     "                  [--alpha=1.0] [--solver=normal|lsqr]\n"
     "                  [--lsqr-iterations=20] [--shard-rows=N]\n"
-    "                  [--sketch-mode=off|precond|solve] [--sketch-size=N]\n"
+    "                  [--sketch-mode=off|precond] [--sketch-size=N]\n"
     "                  [--sketch-kind=count|gaussian]\n"
     "                  [--model-format=text|binary]\n"
     "                  [--trace-out=FILE] [--metrics]\n"
@@ -82,16 +82,6 @@ void PrintLsqrDiagnostics(const std::vector<RidgeRhsDiagnostics>& diagnostics,
               << "residual " << diag.residual_norm << ", normal residual "
               << diag.normal_residual_norm << ", stop "
               << LsqrStopName(diag.stop) << "\n";
-  }
-}
-
-// Pure sketch-solve fits carry a per-response bound on the distance to the
-// exact ridge solution; print it so the accuracy tradeoff is visible.
-void PrintSketchBounds(const std::vector<double>& bounds) {
-  if (bounds.empty()) return;
-  std::cout << "sketch-solve error bounds (||coeff - exact||):\n";
-  for (size_t i = 0; i < bounds.size(); ++i) {
-    std::cout << "  rhs " << i << ": <= " << bounds[i] << "\n";
   }
 }
 
@@ -138,7 +128,6 @@ model::SrdaModel TrainSharded(const std::string& data_path,
     PrintLsqrDiagnostics(trained.lsqr_diagnostics,
                          trained.total_lsqr_iterations);
   }
-  PrintSketchBounds(trained.sketch_error_bounds);
 
   const std::vector<int>& labels = reader.labels();
   const int num_classes = reader.num_classes();
@@ -210,15 +199,13 @@ int Main(int argc, char** argv) {
   SRDA_CHECK(model_format == "text" || model_format == "binary")
       << "unknown --model-format=" << model_format << "\n" << kUsage;
   SRDA_CHECK_GE(shard_rows, 0) << "--shard-rows must be non-negative";
-  SRDA_CHECK(sketch_mode == "off" || sketch_mode == "precond" ||
-             sketch_mode == "solve")
+  SRDA_CHECK(sketch_mode == "off" || sketch_mode == "precond")
       << "unknown --sketch-mode=" << sketch_mode << "\n" << kUsage;
   SRDA_CHECK(sketch_kind == "count" || sketch_kind == "gaussian")
       << "unknown --sketch-kind=" << sketch_kind << "\n" << kUsage;
   SRDA_CHECK_GE(sketch_size, 0) << "--sketch-size must be non-negative";
   SketchConfig sketch;
   sketch.mode = sketch_mode == "precond" ? SketchMode::kPrecondition
-                : sketch_mode == "solve" ? SketchMode::kSolve
                                          : SketchMode::kOff;
   sketch.sketch_rows = sketch_size;
   sketch.kind = sketch_kind == "gaussian" ? SketchKind::kGaussian
@@ -293,7 +280,6 @@ int Main(int argc, char** argv) {
       PrintLsqrDiagnostics(trained.lsqr_diagnostics,
                            trained.total_lsqr_iterations);
     }
-    PrintSketchBounds(trained.sketch_error_bounds);
     model = model::BuildModel(trained.embedding,
                               trained.embedding.Transform(dataset.features),
                               dataset.labels, dataset.num_classes,
@@ -319,7 +305,6 @@ int Main(int argc, char** argv) {
       PrintLsqrDiagnostics(trained.lsqr_diagnostics,
                            trained.total_lsqr_iterations);
     }
-    PrintSketchBounds(trained.sketch_error_bounds);
     model = model::BuildModel(trained.embedding,
                               trained.embedding.Transform(dataset.features),
                               dataset.labels, dataset.num_classes,
