@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "linalg/cholesky.h"
-#include "linalg/golub_reinsch_svd.h"
 #include "linalg/linear_operator.h"
 #include "linalg/lsqr.h"
 #include "linalg/qr.h"
@@ -85,16 +84,6 @@ void BM_ThinSvd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThinSvd)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_ThinSvdGolubReinsch(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(15);
-  const Matrix a = RandomMatrix(4 * n, n, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ThinSvdGolubReinsch(a));
-  }
-}
-BENCHMARK(BM_ThinSvdGolubReinsch)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_CholeskyRank1Update(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -12,8 +12,10 @@
 //
 //   serving     — concurrent client threads push query blocks through the
 //                 micro-batching PredictionService (serve/serving.h) at
-//                 several client counts; sustained predictions/s and exact
-//                 p50/p99 request latency per configuration. One ordered
+//                 several client counts; sustained predictions/s and
+//                 p50/p99 request latency per configuration (the
+//                 serve.latency_us histogram's nearest-rank quantiles,
+//                 within 1% relative error). One ordered
 //                 pass is compared row-for-row against direct scoring —
 //                 batching must never change a prediction.
 //
@@ -44,6 +46,7 @@
 #include "matrix/blas.h"
 #include "model/codec.h"
 #include "model/model.h"
+#include "obs/metrics.h"
 #include "serve/serving.h"
 
 namespace srda {
@@ -123,6 +126,9 @@ ServeRun RunServing(const model::SrdaModel& model,
                     const std::vector<Matrix>& blocks, int clients,
                     int client_block, int64_t requests,
                     const serve::ServeOptions& options) {
+  Histogram* const latency_us =
+      MetricsRegistry::Global().histogram("serve.latency_us");
+  latency_us->Reset();
   serve::PredictionService service(&model, options);
   std::atomic<int64_t> budget{requests};
   Stopwatch watch;
@@ -150,8 +156,8 @@ ServeRun RunServing(const model::SrdaModel& model,
   run.requests = stats.requests;
   run.seconds = seconds;
   run.predictions_per_s = static_cast<double>(stats.requests) / seconds;
-  run.p50_us = serve::LatencyQuantile(stats.latencies_us, 0.50);
-  run.p99_us = serve::LatencyQuantile(stats.latencies_us, 0.99);
+  run.p50_us = latency_us->ApproxQuantile(0.50);
+  run.p99_us = latency_us->ApproxQuantile(0.99);
   run.mean_batch = stats.mean_batch();
   run.max_batch_seen = stats.max_batch_seen;
   return run;

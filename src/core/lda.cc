@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "dataset/dataset.h"
-#include "linalg/golub_reinsch_svd.h"
 #include "linalg/svd.h"
 #include "linalg/symmetric_eigen.h"
 #include "matrix/blas.h"
@@ -30,10 +29,7 @@ LdaModel FitLda(const Matrix& x, const std::vector<int>& labels,
   Matrix centered = x;
   SubtractRowVector(mean, &centered);
 
-  const SvdResult svd =
-      options.svd_method == SvdMethod::kGolubReinsch
-          ? ThinSvdGolubReinsch(centered, options.svd_rank_tolerance)
-          : ThinSvd(centered, options.svd_rank_tolerance);
+  const SvdResult svd = ThinSvd(centered, options.svd_rank_tolerance);
   model.data_rank = svd.rank;
   if (!svd.converged || svd.rank == 0) {
     model.converged = false;

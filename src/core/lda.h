@@ -16,18 +16,7 @@
 
 namespace srda {
 
-enum class SvdMethod {
-  // The paper's route (Section II-B): eigendecompose the smaller Gram
-  // matrix. Fast, but resolves singular values only to ~sqrt(eps).
-  kCrossProduct,
-  // Golub-Reinsch bidiagonalization: backward stable to ~eps, a few times
-  // slower. Use when the data may have meaningful tiny singular values.
-  kGolubReinsch,
-};
-
 struct LdaOptions {
-  // Which SVD backs the PCA stage.
-  SvdMethod svd_method = SvdMethod::kCrossProduct;
   // Relative truncation threshold for the data SVD (numerical rank of the
   // centered data matrix). The cross-product SVD resolves singular values
   // only down to ~sqrt(eps) * sigma_max ~ 1e-8, so the default keeps a safe

@@ -48,45 +48,52 @@ void AtomicExtreme(std::atomic<double>* target, double value, Better better) {
   }
 }
 
+constexpr double kAlpha = Histogram::kRelativeError;
+constexpr double kGamma = (1.0 + kAlpha) / (1.0 - kAlpha);
+// ln gamma = 2 atanh(alpha) = 2 (alpha + alpha^3/3 + alpha^5/5 + ...):
+// through alpha^7 the series is exact to double precision at alpha = 0.01
+// and, unlike std::log, usable in a constant expression.
+constexpr double kAlpha2 = kAlpha * kAlpha;
+constexpr double kLogGamma =
+    2.0 * kAlpha *
+    (1.0 + kAlpha2 * (1.0 / 3.0 + kAlpha2 * (1.0 / 5.0 + kAlpha2 / 7.0)));
+constexpr double kInvLogGamma = 1.0 / kLogGamma;
+
+// Bucket of `value`: 0 below the range (and for 0, negatives, NaN), the
+// top bucket above it, otherwise 1 + ceil(log_gamma value) - kMinIndex.
 int BucketIndex(double value) {
-  if (!(value >= 1.0)) return 0;  // also catches NaN
-  const int exponent = std::ilogb(value) + 1;
-  return exponent >= Histogram::kNumBuckets ? Histogram::kNumBuckets - 1
-                                            : exponent;
+  if (!(value > 0.0)) return 0;
+  const double index = std::ceil(std::log(value) * kInvLogGamma);
+  if (index < Histogram::kMinIndex) return 0;
+  if (index > Histogram::kMaxIndex) return Histogram::kNumBuckets - 1;
+  return static_cast<int>(index) - Histogram::kMinIndex + 1;
 }
 
-// Shared quantile walk over a power-of-two bucket array (cumulative and
-// windowed histograms use the same layout). Interpolates inside the bucket
-// holding the rank-q observation and clamps to [clamp_lo, clamp_hi]. NaN
-// when n == 0.
-double QuantileFromBuckets(const int64_t* buckets, int num_buckets, int64_t n,
-                           double q, double clamp_lo, double clamp_hi) {
+// The value a bucket reports: 2 gamma^i / (gamma + 1) for bucket index i,
+// within relative error alpha of (gamma^(i-1), gamma^i]; 0 for the zero
+// bucket.
+double BucketValue(int b) {
+  if (b == 0) return 0.0;
+  const int index = b - 1 + Histogram::kMinIndex;
+  return 2.0 * std::exp(index * kLogGamma) / (kGamma + 1.0);
+}
+
+// The quantile walk shared by the cumulative and windowed histograms:
+// nearest rank min(n - 1, floor(q n)) with n the sum of the walked
+// buckets, so a count that races ahead of the buckets cannot push the rank
+// past the end. NaN when every bucket is empty.
+double NearestRankQuantile(const int64_t* buckets, double q) {
+  int64_t n = 0;
+  for (int b = 0; b < Histogram::kNumBuckets; ++b) n += buckets[b];
   if (n == 0) return std::numeric_limits<double>::quiet_NaN();
   q = std::min(1.0, std::max(0.0, q));
-  // Rank of the target observation (0-based), then walk buckets until the
-  // cumulative count passes it.
-  const double rank = q * static_cast<double>(n - 1);
+  const int64_t rank =
+      std::min(n - 1, static_cast<int64_t>(q * static_cast<double>(n)));
   int64_t seen = 0;
-  for (int b = 0; b < num_buckets; ++b) {
-    const int64_t in_bucket = buckets[b];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) <= rank) {
-      seen += in_bucket;
-      continue;
-    }
-    // Bucket b covers [2^(b-1), 2^b); bucket 0 covers everything below 1.
-    const double lo = b == 0 ? 0.0 : std::ldexp(1.0, b - 1);
-    const double hi = std::ldexp(1.0, b);
-    const double frac = in_bucket == 1
-                            ? 0.5
-                            : (rank - static_cast<double>(seen)) /
-                                  static_cast<double>(in_bucket - 1);
-    const double estimate = lo + frac * (hi - lo);
-    return std::min(clamp_hi, std::max(clamp_lo, estimate));
+  for (int b = 0;; ++b) {
+    seen += buckets[b];
+    if (seen > rank) return BucketValue(b);
   }
-  // Concurrent observers can make the bucket array lag the count; report
-  // the clamp ceiling rather than fabricating a value.
-  return clamp_hi;
 }
 
 }  // namespace
@@ -108,11 +115,9 @@ double Histogram::max() const {
 }
 
 double Histogram::ApproxQuantile(double q) const {
-  const int64_t n = count();
-  if (n == 0) return std::numeric_limits<double>::quiet_NaN();
   int64_t buckets[kNumBuckets];
   for (int b = 0; b < kNumBuckets; ++b) buckets[b] = bucket(b);
-  return QuantileFromBuckets(buckets, kNumBuckets, n, q, min(), max());
+  return NearestRankQuantile(buckets, q);
 }
 
 void Histogram::Reset() {
@@ -229,25 +234,8 @@ double WindowedHistogram::QuantileOverAt(int window_s, double q,
                                          int64_t now_s) const {
   int64_t merged[kNumBuckets];
   double sum = 0.0;
-  const int64_t n = MergeWindow(window_s, now_s, merged, &sum);
-  if (n == 0) return std::numeric_limits<double>::quiet_NaN();
-  // No per-slot min/max is kept, so clamp to the merged buckets' bounds:
-  // the lowest non-empty bucket's floor and the highest's ceiling.
-  double lo = 0.0;
-  double hi = std::ldexp(1.0, kNumBuckets);
-  for (int b = 0; b < kNumBuckets; ++b) {
-    if (merged[b] != 0) {
-      lo = b == 0 ? 0.0 : std::ldexp(1.0, b - 1);
-      break;
-    }
-  }
-  for (int b = kNumBuckets - 1; b >= 0; --b) {
-    if (merged[b] != 0) {
-      hi = std::ldexp(1.0, b);
-      break;
-    }
-  }
-  return QuantileFromBuckets(merged, kNumBuckets, n, q, lo, hi);
+  MergeWindow(window_s, now_s, merged, &sum);
+  return NearestRankQuantile(merged, q);
 }
 
 void WindowedHistogram::Reset() {

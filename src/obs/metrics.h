@@ -79,13 +79,24 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Power-of-two bucketed distribution with count/sum/min/max. Bucket b
-// counts observations in [2^(b-1), 2^b); bucket 0 holds values < 1.
-// Observe() is lock-free (relaxed atomics), so concurrent observations
-// from pool workers never serialize.
+// Relative-error bucketed distribution with count/sum/min/max: the
+// DDSketch layout (Masson, Rim & Lee, VLDB 2019) over a fixed index range.
+// With gamma = (1 + a) / (1 - a), bucket index i = ceil(log_gamma v)
+// counts values in (gamma^(i-1), gamma^i] and reports 2 gamma^i /
+// (gamma + 1), which lies within relative error a of every value in the
+// bucket. Bucket 0 is the zero bucket (values below the range, 0,
+// negatives, NaN; reported as 0); values above the range are clamped into
+// the top bucket. Observe() is lock-free (relaxed atomics), so concurrent
+// observations from pool workers never serialize.
 class Histogram {
  public:
-  static constexpr int kNumBuckets = 40;
+  // The relative error a of every reported quantile.
+  static constexpr double kRelativeError = 0.01;
+  // Index range [kMinIndex, kMaxIndex] spans (gamma^-347, gamma^1387],
+  // about [2^-10, 2^40): ~1 ns to ~13 days in microseconds.
+  static constexpr int kMinIndex = -346;
+  static constexpr int kMaxIndex = 1387;
+  static constexpr int kNumBuckets = kMaxIndex - kMinIndex + 2;
 
   void Observe(double value);
 
@@ -98,17 +109,13 @@ class Histogram {
   // 0 when empty.
   double min() const;
   double max() const;
-  // Approximate quantile from the power-of-two buckets: walks the bucket
-  // counts to the one holding the q-th observation and interpolates
-  // linearly inside it, clamped to the observed [min, max]. Exact contract:
-  //   - empty histogram: quiet NaN — callers must check count() before
-  //     printing (a report must never invent a quantile from zero samples);
-  //   - exactly one observation: that observation, at every q;
-  //   - all observations in one bucket: a value inside [min, max], exact
-  //     when min == max;
-  //   - q outside [0, 1] is clamped into it.
-  // Otherwise exact only at bucket edges — use for p50/p99-style
-  // reporting, not assertions.
+  // Nearest-rank quantile: the representative value of the bucket holding
+  // the observation of 0-based rank min(n - 1, floor(q n)) in sorted
+  // order, n being the number of observations in the buckets walked.
+  // Within kRelativeError of that observation when it lies in the range;
+  // 0 when it is in the zero bucket. q outside [0, 1] is clamped into it.
+  // Quiet NaN when empty — callers check count() before printing (a report
+  // must never invent a quantile from zero samples).
   double ApproxQuantile(double q) const;
   int64_t bucket(int b) const {
     return buckets_[b].load(std::memory_order_relaxed);
@@ -172,13 +179,12 @@ class WindowedCounter {
   Slot slots_[kSlots];
 };
 
-// Sliding-window histogram: per-second slots each holding the same
-// power-of-two bucket layout as Histogram, merged at query time so
-// CountOver / QuantileOver report the distribution of the trailing
-// window_s seconds only. Quantiles interpolate inside the merged buckets
-// (no per-slot min/max, so the clamp is to bucket bounds, not observed
-// extremes); the empty-window contract matches Histogram::ApproxQuantile
-// (quiet NaN).
+// Sliding-window histogram: per-second slots each holding Histogram's
+// bucket layout, merged at query time so CountOver / QuantileOver report
+// the distribution of the trailing window_s seconds only. QuantileOver
+// runs Histogram::ApproxQuantile's walk over the merged buckets, so the
+// two views answer identically on the same observations (and the empty
+// window gives quiet NaN).
 class WindowedHistogram {
  public:
   static constexpr int kSlots = 128;
@@ -235,7 +241,7 @@ struct MetricSnapshot {
 };
 
 // One row of a windowed snapshot: the trailing-window view of a windowed
-// counter (sum + rate) or histogram (count/sum + interpolated quantiles).
+// counter (sum + rate) or histogram (count/sum + nearest-rank quantiles).
 struct WindowedMetricSnapshot {
   std::string name;
   enum class Kind { kCounter, kHistogram } kind;

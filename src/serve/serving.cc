@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -22,18 +21,6 @@ int64_t NowNs() {
 }
 
 }  // namespace
-
-double LatencyQuantile(std::vector<double> latencies_us, double q) {
-  SRDA_CHECK(q >= 0.0 && q <= 1.0) << "quantile out of [0, 1]";
-  if (latencies_us.empty()) return 0.0;
-  const size_t rank = std::min(
-      latencies_us.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(latencies_us.size())));
-  std::nth_element(latencies_us.begin(),
-                   latencies_us.begin() + static_cast<ptrdiff_t>(rank),
-                   latencies_us.end());
-  return latencies_us[rank];
-}
 
 PredictionService::PredictionService(const model::SrdaModel* model,
                                      const ServeOptions& options)
@@ -148,9 +135,6 @@ void PredictionService::DispatcherLoop() {
           static_cast<double>(done_ns - batch[i]->enqueue_ns) * 1e-3;
       latency_hist->Observe(latency_us);
       latency_window->Observe(latency_us);
-      if (options_.record_latencies) {
-        stats_.latencies_us.push_back(latency_us);
-      }
       batch[i]->result = results[i];
       batch[i]->done = true;
     }

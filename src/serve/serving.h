@@ -17,9 +17,11 @@
 //
 // Observability: every batch runs under a `serve.batch` span (rows +
 // wait-us args); the registry carries serve.requests / serve.batches
-// counters and serve.batch_size / serve.latency_us histograms, so p50/p99
-// latency and throughput flow through the obs layer into run summaries and
-// BENCH_serving.json.
+// counters and serve.batch_size / serve.latency_us histograms (cumulative
+// and windowed). Request latency (enqueue -> completion, microseconds) is
+// recorded only there, in fixed memory: p50/p99 are the histogram's
+// nearest-rank quantiles, within Histogram::kRelativeError (1%), and the
+// same figures reach /metrics, srda_serve and BENCH_serving.json.
 
 #ifndef SRDA_SERVE_SERVING_H_
 #define SRDA_SERVE_SERVING_H_
@@ -42,19 +44,13 @@ struct ServeOptions {
   int max_batch = 256;
   // ...or when the oldest pending query has waited this long.
   double max_delay_ms = 0.2;
-  // Record one latency sample (enqueue -> completion, microseconds) per
-  // request for exact percentiles. ~8 bytes/request; disable for unbounded
-  // runs (the serve.latency_us histogram still aggregates).
-  bool record_latencies = true;
 };
 
-// Aggregate counters since construction. Latencies are per-request
-// enqueue -> completion times in microseconds, unordered.
+// Aggregate counters since construction.
 struct ServeStats {
   int64_t requests = 0;
   int64_t batches = 0;
   int max_batch_seen = 0;
-  std::vector<double> latencies_us;
 
   double mean_batch() const {
     return batches == 0 ? 0.0
@@ -62,9 +58,6 @@ struct ServeStats {
                               static_cast<double>(batches);
   }
 };
-
-// Quantile of a latency sample (q in [0, 1]; nearest-rank). 0 when empty.
-double LatencyQuantile(std::vector<double> latencies_us, double q);
 
 class PredictionService {
  public:

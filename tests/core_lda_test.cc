@@ -168,28 +168,6 @@ TEST(LdaTest, PerfectTrainingAccuracyWhenSamplesIndependent) {
   EXPECT_EQ(ErrorRate(classifier.Predict(embedded), labels), 0.0);
 }
 
-TEST(LdaTest, GolubReinschBackendAgreesWithCrossProduct) {
-  Rng rng(20);
-  Matrix x;
-  std::vector<int> labels;
-  MakeBlobs(25, 12, 4.0, &rng, &x, &labels);
-  LdaOptions accurate;
-  accurate.svd_method = SvdMethod::kGolubReinsch;
-  const LdaModel a = FitLda(x, labels, 3, accurate);
-  const LdaModel b = FitLda(x, labels, 3);
-  ASSERT_TRUE(a.converged && b.converged);
-  EXPECT_EQ(a.num_directions, b.num_directions);
-  // Embeddings agree up to per-direction sign.
-  const Matrix ea = a.embedding.Transform(x);
-  const Matrix eb = b.embedding.Transform(x);
-  for (int d = 0; d < a.num_directions; ++d) {
-    const Vector col_a = ea.Col(d);
-    Vector col_b = eb.Col(d);
-    if (Dot(col_a, col_b) < 0) Scale(-1.0, &col_b);
-    EXPECT_LT(MaxAbsDiff(col_a, col_b), 1e-6) << "direction " << d;
-  }
-}
-
 TEST(LdaDeathTest, SingleClassAborts) {
   Matrix x(4, 2);
   EXPECT_DEATH(FitLda(x, {0, 0, 0, 0}, 1), "two classes");

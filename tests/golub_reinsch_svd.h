@@ -1,19 +1,35 @@
-#include "linalg/golub_reinsch_svd.h"
+// Full-accuracy thin SVD via Golub-Reinsch bidiagonalization, kept as a
+// test oracle for the production cross-product ThinSvd (linalg/svd.h).
+//
+// ThinSvd eigendecomposes the smaller Gram matrix, the route the paper's
+// LDA analysis assumes and its cost model measures, so it resolves
+// singular values only down to ~sqrt(eps) * sigma_max. This path —
+// Householder bidiagonalization followed by implicit-shift QR on the
+// bidiagonal — is the classical backward-stable algorithm, accurate to
+// ~eps * sigma_max; linalg_golub_reinsch_test checks both against each
+// other and against known spectra.
+
+#ifndef SRDA_TESTS_GOLUB_REINSCH_SVD_H_
+#define SRDA_TESTS_GOLUB_REINSCH_SVD_H_
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "linalg/svd.h"
+#include "matrix/matrix.h"
+#include "matrix/vector.h"
 
 namespace srda {
-namespace {
+namespace golub_reinsch_internal {
 
 constexpr double kEps = 2.3e-16;
 constexpr int kMaxIterations = 60;
 
-double SameSign(double magnitude, double sign) {
+inline double SameSign(double magnitude, double sign) {
   return sign >= 0.0 ? std::fabs(magnitude) : -std::fabs(magnitude);
 }
 
@@ -21,7 +37,8 @@ double SameSign(double magnitude, double sign) {
 // on exit `u` holds the left singular vectors (m x n), `w` the unsorted
 // singular values, `v` the right singular vectors (n x n). Returns false if
 // the QR iteration fails to converge.
-bool GolubReinschCore(Matrix* u_matrix, Vector* w_vector, Matrix* v_matrix) {
+inline bool GolubReinschCore(Matrix* u_matrix, Vector* w_vector,
+                             Matrix* v_matrix) {
   Matrix& a = *u_matrix;
   Vector& w = *w_vector;
   Matrix& v = *v_matrix;
@@ -233,9 +250,14 @@ bool GolubReinschCore(Matrix* u_matrix, Vector* w_vector, Matrix* v_matrix) {
   return true;
 }
 
-}  // namespace
+}  // namespace golub_reinsch_internal
 
-SvdResult ThinSvdGolubReinsch(const Matrix& a, double rank_tolerance) {
+// Computes the thin, rank-truncated SVD of `a` with the Golub-Reinsch
+// algorithm. Result layout matches ThinSvd: U (m x r), singular values
+// descending, V (n x r), singular values at or below
+// sigma_max * rank_tolerance truncated.
+inline SvdResult ThinSvdGolubReinsch(const Matrix& a,
+                                     double rank_tolerance = 1e-12) {
   SRDA_CHECK(a.rows() > 0 && a.cols() > 0) << "SVD of an empty matrix";
   SRDA_CHECK(rank_tolerance >= 0.0);
 
@@ -247,7 +269,7 @@ SvdResult ThinSvdGolubReinsch(const Matrix& a, double rank_tolerance) {
   Matrix v(n_small, n_small);
 
   SvdResult result;
-  if (!GolubReinschCore(&work, &w, &v)) {
+  if (!golub_reinsch_internal::GolubReinschCore(&work, &w, &v)) {
     result.converged = false;
     return result;
   }
@@ -286,3 +308,5 @@ SvdResult ThinSvdGolubReinsch(const Matrix& a, double rank_tolerance) {
 }
 
 }  // namespace srda
+
+#endif  // SRDA_TESTS_GOLUB_REINSCH_SVD_H_

@@ -1,14 +1,14 @@
-// Tests for the Golub-Reinsch SVD and its accuracy advantage over the
-// cross-product method.
+// Tests for the Golub-Reinsch SVD test oracle (tests/golub_reinsch_svd.h)
+// and its accuracy advantage over the production cross-product ThinSvd.
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "linalg/golub_reinsch_svd.h"
 #include "linalg/svd.h"
 #include "matrix/blas.h"
+#include "tests/golub_reinsch_svd.h"
 
 namespace srda {
 namespace {

@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -191,37 +193,133 @@ TEST_F(ObsTest, HistogramTracksCountSumMinMax) {
   EXPECT_EQ(histogram->count(), 0);
 }
 
+// ---- Histogram quantiles: within the relative error of nearest rank. ----
+
+// The observation of 0-based rank min(n - 1, floor(q n)) in sorted order:
+// the exact quantile the histograms approximate.
+double ExactNearestRank(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const size_t rank = std::min(
+      values.size() - 1,
+      static_cast<size_t>(q * static_cast<double>(values.size())));
+  return values[rank];
+}
+
+// |approx - exact| <= alpha |exact|, with round-off slack for a value that
+// sits exactly on a bucket edge.
+void ExpectWithinAlpha(double approx, double exact, const std::string& what) {
+  EXPECT_LE(std::fabs(approx - exact),
+            Histogram::kRelativeError * (1.0 + 1e-9) * std::fabs(exact))
+      << what << ": approx " << approx << " exact " << exact;
+}
+
+struct Distribution {
+  std::string name;
+  std::vector<double> values;
+};
+
+std::vector<Distribution> QuantileDistributions() {
+  std::vector<Distribution> out;
+  Distribution bimodal{"bimodal", {}};
+  for (int i = 0; i < 500; ++i) {
+    bimodal.values.push_back(10.0 + 0.01 * i);
+    bimodal.values.push_back(5000.0 + 3.0 * i);
+  }
+  out.push_back(bimodal);
+  Distribution outlier{"single outlier", std::vector<double>(999, 50.0)};
+  outlier.values.push_back(1e6);
+  out.push_back(outlier);
+  // Pareto(1.2) with x_min = 1, drawn on an inverse-CDF grid.
+  Distribution pareto{"pareto(1.2)", {}};
+  constexpr int kPareto = 20000;
+  for (int k = 0; k < kPareto; ++k) {
+    pareto.values.push_back(
+        std::pow(1.0 - (k + 0.5) / kPareto, -1.0 / 1.2));
+  }
+  out.push_back(pareto);
+  out.push_back({"constant", std::vector<double>(100, 42.0)});
+  // Geometric sweep of the whole bucket range, 2^-10 .. 2^40.
+  Distribution sweep{"geometric sweep", {}};
+  for (int k = 0; k <= 2000; ++k) {
+    sweep.values.push_back(std::exp2(-10.0 + 50.0 * k / 2000.0));
+  }
+  out.push_back(sweep);
+  return out;
+}
+
+constexpr double kQuantiles[] = {0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0};
+
 TEST_F(ObsTest, HistogramApproxQuantile) {
   Histogram* histogram = MetricsRegistry::Global().histogram("test.quantile");
   histogram->Reset();
   // Empty histogram: NaN at every q — a quantile must never be invented
   // from zero samples (callers check count() before printing).
-  EXPECT_TRUE(std::isnan(histogram->ApproxQuantile(0.5)));
-  EXPECT_TRUE(std::isnan(histogram->ApproxQuantile(0.0)));
-  EXPECT_TRUE(std::isnan(histogram->ApproxQuantile(1.0)));
-
-  // 100 observations spread over [1, 100]: quantiles land in the right
-  // power-of-two bucket and are clamped to the observed range.
-  for (int i = 1; i <= 100; ++i) {
-    histogram->Observe(static_cast<double>(i));
+  for (const double q : kQuantiles) {
+    EXPECT_TRUE(std::isnan(histogram->ApproxQuantile(q)));
   }
-  EXPECT_GE(histogram->ApproxQuantile(0.0), 1.0);
-  EXPECT_LE(histogram->ApproxQuantile(1.0), 100.0);
-  const double p50 = histogram->ApproxQuantile(0.5);
-  EXPECT_GE(p50, 32.0);   // true median 50.5 lives in bucket [32, 64)
-  EXPECT_LT(p50, 64.0);
-  const double p99 = histogram->ApproxQuantile(0.99);
-  EXPECT_GE(p99, 64.0);   // rank-99 observation lives in bucket [64, 128)
-  EXPECT_LE(p99, 100.0);  // but never beyond the observed max
-  EXPECT_LE(histogram->ApproxQuantile(0.1), p50);
-  histogram->Reset();
 
-  // A single observation reports itself at every quantile.
-  histogram->Observe(7.0);
-  EXPECT_EQ(histogram->ApproxQuantile(0.0), 7.0);
-  EXPECT_EQ(histogram->ApproxQuantile(0.5), 7.0);
-  EXPECT_EQ(histogram->ApproxQuantile(1.0), 7.0);
+  for (const Distribution& d : QuantileDistributions()) {
+    histogram->Reset();
+    for (const double v : d.values) histogram->Observe(v);
+    for (const double q : kQuantiles) {
+      ExpectWithinAlpha(histogram->ApproxQuantile(q),
+                        ExactNearestRank(d.values, q),
+                        d.name + " q=" + std::to_string(q));
+    }
+  }
+
+  // A single observation is reported within alpha of itself at every q.
   histogram->Reset();
+  histogram->Observe(7.0);
+  for (const double q : kQuantiles) {
+    ExpectWithinAlpha(histogram->ApproxQuantile(q), 7.0, "single");
+  }
+
+  // 0, negatives, NaN and values below the range land in the zero bucket
+  // and report 0.
+  histogram->Reset();
+  for (const double v : {0.0, -3.0, std::nan(""), 1e-5}) histogram->Observe(v);
+  EXPECT_EQ(histogram->bucket(0), 4);
+  EXPECT_EQ(histogram->ApproxQuantile(0.0), 0.0);
+  EXPECT_EQ(histogram->ApproxQuantile(1.0), 0.0);
+
+  // Values above the range are clamped into the top bucket, whose value
+  // is within alpha of its upper edge gamma^kMaxIndex (~2^40).
+  histogram->Reset();
+  histogram->Observe(1e300);
+  histogram->Observe(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(histogram->bucket(Histogram::kNumBuckets - 1), 2);
+  const double gamma =
+      (1.0 + Histogram::kRelativeError) / (1.0 - Histogram::kRelativeError);
+  ExpectWithinAlpha(histogram->ApproxQuantile(0.5),
+                    std::pow(gamma, Histogram::kMaxIndex), "top bucket");
+  histogram->Reset();
+}
+
+// A sparse tail at the p99 rank: 1,600 observations (25 rounds of 64
+// requests) with 15, 16 or 17 of them at 1354 and the rest in [100, 199].
+// At 16 the nearest-rank p99 is the tail, one rank past the body; both
+// histogram views must report it within alpha, not a body value.
+TEST_F(ObsTest, HistogramP99TracksSparseTailAtNearestRank) {
+  Histogram* cumulative = MetricsRegistry::Global().histogram("test.tail");
+  auto windowed = std::make_unique<WindowedHistogram>();
+  for (const int tail : {15, 16, 17}) {
+    cumulative->Reset();
+    windowed->Reset();
+    std::vector<double> values;
+    for (int i = 0; i < 1600 - tail; ++i) values.push_back(100.0 + i % 100);
+    for (int i = 0; i < tail; ++i) values.push_back(1354.0);
+    for (size_t i = 0; i < values.size(); ++i) {
+      cumulative->Observe(values[i]);
+      windowed->ObserveAt(1000 + static_cast<int64_t>(i % 7), values[i]);
+    }
+    const double exact = ExactNearestRank(values, 0.99);
+    EXPECT_EQ(exact, tail >= 16 ? 1354.0 : 199.0);
+    const std::string what = "tail " + std::to_string(tail);
+    ExpectWithinAlpha(cumulative->ApproxQuantile(0.99), exact, what);
+    ExpectWithinAlpha(windowed->QuantileOverAt(10, 0.99, 1006), exact, what);
+  }
+  cumulative->Reset();
 }
 
 TEST_F(ObsTest, RegistryResetKeepsPointersValid) {
@@ -385,28 +483,47 @@ TEST_F(ObsTest, WindowedCounterConcurrentAdds) {
 }
 
 TEST_F(ObsTest, WindowedHistogramQuantilesAndEmptyWindow) {
-  WindowedHistogram histogram;
+  // ~1.8 MB of slots: keep it off the stack.
+  auto histogram = std::make_unique<WindowedHistogram>();
   // Empty window: NaN quantiles, zero count (same contract as the
   // cumulative histogram).
-  EXPECT_EQ(histogram.CountOverAt(10, 100), 0);
-  EXPECT_TRUE(std::isnan(histogram.QuantileOverAt(10, 0.5, 100)));
+  EXPECT_EQ(histogram->CountOverAt(10, 100), 0);
+  EXPECT_TRUE(std::isnan(histogram->QuantileOverAt(10, 0.5, 100)));
 
-  for (int i = 1; i <= 100; ++i) {
-    histogram.ObserveAt(100 + (i % 5), static_cast<double>(i));
+  // Spread over five seconds, each distribution's windowed quantiles are
+  // within alpha of nearest rank and equal to the cumulative histogram's.
+  Histogram* cumulative = MetricsRegistry::Global().histogram("test.twin");
+  for (const Distribution& d : QuantileDistributions()) {
+    histogram->Reset();
+    cumulative->Reset();
+    for (size_t i = 0; i < d.values.size(); ++i) {
+      histogram->ObserveAt(100 + static_cast<int64_t>(i % 5), d.values[i]);
+      cumulative->Observe(d.values[i]);
+    }
+    EXPECT_EQ(histogram->CountOverAt(10, 104),
+              static_cast<int64_t>(d.values.size()));
+    for (const double q : kQuantiles) {
+      const double windowed = histogram->QuantileOverAt(10, q, 104);
+      ExpectWithinAlpha(windowed, ExactNearestRank(d.values, q),
+                        d.name + " q=" + std::to_string(q));
+      EXPECT_EQ(windowed, cumulative->ApproxQuantile(q)) << d.name;
+    }
   }
-  EXPECT_EQ(histogram.CountOverAt(10, 104), 100);
-  EXPECT_DOUBLE_EQ(histogram.SumOverAt(10, 104), 5050.0);
-  const double p50 = histogram.QuantileOverAt(10, 0.5, 104);
-  EXPECT_GE(p50, 32.0);  // median 50.5 lives in bucket [32, 64)
-  EXPECT_LT(p50, 64.0);
-  const double p99 = histogram.QuantileOverAt(10, 0.99, 104);
-  EXPECT_GE(p99, 64.0);
-  EXPECT_LE(p99, 128.0);  // clamped to merged bucket bounds, not min/max
+  cumulative->Reset();
+
+  histogram->Reset();
+  for (int i = 1; i <= 100; ++i) {
+    histogram->ObserveAt(100 + (i % 5), static_cast<double>(i));
+  }
+  EXPECT_EQ(histogram->CountOverAt(10, 104), 100);
+  EXPECT_DOUBLE_EQ(histogram->SumOverAt(10, 104), 5050.0);
   // A narrow window sees only its seconds' observations.
-  EXPECT_LT(histogram.CountOverAt(1, 104), 100);
+  EXPECT_EQ(histogram->CountOverAt(1, 104), 20);
+  ExpectWithinAlpha(histogram->QuantileOverAt(1, 1.0, 104), 99.0,
+                    "narrow window max");
   // Everything ages out.
-  EXPECT_EQ(histogram.CountOverAt(10, 300), 0);
-  EXPECT_TRUE(std::isnan(histogram.QuantileOverAt(10, 0.5, 300)));
+  EXPECT_EQ(histogram->CountOverAt(10, 300), 0);
+  EXPECT_TRUE(std::isnan(histogram->QuantileOverAt(10, 0.5, 300)));
 }
 
 TEST_F(ObsTest, RegistryWindowedSnapshot) {

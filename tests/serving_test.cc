@@ -78,6 +78,9 @@ TEST(ServingTest, ConcurrentClientsBatchedScoringIsExact) {
   // Many clients hammer the service with overlapping blocks; every response
   // must equal the single-pass reference no matter how rows were batched.
   const Fixture f = MakeFixture(80, 64, 8, 4, {});
+  Histogram* const latency_us =
+      MetricsRegistry::Global().histogram("serve.latency_us");
+  latency_us->Reset();
   serve::ServeOptions options;
   options.max_batch = 32;
   options.max_delay_ms = 0.5;
@@ -116,8 +119,8 @@ TEST(ServingTest, ConcurrentClientsBatchedScoringIsExact) {
   EXPECT_EQ(stats.requests, static_cast<int64_t>(kClients) * kRounds * 8);
   EXPECT_GT(stats.batches, 0);
   EXPECT_LE(stats.max_batch_seen, options.max_batch);
-  EXPECT_EQ(stats.latencies_us.size(),
-            static_cast<size_t>(stats.requests));
+  // One latency observation per request.
+  EXPECT_EQ(latency_us->count(), stats.requests);
 }
 
 TEST(ServingTest, RawLabelsComeBack) {
@@ -141,15 +144,6 @@ TEST(ServingTest, MaxBatchRespectedUnderBlockLargerThanBatch) {
   EXPECT_GE(stats.batches, (100 + 15) / 16);
 }
 
-TEST(ServingTest, LatencyQuantileNearestRank) {
-  EXPECT_EQ(serve::LatencyQuantile({}, 0.5), 0.0);
-  EXPECT_EQ(serve::LatencyQuantile({7.0}, 0.5), 7.0);
-  const std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_EQ(serve::LatencyQuantile(v, 0.0), 1.0);
-  EXPECT_EQ(serve::LatencyQuantile(v, 0.5), 3.0);
-  EXPECT_EQ(serve::LatencyQuantile(v, 1.0), 5.0);
-}
-
 // Pulls the value of the sample line that starts with `name_and_labels`
 // (exact prefix up to the value separator) out of a Prometheus text page.
 // NaN when absent.
@@ -168,11 +162,15 @@ double ScrapeValue(const std::string& text,
 
 // Acceptance: a live scrape during serving must return valid Prometheus
 // text whose windowed request count and latency quantiles agree with the
-// service's own end-of-run stats (the window spans the whole run, so the
-// windowed view and the cumulative view see the same traffic).
+// service's own end-of-run stats and the cumulative latency histogram (the
+// window spans the whole run, so the windowed view and the cumulative view
+// see the same traffic).
 TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   // The serving instruments are process-wide; clear anything earlier
-  // tests in this binary fed into the windowed twins.
+  // tests in this binary fed into them.
+  Histogram* const latency_us =
+      MetricsRegistry::Global().histogram("serve.latency_us");
+  latency_us->Reset();
   MetricsRegistry::Global().windowed_counter("serve.requests")->Reset();
   MetricsRegistry::Global().windowed_histogram("serve.batch_size")->Reset();
   MetricsRegistry::Global().windowed_histogram("serve.latency_us")->Reset();
@@ -205,6 +203,8 @@ TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   }
   const serve::ServeStats stats = service.Stats();
   ASSERT_EQ(stats.requests, static_cast<int64_t>(kRounds) * 64);
+  // Every request's latency is in the cumulative histogram.
+  EXPECT_EQ(latency_us->count(), stats.requests);
 
   // Live scrape while the service (and its dispatcher thread) is up.
   std::string raw = obs::HttpGet(telemetry.port(), "/metrics");
@@ -233,11 +233,9 @@ TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
       ScrapeValue(body, "srda_serve_requests_window_rate" + window_label),
       0.0);
 
-  // Windowed quantiles come from power-of-two buckets, so they match the
-  // exact nearest-rank quantiles within a bucket (factor-of-two bracket,
-  // with slack for boundary rounding).
-  const double exact_p50 = serve::LatencyQuantile(stats.latencies_us, 0.5);
-  const double exact_p99 = serve::LatencyQuantile(stats.latencies_us, 0.99);
+  // The windowed and cumulative histograms share one bucket layout and
+  // one nearest-rank walk, so on the same traffic they report the same
+  // quantiles (printed with round-trip precision).
   const double scraped_p50 = ScrapeValue(
       body, "srda_serve_latency_us_window{window=\"" +
                 std::to_string(kWindow) + "\",quantile=\"0.5\"}");
@@ -247,10 +245,8 @@ TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   ASSERT_FALSE(std::isnan(scraped_p50));
   ASSERT_FALSE(std::isnan(scraped_p99));
   EXPECT_GT(scraped_p50, 0.0);
-  EXPECT_GE(scraped_p50, exact_p50 / 4.0);
-  EXPECT_LE(scraped_p50, exact_p50 * 4.0 + 1.0);
-  EXPECT_GE(scraped_p99, exact_p99 / 4.0);
-  EXPECT_LE(scraped_p99, exact_p99 * 4.0 + 1.0);
+  EXPECT_DOUBLE_EQ(scraped_p50, latency_us->ApproxQuantile(0.5));
+  EXPECT_DOUBLE_EQ(scraped_p99, latency_us->ApproxQuantile(0.99));
   EXPECT_GE(scraped_p99, scraped_p50);
 
   // /metrics.json is one parseable object; /buildz carries the row we set.

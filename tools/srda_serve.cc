@@ -16,8 +16,9 @@
 // --client-block query rows drawn from the data file, cycling until
 // --requests total rows are served. Blocks from different clients coalesce
 // into shared batches closed by the --max-batch / --max-delay-ms policy.
-// Reported: sustained predictions/s, p50/p99 request latency (exact, from
-// per-request samples), and the realized batch-size distribution.
+// Reported: sustained predictions/s, p50/p99 request latency (nearest-rank
+// quantiles of the serve.latency_us histogram, within 1% relative error;
+// the figures /metrics exposes), and the realized batch-size distribution.
 //
 // Because per-row scoring is independent of batch composition, the served
 // predictions are exactly the ones srda_predict produces on the same data.
@@ -209,6 +210,11 @@ int Main(int argc, char** argv) {
     std::cout << "predictions written to " << predictions_path << "\n";
   }
 
+  // The traffic's latency quantiles come from this histogram; drop what
+  // the --predictions-out pass fed it.
+  Histogram* const latency_us =
+      MetricsRegistry::Global().histogram("serve.latency_us");
+  latency_us->Reset();
   double seconds = 0.0;
   serve::ServeStats stats;
   if (requests > 0) {
@@ -240,8 +246,8 @@ int Main(int argc, char** argv) {
 
   if (stats.requests > 0) {
     const double throughput = static_cast<double>(stats.requests) / seconds;
-    const double p50 = serve::LatencyQuantile(stats.latencies_us, 0.50);
-    const double p99 = serve::LatencyQuantile(stats.latencies_us, 0.99);
+    const double p50 = latency_us->ApproxQuantile(0.50);
+    const double p99 = latency_us->ApproxQuantile(0.99);
     std::cout << "served " << stats.requests << " predictions in " << seconds
               << " s: " << throughput << " predictions/s\n";
     std::cout << "latency p50 " << p50 << " us, p99 " << p99 << " us; "
