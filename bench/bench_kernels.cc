@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "linalg/cholesky.h"
+#include "linalg/cholesky_update.h"
 #include "linalg/linear_operator.h"
 #include "linalg/lsqr.h"
 #include "linalg/qr.h"

@@ -1,20 +1,26 @@
 #!/bin/sh
 # Builds the LSQR, operator, solver, sketch, sharded and sparse test
-# binaries with AddressSanitizer and runs them with a multi-thread pool.
-# Catches out-of-bounds reads and writes, use-after-free and leaks in the
-# block products, the packed LSQR passes and the shard streaming.
+# binaries, plus the Cholesky/triangular-sweep, rank-1 update, RLDA,
+# IDR/QR, incremental, determinism, dataset-IO and model-codec tests, with
+# AddressSanitizer and runs them with a multi-thread pool. Catches
+# out-of-bounds reads and writes, use-after-free and leaks in the block
+# products, the packed LSQR passes, the blocked triangular sweeps, the
+# Givens updates, the parsers and the shard streaming.
 set -e
 cd "$(dirname "$0")/.."
 
+TESTS="linalg_lsqr_test solver_test sketch_test sharded_test core_srda_test
+  sparse_test linalg_cholesky_test linalg_cholesky_update_test blocking_test
+  core_rlda_test core_idr_qr_test core_incremental_test parallel_test
+  io_test model_test"
+
 cmake -B build-asan -S . -DSRDA_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-asan --target \
-  linalg_lsqr_test solver_test sketch_test sharded_test core_srda_test \
-  sparse_test
+# shellcheck disable=SC2086
+cmake --build build-asan --target $TESTS
 
 export SRDA_NUM_THREADS=4
-for t in linalg_lsqr_test solver_test sketch_test sharded_test \
-         core_srda_test sparse_test; do
+for t in $TESTS; do
   echo "== ASan: $t =="
   ./build-asan/tests/"$t"
 done

@@ -79,21 +79,14 @@ IdrQrModel FitIdrQr(const Matrix& x, const std::vector<int>& labels,
     model.converged = false;
     return model;
   }
-  // K = L^{-1} S_b' L^{-T}: columns solve L k = S_b' e, then once more.
+  // K = L^{-1} S_b' L^{-T}: one forward sweep gives L^{-1} S_b', and a
+  // second on its transpose gives (L^{-1} (L^{-1} S_b')^T)^T = K by
+  // symmetry.
   const int c = num_classes;
-  Matrix k_matrix(c, c);
-  {
-    // First L^{-1} S_b'.
-    Matrix tmp(c, c);
-    for (int j = 0; j < c; ++j) {
-      tmp.SetCol(j, ForwardSubstitute(chol.factor(), sb_reduced.Col(j)));
-    }
-    // Then (L^{-1} (L^{-1} S_b')^T)^T = L^{-1} S_b' L^{-T} by symmetry.
-    const Matrix tmp_t = tmp.Transposed();
-    for (int j = 0; j < c; ++j) {
-      k_matrix.SetCol(j, ForwardSubstitute(chol.factor(), tmp_t.Col(j)));
-    }
-  }
+  const Matrix& l = chol.factor();
+  const Matrix k_matrix =
+      ForwardSubstituteMatrix(l, ForwardSubstituteMatrix(l, sb_reduced)
+                                     .Transposed());
   const SymmetricEigenResult eigen = SymmetricEigen(k_matrix);
   if (!eigen.converged) {
     model.converged = false;
@@ -108,15 +101,17 @@ IdrQrModel FitIdrQr(const Matrix& x, const std::vector<int>& labels,
   }
   model.num_directions = num_directions;
 
-  // v = L^{-T} q_small; final direction = Q v.
-  Matrix v_small(c, num_directions);
+  // v = L^{-T} q_small for the top eigenvectors in one backward sweep;
+  // final direction = Q v.
+  Matrix top(c, num_directions);
   for (int d = 0; d < num_directions; ++d) {
-    const int src = c - 1 - d;
-    Vector direction =
-        BackSubstituteTransposed(chol.factor(), eigen.eigenvectors.Col(src));
+    top.SetCol(d, eigen.eigenvectors.Col(c - 1 - d));
+  }
+  Matrix v_small = BackSubstituteTransposedMatrix(l, top);
+  for (int d = 0; d < num_directions; ++d) {
     // sqrt(lambda) scaling, consistent with the other eigen-based trainers.
-    Scale(std::sqrt(eigen.eigenvalues[src]), &direction);
-    v_small.SetCol(d, direction);
+    const double scale = std::sqrt(eigen.eigenvalues[c - 1 - d]);
+    for (int j = 0; j < c; ++j) v_small(j, d) *= scale;
   }
   Matrix projection = Multiply(q, v_small);  // n x d
 

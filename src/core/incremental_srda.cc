@@ -132,22 +132,21 @@ LinearEmbedding IncrementalSrda::Solve() const {
   const Matrix values = ClassResponseValues(counts_);
   const int d = num_classes_ - 1;
 
-  // RHS column j: [sum_k V(k,j) class_sum_k ; sum_k V(k,j) count_k].
-  Matrix projection(num_features_, d);
-  Vector bias(d);
+  // RHS column j: [sum_k V(k,j) class_sum_k ; sum_k V(k,j) count_k]; all
+  // d columns go through one forward and one backward sweep.
+  Matrix rhs(num_features_ + 1, d);
   for (int j = 0; j < d; ++j) {
-    Vector rhs(num_features_ + 1);
     for (int k = 0; k < num_classes_; ++k) {
       const double weight = values(k, j);
       const double* sums = class_sums_.RowPtr(k);
-      for (int f = 0; f < num_features_; ++f) rhs[f] += weight * sums[f];
-      rhs[num_features_] += weight * counts_[static_cast<size_t>(k)];
+      for (int f = 0; f < num_features_; ++f) rhs(f, j) += weight * sums[f];
+      rhs(num_features_, j) += weight * counts_[static_cast<size_t>(k)];
     }
-    const Vector solution = BackSubstituteTransposed(
-        chol_factor_, ForwardSubstitute(chol_factor_, rhs));
-    for (int f = 0; f < num_features_; ++f) projection(f, j) = solution[f];
-    bias[j] = solution[num_features_];
   }
+  const Matrix solution = BackSubstituteTransposedMatrix(
+      chol_factor_, ForwardSubstituteMatrix(chol_factor_, rhs));
+  Matrix projection = solution.Block(0, 0, num_features_, d);
+  Vector bias = solution.Row(num_features_);
   return LinearEmbedding(std::move(projection), std::move(bias));
 }
 

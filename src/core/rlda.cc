@@ -105,15 +105,9 @@ RldaModel FitRlda(const Matrix& x, const std::vector<int>& labels,
     // Faithful full-size path: K = L^{-1} S_b L^{-T} (n x n), standard
     // symmetric eigendecomposition, a = L^{-T} q. This is the O(n^3) dense
     // eigensolve the paper's RLDA timings reflect.
-    // Form G = Hd L^{-T} (c x n): column-wise forward substitution on Hd^T.
-    Matrix g(num_classes, n);
-    {
-      const Matrix hd_t = hd.Transposed();  // n x c
-      for (int k = 0; k < num_classes; ++k) {
-        const Vector solved = ForwardSubstitute(l, hd_t.Col(k));
-        for (int j = 0; j < n; ++j) g(k, j) = solved[j];
-      }
-    }
+    // Form G = Hd L^{-T} (c x n): one forward sweep over the c columns of
+    // Hd^T.
+    const Matrix g = ForwardSubstituteMatrix(l, hd.Transposed()).Transposed();
     const Matrix k_matrix = Gram(g);  // n x n = G^T G = L^-1 Sb L^-T
     const SymmetricEigenResult eigen = SymmetricEigen(k_matrix);
     if (!eigen.converged) {
@@ -123,12 +117,16 @@ RldaModel FitRlda(const Matrix& x, const std::vector<int>& labels,
     const int num_directions =
         CountDirections(eigen, num_classes, options.eigen_tolerance);
     model.num_directions = num_directions;
-    projection = Matrix(n, num_directions);
+    // Top eigenvectors q, descending, then a = L^{-T} q for all of them in
+    // one backward sweep.
+    Matrix top(n, num_directions);
     for (int d = 0; d < num_directions; ++d) {
-      const int src = n - 1 - d;
-      const double scale = std::sqrt(eigen.eigenvalues[src]);
-      const Vector a = BackSubstituteTransposed(l, eigen.eigenvectors.Col(src));
-      for (int j = 0; j < n; ++j) projection(j, d) = scale * a[j];
+      top.SetCol(d, eigen.eigenvectors.Col(n - 1 - d));
+    }
+    projection = BackSubstituteTransposedMatrix(l, top);
+    for (int d = 0; d < num_directions; ++d) {
+      const double scale = std::sqrt(eigen.eigenvalues[n - 1 - d]);
+      for (int j = 0; j < n; ++j) projection(j, d) *= scale;
     }
   }
 

@@ -8,9 +8,9 @@
 // (PCA is excluded: it is an unsupervised preprocessor, not a discriminant
 // trainer, and produces no class structure to hang a classifier head on.)
 //
-// The srda entry carries its solver diagnostics (LSQR convergence records,
-// sketch-solve error bounds) through TrainResult so callers keep the
-// reporting the dedicated FitSrda path had.
+// The srda entry carries its solver diagnostics (LSQR convergence records)
+// through TrainResult so callers keep the reporting the dedicated FitSrda
+// path had.
 
 #ifndef SRDA_CORE_TRAINERS_H_
 #define SRDA_CORE_TRAINERS_H_

@@ -258,49 +258,4 @@ DenseBinaryHeader ReadDenseBinaryHeader(std::ifstream* in,
   return header;
 }
 
-void SaveEmbedding(const LinearEmbedding& embedding, const std::string& path) {
-  std::ofstream out = OpenForWrite(path);
-  out << "srda-embedding 1\n";
-  out << embedding.input_dim() << ' ' << embedding.output_dim() << '\n';
-  const Matrix& projection = embedding.projection();
-  for (int i = 0; i < projection.rows(); ++i) {
-    const double* row = projection.RowPtr(i);
-    for (int j = 0; j < projection.cols(); ++j) {
-      out << row[j] << (j + 1 == projection.cols() ? '\n' : ' ');
-    }
-  }
-  const Vector& bias = embedding.bias();
-  for (int j = 0; j < bias.size(); ++j) {
-    out << bias[j] << (j + 1 == bias.size() ? '\n' : ' ');
-  }
-  SRDA_CHECK(out.good()) << "write failure on " << path;
-}
-
-LinearEmbedding LoadEmbedding(const std::string& path) {
-  std::ifstream in = OpenForRead(path);
-  std::string magic;
-  int version = 0;
-  SRDA_CHECK(static_cast<bool>(in >> magic >> version) &&
-             magic == "srda-embedding" && version == 1)
-      << path << ": not an srda-embedding v1 file";
-  int input_dim = 0;
-  int output_dim = 0;
-  SRDA_CHECK(static_cast<bool>(in >> input_dim >> output_dim))
-      << path << ": missing dimensions";
-  SRDA_CHECK(input_dim > 0 && output_dim > 0)
-      << path << ": invalid dimensions " << input_dim << " x " << output_dim;
-  Matrix projection(input_dim, output_dim);
-  for (int i = 0; i < input_dim; ++i) {
-    for (int j = 0; j < output_dim; ++j) {
-      SRDA_CHECK(static_cast<bool>(in >> projection(i, j)))
-          << path << ": truncated projection";
-    }
-  }
-  Vector bias(output_dim);
-  for (int j = 0; j < output_dim; ++j) {
-    SRDA_CHECK(static_cast<bool>(in >> bias[j])) << path << ": truncated bias";
-  }
-  return LinearEmbedding(std::move(projection), std::move(bias));
-}
-
 }  // namespace srda

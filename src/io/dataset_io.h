@@ -1,9 +1,10 @@
-// Dataset and model file I/O.
+// Dataset file I/O.
 //
 // Lets downstream users run the library on real data: sparse datasets in
 // the LibSVM text format (the de-facto standard for sparse classification
 // data, including the real 20Newsgroups distribution), dense datasets as
-// label-first CSV, and trained embeddings as a plain-text model file.
+// label-first CSV or the SRDB binary layout. Trained models live in the
+// versioned model store, src/model/codec.h.
 
 #ifndef SRDA_IO_DATASET_IO_H_
 #define SRDA_IO_DATASET_IO_H_
@@ -13,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/embedding.h"
 #include "dataset/dataset.h"
 
 namespace srda {
@@ -82,16 +82,6 @@ struct DenseBinaryHeader {
 
 DenseBinaryHeader ReadDenseBinaryHeader(std::ifstream* in,
                                         const std::string& path);
-
-// --- Trained embedding (projection + bias) as a plain-text model file. ---
-//
-// Complete trained models (embedding + classifier head + provenance) live
-// in the versioned model store, src/model/codec.h — including reading the
-// legacy "srda-classifier 1" files this module used to write.
-
-void SaveEmbedding(const LinearEmbedding& embedding, const std::string& path);
-
-LinearEmbedding LoadEmbedding(const std::string& path);
 
 }  // namespace srda
 

@@ -1,6 +1,7 @@
 #include "io/line_parser.h"
 
 #include <charconv>
+#include <cmath>
 #include <system_error>
 
 #include "common/check.h"
@@ -32,7 +33,9 @@ bool ParseDouble(std::string_view token, double* value) {
   const char* first = token.data();
   const char* last = token.data() + token.size();
   const std::from_chars_result result = std::from_chars(first, last, *value);
-  return result.ec == std::errc() && result.ptr == last;
+  // from_chars also accepts "nan" and "inf"; the dataset grammar does not.
+  return result.ec == std::errc() && result.ptr == last &&
+         std::isfinite(*value);
 }
 
 void ParseLibSvmLine(const std::string& line, const std::string& path,

@@ -18,7 +18,8 @@
 namespace srda {
 
 // Whole-token parses: false on empty, partial, malformed, or out-of-range
-// tokens, never an exception.
+// tokens, never an exception. ParseDouble also rejects non-finite values
+// ("nan", "inf"), so NaN/Inf never enter a dataset.
 bool ParseInt(std::string_view token, int* value);
 bool ParseDouble(std::string_view token, double* value);
 

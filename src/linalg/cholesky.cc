@@ -40,19 +40,11 @@ bool FactorDiagonalBlock(Matrix* l, int p0, int p1, double pivot_floor) {
   return true;
 }
 
-// How a triangular sweep finishes row i once its update chain is complete:
-// SolveMatrix multiplies by the hoisted reciprocal 1/l_ii, the batched
-// substitutions divide so every column stays bitwise equal to the vector
-// ForwardSubstitute / BackSubstituteTransposed.
-enum class DiagonalStep { kReciprocal, kDivide };
-
-void FinishRow(double diag, DiagonalStep step, double* row, int width) {
-  if (step == DiagonalStep::kDivide) {
-    for (int j = 0; j < width; ++j) row[j] /= diag;
-  } else {
-    const double inv = 1.0 / diag;
-    for (int j = 0; j < width; ++j) row[j] *= inv;
-  }
+// Finishes row i of a sweep once its update chain is complete: every
+// column is multiplied by the reciprocal of the pivot.
+void FinishRow(double diag, double* row, int width) {
+  const double inv = 1.0 / diag;
+  for (int j = 0; j < width; ++j) row[j] *= inv;
 }
 
 // Solves L X = B in place (x holds B on entry), right-looking over panels
@@ -61,7 +53,7 @@ void FinishRow(double diag, DiagonalStep step, double* row, int width) {
 // with the panel packed negated: c + (-l)·x is bitwise c - l·x. Element
 // (i, j) therefore subtracts l_ik·x_kj for k = 0..i-1 ascending and then
 // finishes, whatever the panel width, thread count, or SIMD level.
-void ForwardSweep(const Matrix& l, DiagonalStep step, Matrix* x) {
+void ForwardSweep(const Matrix& l, Matrix* x) {
   const int n = l.rows();
   const int width = x->cols();
   if (width == 0) return;
@@ -79,7 +71,7 @@ void ForwardSweep(const Matrix& l, DiagonalStep step, Matrix* x) {
         for (int j = 0; j < width; ++j) xrow_i[j] -= lik * xrow_k[j];
       }
       SRDA_CHECK_NE(lrow[i], 0.0) << "singular triangular matrix at " << i;
-      FinishRow(lrow[i], step, xrow_i, width);
+      FinishRow(lrow[i], xrow_i, width);
     }
     if (p1 == n) break;
     // Rows below the panel read only the finished rows [p0, p1) and write
@@ -108,7 +100,7 @@ void ForwardSweep(const Matrix& l, DiagonalStep step, Matrix* x) {
 // a row-reversed copy of the solved block. Element (c, j) thus subtracts
 // l_ic·x_ij for i = n-1 down to c+1 before it finishes — the scatter
 // form's chain, at any panel width, thread count, or SIMD level.
-void BackwardSweep(const Matrix& l, DiagonalStep step, Matrix* x) {
+void BackwardSweep(const Matrix& l, Matrix* x) {
   const int n = l.rows();
   const int width = x->cols();
   if (width == 0) return;
@@ -122,7 +114,7 @@ void BackwardSweep(const Matrix& l, DiagonalStep step, Matrix* x) {
       const double* lrow = l.RowPtr(i);
       double* xrow_i = x->RowPtr(i);
       SRDA_CHECK_NE(lrow[i], 0.0) << "singular triangular matrix at " << i;
-      FinishRow(lrow[i], step, xrow_i, width);
+      FinishRow(lrow[i], xrow_i, width);
       for (int k = p0; k < i; ++k) {
         const double lik = lrow[k];
         double* xrow_k = x->RowPtr(k);
@@ -230,12 +222,6 @@ bool Cholesky::Factor(const Matrix& a) {
   return true;
 }
 
-Vector Cholesky::Solve(const Vector& b) const {
-  SRDA_CHECK(ok_) << "Cholesky::Solve called without a successful Factor()";
-  Vector y = ForwardSubstitute(l_, b);
-  return BackSubstituteTransposed(l_, y);
-}
-
 Matrix Cholesky::SolveMatrix(const Matrix& b) const {
   SRDA_CHECK(ok_) << "Cholesky::SolveMatrix without a successful Factor()";
   SRDA_CHECK_EQ(b.rows(), l_.rows()) << "SolveMatrix shape mismatch";
@@ -247,8 +233,8 @@ Matrix Cholesky::SolveMatrix(const Matrix& b) const {
   }
   AddFlops(2.0 * n * n * b.cols());
   Matrix x = b;
-  ForwardSweep(l_, DiagonalStep::kReciprocal, &x);
-  BackwardSweep(l_, DiagonalStep::kReciprocal, &x);
+  ForwardSweep(l_, &x);
+  BackwardSweep(l_, &x);
   return x;
 }
 
@@ -266,70 +252,13 @@ void Cholesky::SetFactor(Matrix l) {
   ok_ = true;
 }
 
-void CholeskyRank1Update(Matrix* l, Vector v) {
-  SRDA_CHECK(l != nullptr);
-  SRDA_CHECK_EQ(l->rows(), l->cols()) << "factor must be square";
-  SRDA_CHECK_EQ(v.size(), l->rows()) << "update vector size mismatch";
-  Matrix& factor = *l;
-  const int n = factor.rows();
-  // Sequence of Givens rotations zeroing v against the diagonal.
-  for (int k = 0; k < n; ++k) {
-    const double lkk = factor(k, k);
-    SRDA_CHECK_GT(lkk, 0.0) << "invalid Cholesky factor at " << k;
-    const double r = std::hypot(lkk, v[k]);
-    const double c = r / lkk;
-    const double s = v[k] / lkk;
-    factor(k, k) = r;
-    for (int i = k + 1; i < n; ++i) {
-      factor(i, k) = (factor(i, k) + s * v[i]) / c;
-      v[i] = c * v[i] - s * factor(i, k);
-    }
-  }
-}
-
-Vector ForwardSubstitute(const Matrix& l, const Vector& b) {
-  SRDA_CHECK_EQ(l.rows(), l.cols()) << "triangular solve needs square matrix";
-  SRDA_CHECK_EQ(b.size(), l.rows()) << "triangular solve shape mismatch";
-  const int n = l.rows();
-  AddFlops(static_cast<double>(n) * n);
-  Vector x(n);
-  for (int i = 0; i < n; ++i) {
-    double sum = b[i];
-    const double* row = l.RowPtr(i);
-    for (int k = 0; k < i; ++k) sum -= row[k] * x[k];
-    SRDA_CHECK_NE(row[i], 0.0) << "singular triangular matrix at " << i;
-    x[i] = sum / row[i];
-  }
-  return x;
-}
-
-Vector BackSubstituteTransposed(const Matrix& l, const Vector& b) {
-  SRDA_CHECK_EQ(l.rows(), l.cols()) << "triangular solve needs square matrix";
-  SRDA_CHECK_EQ(b.size(), l.rows()) << "triangular solve shape mismatch";
-  const int n = l.rows();
-  AddFlops(static_cast<double>(n) * n);
-  // Scatter form: once x[i] is known, subtract its contribution from every
-  // earlier equation using row i of L. The gather form this replaced read
-  // L^T(i, k) = L(k, i), a column walk striding n doubles per element; the
-  // scatter reads each row of L contiguously, exactly once.
-  Vector x = b;
-  for (int i = n - 1; i >= 0; --i) {
-    const double* row = l.RowPtr(i);
-    SRDA_CHECK_NE(row[i], 0.0) << "singular triangular matrix at " << i;
-    const double xi = x[i] / row[i];
-    x[i] = xi;
-    for (int k = 0; k < i; ++k) x[k] -= xi * row[k];
-  }
-  return x;
-}
-
 Matrix ForwardSubstituteMatrix(const Matrix& l, const Matrix& b) {
   SRDA_CHECK_EQ(l.rows(), l.cols()) << "triangular solve needs square matrix";
   SRDA_CHECK_EQ(b.rows(), l.rows()) << "triangular solve shape mismatch";
   const int n = l.rows();
   AddFlops(static_cast<double>(n) * n * b.cols());
   Matrix x = b;
-  ForwardSweep(l, DiagonalStep::kDivide, &x);
+  ForwardSweep(l, &x);
   return x;
 }
 
@@ -339,23 +268,7 @@ Matrix BackSubstituteTransposedMatrix(const Matrix& l, const Matrix& b) {
   const int n = l.rows();
   AddFlops(static_cast<double>(n) * n * b.cols());
   Matrix x = b;
-  BackwardSweep(l, DiagonalStep::kDivide, &x);
-  return x;
-}
-
-Vector BackSubstitute(const Matrix& r, const Vector& b) {
-  SRDA_CHECK_EQ(r.rows(), r.cols()) << "triangular solve needs square matrix";
-  SRDA_CHECK_EQ(b.size(), r.rows()) << "triangular solve shape mismatch";
-  const int n = r.rows();
-  AddFlops(static_cast<double>(n) * n);
-  Vector x(n);
-  for (int i = n - 1; i >= 0; --i) {
-    double sum = b[i];
-    const double* row = r.RowPtr(i);
-    for (int k = i + 1; k < n; ++k) sum -= row[k] * x[k];
-    SRDA_CHECK_NE(row[i], 0.0) << "singular triangular matrix at " << i;
-    x[i] = sum / row[i];
-  }
+  BackwardSweep(l, &x);
   return x;
 }
 

@@ -19,7 +19,6 @@
 #define SRDA_LINALG_CHOLESKY_H_
 
 #include "matrix/matrix.h"
-#include "matrix/vector.h"
 
 namespace srda {
 
@@ -29,7 +28,7 @@ namespace srda {
 // Example:
 //   Cholesky chol;
 //   SRDA_CHECK(chol.Factor(gram)) << "matrix not positive definite";
-//   Vector x = chol.Solve(rhs);
+//   Matrix x = chol.SolveMatrix(rhs);  // rhs is n x k
 class Cholesky {
  public:
   Cholesky() = default;
@@ -39,10 +38,8 @@ class Cholesky {
   // positive definite; the object is then unusable until the next Factor().
   bool Factor(const Matrix& a);
 
-  // Solves A x = b using the stored factor. Requires a successful Factor().
-  Vector Solve(const Vector& b) const;
-
-  // Solves A X = B for all k columns of B at once (B is n x k). Both
+  // Solves A X = B for all k columns of B at once (B is n x k); a single
+  // right-hand side is a one-column B. Requires a successful Factor(). Both
   // substitution sweeps are blocked and right-looking over panels of
   // BlockConfig::nb rows: a serial per-row loop inside each panel's
   // diagonal block, then a row-parallel GEMM update (simd gemm_tile) of
@@ -69,30 +66,14 @@ class Cholesky {
   bool ok_ = false;
 };
 
-// Rank-1 update of a lower-triangular Cholesky factor, in place:
-// given L with A = L L^T, computes L' with L' L'^T = A + v v^T.
-// O(n^2) — the building block of incremental SRDA training.
-void CholeskyRank1Update(Matrix* l, Vector v);
-
-// Solves L x = b for lower-triangular L (forward substitution).
-Vector ForwardSubstitute(const Matrix& l, const Vector& b);
-
-// Solves L^T x = b for lower-triangular L (back substitution on the
-// transpose).
-Vector BackSubstituteTransposed(const Matrix& l, const Vector& b);
-
-// Solves R x = b for upper-triangular R (back substitution). Used by the QR
-// based IDR/QR baseline.
-Vector BackSubstitute(const Matrix& r, const Vector& b);
-
-// Batched forms of ForwardSubstitute / BackSubstituteTransposed: solve
-// L X = B (resp. L^T X = B) for all k columns of B (n x k) at once, through
-// the same blocked sweep as Cholesky::SolveMatrix. Each column's arithmetic
-// is EXACTLY the single-vector routine's (same subtraction chain, per-row
-// division), so column j of the result is bitwise identical to
-// ForwardSubstitute(l, B.Col(j)) at any thread count.
-// The preconditioned LSQR path leans on that contract to keep each batched
-// column bitwise equal to a one-column solve.
+// Solve L X = B (resp. L^T X = B) for lower-triangular L and all k
+// columns of B (n x k) at once, through the same blocked sweep and the same
+// per-row finish (multiply by the pivot's reciprocal) as
+// Cholesky::SolveMatrix, which is these two in sequence. Column j's
+// arithmetic depends on no other column, so it is bitwise identical to the
+// sweep of column j alone at any thread count, panel width, and SIMD level;
+// the preconditioned LSQR path leans on that contract. A one-column B is
+// the single-vector solve.
 Matrix ForwardSubstituteMatrix(const Matrix& l, const Matrix& b);
 Matrix BackSubstituteTransposedMatrix(const Matrix& l, const Matrix& b);
 

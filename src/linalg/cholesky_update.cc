@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -219,29 +220,32 @@ void CheckShapes(const Matrix& l, const Matrix& v) {
   SRDA_CHECK_GT(v.rows(), 0) << "need at least one update vector";
 }
 
-// Rank-1 Givens update restricted to the trailing block [begin, end) of
-// `l`, with v indexed from the block origin. The splice step of each
-// choldelete repairs the factor below the deleted index with this.
-void Rank1UpdateBlock(Matrix* l, int begin, int end, Vector* v) {
+}  // namespace
+
+void CholeskyRank1Update(Matrix* l, Vector v, int begin) {
+  SRDA_CHECK(l != nullptr);
+  SRDA_CHECK_EQ(l->rows(), l->cols()) << "factor must be square";
+  SRDA_CHECK(begin >= 0 && begin + v.size() <= l->rows())
+      << "update vector size mismatch: " << v.size() << " entries from row "
+      << begin << " of a " << l->rows() << "-row factor";
   Matrix& factor = *l;
-  Vector& u = *v;
+  const int end = begin + v.size();
+  // Sequence of Givens rotations zeroing v against the diagonal.
   for (int d = begin; d < end; ++d) {
     const double ldd = factor(d, d);
     SRDA_CHECK_GT(ldd, 0.0) << "invalid Cholesky factor at " << d;
-    const double vd = u[d - begin];
+    const double vd = v[d - begin];
     const double rr = std::hypot(ldd, vd);
     const double c = rr / ldd;
     const double s = vd / ldd;
     factor(d, d) = rr;
     for (int i = d + 1; i < end; ++i) {
-      const double lid = (factor(i, d) + s * u[i - begin]) / c;
-      u[i - begin] = c * u[i - begin] - s * lid;
+      const double lid = (factor(i, d) + s * v[i - begin]) / c;
+      v[i - begin] = c * v[i - begin] - s * lid;
       factor(i, d) = lid;
     }
   }
 }
-
-}  // namespace
 
 void CholeskyRankKUpdate(Matrix* l, const Matrix& v) {
   SRDA_CHECK(l != nullptr);
@@ -318,7 +322,7 @@ Matrix CholeskyDeleteRowsCols(const Matrix& l,
     }
     --ncur;
     AddFlops(4.0 * tail * tail);
-    Rank1UpdateBlock(&work, idx, ncur, &v);
+    CholeskyRank1Update(&work, std::move(v), idx);
   }
   Matrix out(ncur, ncur);
   for (int i = 0; i < ncur; ++i) {

@@ -37,8 +37,18 @@
 #include <vector>
 
 #include "matrix/matrix.h"
+#include "matrix/vector.h"
 
 namespace srda {
+
+// Rank-1 update by Givens rotations, in place, of the diagonal block of L
+// that starts at row/column `begin` and spans v.size() rows: given that
+// block B with A_b = BBᵀ, computes B' with B'B'ᵀ = A_b + vvᵀ in
+// O(v.size()²). Nothing outside the block is read or written. With
+// begin = 0 and v.size() = n it updates the whole factor (incremental
+// SRDA's AddSample); CholeskyDeleteRowsCols repairs the trailing block
+// after each splice with it.
+void CholeskyRank1Update(Matrix* l, Vector v, int begin = 0);
 
 // Rank-k update, in place: given L with G = LLᵀ, computes L' with
 // L'L'ᵀ = G + VᵀV. `v` is k x n; each row is one update vector.
@@ -57,7 +67,7 @@ bool CholeskyRankKDowndate(Matrix* l, const Matrix& v);
 // Factor of the principal submatrix: given L with G = LLᵀ, returns the
 // factor of G with the rows AND columns in `indices` removed (indices
 // sorted ascending, unique, in range). Each deletion splices the factor
-// and repairs the trailing block with one Givens rank-1 update
+// and repairs the trailing block with one CholeskyRank1Update
 // ("choldelete"); O(Σ (n − i)²) total. This is the dual-side half of the
 // fold API: deleting a fold's rows from the factor of X̄X̄ᵀ + αI yields the
 // factor of the held-in rows' outer Gram, still shifted by α.

@@ -7,8 +7,8 @@
 // Discriminant Analysis", Chowdhury/Yang/Drineas): LSQR on the
 // preconditioned operator [A; sqrt(alpha) I] L^{-T} converges in a handful
 // of iterations because the preconditioned Gram is close to the identity.
-// The same sketch also supports a pure sketch-solve mode that returns the
-// minimizer of the sketched objective directly (solver/ridge_solver.h).
+// The sketch is a preconditioner only: solutions are always LSQR's on the
+// exact problem (solver/ridge_solver.h, SketchMode::kPrecondition).
 //
 // Two sketch kinds:
 //  * kCountSketch — each input row i is added, with a pseudo-random sign,

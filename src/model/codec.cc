@@ -20,11 +20,10 @@ namespace srda {
 namespace model {
 namespace {
 
-// ---- Text codec ("srda-model 2", plus the legacy v1 reader) -------------
+// ---- Text codec ("srda-model 2") ----------------------------------------
 
 constexpr char kTextMagic[] = "srda-model";
 constexpr int kTextVersion = 2;
-constexpr char kLegacyMagic[] = "srda-classifier";
 
 const char* HeadName(HeadKind head) {
   SRDA_CHECK(head == HeadKind::kCentroid) << "unknown classifier head";
@@ -59,31 +58,6 @@ T ReadKeyed(std::ifstream* in, const std::string& path, const char* key) {
   SRDA_CHECK(static_cast<bool>(*in >> actual >> value) && actual == key)
       << path << ": expected '" << key << " <value>' in model header";
   return value;
-}
-
-SrdaModel LoadLegacyClassifier(std::ifstream* in, const std::string& path) {
-  int input_dim = 0;
-  int output_dim = 0;
-  int num_classes = 0;
-  SRDA_CHECK(static_cast<bool>(*in >> input_dim >> output_dim >> num_classes))
-      << path << ": missing dimensions";
-  SRDA_CHECK(input_dim > 0 && output_dim > 0 && num_classes > 1)
-      << path << ": invalid dimensions";
-  Matrix projection(input_dim, output_dim);
-  ReadMatrixRows(in, &projection, path, "projection");
-  Vector bias(output_dim);
-  for (int j = 0; j < output_dim; ++j) {
-    SRDA_CHECK(static_cast<bool>(*in >> bias[j]))
-        << path << ": truncated bias";
-  }
-  SrdaModel m;
-  m.centroids = Matrix(num_classes, output_dim);
-  ReadMatrixRows(in, &m.centroids, path, "centroids");
-  m.embedding = LinearEmbedding(std::move(projection), std::move(bias));
-  m.raw_labels.resize(static_cast<size_t>(num_classes));
-  for (int k = 0; k < num_classes; ++k) m.raw_labels[static_cast<size_t>(k)] = k;
-  m.Validate();
-  return m;
 }
 
 // ---- Binary codec ("SRDM" v1) -------------------------------------------
@@ -270,11 +244,6 @@ SrdaModel LoadText(const std::string& path) {
   int version = 0;
   SRDA_CHECK(static_cast<bool>(in >> magic))
       << path << ": empty model file";
-  if (magic == kLegacyMagic) {
-    SRDA_CHECK(static_cast<bool>(in >> version) && version == 1)
-        << path << ": unsupported " << kLegacyMagic << " version";
-    return LoadLegacyClassifier(&in, path);
-  }
   SRDA_CHECK(magic == kTextMagic)
       << path << ": not an srda model file (magic '" << magic << "')";
   SRDA_CHECK(static_cast<bool>(in >> version))
@@ -419,8 +388,7 @@ Codec DetectCodec(const std::string& path) {
   if (SniffFirstByte(path) == 'B') return Codec::kBinary;
   std::ifstream in(path);
   std::string magic;
-  SRDA_CHECK(static_cast<bool>(in >> magic) &&
-             (magic == kTextMagic || magic == kLegacyMagic))
+  SRDA_CHECK(static_cast<bool>(in >> magic) && magic == kTextMagic)
       << path << ": not an srda model file";
   return Codec::kText;
 }

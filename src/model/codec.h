@@ -5,9 +5,7 @@
 //  * Text ("srda-model 2"): line-oriented, human-inspectable, the migration
 //    format. Doubles are written with max_digits10 significant digits so a
 //    save -> load round trip reproduces every coefficient bit for bit
-//    (correctly-rounded decimal I/O both ways). The loader also accepts the
-//    legacy "srda-classifier 1" files written before the store existed,
-//    filling identity raw labels and empty provenance.
+//    (correctly-rounded decimal I/O both ways).
 //
 //  * Binary ("SRDM" v1): a fixed header holding dimensions, provenance, and
 //    the byte offset of every section, followed by 64-byte-aligned sections
@@ -34,7 +32,7 @@ namespace srda {
 namespace model {
 
 enum class Codec {
-  kText,    // "srda-model 2" (or legacy "srda-classifier 1" on load)
+  kText,    // "srda-model 2"
   kBinary,  // "SRDM" v1, mmap-able
 };
 
@@ -43,7 +41,7 @@ enum class Codec {
 void Save(const SrdaModel& m, const std::string& path, Codec codec);
 
 // Loads a model, sniffing the codec from the file's magic: "SRDM" selects
-// the binary loader, "srda-model"/"srda-classifier" the text loader.
+// the binary loader, "srda-model" the text loader.
 // Anything else aborts with the path.
 SrdaModel Load(const std::string& path);
 

@@ -88,9 +88,8 @@ void RidgeSolver::PrepareDense() {
       << "dense data accessor on a non-dense-bound solver";
   if (dense_ready_) return;
   TraceSpan span("ridge.prepare_dense");
-  mean_ = ColumnMeans(*x_);
   centered_ = *x_;
-  SubtractRowVector(mean_, &centered_);
+  SubtractRowVector(mean(), &centered_);
   switch (side_) {
     case GramSide::kAuto:
       use_primal_ = x_->cols() <= x_->rows();
@@ -105,31 +104,13 @@ void RidgeSolver::PrepareDense() {
   dense_ready_ = true;
 }
 
-// Streaming pass over dense shards: the column-sum chain is the same
-// serial ascending-row recurrence ColumnMeans runs on the concatenated
-// matrix, so the mean is bitwise identical to the in-RAM one.
 void RidgeSolver::PrepareSharded() {
   SRDA_CHECK(binding_ == Binding::kSharded)
       << "sharded data accessor on a non-sharded solver";
   SRDA_CHECK(!source_->sparse())
       << "sharded normal equations need dense shards; sparse shard streams "
          "solve via RidgeMethod::kLsqr";
-  if (dense_ready_) return;
-  TraceSpan span("ridge.prepare_sharded");
-  const int m = source_->rows();
-  Vector sums(source_->cols());
-  source_->Reset();
-  RowShard shard;
-  int next_row = 0;
-  while (source_->Next(&shard)) {
-    SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
-    ColumnSumsAccumulate(*shard.dense, &sums);
-    next_row += shard.rows();
-  }
-  SRDA_CHECK_EQ(next_row, m) << "shard stream ended early";
-  Scale(1.0 / m, &sums);
-  mean_ = std::move(sums);
-  dense_ready_ = true;
+  mean();
 }
 
 const Matrix& RidgeSolver::GramBase() {
@@ -366,16 +347,6 @@ const LinearOperator* RidgeSolver::ResolveOperator() {
   return nullptr;
 }
 
-void RidgeSolver::EnsureOperatorMean(const LinearOperator* data) {
-  if (operator_mean_ready_) return;
-  // Column means through the operator itself (A^T 1 / m): works for
-  // dense and sparse data without densifying either.
-  operator_mean_ =
-      data->ApplyTransposedMulti(Matrix(data->rows(), 1, 1.0)).Col(0);
-  Scale(1.0 / data->rows(), &operator_mean_);
-  operator_mean_ready_ = true;
-}
-
 void RidgeSolver::EnsureSketch(const LinearOperator* data) {
   if (sketch_ready_) {
     if (TraceEnabled()) RidgeMetrics().sketch_hits->Increment();
@@ -419,18 +390,17 @@ void RidgeSolver::EnsureSketch(const LinearOperator* data) {
   // Correct for the bias mode so the sketch is of the EFFECTIVE matrix the
   // LSQR path solves against: S(A - 1 meanᵀ) = SA - (S·1) meanᵀ and
   // S[A 1] = [SA, S·1], both without a second data pass.
+  const Vector sketched_ones = SketchOnes(m, opts);
   if (bias_mode_ == RidgeBias::kImplicitCentering) {
-    EnsureOperatorMean(data);
-    const Vector sketched_ones = SketchOnes(m, opts);
+    const Vector& column_mean = mean();
     for (int t = 0; t < base.rows(); ++t) {
       const double s1 = sketched_ones[t];
       if (s1 == 0.0) continue;
       double* row = base.RowPtr(t);
-      for (int j = 0; j < base.cols(); ++j) row[j] -= s1 * operator_mean_[j];
+      for (int j = 0; j < base.cols(); ++j) row[j] -= s1 * column_mean[j];
     }
     sketch_ = std::move(base);
-  } else if (bias_mode_ == RidgeBias::kAugmentedOnes) {
-    const Vector sketched_ones = SketchOnes(m, opts);
+  } else {
     sketch_ = Matrix(opts.sketch_rows, n_effective);
     for (int t = 0; t < opts.sketch_rows; ++t) {
       const double* src = base.RowPtr(t);
@@ -438,8 +408,6 @@ void RidgeSolver::EnsureSketch(const LinearOperator* data) {
       std::copy(src, src + base.cols(), dst);
       dst[base.cols()] = sketched_ones[t];
     }
-  } else {
-    sketch_ = std::move(base);
   }
   sketch_ready_ = true;
 }
@@ -456,12 +424,38 @@ const Cholesky* RidgeSolver::SketchedFactorAt(const LinearOperator* data,
   return sketch_factor_ok_ ? &sketch_chol_ : nullptr;
 }
 
+// Dense rows — in RAM or streamed as dense shards — sum through the serial
+// ascending-row chain of ColumnMeans / ColumnSumsAccumulate, so the sharded
+// mean is bitwise identical to the in-RAM one; those are also the bits
+// A^T 1 / m through the operator gives. Only operator bindings and sparse
+// shards, which offer no dense rows, sum through the operator.
 const Vector& RidgeSolver::mean() {
-  if (binding_ == Binding::kSharded) {
-    PrepareSharded();
-    return mean_;
+  if (mean_ready_) return mean_;
+  SRDA_CHECK(binding_ != Binding::kGram)
+      << "column means need row-level data; Gram-bound solvers have no rows";
+  if (binding_ == Binding::kDense) {
+    mean_ = ColumnMeans(*x_);
+  } else if (binding_ == Binding::kSharded && !source_->sparse()) {
+    TraceSpan span("ridge.prepare_sharded");
+    const int m = source_->rows();
+    Vector sums(source_->cols());
+    source_->Reset();
+    RowShard shard;
+    int next_row = 0;
+    while (source_->Next(&shard)) {
+      SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
+      ColumnSumsAccumulate(*shard.dense, &sums);
+      next_row += shard.rows();
+    }
+    SRDA_CHECK_EQ(next_row, m) << "shard stream ended early";
+    Scale(1.0 / m, &sums);
+    mean_ = std::move(sums);
+  } else {
+    const LinearOperator* data = ResolveOperator();
+    mean_ = data->ApplyTransposedMulti(Matrix(data->rows(), 1, 1.0)).Col(0);
+    Scale(1.0 / data->rows(), &mean_);
   }
-  PrepareDense();
+  mean_ready_ = true;
   return mean_;
 }
 
@@ -616,30 +610,23 @@ RidgeSolution RidgeSolver::SolveLsqr(const Matrix& responses, double alpha,
   solution.coefficients = Matrix(n, d);
 
   std::vector<LsqrResult> results;
+  solution.bias = Vector(d);
   if (bias_mode_ == RidgeBias::kImplicitCentering) {
-    EnsureOperatorMean(data);
-    const CenterColumnsOperator centered(data, &operator_mean_);
+    const Vector& column_mean = mean();
+    const CenterColumnsOperator centered(data, &column_mean);
     results = LsqrBatch(centered, responses, lsqr_options);
-    solution.bias = Vector(d);
     for (int j = 0; j < d; ++j) {
       const LsqrResult& result = results[static_cast<size_t>(j)];
       for (int i = 0; i < n; ++i) solution.coefficients(i, j) = result.x[i];
-      solution.bias[j] = -Dot(operator_mean_, result.x);
+      solution.bias[j] = -Dot(column_mean, result.x);
     }
-  } else if (bias_mode_ == RidgeBias::kAugmentedOnes) {
+  } else {
     const AppendOnesColumnOperator augmented(data);
     results = LsqrBatch(augmented, responses, lsqr_options);
-    solution.bias = Vector(d);
     for (int j = 0; j < d; ++j) {
       const LsqrResult& result = results[static_cast<size_t>(j)];
       for (int i = 0; i < n; ++i) solution.coefficients(i, j) = result.x[i];
       solution.bias[j] = result.x[n];
-    }
-  } else {
-    results = LsqrBatch(*data, responses, lsqr_options);
-    for (int j = 0; j < d; ++j) {
-      const LsqrResult& result = results[static_cast<size_t>(j)];
-      for (int i = 0; i < n; ++i) solution.coefficients(i, j) = result.x[i];
     }
   }
 

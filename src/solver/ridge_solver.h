@@ -36,8 +36,6 @@ namespace srda {
 
 // How the solver treats the affine bias of the regression y ~ A a + b.
 enum class RidgeBias {
-  // No bias: solve against the operator exactly as given.
-  kNone,
   // Solve on the implicitly centered data (A - 1 meanᵀ) and recover
   // b = -meanᵀ a. This keeps the bias out of the ridge penalty — the
   // paper's Eq. 15 convention — and is what SRDA uses on both paths.
@@ -113,7 +111,7 @@ struct RidgeSolution {
   bool ok = false;
   // n x k ridge coefficients, one column per response.
   Matrix coefficients;
-  // k bias entries; empty under RidgeBias::kNone and for Gram-bound solvers.
+  // k bias entries; empty for Gram-bound solvers.
   Vector bias;
   // Total LSQR iterations across all responses (0 on the direct paths).
   int total_lsqr_iterations = 0;
@@ -197,8 +195,10 @@ class RidgeSolver {
   // with a different alpha.
   const Cholesky* FactorAt(double alpha);
 
-  // Column means of the bound data (dense-bound solvers, and sharded
-  // solvers over dense shards — computed in one streaming pass).
+  // Column means of the bound data, cached: ColumnMeans for dense-bound
+  // solvers, one streaming pass for dense shards, A^T 1 / m through the
+  // operator for operator-bound solvers and sparse shards. Row-level
+  // bindings only. The LSQR and sketch paths center with this same vector.
   const Vector& mean();
 
   // The centered copy X̄ = X - 1 meanᵀ (dense-bound solvers only). RLDA
@@ -220,7 +220,6 @@ class RidgeSolver {
   // The operator view of the bound data the LSQR path runs on
   // (creates and caches the DenseOperator for dense bindings).
   const LinearOperator* ResolveOperator();
-  void EnsureOperatorMean(const LinearOperator* data);
   // Builds (and caches) the sketch of the EFFECTIVE solve matrix — the
   // base data corrected for the bias mode (implicit centering subtracts
   // (S·1) meanᵀ, augmented-ones appends the S·1 column).
@@ -238,9 +237,11 @@ class RidgeSolver {
   RidgeBias bias_mode_ = RidgeBias::kImplicitCentering;
   GramSide side_ = GramSide::kAuto;
 
-  // Dense-binding caches (built on first use).
-  bool dense_ready_ = false;
+  // Column means (every row-level binding) and the dense-binding caches,
+  // built on first use.
+  bool mean_ready_ = false;
   Vector mean_;
+  bool dense_ready_ = false;
   Matrix centered_;
   bool use_primal_ = true;
 
@@ -262,12 +263,8 @@ class RidgeSolver {
   std::vector<int> fold_rows_;
   std::unique_ptr<Matrix> owned_x_;
 
-  // LSQR-path caches: the operator view of dense data and the column means
-  // computed through the operator (A^T 1 / m), matching the historical
-  // matrix-free arithmetic bit for bit.
+  // LSQR-path cache: the operator view of dense data.
   std::unique_ptr<DenseOperator> dense_operator_;
-  bool operator_mean_ready_ = false;
-  Vector operator_mean_;
 
   // Sketch caches (SetSketch): the alpha-independent sketch of the
   // effective solve matrix and the last factored (sketchᵀ sketch + alpha I).

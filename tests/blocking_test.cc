@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,8 +49,12 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
   return bytes == 0 || std::memcmp(a.data(), b.data(), bytes) == 0;
 }
 
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
+// A vector as an n x 1 matrix: a single right-hand side is a one-column
+// batched solve.
+Matrix OneColumn(const Vector& v) {
+  Matrix m(v.size(), 1);
+  m.SetCol(0, v);
+  return m;
 }
 
 // The blocked kernels drop the naive loops' zero-skips and reassociate the
@@ -251,7 +256,7 @@ TEST_F(BlockingTest, BlockedCholeskyPanelWidthDoesNotChangeCorrectness) {
     SetBlockConfig(config);
     Cholesky chol;
     ASSERT_TRUE(chol.Factor(spd)) << "nb=" << nb;
-    const Vector x = chol.Solve(b);
+    const Vector x = chol.SolveMatrix(OneColumn(b)).Col(0);
     // Residual check: A x ~= b.
     const Vector ax = Multiply(spd, x);
     EXPECT_LE(MaxAbsDiff(ax, b), 1e-8 * n) << "nb=" << nb;
@@ -268,10 +273,9 @@ TEST_F(BlockingTest, SolveMatrixMatchesPerColumnSolve) {
   ASSERT_TRUE(chol.Factor(spd));
   const Matrix x = chol.SolveMatrix(b);
   for (int j = 0; j < num_rhs; ++j) {
-    const Vector column = chol.Solve(b.Col(j));
-    for (int i = 0; i < n; ++i) {
-      EXPECT_NEAR(x(i, j), column[i], 1e-10) << "col " << j;
-    }
+    EXPECT_TRUE(BitwiseEqual(x.Block(0, j, n, 1),
+                             chol.SolveMatrix(b.Block(0, j, n, 1))))
+        << "col " << j;
   }
   // The blocked sweep reproduces the column-striped solve bit for bit at
   // every size, right-hand-side count, panel width, thread count, and SIMD
@@ -345,8 +349,9 @@ TEST_F(BlockingTest, SolveMatrixWithZerosInFactorMatchesColumnStripedSolve) {
   }
 }
 
-// The batched substitutions share the blocked sweep and must stay bitwise
-// equal, column by column, to the single-vector routines.
+// Column independence: column j of each batched sweep is bitwise the sweep
+// of column j alone (the single-vector solve), at every SIMD level, panel
+// width, and thread count.
 TEST_F(BlockingTest, BatchedSubstitutionsMatchVectorRoutines) {
   Rng rng(28);
   for (const int n : {1, 65, 150}) {
@@ -365,17 +370,67 @@ TEST_F(BlockingTest, BatchedSubstitutionsMatchVectorRoutines) {
           SetGlobalThreadCount(threads);
           const Matrix forward = ForwardSubstituteMatrix(l, b);
           const Matrix backward = BackSubstituteTransposedMatrix(l, b);
+          const Matrix both = chol.SolveMatrix(b);
           for (int j = 0; j < b.cols(); ++j) {
-            const Vector column = b.Col(j);
-            const Vector fwd = ForwardSubstitute(l, column);
-            const Vector bwd = BackSubstituteTransposed(l, column);
-            for (int i = 0; i < n; ++i) {
-              ASSERT_TRUE(SameBits(forward(i, j), fwd[i]))
-                  << "forward n=" << n << " nb=" << nb << " t=" << threads;
-              ASSERT_TRUE(SameBits(backward(i, j), bwd[i]))
-                  << "backward n=" << n << " nb=" << nb << " t=" << threads;
-            }
+            const Matrix column = b.Block(0, j, n, 1);
+            const std::string where = "n=" + std::to_string(n) +
+                                      " nb=" + std::to_string(nb) +
+                                      " t=" + std::to_string(threads) + " " +
+                                      simd::CpuLevelName(level);
+            ASSERT_TRUE(BitwiseEqual(forward.Block(0, j, n, 1),
+                                     ForwardSubstituteMatrix(l, column)))
+                << "forward " << where;
+            ASSERT_TRUE(BitwiseEqual(backward.Block(0, j, n, 1),
+                                     BackSubstituteTransposedMatrix(l, column)))
+                << "backward " << where;
+            ASSERT_TRUE(BitwiseEqual(both.Block(0, j, n, 1),
+                                     chol.SolveMatrix(column)))
+                << "solve " << where;
           }
+        }
+      }
+    }
+  }
+}
+
+// Each sweep reproduces the serial per-row oracle (the column-striped
+// halves): forward and backward alone, and SolveMatrix as the two in
+// sequence, bit for bit at every size, panel width, thread count, and SIMD
+// level.
+TEST_F(BlockingTest, BatchedSweepsMatchPerRowOracle) {
+  Rng rng(29);
+  for (const int n : kSolveSizes) {
+    const Matrix spd = RandomSpd(n, &rng);
+    Cholesky chol;
+    ASSERT_TRUE(chol.Factor(spd)) << "n=" << n;
+    const Matrix& l = chol.factor();
+    const Matrix b = RandomMatrix(n, 5, &rng);
+    Matrix want_forward = b;
+    ColumnStripedForward(l, &want_forward);
+    Matrix want_backward = b;
+    ColumnStripedBackward(l, &want_backward);
+    Matrix want_solve = want_forward;
+    ColumnStripedBackward(l, &want_solve);
+    for (const simd::CpuLevel level : simd::SupportedLevels()) {
+      ScopedLevel forced(level);
+      for (const int nb : SolvePanelWidths(n)) {
+        BlockConfig config;
+        config.nb = nb;
+        SetBlockConfig(config);
+        for (const int threads : {1, 4}) {
+          SetGlobalThreadCount(threads);
+          const std::string where = "n=" + std::to_string(n) +
+                                    " nb=" + std::to_string(nb) +
+                                    " t=" + std::to_string(threads) + " " +
+                                    simd::CpuLevelName(level);
+          EXPECT_TRUE(
+              BitwiseEqual(ForwardSubstituteMatrix(l, b), want_forward))
+              << "forward " << where;
+          EXPECT_TRUE(
+              BitwiseEqual(BackSubstituteTransposedMatrix(l, b), want_backward))
+              << "backward " << where;
+          EXPECT_TRUE(BitwiseEqual(chol.SolveMatrix(b), want_solve))
+              << "solve " << where;
         }
       }
     }
@@ -391,7 +446,7 @@ TEST_F(BlockingTest, BackSubstituteTransposedSolvesTransposedSystem) {
   const Matrix& l = chol.factor();
   Vector b(n);
   for (int i = 0; i < n; ++i) b[i] = rng.NextGaussian();
-  const Vector x = BackSubstituteTransposed(l, b);
+  const Vector x = BackSubstituteTransposedMatrix(l, OneColumn(b)).Col(0);
   // Check L^T x = b directly: (L^T x)[i] = sum_{k >= i} L(k, i) x[k].
   for (int i = 0; i < n; ++i) {
     double sum = 0.0;

@@ -8,6 +8,7 @@
 #include "core/responses.h"
 #include "core/srda.h"
 #include "linalg/cholesky.h"
+#include "linalg/cholesky_update.h"
 #include "matrix/blas.h"
 
 namespace srda {
@@ -64,8 +65,11 @@ TEST(CholeskyRank1UpdateTest, RepeatedUpdatesStayAccurate) {
 }
 
 TEST(CholeskyRank1UpdateDeathTest, SizeMismatchAborts) {
+  // The update block (v.size() rows from `begin`) must lie inside the
+  // factor.
   Matrix factor = Matrix::Identity(3);
-  EXPECT_DEATH(CholeskyRank1Update(&factor, Vector(2)), "size mismatch");
+  EXPECT_DEATH(CholeskyRank1Update(&factor, Vector(4)), "size mismatch");
+  EXPECT_DEATH(CholeskyRank1Update(&factor, Vector(2), 2), "size mismatch");
 }
 
 void MakeBlobs(int num_classes, int per_class, int dim, Rng* rng, Matrix* x,

@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/srda.h"
 #include "io/dataset_io.h"
+#include "io/row_shard_reader.h"
 #include "matrix/blas.h"
 
 namespace srda {
@@ -281,56 +281,54 @@ TEST(DenseBinaryIoDeathTest, WrongMagicAborts) {
   std::remove(path.c_str());
 }
 
-TEST(EmbeddingIoTest, RoundTripExact) {
-  const std::string path = TempPath("model.txt");
-  Rng rng(1);
-  Matrix projection(4, 2);
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 2; ++j) projection(i, j) = rng.NextGaussian();
-  }
-  Vector bias{0.5, -1.25};
-  const LinearEmbedding original(projection, bias);
-  SaveEmbedding(original, path);
-  const LinearEmbedding loaded = LoadEmbedding(path);
-  EXPECT_EQ(loaded.input_dim(), 4);
-  EXPECT_EQ(loaded.output_dim(), 2);
-  EXPECT_EQ(MaxAbsDiff(loaded.projection(), original.projection()), 0.0);
-  EXPECT_EQ(MaxAbsDiff(loaded.bias(), original.bias()), 0.0);
-  std::remove(path.c_str());
-}
-
-TEST(EmbeddingIoTest, TrainedModelSurvivesRoundTrip) {
-  // Train SRDA, save, load, verify identical embeddings of new data.
-  Rng rng(2);
-  Matrix x(30, 5);
-  std::vector<int> labels;
-  for (int i = 0; i < 30; ++i) {
-    labels.push_back(i % 3);
-    for (int j = 0; j < 5; ++j) {
-      x(i, j) = 2.0 * (j == i % 3) + rng.NextGaussian();
-    }
-  }
-  const SrdaModel model = FitSrda(x, labels, 3);
-  const std::string path = TempPath("srda-model.txt");
-  SaveEmbedding(model.embedding, path);
-  const LinearEmbedding loaded = LoadEmbedding(path);
-  Matrix queries(4, 5);
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 5; ++j) queries(i, j) = rng.NextGaussian();
-  }
-  EXPECT_EQ(MaxAbsDiff(model.embedding.Transform(queries),
-                       loaded.Transform(queries)),
-            0.0);
-  std::remove(path.c_str());
-}
-
-TEST(EmbeddingIoDeathTest, WrongMagicAborts) {
-  const std::string path = TempPath("not-a-model.txt");
+// Non-finite values: std::from_chars parses "nan" and "inf", but the
+// dataset grammar rejects them with the located malformed-field abort, in
+// the one-shot readers and in RowShardReader's scan alike.
+TEST(NonFiniteIoDeathTest, LibSvmNanValueAborts) {
+  const std::string path = TempPath("nan.libsvm");
   {
     std::ofstream out(path);
-    out << "something else\n";
+    out << "0 1:2 2:1\n1 1:nan 2:1\n";
   }
-  EXPECT_DEATH(LoadEmbedding(path), "not an srda-embedding");
+  const char kWant[] = "nan.libsvm:2: malformed feature value in pair '1:nan'";
+  EXPECT_DEATH(ReadLibSvmFile(path), kWant);
+  EXPECT_DEATH(RowShardReader(path, RowStreamFormat::kLibSvm, {}), kWant);
+  std::remove(path.c_str());
+}
+
+TEST(NonFiniteIoDeathTest, LibSvmInfValueAborts) {
+  const std::string path = TempPath("inf.libsvm");
+  {
+    std::ofstream out(path);
+    out << "1 1:1 2:-inf\n";
+  }
+  const char kWant[] = "inf.libsvm:1: malformed feature value in pair '2:-inf'";
+  EXPECT_DEATH(ReadLibSvmFile(path), kWant);
+  EXPECT_DEATH(RowShardReader(path, RowStreamFormat::kLibSvm, {}), kWant);
+  std::remove(path.c_str());
+}
+
+TEST(NonFiniteIoDeathTest, CsvNanCellAborts) {
+  const std::string path = TempPath("nan.csv");
+  {
+    std::ofstream out(path);
+    out << "0,1.0,2.0\n1,NaN,1.0\n";
+  }
+  const char kWant[] = "nan.csv:2: malformed cell 'NaN'";
+  EXPECT_DEATH(ReadDenseCsvFile(path), kWant);
+  EXPECT_DEATH(RowShardReader(path, RowStreamFormat::kCsv, {}), kWant);
+  std::remove(path.c_str());
+}
+
+TEST(NonFiniteIoDeathTest, CsvInfCellAborts) {
+  const std::string path = TempPath("inf.csv");
+  {
+    std::ofstream out(path);
+    out << "0,1.0,infinity\n";
+  }
+  const char kWant[] = "inf.csv:1: malformed cell 'infinity'";
+  EXPECT_DEATH(ReadDenseCsvFile(path), kWant);
+  EXPECT_DEATH(RowShardReader(path, RowStreamFormat::kCsv, {}), kWant);
   std::remove(path.c_str());
 }
 

@@ -20,6 +20,14 @@ Matrix RandomSpd(int n, Rng* rng) {
   return spd;
 }
 
+// A vector as an n x 1 matrix: a single right-hand side is a one-column
+// batched solve.
+Matrix OneColumn(const Vector& v) {
+  Matrix m(v.size(), 1);
+  m.SetCol(0, v);
+  return m;
+}
+
 TEST(CholeskyTest, FactorReconstructs) {
   Rng rng(1);
   const Matrix a = RandomSpd(8, &rng);
@@ -50,7 +58,7 @@ TEST(CholeskyTest, SolveRecoversKnownSolution) {
   const Vector b = Multiply(a, x_true);
   Cholesky chol;
   ASSERT_TRUE(chol.Factor(a));
-  const Vector x = chol.Solve(b);
+  const Vector x = chol.SolveMatrix(OneColumn(b)).Col(0);
   EXPECT_LT(MaxAbsDiff(x, x_true), 1e-8);
 }
 
@@ -81,7 +89,7 @@ TEST(CholeskyTest, ZeroMatrixRejected) {
 
 TEST(CholeskyDeathTest, SolveWithoutFactorAborts) {
   Cholesky chol;
-  EXPECT_DEATH(chol.Solve(Vector(2)), "Factor");
+  EXPECT_DEATH(chol.SolveMatrix(Matrix(2, 1)), "Factor");
 }
 
 TEST(CholeskyDeathTest, NonSquareAborts) {
@@ -91,16 +99,18 @@ TEST(CholeskyDeathTest, NonSquareAborts) {
 
 TEST(TriangularSolveTest, ForwardSubstitution) {
   const Matrix l = Matrix::FromRows({{2.0, 0.0}, {1.0, 3.0}});
-  const Vector x = ForwardSubstitute(l, Vector{4.0, 11.0});
-  EXPECT_DOUBLE_EQ(x[0], 2.0);
-  EXPECT_DOUBLE_EQ(x[1], 3.0);
+  const Matrix x = ForwardSubstituteMatrix(l, OneColumn(Vector{4.0, 11.0}));
+  EXPECT_DOUBLE_EQ(x(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(x(1, 0), 3.0);
 }
 
 TEST(TriangularSolveTest, BackSubstitution) {
+  // R x = b for upper-triangular R = L^T is the backward sweep on L.
   const Matrix r = Matrix::FromRows({{2.0, 1.0}, {0.0, 4.0}});
-  const Vector x = BackSubstitute(r, Vector{5.0, 8.0});
-  EXPECT_DOUBLE_EQ(x[1], 2.0);
-  EXPECT_DOUBLE_EQ(x[0], 1.5);
+  const Matrix x =
+      BackSubstituteTransposedMatrix(r.Transposed(), OneColumn({5.0, 8.0}));
+  EXPECT_DOUBLE_EQ(x(1, 0), 2.0);
+  EXPECT_DOUBLE_EQ(x(0, 0), 1.5);
 }
 
 TEST(TriangularSolveTest, BackSubstituteTransposed) {
@@ -110,7 +120,8 @@ TEST(TriangularSolveTest, BackSubstituteTransposed) {
   ASSERT_TRUE(chol.Factor(a));
   Vector b(6);
   for (int i = 0; i < 6; ++i) b[i] = rng.NextGaussian();
-  const Vector x = BackSubstituteTransposed(chol.factor(), b);
+  const Vector x =
+      BackSubstituteTransposedMatrix(chol.factor(), OneColumn(b)).Col(0);
   // L^T x should equal b.
   const Vector check = Multiply(chol.factor().Transposed(), x);
   EXPECT_LT(MaxAbsDiff(check, b), 1e-10);
@@ -118,7 +129,7 @@ TEST(TriangularSolveTest, BackSubstituteTransposed) {
 
 TEST(TriangularSolveDeathTest, SingularDiagonalAborts) {
   const Matrix l = Matrix::FromRows({{0.0, 0.0}, {1.0, 1.0}});
-  EXPECT_DEATH(ForwardSubstitute(l, Vector{1.0, 1.0}), "singular");
+  EXPECT_DEATH(ForwardSubstituteMatrix(l, OneColumn({1.0, 1.0})), "singular");
 }
 
 // Property sweep: solve residual stays tiny across sizes.
@@ -132,7 +143,7 @@ TEST_P(CholeskySizeTest, ResidualSmall) {
   for (int i = 0; i < n; ++i) b[i] = rng.NextGaussian();
   Cholesky chol;
   ASSERT_TRUE(chol.Factor(a));
-  const Vector x = chol.Solve(b);
+  const Vector x = chol.SolveMatrix(OneColumn(b)).Col(0);
   Vector residual = Multiply(a, x);
   Axpy(-1.0, b, &residual);
   EXPECT_LT(Norm2(residual), 1e-8 * (1.0 + Norm2(b)));

@@ -143,7 +143,8 @@ TEST(LsqrTest, OverdeterminedMatchesNormalEquations) {
   Matrix gram = Gram(a);
   Cholesky chol;
   ASSERT_TRUE(chol.Factor(gram));
-  const Vector reference = chol.Solve(MultiplyTransposed(a, b));
+  const Vector reference =
+      chol.SolveMatrix(Column(MultiplyTransposed(a, b))).Col(0);
 
   const DenseOperator op(&a);
   LsqrOptions options;
@@ -163,7 +164,8 @@ TEST(LsqrTest, DampedMatchesRidgeNormalEquations) {
   AddDiagonal(alpha, &gram);
   Cholesky chol;
   ASSERT_TRUE(chol.Factor(gram));
-  const Vector reference = chol.Solve(MultiplyTransposed(a, b));
+  const Vector reference =
+      chol.SolveMatrix(Column(MultiplyTransposed(a, b))).Col(0);
 
   const DenseOperator op(&a);
   LsqrOptions options;
@@ -186,7 +188,8 @@ TEST(LsqrTest, UnderdeterminedRidgeRegularized) {
   AddDiagonal(alpha, &gram);
   Cholesky chol;
   ASSERT_TRUE(chol.Factor(gram));
-  const Vector reference = chol.Solve(MultiplyTransposed(a, b));
+  const Vector reference =
+      chol.SolveMatrix(Column(MultiplyTransposed(a, b))).Col(0);
 
   const DenseOperator op(&a);
   LsqrOptions options;
@@ -326,7 +329,8 @@ TEST(LsqrTest, TwentyIterationsNearConvergedOnWellConditioned) {
   AddDiagonal(1.0, &gram);
   Cholesky chol;
   ASSERT_TRUE(chol.Factor(gram));
-  const Vector reference = chol.Solve(MultiplyTransposed(a, b));
+  const Vector reference =
+      chol.SolveMatrix(Column(MultiplyTransposed(a, b))).Col(0);
 
   const DenseOperator op(&a);
   LsqrOptions options;

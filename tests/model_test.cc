@@ -159,33 +159,6 @@ TEST(TextCodecTest, HeaderCarriesProvenance) {
   std::remove(path.c_str());
 }
 
-// --- Legacy migration ----------------------------------------------------
-
-TEST(LegacyFormatTest, ClassifierV1FilesStillLoad) {
-  // A hand-written "srda-classifier 1" file, the format srda_train used to
-  // emit: dims line, projection rows, bias, centroid rows. Loading yields a
-  // model with identity raw labels and empty provenance.
-  const std::string path = TempPath("legacy.txt");
-  {
-    std::ofstream out(path);
-    out.precision(17);
-    out << "srda-classifier 1\n";
-    out << "3 2 2\n";
-    out << "0.25 0.5\n-0.125 1.0\n2.0 0.0001\n";  // projection, 3 x 2
-    out << "0.75 -0.25\n";                        // bias
-    out << "1.0 2.0\n-1.0 -2.0\n";                // centroids, 2 x 2
-  }
-  const model::SrdaModel m = model::Load(path);
-  EXPECT_EQ(m.input_dim(), 3);
-  EXPECT_EQ(m.output_dim(), 2);
-  EXPECT_EQ(m.num_classes(), 2);
-  EXPECT_EQ(m.raw_labels, (std::vector<int>{0, 1}));
-  EXPECT_TRUE(m.provenance.trainer.empty());
-  EXPECT_DOUBLE_EQ(m.centroids(1, 1), -2.0);
-  EXPECT_DOUBLE_EQ(m.embedding.bias()[0], 0.75);
-  std::remove(path.c_str());
-}
-
 // --- Raw-label mapping (satellite 3) --------------------------------------
 
 TEST(RawLabelTest, GappedLabelsSurviveBothCodecs) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -14,9 +15,13 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/idr_qr.h"
+#include "core/incremental_srda.h"
+#include "core/rlda.h"
 #include "core/srda.h"
 #include "linalg/cholesky.h"
 #include "matrix/blas.h"
+#include "matrix/blocking.h"
 #include "sparse/sparse_matrix.h"
 
 namespace srda {
@@ -292,6 +297,74 @@ TEST(DeterminismTest, FitSrdaBitwiseIdenticalAcrossThreadCounts) {
                            sparse4.embedding.projection()));
   EXPECT_TRUE(BitwiseEqual(sparse1.embedding.bias(),
                            sparse4.embedding.bias()));
+}
+
+// Table test over the trainers whose triangular solves run through the
+// batched sweeps (ForwardSubstituteMatrix / BackSubstituteTransposedMatrix):
+// each embedding is bitwise identical at 1 and 4 threads. A narrow panel
+// makes even IDR/QR's c x c factor span several panels, so the
+// row-parallel updates run.
+TEST(DeterminismTest, SweepTrainersBitwiseIdenticalAcrossThreadCounts) {
+  Rng rng(304);
+  const int num_classes = 6;
+  const int per_class = 25;
+  const int dim = 90;
+  Matrix x(num_classes * per_class, dim);
+  std::vector<int> labels;
+  for (int k = 0; k < num_classes; ++k) {
+    for (int i = 0; i < per_class; ++i) {
+      const int row = k * per_class + i;
+      for (int j = 0; j < dim; ++j) {
+        x(row, j) = (j % num_classes == k ? 2.0 : 0.0) + rng.NextGaussian();
+      }
+      labels.push_back(k);
+    }
+  }
+  using Fit = std::function<LinearEmbedding()>;
+  auto rlda = [&](bool exploit_low_rank) {
+    RldaOptions options;
+    options.alpha = 0.5;
+    options.exploit_low_rank = exploit_low_rank;
+    const RldaModel model = FitRlda(x, labels, num_classes, options);
+    EXPECT_TRUE(model.converged);
+    return model.embedding;
+  };
+  const struct {
+    const char* name;
+    Fit fit;
+  } cases[] = {
+      {"rlda", [&] { return rlda(false); }},
+      {"rlda_low_rank", [&] { return rlda(true); }},
+      {"idr_qr",
+       [&] {
+         const IdrQrModel model = FitIdrQr(x, labels, num_classes);
+         EXPECT_TRUE(model.converged);
+         return model.embedding;
+       }},
+      {"incremental_srda",
+       [&] {
+         IncrementalSrda trainer(dim, num_classes, 0.8);
+         for (int i = 0; i < x.rows(); ++i) {
+           trainer.AddSample(x.Row(i), labels[static_cast<size_t>(i)]);
+         }
+         return trainer.Solve();
+       }},
+  };
+  BlockConfig config;
+  config.nb = 4;
+  SetBlockConfig(config);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    SetGlobalThreadCount(1);
+    const LinearEmbedding one = c.fit();
+    SetGlobalThreadCount(4);
+    const LinearEmbedding four = c.fit();
+    SetGlobalThreadCount(1);
+    ASSERT_GT(one.output_dim(), 0);
+    EXPECT_TRUE(BitwiseEqual(one.projection(), four.projection()));
+    EXPECT_TRUE(BitwiseEqual(one.bias(), four.bias()));
+  }
+  SetBlockConfig(BlockConfig());
 }
 
 }  // namespace

@@ -11,13 +11,13 @@
 // appends lifecycle events (model.load and any fallbacks) as JSONL.
 //
 // The model file may be either model-store codec (versioned text or SRDM
-// binary — sniffed from the magic) or a legacy "srda-classifier 1" file.
-// "binary" data is the seekable SRDB container (srda_io). Prints the error
-// rate against the labels stored in the data file; --predictions-out writes
-// one predicted label per line in the ORIGINAL raw label space of the
-// training file (the model's raw_labels map applied to each prediction), so
-// gapped ids like {3, 7} come back out as 3 and 7, never 0 and 1. The error
-// rate compares raw against raw for the same reason.
+// binary), sniffed from the magic. "binary" data is the seekable SRDB
+// container (srda_io). Prints the error rate against the labels stored in
+// the data file; --predictions-out writes one predicted label per line in
+// the ORIGINAL raw label space of the training file (the model's raw_labels
+// map applied to each prediction), so gapped ids like {3, 7} come back out
+// as 3 and 7, never 0 and 1. The error rate compares raw against raw for
+// the same reason.
 
 #include <fstream>
 #include <iostream>

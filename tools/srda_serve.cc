@@ -10,7 +10,7 @@
 //              [--metrics-out=FILE] [--metrics-interval=SEC]
 //              [--event-log=FILE] [--linger=SEC]
 //
-// Loads a model-store file (text, SRDM binary, or legacy — sniffed), then
+// Loads a model-store file (text or SRDM binary, sniffed), then
 // drives synthetic traffic through the micro-batching PredictionService
 // (serve/serving.h): --clients threads each submit blocks of
 // --client-block query rows drawn from the data file, cycling until
