@@ -1,18 +1,19 @@
 #include "io/row_shard_reader.h"
 
-#include <algorithm>
-#include <cstring>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SRDA_HAVE_MMAP 1
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
-#else
-#define SRDA_HAVE_MMAP 0
-#endif
+
+#include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <system_error>
+#include <utility>
 
 #include "common/check.h"
 #include "io/dataset_io.h"
@@ -30,6 +31,36 @@ Counter* BytesStreamed() {
   return counter;
 }
 
+// Runs `transfer` (readv or writev) until every byte `iov` describes has
+// moved, resuming after short transfers and EINTR. Aborts naming `source`
+// on an error, or on end of file while reading.
+template <typename Transfer>
+void TransferAll(Transfer transfer, int fd, iovec* iov, int count,
+                 const std::string& source) {
+  for (;;) {
+    while (count > 0 && iov->iov_len == 0) {
+      ++iov;
+      --count;
+    }
+    if (count == 0) return;
+    const ssize_t moved = transfer(fd, iov, count);
+    if (moved < 0 && errno == EINTR) continue;
+    SRDA_CHECK(moved > 0) << source << ": "
+                          << (moved < 0 ? std::strerror(errno)
+                                        : "unexpected end of file");
+    for (size_t left = static_cast<size_t>(moved); left > 0;) {
+      const size_t step = std::min(left, iov->iov_len);
+      iov->iov_base = static_cast<char*>(iov->iov_base) + step;
+      iov->iov_len -= step;
+      left -= step;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --count;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 RowShardReader::RowShardReader(const std::string& path,
@@ -38,13 +69,8 @@ RowShardReader::RowShardReader(const std::string& path,
     : path_(path), format_(format), options_(options) {
   SRDA_CHECK_GT(options.shard_rows, 0) << "shard_rows must be positive";
   SRDA_CHECK_GE(options.num_features, 0);
-  in_.open(path, format == RowStreamFormat::kBinary
-                     ? std::ios::in | std::ios::binary
-                     : std::ios::in);
-  SRDA_CHECK(in_.good()) << "cannot open " << path << " for reading";
   if (format == RowStreamFormat::kBinary) {
     ReadBinaryMetadata();
-    if (options.use_mmap) TryMapBinary();
   } else {
     ScanText();
   }
@@ -54,65 +80,94 @@ RowShardReader::RowShardReader(const std::string& path,
 }
 
 RowShardReader::~RowShardReader() {
-#if SRDA_HAVE_MMAP
-  if (mmap_data_ != nullptr) {
-    munmap(const_cast<char*>(mmap_data_), static_cast<size_t>(mmap_size_));
-  }
-#endif
+  if (fd_ >= 0) close(fd_);
 }
 
-void RowShardReader::TryMapBinary() {
-  // Each early return below lands on the seek+read path; the event log
-  // records which gate failed (the counters cannot tell these apart).
-  const auto fallback = [this](const char* reason) {
-    obs::Event("io.mmap_fallback").Str("path", path_).Str("reason", reason);
-  };
-#if SRDA_HAVE_MMAP
-  const int64_t needed =
-      data_offset_ + static_cast<int64_t>(rows_) * cols_ * 8;
-  const int fd = open(path_.c_str(), O_RDONLY);
-  if (fd < 0) {
-    fallback("open");
-    return;
-  }
-  struct stat st;
-  if (fstat(fd, &st) != 0 || static_cast<int64_t>(st.st_size) < needed) {
-    close(fd);
-    fallback("stat_or_short_file");
-    return;
-  }
-  void* mapped =
-      mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ, MAP_PRIVATE,
-           fd, 0);
-  close(fd);  // The mapping outlives the descriptor.
-  if (mapped == MAP_FAILED) {
-    fallback("mmap");
-    return;
-  }
-  mmap_data_ = static_cast<const char*>(mapped);
-  mmap_size_ = static_cast<std::uint64_t>(st.st_size);
-#else
-  fallback("no_mmap_support");
-#endif
+void RowShardReader::OpenSpill() {
+  std::error_code error;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path(error);
+  const char* tmpdir = std::getenv("TMPDIR");
+  SRDA_CHECK(!error) << path_ << ": no temporary directory for the spill "
+                     << "(TMPDIR=" << (tmpdir != nullptr ? tmpdir : "unset")
+                     << "): " << error.message();
+  source_ = "spill file in " + dir.string();
+  std::string name = (dir / "srda-spill-XXXXXX").string();
+  fd_ = mkstemp(name.data());
+  SRDA_CHECK(fd_ >= 0) << path_ << ": cannot create a spill file in "
+                       << dir.string() << ": " << std::strerror(errno);
+  SRDA_CHECK(unlink(name.c_str()) == 0)
+      << path_ << ": cannot unlink " << name << ": " << std::strerror(errno);
 }
 
 void RowShardReader::ScanText() {
+  std::ifstream in(path_);
+  SRDA_CHECK(in.good()) << "cannot open " << path_ << " for reading";
+  OpenSpill();
+  const bool libsvm = format_ == RowStreamFormat::kLibSvm;
+  // The spill stores no width, so an inferred width (num_features == 0)
+  // need not be known until the scan ends; Next() supplies cols_.
+  const int width = options_.num_features > 0
+                        ? options_.num_features
+                        : std::numeric_limits<int>::max();
+  // The open shard: LibSVM entries with each row's end, or CSV rows.
+  std::vector<LibSvmEntry> entries;
+  std::vector<size_t> row_ends;
+  std::vector<double> dense_shard;
+  // Appends the open shard to the spill: CSR offsets, indices and values
+  // for LibSVM (assembled like ReadLibSvmFile does), row-major doubles for
+  // CSV.
+  const auto spill_shard = [&] {
+    if (libsvm && !row_ends.empty()) {
+      SparseMatrixBuilder builder(static_cast<int>(row_ends.size()), width);
+      size_t k = 0;
+      for (size_t i = 0; i < row_ends.size(); ++i) {
+        for (; k < row_ends[i]; ++k) {
+          builder.Add(static_cast<int>(i), entries[k].column,
+                      entries[k].value);
+        }
+      }
+      const SparseMatrix shard = std::move(builder).Build();
+      iovec iov[3] = {
+          {const_cast<int64_t*>(shard.row_offsets().data()),
+           shard.row_offsets().size() * sizeof(int64_t)},
+          {const_cast<int*>(shard.col_indices().data()),
+           shard.col_indices().size() * sizeof(int)},
+          {const_cast<double*>(shard.values().data()),
+           shard.values().size() * sizeof(double)}};
+      TransferAll(writev, fd_, iov, 3, source_);
+      shard_nnz_.push_back(shard.NumNonZeros());
+      entries.clear();
+      row_ends.clear();
+    } else if (!dense_shard.empty()) {
+      iovec iov = {dense_shard.data(), dense_shard.size() * sizeof(double)};
+      TransferAll(writev, fd_, &iov, 1, source_);
+      dense_shard.clear();
+    }
+  };
+
   std::string line;
   std::vector<int> raw_per_row;
   LibSvmLine parsed;
   std::vector<double> cells;
   int max_column = -1;
   int line_number = 0;
-  while (std::getline(in_, line)) {
+  while (std::getline(in, line)) {
     ++line_number;
     bytes_streamed_ += static_cast<int64_t>(line.size()) + 1;
     if (line.empty() || line[0] == '#') continue;
-    if (format_ == RowStreamFormat::kLibSvm) {
+    if (libsvm) {
       ParseLibSvmLine(line, path_, line_number, &parsed);
       raw_per_row.push_back(parsed.label);
       for (const LibSvmEntry& entry : parsed.entries) {
+        SRDA_CHECK_LT(entry.column, width)
+            << path_ << ":" << line_number << ": feature index "
+            << entry.column + 1 << " exceeds width " << width;
         max_column = std::max(max_column, entry.column);
       }
+      entries.insert(entries.end(), parsed.entries.begin(),
+                     parsed.entries.end());
+      row_ends.push_back(entries.size());
     } else {
       const int label = ParseCsvLine(line, path_, line_number, &cells);
       SRDA_CHECK_GE(label, 0)
@@ -124,15 +179,14 @@ void RowShardReader::ScanText() {
       }
       SRDA_CHECK_EQ(static_cast<int>(cells.size()), cols_)
           << path_ << ":" << line_number << ": ragged row";
+      dense_shard.insert(dense_shard.end(), cells.begin(), cells.end());
     }
-    ++rows_;
+    if (++rows_ % options_.shard_rows == 0) spill_shard();
   }
+  spill_shard();
   BytesStreamed()->Add(static_cast<double>(bytes_streamed_));
-  if (format_ == RowStreamFormat::kLibSvm) {
+  if (libsvm) {
     cols_ = options_.num_features > 0 ? options_.num_features : max_column + 1;
-    SRDA_CHECK_GT(cols_, max_column)
-        << path_ << ": feature index " << max_column + 1 << " exceeds width "
-        << cols_;
   }
   raw_labels_ = CompactLabelsSorted(&raw_per_row);
   labels_ = std::move(raw_per_row);
@@ -140,33 +194,42 @@ void RowShardReader::ScanText() {
 }
 
 void RowShardReader::ReadBinaryMetadata() {
-  DenseBinaryHeader header = ReadDenseBinaryHeader(&in_, path_);
-  rows_ = header.rows;
-  cols_ = header.cols;
-  num_classes_ = header.num_classes;
-  raw_labels_ = std::move(header.raw_labels);
-  labels_ = std::move(header.labels);
-  data_offset_ = header.data_offset;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    SRDA_CHECK(in.good()) << "cannot open " << path_ << " for reading";
+    DenseBinaryHeader header = ReadDenseBinaryHeader(&in, path_);
+    rows_ = header.rows;
+    cols_ = header.cols;
+    num_classes_ = header.num_classes;
+    raw_labels_ = std::move(header.raw_labels);
+    labels_ = std::move(header.labels);
+    data_offset_ = header.data_offset;
+  }
   for (int label : labels_) {
     SRDA_CHECK(label >= 0 && label < num_classes_)
         << path_ << ": label " << label << " outside [0, " << num_classes_
         << ")";
   }
+  source_ = path_;
+  fd_ = open(path_.c_str(), O_RDONLY);
+  SRDA_CHECK(fd_ >= 0) << "cannot open " << path_ << " for reading";
+  struct stat st {};
+  SRDA_CHECK(fstat(fd_, &st) == 0)
+      << path_ << ": " << std::strerror(errno);
+  const int64_t data_bytes = static_cast<int64_t>(rows_) * cols_ * 8;
+  const int64_t present = static_cast<int64_t>(st.st_size) - data_offset_;
+  SRDA_CHECK(present >= data_bytes)
+      << path_ << ": truncated binary dataset (" << present
+      << " data bytes, header needs " << data_bytes << ")";
   const int64_t header_bytes = data_offset_;
   bytes_streamed_ += header_bytes;
   BytesStreamed()->Add(static_cast<double>(header_bytes));
 }
 
-void RowShardReader::RewindText() {
-  in_.clear();
-  in_.seekg(0);
-  SRDA_CHECK(in_.good()) << path_ << ": rewind failed";
-  line_number_ = 0;
-}
-
 void RowShardReader::Reset() {
   next_row_ = 0;
-  if (format_ != RowStreamFormat::kBinary) RewindText();
+  SRDA_CHECK(lseek(fd_, data_offset_, SEEK_SET) == data_offset_)
+      << source_ << ": rewind failed: " << std::strerror(errno);
   ++pass_index_;
   pass_open_ = true;
   obs::Event("io.shard_pass_start")
@@ -187,93 +250,12 @@ bool RowShardReader::Next(RowShard* shard) {
     }
     return false;
   }
-  return format_ == RowStreamFormat::kBinary ? NextBinary(shard)
-                                             : NextText(shard);
-}
-
-bool RowShardReader::NextText(RowShard* shard) {
-  const int count = std::min(options_.shard_rows, rows_ - next_row_);
   TraceSpan span("io.shard_read");
-  int64_t bytes = 0;
-  std::string line;
-  LibSvmLine parsed;
-  std::vector<double> cells;
-  SparseMatrixBuilder builder(format_ == RowStreamFormat::kLibSvm ? count : 0,
-                              format_ == RowStreamFormat::kLibSvm ? cols_ : 0);
-  if (format_ == RowStreamFormat::kCsv) dense_buffer_ = Matrix(count, cols_);
-  int filled = 0;
-  while (filled < count) {
-    SRDA_CHECK(static_cast<bool>(std::getline(in_, line)))
-        << path_ << ": file shrank between passes";
-    ++line_number_;
-    bytes += static_cast<int64_t>(line.size()) + 1;
-    if (line.empty() || line[0] == '#') continue;
-    if (format_ == RowStreamFormat::kLibSvm) {
-      ParseLibSvmLine(line, path_, line_number_, &parsed);
-      for (const LibSvmEntry& entry : parsed.entries) {
-        SRDA_CHECK_LT(entry.column, cols_)
-            << path_ << ":" << line_number_ << ": feature index "
-            << entry.column + 1 << " exceeds width " << cols_;
-        builder.Add(filled, entry.column, entry.value);
-      }
-    } else {
-      ParseCsvLine(line, path_, line_number_, &cells);
-      SRDA_CHECK_EQ(static_cast<int>(cells.size()), cols_)
-          << path_ << ":" << line_number_ << ": ragged row";
-      double* dst = dense_buffer_.RowPtr(filled);
-      for (int j = 0; j < cols_; ++j) dst[j] = cells[static_cast<size_t>(j)];
-    }
-    ++filled;
-  }
-  shard->first_row = next_row_;
-  if (format_ == RowStreamFormat::kLibSvm) {
-    sparse_buffer_ = std::move(builder).Build();
-    shard->sparse = &sparse_buffer_;
-    shard->dense = nullptr;
-    peak_shard_bytes_ = std::max(
-        peak_shard_bytes_,
-        static_cast<int64_t>(sparse_buffer_.NumNonZeros()) * 12 +
-            static_cast<int64_t>(count + 1) * 8);
-  } else {
-    shard->dense = &dense_buffer_;
-    shard->sparse = nullptr;
-    peak_shard_bytes_ =
-        std::max(peak_shard_bytes_, static_cast<int64_t>(count) * cols_ * 8);
-  }
-  next_row_ += count;
-  bytes_streamed_ += bytes;
-  BytesStreamed()->Add(static_cast<double>(bytes));
-  if (span.recording()) {
-    span.AddArg("rows", static_cast<double>(count));
-    span.AddArg("bytes", static_cast<double>(bytes));
-  }
-  return true;
-}
-
-bool RowShardReader::NextBinary(RowShard* shard) {
   const int count = std::min(options_.shard_rows, rows_ - next_row_);
-  TraceSpan span("io.shard_read");
-  const int64_t row_bytes = static_cast<int64_t>(cols_) * 8;
-  dense_buffer_ = Matrix(count, cols_);
-  if (mmap_data_ != nullptr) {
-    // Copy straight out of the mapping: same bytes the read path would
-    // deliver, no seek/read syscalls, and repeat passes hit the page cache.
-    std::memcpy(dense_buffer_.RowPtr(0),
-                mmap_data_ + data_offset_ +
-                    static_cast<int64_t>(next_row_) * row_bytes,
-                static_cast<size_t>(count * row_bytes));
-  } else {
-    in_.clear();
-    in_.seekg(data_offset_ + static_cast<int64_t>(next_row_) * row_bytes);
-    SRDA_CHECK(in_.good()) << path_ << ": seek failed";
-    in_.read(reinterpret_cast<char*>(dense_buffer_.RowPtr(0)),
-             static_cast<std::streamsize>(count * row_bytes));
-    SRDA_CHECK(in_.good()) << path_ << ": truncated binary dataset";
-  }
+  const int64_t bytes = format_ == RowStreamFormat::kLibSvm
+                            ? ReadSparseShard(count, shard)
+                            : ReadDenseShard(count, shard);
   shard->first_row = next_row_;
-  shard->dense = &dense_buffer_;
-  shard->sparse = nullptr;
-  const int64_t bytes = count * row_bytes;
   peak_shard_bytes_ = std::max(peak_shard_bytes_, bytes);
   next_row_ += count;
   bytes_streamed_ += bytes;
@@ -283,6 +265,36 @@ bool RowShardReader::NextBinary(RowShard* shard) {
     span.AddArg("bytes", static_cast<double>(bytes));
   }
   return true;
+}
+
+int64_t RowShardReader::ReadSparseShard(int count, RowShard* shard) {
+  const int64_t nnz =
+      shard_nnz_[static_cast<size_t>(next_row_ / options_.shard_rows)];
+  sparse_buffer_ = SparseMatrix();  // free the previous shard first
+  std::vector<int64_t> offsets(static_cast<size_t>(count) + 1);
+  std::vector<int> indices(static_cast<size_t>(nnz));
+  std::vector<double> values(static_cast<size_t>(nnz));
+  iovec iov[3] = {{offsets.data(), offsets.size() * sizeof(int64_t)},
+                  {indices.data(), indices.size() * sizeof(int)},
+                  {values.data(), values.size() * sizeof(double)}};
+  TransferAll(readv, fd_, iov, 3, source_);
+  sparse_buffer_ = SparseMatrix(count, cols_, std::move(offsets),
+                                std::move(indices), std::move(values));
+  shard->sparse = &sparse_buffer_;
+  shard->dense = nullptr;
+  return nnz * 12 + static_cast<int64_t>(count + 1) * 8;
+}
+
+int64_t RowShardReader::ReadDenseShard(int count, RowShard* shard) {
+  if (dense_buffer_.rows() != count || dense_buffer_.cols() != cols_) {
+    dense_buffer_ = Matrix(count, cols_);
+  }
+  const int64_t bytes = static_cast<int64_t>(count) * cols_ * 8;
+  iovec iov = {dense_buffer_.RowPtr(0), static_cast<size_t>(bytes)};
+  TransferAll(readv, fd_, &iov, 1, source_);
+  shard->dense = &dense_buffer_;
+  shard->sparse = nullptr;
+  return bytes;
 }
 
 }  // namespace srda

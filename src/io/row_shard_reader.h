@@ -1,33 +1,41 @@
 // Chunked row streaming from dataset files: the out-of-core entry point.
 //
 // RowShardReader is a RowShardSource over a LibSVM, CSV, or SRDB-binary
-// dataset file. Construction makes one validating metadata pass (labels,
-// dimensions, class map — O(m) memory for labels, never the features); after
-// that each Next() materializes only `shard_rows` rows, so peak resident
-// feature memory is bounded by the shard size no matter how large the file
-// is. Iterative consumers (sharded LSQR) Reset() and re-stream the file
-// once per pass — trading re-parse time for memory, which is the out-of-core
-// contract.
+// dataset file. Construction makes one validating pass (labels, dimensions,
+// class map — O(m) memory for labels, never the whole feature matrix);
+// after that each Next() materializes only `shard_rows` rows, so peak
+// resident feature memory is bounded by the shard size no matter how large
+// the file is. Iterative consumers (sharded LSQR) Reset() and re-stream the
+// shards once per pass.
 //
-// Text formats re-tokenize on every pass through the strict line_parser
-// grammar (so a malformed byte fails with a located path:line message on the
-// scan, before any numerics run). The binary format seeks straight to the
-// shard's byte range. Labels compact exactly like the one-shot readers in
-// dataset_io (sorted raw value), so an out-of-core fit sees the same class
-// ids as an in-RAM ReadLibSvmFile/ReadDenseCsvFile fit.
+// Text formats are parsed exactly once. The constructor's scan runs every
+// line through the strict line_parser grammar (a malformed byte fails with
+// a located path:line message before any numerics run), assembles each
+// shard as it goes, and appends it in binary to a spill file. The spill is
+// created with mkstemp under std::filesystem::temp_directory_path() (which
+// honours TMPDIR) and unlinked at once, so nothing outlives the reader,
+// even on abort. LibSVM shards spill as their CSR arrays (12 B per nnz plus
+// 8 B per row), CSV shards as row-major doubles (8 B per cell). The text
+// file is closed when the scan ends: every pass reads the spill, one read
+// per shard, so all passes see exactly the rows the scan validated even if
+// the file changes afterwards. SRDB files need no spill; the constructor
+// checks the file size against the header and passes read each shard's
+// byte range from the file. Passes use read(), not mmap, so resident
+// feature memory stays bounded by peak_shard_bytes(). Labels compact
+// exactly like the one-shot readers in dataset_io (sorted raw value), so an
+// out-of-core fit sees the same class ids as an in-RAM
+// ReadLibSvmFile/ReadDenseCsvFile fit.
 //
 // Observability: every Next() emits an `io.shard_read` span (rows + bytes
-// args) and advances the global `io.bytes_streamed` counter. With the
-// event log enabled (obs/event_log.h), each streaming pass brackets itself
-// with `io.shard_pass_start` / `io.shard_pass_end` events, and a failed
-// binary mapping logs `io.mmap_fallback` with the reason before the reader
-// silently drops to the seek+read path.
+// args) and advances the global `io.bytes_streamed` counter (the scan adds
+// the text bytes, each pass the shard bytes it reads). With the event log
+// enabled (obs/event_log.h), each streaming pass brackets itself with
+// `io.shard_pass_start` / `io.shard_pass_end` events.
 
 #ifndef SRDA_IO_ROW_SHARD_READER_H_
 #define SRDA_IO_ROW_SHARD_READER_H_
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -49,14 +57,6 @@ struct RowShardReaderOptions {
   // LibSVM only: fixes the feature-space width (0 infers it from the
   // largest index present, as ReadLibSvmFile does).
   int num_features = 0;
-  // Binary only: map the file read-only and memcpy shard rows out of the
-  // mapping instead of a seekg+read syscall pair per shard — iterative
-  // consumers re-stream the file once per LSQR pass, so the kernel's page
-  // cache then serves every pass after the first without a copy through a
-  // file descriptor. Shards are bitwise identical either way. Falls back
-  // to the read path automatically when mapping is unavailable (non-unix
-  // build) or fails.
-  bool use_mmap = true;
 };
 
 class RowShardReader final : public RowShardSource {
@@ -64,6 +64,8 @@ class RowShardReader final : public RowShardSource {
   RowShardReader(const std::string& path, RowStreamFormat format,
                  const RowShardReaderOptions& options = {});
   ~RowShardReader() override;
+  RowShardReader(const RowShardReader&) = delete;
+  RowShardReader& operator=(const RowShardReader&) = delete;
 
   // RowShardSource:
   int rows() const override { return rows_; }
@@ -79,42 +81,41 @@ class RowShardReader final : public RowShardSource {
   // Compact id -> raw file label, strictly ascending.
   const std::vector<int>& raw_labels() const { return raw_labels_; }
 
-  // Total bytes this reader has streamed (all passes) and the largest
-  // in-memory footprint of any single shard (features + index structure).
+  // Total bytes this reader has streamed (the scan plus all passes) and
+  // the largest in-memory footprint of any single shard (features + index
+  // structure).
   int64_t bytes_streamed() const { return bytes_streamed_; }
   int64_t peak_shard_bytes() const { return peak_shard_bytes_; }
-
-  // True when binary shards are served from an mmap of the file (see
-  // RowShardReaderOptions::use_mmap); false on text formats, with
-  // use_mmap == false, or after a mapping failure fell back to reads.
-  bool mmap_active() const { return mmap_data_ != nullptr; }
 
  private:
   void ScanText();
   void ReadBinaryMetadata();
-  bool NextText(RowShard* shard);
-  bool NextBinary(RowShard* shard);
-  // Positions the text stream at the first data line.
-  void RewindText();
-  // Tries to map the binary file read-only; leaves mmap_data_ null (read
-  // fallback) on any failure.
-  void TryMapBinary();
+  // Creates the unlinked spill file the scan writes text shards to.
+  void OpenSpill();
+  // Read the next `count` rows from fd_ into the shard buffers and point
+  // `shard` at them; return the shard's in-memory bytes.
+  int64_t ReadSparseShard(int count, RowShard* shard);
+  int64_t ReadDenseShard(int count, RowShard* shard);
 
   std::string path_;
   RowStreamFormat format_;
   RowShardReaderOptions options_;
-  std::ifstream in_;
+  // The SRDB file, or the text formats' spill; passes read from it.
+  int fd_ = -1;
+  // What read errors name: the SRDB path or the spill's directory.
+  std::string source_;
 
   int rows_ = 0;
   int cols_ = 0;
   int num_classes_ = 0;
   std::vector<int> labels_;
   std::vector<int> raw_labels_;
-  int64_t data_offset_ = 0;  // binary: first feature byte
+  int64_t data_offset_ = 0;  // first feature byte of fd_ (0 for a spill)
+  // LibSVM spill: stored entries of each shard, in shard order.
+  std::vector<int64_t> shard_nnz_;
 
   // Streaming cursor.
   int next_row_ = 0;
-  int line_number_ = 0;
   int64_t pass_index_ = -1;  // increments on each Reset()
   bool pass_open_ = false;   // guards the one io.shard_pass_end per pass
   Matrix dense_buffer_;
@@ -122,10 +123,6 @@ class RowShardReader final : public RowShardSource {
 
   int64_t bytes_streamed_ = 0;
   int64_t peak_shard_bytes_ = 0;
-
-  // Binary mmap state (null when inactive; owned, unmapped in the dtor).
-  const char* mmap_data_ = nullptr;
-  std::uint64_t mmap_size_ = 0;
 };
 
 }  // namespace srda

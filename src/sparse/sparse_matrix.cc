@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/flops.h"
@@ -10,6 +11,25 @@
 #include "obs/trace.h"
 
 namespace srda {
+
+SparseMatrix::SparseMatrix(int rows, int cols, std::vector<int64_t> row_offsets,
+                           std::vector<int> col_indices,
+                           std::vector<double> values)
+    : rows_(rows),
+      cols_(cols),
+      row_offsets_(std::move(row_offsets)),
+      col_indices_(std::move(col_indices)),
+      values_(std::move(values)) {
+  SRDA_CHECK(rows_ >= 0 && cols_ >= 0)
+      << "negative sparse shape " << rows_ << " x " << cols_;
+  SRDA_CHECK_EQ(row_offsets_.size(), static_cast<size_t>(rows_) + 1)
+      << "CSR row offsets must hold rows + 1 entries";
+  SRDA_CHECK_EQ(col_indices_.size(), values_.size())
+      << "CSR indices and values differ in length";
+  SRDA_CHECK(row_offsets_.front() == 0 &&
+             row_offsets_.back() == static_cast<int64_t>(values_.size()))
+      << "CSR row offsets must run from 0 to nnz";
+}
 
 double SparseMatrix::AvgNonZerosPerRow() const {
   if (rows_ == 0) return 0.0;
@@ -264,17 +284,17 @@ void SparseMatrixBuilder::Add(int row, int col, double value) {
 }
 
 SparseMatrix SparseMatrixBuilder::Build() && {
-  std::sort(triplets_.begin(), triplets_.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  // Stable, so duplicates sum in insertion order whatever the other rows.
+  std::stable_sort(triplets_.begin(), triplets_.end(),
+                   [](const Triplet& a, const Triplet& b) {
+                     return a.row != b.row ? a.row < b.row : a.col < b.col;
+                   });
 
-  SparseMatrix result;
-  result.rows_ = rows_;
-  result.cols_ = cols_;
-  result.row_offsets_.assign(static_cast<size_t>(rows_) + 1, 0);
-  result.col_indices_.reserve(triplets_.size());
-  result.values_.reserve(triplets_.size());
+  std::vector<int64_t> row_offsets(static_cast<size_t>(rows_) + 1, 0);
+  std::vector<int> col_indices;
+  std::vector<double> values;
+  col_indices.reserve(triplets_.size());
+  values.reserve(triplets_.size());
 
   size_t i = 0;
   while (i < triplets_.size()) {
@@ -287,17 +307,18 @@ SparseMatrix SparseMatrixBuilder::Build() && {
       ++j;
     }
     if (sum != 0.0) {
-      result.col_indices_.push_back(triplets_[i].col);
-      result.values_.push_back(sum);
-      ++result.row_offsets_[static_cast<size_t>(triplets_[i].row) + 1];
+      col_indices.push_back(triplets_[i].col);
+      values.push_back(sum);
+      ++row_offsets[static_cast<size_t>(triplets_[i].row) + 1];
     }
     i = j;
   }
   for (size_t r = 0; r < static_cast<size_t>(rows_); ++r) {
-    result.row_offsets_[r + 1] += result.row_offsets_[r];
+    row_offsets[r + 1] += row_offsets[r];
   }
   triplets_.clear();
-  return result;
+  return SparseMatrix(rows_, cols_, std::move(row_offsets),
+                      std::move(col_indices), std::move(values));
 }
 
 SparseMatrix SparseFromDense(const Matrix& dense, double tolerance) {

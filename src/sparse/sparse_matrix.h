@@ -15,8 +15,6 @@
 
 namespace srda {
 
-class SparseMatrixBuilder;
-
 // Row-chunk size of the A^T*x / A^T*B reduction grid. The grid is anchored
 // at global row 0 and depends only on the matrix shape, never on thread
 // count — that is what makes the chunk-order fold deterministic. The
@@ -30,6 +28,13 @@ class SparseMatrix {
  public:
   SparseMatrix() = default;
 
+  // Takes ownership of CSR arrays: `row_offsets` holds rows + 1 offsets
+  // from 0 to nnz, `col_indices` and `values` hold nnz entries, and each
+  // row's indices ascend within [0, cols). Checks the array sizes and the
+  // end offsets.
+  SparseMatrix(int rows, int cols, std::vector<int64_t> row_offsets,
+               std::vector<int> col_indices, std::vector<double> values);
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   int64_t NumNonZeros() const { return static_cast<int64_t>(values_.size()); }
@@ -39,6 +44,11 @@ class SparseMatrix {
 
   // Number of stored entries in row `i`.
   int RowNonZeros(int i) const;
+
+  // The CSR arrays, as the constructor above takes them.
+  const std::vector<int64_t>& row_offsets() const { return row_offsets_; }
+  const std::vector<int>& col_indices() const { return col_indices_; }
+  const std::vector<double>& values() const { return values_; }
 
   // Unchecked spans over row `i`'s column indices and values.
   const int* RowIndices(int i) const {
@@ -77,8 +87,6 @@ class SparseMatrix {
   Matrix ToDense() const;
 
  private:
-  friend class SparseMatrixBuilder;
-
   int rows_ = 0;
   int cols_ = 0;
   std::vector<int64_t> row_offsets_;  // size rows_ + 1
@@ -87,7 +95,8 @@ class SparseMatrix {
 };
 
 // Accumulates (row, col, value) triplets and assembles a CSR matrix.
-// Duplicate coordinates are summed; explicit zeros are dropped.
+// Duplicate coordinates are summed in the order they were added; explicit
+// zeros are dropped.
 class SparseMatrixBuilder {
  public:
   SparseMatrixBuilder(int rows, int cols);

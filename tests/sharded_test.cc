@@ -9,7 +9,13 @@
 // blocked rank-k Cholesky update reassociates rotations and is specified
 // to match AddSample only to solver tolerance.
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -340,38 +346,295 @@ TEST(RowShardReaderTest, BinaryShardsReassembleOneShotReader) {
   std::remove(path.c_str());
 }
 
-TEST(RowShardReaderTest, MmapShardsBitwiseEqualReadShards) {
-  // The binary reader serves shards straight out of an mmap by default;
-  // they must be bitwise identical to the seekg+read fallback, at shard
-  // sizes that do and do not divide the row count.
-  const std::string path = TempPath("mmap.srdb");
+// --- RowShardReader spill: text is parsed once, passes read the spill. ---
+
+// Points TMPDIR at a fresh, empty directory for the scope (unique per
+// process, since ctest runs tests concurrently), then restores TMPDIR and
+// removes the directory.
+class ScopedSpillDir {
+ public:
+  explicit ScopedSpillDir(const std::string& name)
+      : dir_(std::filesystem::path(
+                 TempPath(name + "." + std::to_string(::getpid())))
+                 .lexically_normal()
+                 .string()) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directory(dir_);
+    const char* old = std::getenv("TMPDIR");
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    ::setenv("TMPDIR", dir_.c_str(), 1);
+  }
+  ~ScopedSpillDir() {
+    if (had_old_) {
+      ::setenv("TMPDIR", old_.c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+    std::filesystem::remove_all(dir_);
+  }
+  ScopedSpillDir(const ScopedSpillDir&) = delete;
+  ScopedSpillDir& operator=(const ScopedSpillDir&) = delete;
+
+  const std::string& dir() const { return dir_; }
+  bool empty() const { return std::filesystem::is_empty(dir_); }
+
+ private:
+  std::string dir_;
+  std::string old_;
+  bool had_old_ = false;
+};
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) ==
+                           0);
+}
+
+// A LibSVM file exercising the grammar's corners: comment and blank lines,
+// CRLF endings, explicit zeros, duplicate indices (up to three, so the sum
+// order matters), unsorted indices, label-only rows. Indices stay in
+// [1, 12]; `value_shift` changes every value but not the shape.
+void WriteAwkwardLibSvm(const std::string& path, int rows,
+                        double value_shift) {
+  std::ofstream out(path, std::ios::binary);
+  Rng rng(61);
+  out << "# awkward libsvm\n";
+  for (int i = 0; i < rows; ++i) {
+    const char* eol = i % 3 == 0 ? "\r\n" : "\n";
+    if (i % 9 == 4) out << "# comment" << eol;
+    if (i % 13 == 6) out << "\n";
+    out << (i % 3 == 0 ? 2 : i % 3 == 1 ? 5 : 9);
+    if (i % 17 != 8) {
+      const int entries = rng.NextInt(1, 6);
+      for (int e = 0; e < entries; ++e) {
+        const int column = rng.NextInt(1, 12);
+        const double value = rng.NextGaussian() + value_shift;
+        const int copies = e == 0 && i % 4 == 1 ? 3 : e == 1 ? 2 : 1;
+        for (int c = 0; c < copies; ++c) {
+          char field[64];
+          std::snprintf(field, sizeof(field), " %d:%.17g", column,
+                        value / (c + 3));
+          out << field;
+        }
+      }
+      if (i % 5 == 2) out << " " << rng.NextInt(1, 12) << ":0";
+    }
+    out << eol;
+  }
+}
+
+// The CSV counterpart: five feature cells, explicit zeros, CRLF, comments
+// and blank lines.
+void WriteAwkwardCsv(const std::string& path, int rows, double value_shift) {
+  std::ofstream out(path, std::ios::binary);
+  Rng rng(62);
+  out << "# awkward csv\n";
+  for (int i = 0; i < rows; ++i) {
+    const char* eol = i % 3 == 0 ? "\r\n" : "\n";
+    if (i % 9 == 4) out << "# comment" << eol;
+    if (i % 13 == 6) out << "\n";
+    out << i % 4;
+    for (int j = 0; j < 5; ++j) {
+      char cell[64];
+      std::snprintf(cell, sizeof(cell), ",%.17g",
+                    (i + j) % 7 == 0 ? 0.0 : rng.NextGaussian() + value_shift);
+      out << cell;
+    }
+    out << eol;
+  }
+}
+
+// Drains `passes` passes (the constructor's Reset opens the first) and
+// checks every shard bitwise against the matching RowSlice of `full`, the
+// one-shot reader's matrix.
+void ExpectSparsePassesMatch(RowShardReader* reader, const SparseMatrix& full,
+                             int shard_rows, int passes) {
+  for (int pass = 0; pass < passes; ++pass) {
+    if (pass > 0) reader->Reset();
+    RowShard shard;
+    int next_row = 0;
+    while (reader->Next(&shard)) {
+      ASSERT_NE(shard.sparse, nullptr);
+      ASSERT_EQ(shard.first_row, next_row);
+      const int rows = std::min(shard_rows, full.rows() - next_row);
+      const SparseMatrix expected = full.RowSlice(next_row, next_row + rows);
+      ASSERT_EQ(shard.sparse->rows(), rows);
+      ASSERT_EQ(shard.sparse->cols(), full.cols());
+      ASSERT_TRUE(SameBytes(shard.sparse->row_offsets(),
+                            expected.row_offsets()));
+      ASSERT_TRUE(SameBytes(shard.sparse->col_indices(),
+                            expected.col_indices()));
+      ASSERT_TRUE(SameBytes(shard.sparse->values(), expected.values()))
+          << "pass " << pass << ", shard at row " << next_row;
+      next_row += rows;
+    }
+    ASSERT_EQ(next_row, full.rows());
+  }
+}
+
+// The dense counterpart: each shard's rows bitwise equal `full`'s.
+void ExpectDensePassesMatch(RowShardReader* reader, const Matrix& full,
+                            int shard_rows, int passes) {
+  for (int pass = 0; pass < passes; ++pass) {
+    if (pass > 0) reader->Reset();
+    RowShard shard;
+    int next_row = 0;
+    while (reader->Next(&shard)) {
+      ASSERT_NE(shard.dense, nullptr);
+      ASSERT_EQ(shard.first_row, next_row);
+      const int rows = std::min(shard_rows, full.rows() - next_row);
+      ASSERT_EQ(shard.dense->rows(), rows);
+      ASSERT_EQ(shard.dense->cols(), full.cols());
+      ASSERT_EQ(std::memcmp(shard.dense->RowPtr(0), full.RowPtr(next_row),
+                            sizeof(double) * rows * full.cols()),
+                0)
+          << "pass " << pass << ", shard at row " << next_row;
+      next_row += rows;
+    }
+    ASSERT_EQ(next_row, full.rows());
+  }
+}
+
+TEST(RowShardReaderTest, SpillShardsMatchOneShotReaderOnEveryPass) {
+  const int m = 70;
+  const ScopedSpillDir spill("spill-property");
+  const std::string libsvm = TempPath("awkward.libsvm");
+  const std::string csv = TempPath("awkward.csv");
+  WriteAwkwardLibSvm(libsvm, m, 0.0);
+  WriteAwkwardCsv(csv, m, 0.0);
+  const DenseDataset dense = ReadDenseCsvFile(csv);
+  for (int shard_rows : {1, 7, 64, m, m + 1}) {
+    SCOPED_TRACE("shard_rows " + std::to_string(shard_rows));
+    for (int num_features : {0, 15}) {
+      const SparseDataset sparse = ReadLibSvmFile(libsvm, num_features);
+      ASSERT_EQ(sparse.features.rows(), m);
+      RowShardReaderOptions options;
+      options.shard_rows = shard_rows;
+      options.num_features = num_features;
+      RowShardReader reader(libsvm, RowStreamFormat::kLibSvm, options);
+      EXPECT_EQ(reader.cols(), sparse.features.cols());
+      EXPECT_EQ(reader.labels(), sparse.labels);
+      EXPECT_EQ(reader.raw_labels(), sparse.raw_labels);
+      ExpectSparsePassesMatch(&reader, sparse.features, shard_rows, 3);
+    }
+    RowShardReaderOptions options;
+    options.shard_rows = shard_rows;
+    RowShardReader reader(csv, RowStreamFormat::kCsv, options);
+    EXPECT_EQ(reader.labels(), dense.labels);
+    ExpectDensePassesMatch(&reader, dense.features, shard_rows, 3);
+  }
+  EXPECT_TRUE(spill.empty());
+  std::remove(libsvm.c_str());
+  std::remove(csv.c_str());
+}
+
+TEST(RowShardReaderTest, PassesReadTheScannedRowsAfterTheFileChanges) {
+  // Every pass must serve the rows the constructor validated: rewriting
+  // the text file afterwards (same shape, different values) changes
+  // nothing a later LSQR iteration sees.
+  const int m = 30;
+  const ScopedSpillDir spill("spill-rewrite");
+  const std::string libsvm = TempPath("rewritten.libsvm");
+  const std::string csv = TempPath("rewritten.csv");
+  WriteAwkwardLibSvm(libsvm, m, 0.0);
+  WriteAwkwardCsv(csv, m, 0.0);
+  const SparseDataset sparse = ReadLibSvmFile(libsvm, 12);
+  const DenseDataset dense = ReadDenseCsvFile(csv);
+  RowShardReaderOptions options;
+  options.shard_rows = 7;
+  options.num_features = 12;
+  RowShardReader sparse_reader(libsvm, RowStreamFormat::kLibSvm, options);
+  RowShardReader dense_reader(csv, RowStreamFormat::kCsv, options);
+  WriteAwkwardLibSvm(libsvm, m, 100.0);
+  WriteAwkwardCsv(csv, m, 100.0);
+  ASSERT_NE(ReadDenseCsvFile(csv).features(1, 1), dense.features(1, 1));
+  ExpectSparsePassesMatch(&sparse_reader, sparse.features, 7, 2);
+  ExpectDensePassesMatch(&dense_reader, dense.features, 7, 2);
+  std::remove(libsvm.c_str());
+  std::remove(csv.c_str());
+}
+
+TEST(RowShardReaderTest, SpillLeavesNoFileBehind) {
+  const ScopedSpillDir spill("spill-cleanup");
+  const std::string path = TempPath("cleanup.libsvm");
+  WriteAwkwardLibSvm(path, 20, 0.0);
+  {
+    RowShardReaderOptions options;
+    options.shard_rows = 3;
+    RowShardReader reader(path, RowStreamFormat::kLibSvm, options);
+    RowShard shard;
+    while (reader.Next(&shard)) {
+    }
+    // Unlinked at creation: the directory is empty while the reader lives,
+    // yet (where /proc shows it) the open spill sits in TMPDIR.
+    EXPECT_TRUE(spill.empty());
+    if (std::filesystem::exists("/proc/self/fd")) {
+      bool spill_open = false;
+      for (const auto& fd :
+           std::filesystem::directory_iterator("/proc/self/fd")) {
+        std::error_code error;
+        const std::string target =
+            std::filesystem::read_symlink(fd.path(), error).string();
+        spill_open |= target.rfind(spill.dir() + "/srda-spill-", 0) == 0;
+      }
+      EXPECT_TRUE(spill_open);
+    }
+  }
+  EXPECT_TRUE(spill.empty());
+  std::remove(path.c_str());
+}
+
+TEST(RowShardReaderDeathTest, MissingSpillDirectoryAborts) {
+  const std::string path = TempPath("nospill.csv");
+  WriteAwkwardCsv(path, 5, 0.0);
+  const std::string missing = TempPath("no-such-spill-dir");
+  std::filesystem::remove_all(missing);
+  EXPECT_DEATH(
+      {
+        ::setenv("TMPDIR", missing.c_str(), 1);
+        RowShardReader reader(path, RowStreamFormat::kCsv, {});
+      },
+      "no-such-spill-dir");
+  std::remove(path.c_str());
+}
+
+TEST(RowShardReaderDeathTest, MalformedLineAbortsInConstructor) {
+  const std::string libsvm = TempPath("malformed.libsvm");
+  const std::string csv = TempPath("malformed.csv");
+  {
+    std::ofstream out(libsvm);
+    out << "1 1:0.5\n# comment\n2 3:abc\n";
+  }
+  {
+    std::ofstream out(csv);
+    out << "0,1.0,2.0\n\n1,2.0,x\n";
+  }
+  EXPECT_DEATH(RowShardReader(libsvm, RowStreamFormat::kLibSvm, {}),
+               "malformed.libsvm:3: malformed feature value in pair '3:abc'");
+  EXPECT_DEATH(RowShardReader(csv, RowStreamFormat::kCsv, {}),
+               "malformed.csv:3: malformed cell 'x'");
+  std::remove(libsvm.c_str());
+  std::remove(csv.c_str());
+}
+
+TEST(RowShardReaderDeathTest, TruncatedBinaryAbortsInConstructor) {
+  // A 3 x 4 SRDB holding 16 of its 96 data bytes: the reader must refuse
+  // it up front, not partway through a fit.
+  const std::string path = TempPath("truncated.srdb");
   DenseDataset dataset;
-  dataset.features = RandomMatrix(23, 5, 33);
-  dataset.labels = RandomLabels(23, 2, 34);
+  dataset.features = RandomMatrix(3, 4, 35);
+  dataset.labels = {0, 1, 0};
   dataset.num_classes = 2;
   WriteDenseBinaryFile(dataset, path);
-  for (int shard_rows : {1, 7, 23}) {
-    RowShardReaderOptions mapped_options;
-    mapped_options.shard_rows = shard_rows;
-    RowShardReader mapped(path, RowStreamFormat::kBinary, mapped_options);
-    EXPECT_TRUE(mapped.mmap_active());
-    RowShardReaderOptions read_options;
-    read_options.shard_rows = shard_rows;
-    read_options.use_mmap = false;
-    RowShardReader unmapped(path, RowStreamFormat::kBinary, read_options);
-    EXPECT_FALSE(unmapped.mmap_active());
-    RowShard mapped_shard;
-    RowShard unmapped_shard;
-    while (mapped.Next(&mapped_shard)) {
-      ASSERT_TRUE(unmapped.Next(&unmapped_shard));
-      ASSERT_EQ(mapped_shard.first_row, unmapped_shard.first_row);
-      ASSERT_NE(mapped_shard.dense, nullptr);
-      ASSERT_NE(unmapped_shard.dense, nullptr);
-      ExpectBitwiseEqual(*mapped_shard.dense, *unmapped_shard.dense);
-    }
-    EXPECT_FALSE(unmapped.Next(&unmapped_shard));
-    EXPECT_EQ(mapped.bytes_streamed(), unmapped.bytes_streamed());
-  }
+  std::filesystem::resize_file(path,
+                               std::filesystem::file_size(path) - 96 + 16);
+  RowShardReaderOptions options;
+  options.shard_rows = 2;
+  EXPECT_DEATH(RowShardReader(path, RowStreamFormat::kBinary, options),
+               "truncated.srdb: truncated binary dataset \\(16 data bytes, "
+               "header needs 96\\)");
   std::remove(path.c_str());
 }
 

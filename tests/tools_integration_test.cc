@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "dataset/dataset.h"
 #include "io/dataset_io.h"
+#include "sparse/sparse_matrix.h"
 
 namespace srda {
 namespace {
@@ -265,6 +266,74 @@ TEST(ToolsIntegrationTest, BinaryModelFormatMatchesText) {
        {data, text_model, binary_model, text_pred, binary_pred}) {
     std::remove(path.c_str());
   }
+}
+
+TEST(ToolsIntegrationTest, ShardedTrainMatchesInRamModel) {
+  // --shard-rows streams the file (text formats through a spill under
+  // TMPDIR) and must save the very bytes the in-RAM fit saves; the spill
+  // must not outlive the run.
+  const std::string spill_dir =
+      TempPath("sharded-tmp." + std::to_string(::getpid()));
+  ASSERT_EQ(std::system(("rm -rf " + spill_dir + " && mkdir " + spill_dir)
+                            .c_str()),
+            0);
+  const std::string libsvm = TempPath("sharded.libsvm");
+  const std::string csv = TempPath("sharded.csv");
+  {
+    SparseDataset sparse;
+    sparse.num_classes = 3;
+    sparse.raw_labels = {1, 4, 7};
+    SparseMatrixBuilder builder(300, 80);
+    Rng rng(17);
+    for (int i = 0; i < 300; ++i) {
+      const int label = i % 3;
+      sparse.labels.push_back(label);
+      for (int j = 0; j < 80; ++j) {
+        if (rng.NextDouble() < (j % 3 == label ? 0.3 : 0.08)) {
+          builder.Add(i, j, rng.NextDouble() + (j % 3 == label));
+        }
+      }
+    }
+    sparse.features = std::move(builder).Build();
+    WriteLibSvmFile(sparse, libsvm);
+  }
+  WriteDenseCsvFile(MakeBlobsDataset(200, 10, {0, 1, 2}, 23), csv);
+  struct Case {
+    std::string data;
+    std::string flags;
+  };
+  const std::vector<Case> cases = {
+      {libsvm, " --format=libsvm --solver=lsqr"},
+      {csv, " --format=csv"},
+      {csv, " --format=csv --solver=lsqr"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.flags);
+    const std::string in_ram = TempPath("sharded-inram.model");
+    const std::string streamed = TempPath("sharded-streamed.model");
+    const std::string train = ToolPath("srda_train") + " --data=" + c.data +
+                              c.flags + " --model-format=binary";
+    std::string output;
+    ASSERT_EQ(RunCommand(train + " --model-out=" + in_ram, &output), 0)
+        << output;
+    ASSERT_EQ(RunCommand("TMPDIR=" + spill_dir + " " + train +
+                             " --shard-rows=64 --model-out=" + streamed,
+                         &output),
+              0)
+        << output;
+    EXPECT_NE(output.find("in shards of 64 rows"), std::string::npos)
+        << output;
+    EXPECT_EQ(RunCommand("cmp " + in_ram + " " + streamed, &output), 0)
+        << output;
+    std::remove(in_ram.c_str());
+    std::remove(streamed.c_str());
+  }
+  std::string listing;
+  EXPECT_EQ(RunCommand("ls -A " + spill_dir, &listing), 0);
+  EXPECT_EQ(listing, "") << "spill files left behind";
+  std::remove(libsvm.c_str());
+  std::remove(csv.c_str());
+  std::remove(spill_dir.c_str());
 }
 
 TEST(ToolsIntegrationTest, PredictReadsSrdbBinaryData) {

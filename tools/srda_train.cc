@@ -20,7 +20,9 @@
 // --shard-rows=N trains out of core: the dataset streams through a
 // RowShardReader in shards of N rows, the dataset never resides in RAM as
 // a whole, and the resulting model is bitwise identical to the in-RAM fit
-// at any N. SRDA only.
+// at any N. SRDA only. CSV and LibSVM files are parsed once into an
+// unlinked spill file under TMPDIR (8 B per CSV cell; 12 B per LibSVM
+// nonzero plus 8 B per row) that every pass reads back.
 //
 // --sketch-mode=precond trains SRDA with LSQR right-preconditioned by a
 // factored randomized sketch of the data (same solutions, fewer iterations
@@ -68,7 +70,10 @@ constexpr char kUsage[] =
     "                  [--model-format=text|binary]\n"
     "                  [--trace-out=FILE] [--metrics]\n"
     "                  [--metrics-out=FILE] [--metrics-interval=SEC]\n"
-    "                  [--event-log=FILE] --model-out=FILE\n";
+    "                  [--event-log=FILE] --model-out=FILE\n"
+    "--shard-rows=N streams the data in N-row shards. CSV and LibSVM files\n"
+    "are parsed once into a temporary spill under TMPDIR: 8 B per CSV cell,\n"
+    "12 B per LibSVM nonzero plus 8 B per row.\n";
 
 // Prints one line per regression target summarizing how LSQR stopped.
 void PrintLsqrDiagnostics(const std::vector<RidgeRhsDiagnostics>& diagnostics,
