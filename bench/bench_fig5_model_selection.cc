@@ -23,7 +23,6 @@
 #include "core/idr_qr.h"
 #include "core/lda.h"
 #include "core/srda.h"
-#include "core/srda_path.h"
 #include "dataset/digit_generator.h"
 #include "dataset/face_generator.h"
 #include "dataset/split.h"
@@ -48,9 +47,10 @@ struct PanelResult {
 };
 
 // Runs one dense panel: LDA and IDR/QR once per split; the whole SRDA alpha
-// grid comes from ONE cached Gram per split via the regularization path —
-// each grid point pays only a Cholesky refactorization, producing exactly
-// the normal-equations solutions at a fraction of the sweep cost.
+// grid comes from ONE cached Gram per split — one RidgeSolver bound to the
+// split, swept by FitSrda as SelectSrdaAlpha does — so each grid point pays
+// only a Cholesky refactorization, producing exactly the normal-equations
+// solutions at a fraction of the sweep cost.
 PanelResult RunDensePanel(const std::string& name, const DenseDataset& data,
                           int train_per_class, int num_splits, uint64_t seed) {
   PanelResult panel;
@@ -68,13 +68,15 @@ PanelResult RunDensePanel(const std::string& name, const DenseDataset& data,
         RunDense(Algorithm::kLda, train, test).error_percent);
     idr_errors.push_back(
         RunDense(Algorithm::kIdrQr, train, test).error_percent);
-    SrdaRegularizationPath path;
-    SRDA_CHECK(path.Fit(train.features, train.labels, train.num_classes))
-        << "regularization path failed";
+    RidgeSolver solver(&train.features);
     for (size_t g = 0; g < std::size(kGridRatios); ++g) {
       const double ratio = kGridRatios[g];
-      const double alpha = ratio / (1.0 - ratio);
-      const LinearEmbedding embedding = path.EmbeddingAt(alpha);
+      SrdaOptions options;
+      options.alpha = ratio / (1.0 - ratio);
+      const SrdaModel model =
+          FitSrda(&solver, train.labels, train.num_classes, options);
+      SRDA_CHECK(model.converged) << "SRDA failed on the alpha grid";
+      const LinearEmbedding& embedding = model.embedding;
       CentroidClassifier classifier;
       classifier.Fit(embedding.Transform(train.features), train.labels,
                      train.num_classes);

@@ -5,10 +5,10 @@
 // blobs:
 //
 //   model load  — repeated LoadText (parse every coefficient) vs LoadBinary
-//                 (mmap + section memcpys). The binary codec's claim is
-//                 zero parse cost, so its per-load time must beat the text
-//                 parser's; both loaded models must equal the trained one
-//                 bit for bit.
+//                 (one file read + section memcpys). The binary codec's
+//                 claim is zero parse cost, so its per-load time must beat
+//                 the text parser's; both loaded models must equal the
+//                 trained one bit for bit.
 //
 //   serving     — concurrent client threads push query blocks through the
 //                 micro-batching PredictionService (serve/serving.h) at
@@ -192,7 +192,7 @@ int Main(int argc, char** argv) {
       trained.embedding, trained.embedding.Transform(blobs.features),
       blobs.labels, num_classes, {}, provenance);
 
-  // --- Model-store load cost: text parse vs binary mmap. ---
+  // --- Model-store load cost: text parse vs binary read. ---
   // Paths embed the pid: ctest runs several of this binary's smoke
   // variants concurrently in one directory, and a shared name races.
   const std::string stem =
@@ -318,7 +318,7 @@ int Main(int argc, char** argv) {
   ok &= ShapeCheck(text_bitwise && binary_bitwise,
                    "both codecs reload the trained model bit for bit");
   ok &= ShapeCheck(binary_load_s < text_load_s,
-                   "binary (mmap) model load is faster than the text parser");
+                   "binary model load is faster than the text parser");
   ok &= ShapeCheck(exact,
                    "micro-batched serving reproduces direct scoring exactly");
   ok &= ShapeCheck(best_throughput > 100000.0,

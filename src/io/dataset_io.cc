@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -60,6 +62,91 @@ std::vector<int> CompactLabelsSorted(std::vector<int>* raw_per_row) {
   return raw_labels;
 }
 
+TextScan ScanTextDataset(const std::string& path, TextFormat format,
+                         int num_features, int shard_rows,
+                         const std::function<void(TextShard*)>& sink) {
+  SRDA_CHECK_GT(shard_rows, 0) << "shard_rows must be positive";
+  SRDA_CHECK_GE(num_features, 0);
+  std::ifstream in = OpenForRead(path);
+  const bool libsvm = format == TextFormat::kLibSvm;
+  // Shards carry no width, so an inferred width (num_features == 0) need
+  // not be known until the scan ends.
+  const int width = num_features > 0 ? num_features
+                                     : std::numeric_limits<int>::max();
+  TextScan scan;
+  // The open shard: its row count, and for LibSVM its entries and each
+  // row's end, assembled into `shard` when it closes.
+  TextShard shard;
+  int open_rows = 0;
+  std::vector<LibSvmEntry> entries;
+  std::vector<size_t> row_ends;
+  const auto finish_shard = [&] {
+    if (open_rows == 0) return;
+    if (libsvm) {
+      SparseMatrixBuilder builder(open_rows, width);
+      size_t k = 0;
+      for (int i = 0; i < open_rows; ++i) {
+        for (; k < row_ends[static_cast<size_t>(i)]; ++k) {
+          builder.Add(i, entries[k].column, entries[k].value);
+        }
+      }
+      std::move(builder).Build(&shard.offsets, &shard.indices,
+                               &shard.values);
+      entries.clear();
+      row_ends.clear();
+    }
+    sink(&shard);
+    open_rows = 0;
+    shard.cells.clear();
+  };
+
+  std::string line;
+  std::vector<int> raw_per_row;
+  LibSvmLine parsed;
+  std::vector<double> cells;
+  int max_column = -1;
+  int line_number = 0;
+  while (std::getline(in, line)) {
+    ++line_number;
+    scan.bytes += static_cast<int64_t>(line.size()) + 1;
+    if (line.empty() || line[0] == '#') continue;
+    if (libsvm) {
+      ParseLibSvmLine(line, path, line_number, &parsed);
+      raw_per_row.push_back(parsed.label);
+      for (const LibSvmEntry& entry : parsed.entries) {
+        SRDA_CHECK_LT(entry.column, width)
+            << path << ":" << line_number << ": feature index "
+            << entry.column + 1 << " exceeds width " << width;
+        max_column = std::max(max_column, entry.column);
+      }
+      entries.insert(entries.end(), parsed.entries.begin(),
+                     parsed.entries.end());
+      row_ends.push_back(entries.size());
+    } else {
+      const int label = ParseCsvLine(line, path, line_number, &cells);
+      SRDA_CHECK_GE(label, 0)
+          << path << ":" << line_number << ": negative label";
+      raw_per_row.push_back(label);
+      if (scan.cols == 0) {
+        scan.cols = static_cast<int>(cells.size());
+        SRDA_CHECK_GT(scan.cols, 0) << path << ": no feature columns";
+      }
+      SRDA_CHECK_EQ(static_cast<int>(cells.size()), scan.cols)
+          << path << ":" << line_number << ": ragged row";
+      shard.cells.insert(shard.cells.end(), cells.begin(), cells.end());
+    }
+    ++scan.rows;
+    if (++open_rows == shard_rows) finish_shard();
+  }
+  finish_shard();
+  SRDA_CHECK_GT(scan.rows, 0) << path << ": no samples";
+  if (libsvm) scan.cols = num_features > 0 ? num_features : max_column + 1;
+  SRDA_CHECK_GT(scan.cols, 0) << path << ": no features";
+  scan.raw_labels = CompactLabelsSorted(&raw_per_row);
+  scan.labels = std::move(raw_per_row);
+  return scan;
+}
+
 void WriteLibSvmFile(const SparseDataset& dataset, const std::string& path) {
   ValidateDataset(dataset);
   std::ofstream out = OpenForWrite(path);
@@ -81,52 +168,17 @@ void WriteLibSvmFile(const SparseDataset& dataset, const std::string& path) {
 }
 
 SparseDataset ReadLibSvmFile(const std::string& path, int num_features) {
-  SRDA_CHECK_GE(num_features, 0);
-  std::ifstream in = OpenForRead(path);
-
-  struct Entry {
-    int column;
-    double value;
-  };
-  std::vector<std::vector<Entry>> rows;
-  std::vector<int> raw_labels;
-  int max_column = -1;
-
-  std::string line;
-  int line_number = 0;
-  LibSvmLine parsed;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty() || line[0] == '#') continue;
-    ParseLibSvmLine(line, path, line_number, &parsed);
-    raw_labels.push_back(parsed.label);
-    rows.emplace_back();
-    for (const LibSvmEntry& entry : parsed.entries) {
-      rows.back().push_back({entry.column, entry.value});
-      max_column = std::max(max_column, entry.column);
-    }
-  }
-  SRDA_CHECK(!rows.empty()) << path << ": no samples";
-
-  // Compact raw labels to [0, c) by sorted raw value, so a write -> read
-  // round trip preserves class identities regardless of row order.
+  TextShard all;
+  TextScan scan = ScanTextDataset(
+      path, TextFormat::kLibSvm, num_features, std::numeric_limits<int>::max(),
+      [&](TextShard* shard) { all = std::move(*shard); });
   SparseDataset dataset;
-  dataset.raw_labels = CompactLabelsSorted(&raw_labels);
-  dataset.labels = std::move(raw_labels);
+  dataset.features =
+      SparseMatrix(scan.rows, scan.cols, std::move(all.offsets),
+                   std::move(all.indices), std::move(all.values));
+  dataset.labels = std::move(scan.labels);
+  dataset.raw_labels = std::move(scan.raw_labels);
   dataset.num_classes = static_cast<int>(dataset.raw_labels.size());
-
-  const int width = num_features > 0 ? num_features : max_column + 1;
-  SRDA_CHECK_GT(width, 0) << path << ": no features";
-  SRDA_CHECK_GT(width, max_column)
-      << path << ": feature index " << max_column + 1 << " exceeds width "
-      << width;
-  SparseMatrixBuilder builder(static_cast<int>(rows.size()), width);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (const Entry& entry : rows[i]) {
-      builder.Add(static_cast<int>(i), entry.column, entry.value);
-    }
-  }
-  dataset.features = std::move(builder).Build();
   return dataset;
 }
 
@@ -144,40 +196,15 @@ void WriteDenseCsvFile(const DenseDataset& dataset, const std::string& path) {
 }
 
 DenseDataset ReadDenseCsvFile(const std::string& path) {
-  std::ifstream in = OpenForRead(path);
-  std::vector<std::vector<double>> rows;
-  std::vector<int> labels;
-  int width = -1;
-  std::string line;
-  int line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty() || line[0] == '#') continue;
-    rows.emplace_back();
-    const int label = ParseCsvLine(line, path, line_number, &rows.back());
-    SRDA_CHECK_GE(label, 0) << path << ":" << line_number
-                            << ": negative label";
-    labels.push_back(label);
-    if (width < 0) {
-      width = static_cast<int>(rows.back().size());
-      SRDA_CHECK_GT(width, 0) << path << ": no feature columns";
-    }
-    SRDA_CHECK_EQ(static_cast<int>(rows.back().size()), width)
-        << path << ":" << line_number << ": ragged row";
-  }
-  SRDA_CHECK(!rows.empty()) << path << ": no samples";
-
+  std::vector<double> cells;
+  TextScan scan = ScanTextDataset(
+      path, TextFormat::kCsv, 0, std::numeric_limits<int>::max(),
+      [&](TextShard* shard) { cells = std::move(shard->cells); });
   DenseDataset dataset;
-  // Compact by sorted raw value (matching the LibSVM reader) so gapped label
-  // ids like {0, 2} cannot fabricate an empty class.
-  dataset.raw_labels = CompactLabelsSorted(&labels);
+  dataset.features = Matrix(scan.rows, scan.cols, std::move(cells));
+  dataset.labels = std::move(scan.labels);
+  dataset.raw_labels = std::move(scan.raw_labels);
   dataset.num_classes = static_cast<int>(dataset.raw_labels.size());
-  dataset.labels = std::move(labels);
-  dataset.features = Matrix(static_cast<int>(rows.size()), width);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    double* dst = dataset.features.RowPtr(static_cast<int>(i));
-    for (int j = 0; j < width; ++j) dst[j] = rows[i][static_cast<size_t>(j)];
-  }
   return dataset;
 }
 

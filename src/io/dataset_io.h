@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,51 @@ namespace srda {
 // depends only on the SET of labels present, never on row order, which is
 // what makes write -> read round trips and shard streams stable.
 std::vector<int> CompactLabelsSorted(std::vector<int>* raw_per_row);
+
+// --- The text scan behind every LibSVM and CSV read. ---
+//
+// ScanTextDataset is the only loop that reads dataset text: ReadLibSvmFile
+// and ReadDenseCsvFile run it with one shard holding every row and keep
+// that shard in memory; RowShardReader runs it with its shard size and
+// spills each shard to disk. Both therefore accept the same grammar, abort
+// with the same located "path:line" messages, and assemble the same bits.
+
+enum class TextFormat {
+  kLibSvm,
+  kCsv,
+};
+
+// One finished shard as plain arrays. LibSVM fills `offsets`, `indices`
+// and `values` — the CSR arrays the SparseMatrix constructor takes, built
+// by SparseMatrixBuilder (rows sorted by index, duplicates summed, zeros
+// dropped); CSV fills `cells` with rows * width doubles, row-major. The
+// sink may move the arrays out.
+struct TextShard {
+  std::vector<int64_t> offsets;
+  std::vector<int> indices;
+  std::vector<double> values;
+  std::vector<double> cells;
+};
+
+struct TextScan {
+  int rows = 0;
+  int cols = 0;
+  std::vector<int> labels;      // compact ids, one per row
+  std::vector<int> raw_labels;  // compact id -> raw file label, ascending
+  int64_t bytes = 0;            // text bytes read, newlines included
+};
+
+// Parses every line of `path` through io/line_parser.h, skipping blank and
+// '#' lines, and hands `sink` each run of `shard_rows` rows (the last run
+// may be shorter) in file order. Checks, each located at its line: LibSVM
+// indices below `num_features` when it is positive (0 infers the width
+// from the largest index; CSV ignores it), CSV labels non-negative and
+// every CSV row as wide as the first. Labels compact as
+// CompactLabelsSorted does. Aborts on an unreadable file, a malformed
+// field, or a file with no samples or no features.
+TextScan ScanTextDataset(const std::string& path, TextFormat format,
+                         int num_features, int shard_rows,
+                         const std::function<void(TextShard*)>& sink);
 
 // --- LibSVM sparse format: "<label> <index>:<value> ..." per line. ---
 //

@@ -4,9 +4,10 @@
 // readers as uncaught std::invalid_argument / std::out_of_range with no file
 // context. These helpers parse with std::from_chars, require the whole token
 // to be consumed, and report every malformed field through SRDA_CHECK with a
-// "path:line" location, so a bad byte in a 10GB stream names its line. Both
-// the one-shot readers in dataset_io and the streaming RowShardReader parse
-// through this layer, guaranteeing the two paths accept the same grammar.
+// "path:line" location, so a bad byte in a 10GB stream names its line.
+// ScanTextDataset (io/dataset_io.h) is the only caller: the one-shot
+// readers and the streaming RowShardReader both run that scan, so the two
+// paths accept the same grammar.
 
 #ifndef SRDA_IO_LINE_PARSER_H_
 #define SRDA_IO_LINE_PARSER_H_

@@ -11,13 +11,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <system_error>
 #include <utility>
 
 #include "common/check.h"
 #include "io/dataset_io.h"
-#include "io/line_parser.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -68,14 +66,11 @@ RowShardReader::RowShardReader(const std::string& path,
                                const RowShardReaderOptions& options)
     : path_(path), format_(format), options_(options) {
   SRDA_CHECK_GT(options.shard_rows, 0) << "shard_rows must be positive";
-  SRDA_CHECK_GE(options.num_features, 0);
   if (format == RowStreamFormat::kBinary) {
     ReadBinaryMetadata();
   } else {
     ScanText();
   }
-  SRDA_CHECK_GT(rows_, 0) << path << ": no samples";
-  SRDA_CHECK_GT(cols_, 0) << path << ": no features";
   Reset();
 }
 
@@ -101,95 +96,33 @@ void RowShardReader::OpenSpill() {
 }
 
 void RowShardReader::ScanText() {
-  std::ifstream in(path_);
-  SRDA_CHECK(in.good()) << "cannot open " << path_ << " for reading";
-  OpenSpill();
   const bool libsvm = format_ == RowStreamFormat::kLibSvm;
-  // The spill stores no width, so an inferred width (num_features == 0)
-  // need not be known until the scan ends; Next() supplies cols_.
-  const int width = options_.num_features > 0
-                        ? options_.num_features
-                        : std::numeric_limits<int>::max();
-  // The open shard: LibSVM entries with each row's end, or CSV rows.
-  std::vector<LibSvmEntry> entries;
-  std::vector<size_t> row_ends;
-  std::vector<double> dense_shard;
-  // Appends the open shard to the spill: CSR offsets, indices and values
-  // for LibSVM (assembled like ReadLibSvmFile does), row-major doubles for
-  // CSV.
-  const auto spill_shard = [&] {
-    if (libsvm && !row_ends.empty()) {
-      SparseMatrixBuilder builder(static_cast<int>(row_ends.size()), width);
-      size_t k = 0;
-      for (size_t i = 0; i < row_ends.size(); ++i) {
-        for (; k < row_ends[i]; ++k) {
-          builder.Add(static_cast<int>(i), entries[k].column,
-                      entries[k].value);
+  // Each finished shard goes to the spill in one writev: the CSR arrays
+  // for LibSVM, the row-major cells for CSV. The spill opens with the
+  // first shard, so an unreadable or empty file fails before TMPDIR does.
+  TextScan scan = ScanTextDataset(
+      path_, libsvm ? TextFormat::kLibSvm : TextFormat::kCsv,
+      options_.num_features, options_.shard_rows, [&](TextShard* shard) {
+        if (fd_ < 0) OpenSpill();
+        if (libsvm) {
+          iovec iov[3] = {
+              {shard->offsets.data(), shard->offsets.size() * sizeof(int64_t)},
+              {shard->indices.data(), shard->indices.size() * sizeof(int)},
+              {shard->values.data(), shard->values.size() * sizeof(double)}};
+          TransferAll(writev, fd_, iov, 3, source_);
+          shard_nnz_.push_back(shard->offsets.back());
+        } else {
+          iovec iov = {shard->cells.data(),
+                       shard->cells.size() * sizeof(double)};
+          TransferAll(writev, fd_, &iov, 1, source_);
         }
-      }
-      const SparseMatrix shard = std::move(builder).Build();
-      iovec iov[3] = {
-          {const_cast<int64_t*>(shard.row_offsets().data()),
-           shard.row_offsets().size() * sizeof(int64_t)},
-          {const_cast<int*>(shard.col_indices().data()),
-           shard.col_indices().size() * sizeof(int)},
-          {const_cast<double*>(shard.values().data()),
-           shard.values().size() * sizeof(double)}};
-      TransferAll(writev, fd_, iov, 3, source_);
-      shard_nnz_.push_back(shard.NumNonZeros());
-      entries.clear();
-      row_ends.clear();
-    } else if (!dense_shard.empty()) {
-      iovec iov = {dense_shard.data(), dense_shard.size() * sizeof(double)};
-      TransferAll(writev, fd_, &iov, 1, source_);
-      dense_shard.clear();
-    }
-  };
-
-  std::string line;
-  std::vector<int> raw_per_row;
-  LibSvmLine parsed;
-  std::vector<double> cells;
-  int max_column = -1;
-  int line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    bytes_streamed_ += static_cast<int64_t>(line.size()) + 1;
-    if (line.empty() || line[0] == '#') continue;
-    if (libsvm) {
-      ParseLibSvmLine(line, path_, line_number, &parsed);
-      raw_per_row.push_back(parsed.label);
-      for (const LibSvmEntry& entry : parsed.entries) {
-        SRDA_CHECK_LT(entry.column, width)
-            << path_ << ":" << line_number << ": feature index "
-            << entry.column + 1 << " exceeds width " << width;
-        max_column = std::max(max_column, entry.column);
-      }
-      entries.insert(entries.end(), parsed.entries.begin(),
-                     parsed.entries.end());
-      row_ends.push_back(entries.size());
-    } else {
-      const int label = ParseCsvLine(line, path_, line_number, &cells);
-      SRDA_CHECK_GE(label, 0)
-          << path_ << ":" << line_number << ": negative label";
-      raw_per_row.push_back(label);
-      if (cols_ == 0) {
-        cols_ = static_cast<int>(cells.size());
-        SRDA_CHECK_GT(cols_, 0) << path_ << ": no feature columns";
-      }
-      SRDA_CHECK_EQ(static_cast<int>(cells.size()), cols_)
-          << path_ << ":" << line_number << ": ragged row";
-      dense_shard.insert(dense_shard.end(), cells.begin(), cells.end());
-    }
-    if (++rows_ % options_.shard_rows == 0) spill_shard();
-  }
-  spill_shard();
-  BytesStreamed()->Add(static_cast<double>(bytes_streamed_));
-  if (libsvm) {
-    cols_ = options_.num_features > 0 ? options_.num_features : max_column + 1;
-  }
-  raw_labels_ = CompactLabelsSorted(&raw_per_row);
-  labels_ = std::move(raw_per_row);
+      });
+  bytes_streamed_ += scan.bytes;
+  BytesStreamed()->Add(static_cast<double>(scan.bytes));
+  rows_ = scan.rows;
+  cols_ = scan.cols;
+  labels_ = std::move(scan.labels);
+  raw_labels_ = std::move(scan.raw_labels);
   num_classes_ = static_cast<int>(raw_labels_.size());
 }
 

@@ -8,23 +8,23 @@
 // the file is. Iterative consumers (sharded LSQR) Reset() and re-stream the
 // shards once per pass.
 //
-// Text formats are parsed exactly once. The constructor's scan runs every
-// line through the strict line_parser grammar (a malformed byte fails with
-// a located path:line message before any numerics run), assembles each
-// shard as it goes, and appends it in binary to a spill file. The spill is
-// created with mkstemp under std::filesystem::temp_directory_path() (which
-// honours TMPDIR) and unlinked at once, so nothing outlives the reader,
-// even on abort. LibSVM shards spill as their CSR arrays (12 B per nnz plus
+// Text formats are parsed exactly once. The constructor runs
+// ScanTextDataset (io/dataset_io.h), the same scan the one-shot readers
+// run: every line goes through the strict line_parser grammar (a malformed
+// byte fails with a located path:line message before any numerics run),
+// and each finished shard is appended in binary to a spill file. The
+// spill is created with mkstemp under
+// std::filesystem::temp_directory_path() (which honours TMPDIR) and
+// unlinked at once, so nothing outlives the reader, even on abort. LibSVM shards spill as their CSR arrays (12 B per nnz plus
 // 8 B per row), CSV shards as row-major doubles (8 B per cell). The text
 // file is closed when the scan ends: every pass reads the spill, one read
 // per shard, so all passes see exactly the rows the scan validated even if
 // the file changes afterwards. SRDB files need no spill; the constructor
 // checks the file size against the header and passes read each shard's
 // byte range from the file. Passes use read(), not mmap, so resident
-// feature memory stays bounded by peak_shard_bytes(). Labels compact
-// exactly like the one-shot readers in dataset_io (sorted raw value), so an
-// out-of-core fit sees the same class ids as an in-RAM
-// ReadLibSvmFile/ReadDenseCsvFile fit.
+// feature memory stays bounded by peak_shard_bytes(). The shared scan
+// compacts labels (sorted raw value), so an out-of-core fit sees the same
+// class ids as an in-RAM ReadLibSvmFile/ReadDenseCsvFile fit.
 //
 // Observability: every Next() emits an `io.shard_read` span (rows + bytes
 // args) and advances the global `io.bytes_streamed` counter (the scan adds

@@ -1,8 +1,6 @@
 #include "linalg/sketch.h"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
 
 #include "common/check.h"
 #include "common/flops.h"
@@ -42,15 +40,6 @@ CountSketchDraw DrawCountSketch(const SketchOptions& options, int global_row) {
   return draw;
 }
 
-// Fills `g` with row `global_row` of the Gaussian sketch operator
-// S = G / sqrt(s) (s entries).
-void DrawGaussianRow(const SketchOptions& options, int global_row,
-                     std::vector<double>* g) {
-  Rng rng(RowSeed(options.seed, global_row));
-  const double scale = 1.0 / std::sqrt(static_cast<double>(options.sketch_rows));
-  for (double& value : *g) value = rng.NextGaussian() * scale;
-}
-
 }  // namespace
 
 void SketchAccumulate(const Matrix& x, int row_offset,
@@ -62,39 +51,22 @@ void SketchAccumulate(const Matrix& x, int row_offset,
   SRDA_CHECK_GE(row_offset, 0);
   const int m = x.rows();
   const int n = x.cols();
-  const int s = options.sketch_rows;
   if (m == 0 || n == 0) return;
   // Threads own disjoint COLUMN stripes; every thread walks the input rows
   // in ascending order, so each sketch element's accumulation chain is the
   // serial ascending-row chain no matter how the stripes land. The per-row
   // draws are regenerated per stripe — a few splitmix64 steps, cheap next
   // to the row traffic.
-  if (options.kind == SketchKind::kCountSketch) {
-    AddFlops(2.0 * m * n);
-    ParallelFor(0, n, [&](int col_begin, int col_end) {
-      for (int i = 0; i < m; ++i) {
-        const CountSketchDraw draw = DrawCountSketch(options, row_offset + i);
-        const double* src = x.RowPtr(i);
-        double* out = sketch->RowPtr(draw.bucket);
-        if (draw.sign > 0.0) {
-          for (int j = col_begin; j < col_end; ++j) out[j] += src[j];
-        } else {
-          for (int j = col_begin; j < col_end; ++j) out[j] -= src[j];
-        }
-      }
-    });
-    return;
-  }
-  AddFlops(2.0 * m * static_cast<double>(s) * n);
+  AddFlops(2.0 * m * n);
   ParallelFor(0, n, [&](int col_begin, int col_end) {
-    std::vector<double> g(static_cast<size_t>(s));
     for (int i = 0; i < m; ++i) {
-      DrawGaussianRow(options, row_offset + i, &g);
+      const CountSketchDraw draw = DrawCountSketch(options, row_offset + i);
       const double* src = x.RowPtr(i);
-      for (int t = 0; t < s; ++t) {
-        const double gt = g[static_cast<size_t>(t)];
-        double* out = sketch->RowPtr(t);
-        for (int j = col_begin; j < col_end; ++j) out[j] += gt * src[j];
+      double* out = sketch->RowPtr(draw.bucket);
+      if (draw.sign > 0.0) {
+        for (int j = col_begin; j < col_end; ++j) out[j] += src[j];
+      } else {
+        for (int j = col_begin; j < col_end; ++j) out[j] -= src[j];
       }
     }
   });
@@ -109,16 +81,11 @@ void SketchAccumulate(const SparseMatrix& x, int row_offset,
   SRDA_CHECK_GE(row_offset, 0);
   const int m = x.rows();
   const int n = x.cols();
-  const int s = options.sketch_rows;
   if (m == 0 || n == 0) return;
-  const bool count_sketch = options.kind == SketchKind::kCountSketch;
-  AddFlops((count_sketch ? 2.0 : 2.0 * s) *
-           static_cast<double>(x.NumNonZeros()));
+  AddFlops(2.0 * static_cast<double>(x.NumNonZeros()));
   // Same column-stripe partition as the dense kernel; each stripe
   // binary-searches its entry range inside every row's sorted indices.
   ParallelFor(0, n, [&](int col_begin, int col_end) {
-    std::vector<double> g;
-    if (!count_sketch) g.resize(static_cast<size_t>(s));
     for (int i = 0; i < m; ++i) {
       const int nnz = x.RowNonZeros(i);
       if (nnz == 0) continue;
@@ -126,21 +93,10 @@ void SketchAccumulate(const SparseMatrix& x, int row_offset,
       const double* values = x.RowValues(i);
       const int* begin =
           std::lower_bound(indices, indices + nnz, col_begin);
-      if (count_sketch) {
-        const CountSketchDraw draw = DrawCountSketch(options, row_offset + i);
-        double* out = sketch->RowPtr(draw.bucket);
-        for (const int* p = begin; p != indices + nnz && *p < col_end; ++p) {
-          out[*p] += draw.sign * values[p - indices];
-        }
-      } else {
-        DrawGaussianRow(options, row_offset + i, &g);
-        for (const int* p = begin; p != indices + nnz && *p < col_end; ++p) {
-          const double value = values[p - indices];
-          const int col = *p;
-          for (int t = 0; t < s; ++t) {
-            (*sketch)(t, col) += g[static_cast<size_t>(t)] * value;
-          }
-        }
+      const CountSketchDraw draw = DrawCountSketch(options, row_offset + i);
+      double* out = sketch->RowPtr(draw.bucket);
+      for (const int* p = begin; p != indices + nnz && *p < col_end; ++p) {
+        out[*p] += draw.sign * values[p - indices];
       }
     }
   });
@@ -198,48 +154,13 @@ Matrix SketchShards(RowShardSource* source, const SketchOptions& options) {
   return sketch;
 }
 
-Matrix SketchOperator(const LinearOperator& a, const SketchOptions& options) {
-  ValidateOptions(options);
-  TraceSpan span("sketch.build");
-  AddBuildArgs(&span, a.rows(), options);
-  const int m = a.rows();
-  const int s = options.sketch_rows;
-  // Materialize S^T (m x s, dense — the one place this module pays O(m s)
-  // memory) and push it through the operator's batched transposed product.
-  Matrix st(m, s);
-  if (options.kind == SketchKind::kCountSketch) {
-    for (int i = 0; i < m; ++i) {
-      const CountSketchDraw draw = DrawCountSketch(options, i);
-      st(i, draw.bucket) = draw.sign;
-    }
-  } else {
-    std::vector<double> g(static_cast<size_t>(s));
-    for (int i = 0; i < m; ++i) {
-      DrawGaussianRow(options, i, &g);
-      double* row = st.RowPtr(i);
-      for (int t = 0; t < s; ++t) row[t] = g[static_cast<size_t>(t)];
-    }
-  }
-  return a.ApplyTransposedMulti(st).Transposed();
-}
-
 Vector SketchOnes(int rows, const SketchOptions& options) {
   ValidateOptions(options);
   SRDA_CHECK_GE(rows, 0);
   Vector ones(options.sketch_rows);
-  if (options.kind == SketchKind::kCountSketch) {
-    for (int i = 0; i < rows; ++i) {
-      const CountSketchDraw draw = DrawCountSketch(options, i);
-      ones[draw.bucket] += draw.sign;
-    }
-    return ones;
-  }
-  std::vector<double> g(static_cast<size_t>(options.sketch_rows));
   for (int i = 0; i < rows; ++i) {
-    DrawGaussianRow(options, i, &g);
-    for (int t = 0; t < options.sketch_rows; ++t) {
-      ones[t] += g[static_cast<size_t>(t)];
-    }
+    const CountSketchDraw draw = DrawCountSketch(options, i);
+    ones[draw.bucket] += draw.sign;
   }
   return ones;
 }

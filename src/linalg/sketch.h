@@ -10,22 +10,18 @@
 // The sketch is a preconditioner only: solutions are always LSQR's on the
 // exact problem (solver/ridge_solver.h, SketchMode::kPrecondition).
 //
-// Two sketch kinds:
-//  * kCountSketch — each input row i is added, with a pseudo-random sign,
-//    to one pseudo-random sketch row h(i). One pass, O(nnz) work, the
-//    right choice for sparse data and large m.
-//  * kGaussian — S = G / sqrt(s) with i.i.d. standard normal G. O(m s n)
-//    work; tighter embedding at equal s, affordable only for small n.
+// The sketch is a count-sketch: each input row i is added, with a
+// pseudo-random sign, to one pseudo-random sketch row h(i) — one pass,
+// O(nnz) work.
 //
-// Determinism contract: the bucket/sign (and Gaussian row) draws are a pure
-// function of (options.seed, global row index) — never of thread count,
-// shard size, or traversal order. Every kernel accumulates each output
-// element over input rows in ascending order (threads partition output
-// COLUMNS), so for a fixed seed the sketch is bitwise identical at any
-// thread count, and streaming row blocks top-to-bottom through
-// SketchAccumulate reproduces the one-shot sketch bit for bit — the
-// out-of-core path sketches while streaming and matches the in-RAM sketch
-// exactly.
+// Determinism contract: the bucket/sign draws are a pure function of
+// (options.seed, global row index) — never of thread count, shard size, or
+// traversal order. Every kernel accumulates each output element over input
+// rows in ascending order (threads partition output COLUMNS), so for a
+// fixed seed the sketch is bitwise identical at any thread count, and
+// streaming row blocks top-to-bottom through SketchAccumulate reproduces
+// the one-shot sketch bit for bit — the out-of-core path sketches while
+// streaming and matches the in-RAM sketch exactly.
 
 #ifndef SRDA_LINALG_SKETCH_H_
 #define SRDA_LINALG_SKETCH_H_
@@ -33,7 +29,6 @@
 #include <cstdint>
 
 #include "linalg/cholesky.h"
-#include "linalg/linear_operator.h"
 #include "linalg/sharded_operator.h"
 #include "matrix/matrix.h"
 #include "matrix/vector.h"
@@ -41,19 +36,13 @@
 
 namespace srda {
 
-enum class SketchKind {
-  kCountSketch,
-  kGaussian,
-};
-
 struct SketchOptions {
   // Sketch rows s (the compressed sample count). Must be positive. Larger s
   // gives a better subspace embedding; s in [2n, 4n] is the usual
   // preconditioning regime (beyond s >= m the sketch stops compressing).
   int sketch_rows = 0;
-  SketchKind kind = SketchKind::kCountSketch;
-  // Seed of the per-row hash/sign (and Gaussian) draws. Same seed => same
-  // sketch operator, bitwise, at any thread count and shard size.
+  // Seed of the per-row hash/sign draws. Same seed => same sketch
+  // operator, bitwise, at any thread count and shard size.
   uint64_t seed = 0x5eedc0deULL;
 };
 
@@ -75,14 +64,6 @@ Matrix SketchRows(const SparseMatrix& x, const SketchOptions& options);
 // the source's cursor is exclusively owned for the duration). Bitwise
 // identical to SketchRows on the concatenated matrix.
 Matrix SketchShards(RowShardSource* source, const SketchOptions& options);
-
-// Generic fallback for operators without row access: materializes S^T
-// (rows x s, dense) and computes (S A)^T = A^T S^T in one batched
-// ApplyTransposedMulti pass. Same sketch operator S as the row kernels, but
-// the accumulation order follows the operator's transposed product, so the
-// result is NOT bitwise identical to SketchRows on the same data — prefer
-// the row kernels whenever the concrete type is known.
-Matrix SketchOperator(const LinearOperator& a, const SketchOptions& options);
 
 // S * 1 (the sketch of the all-ones column). Lets callers sketch implicitly
 // centered or ones-augmented operators without touching the data again:

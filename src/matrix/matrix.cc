@@ -1,5 +1,7 @@
 #include "matrix/matrix.h"
 
+#include <utility>
+
 namespace srda {
 
 Matrix::Matrix(int rows, int cols) : rows_(rows), cols_(cols) {
@@ -10,6 +12,15 @@ Matrix::Matrix(int rows, int cols) : rows_(rows), cols_(cols) {
 
 Matrix::Matrix(int rows, int cols, double fill) : Matrix(rows, cols) {
   Fill(fill);
+}
+
+Matrix::Matrix(int rows, int cols, std::vector<double> values)
+    : rows_(rows), cols_(cols), values_(std::move(values)) {
+  SRDA_CHECK(rows >= 0 && cols >= 0)
+      << "negative matrix shape " << rows << " x " << cols;
+  SRDA_CHECK_EQ(values_.size(),
+                static_cast<size_t>(rows) * static_cast<size_t>(cols))
+      << "matrix values must hold rows * cols entries";
 }
 
 Matrix Matrix::Identity(int n) {

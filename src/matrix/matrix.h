@@ -28,6 +28,10 @@ class Matrix {
   // A rows x cols matrix filled with `fill`.
   Matrix(int rows, int cols, double fill);
 
+  // Takes ownership of `values`, rows * cols doubles in row-major order.
+  // Checks the size.
+  Matrix(int rows, int cols, std::vector<double> values);
+
   Matrix(const Matrix&) = default;
   Matrix& operator=(const Matrix&) = default;
   Matrix(Matrix&&) = default;

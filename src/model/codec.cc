@@ -1,10 +1,5 @@
 #include "model/codec.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -185,7 +180,7 @@ SrdaModel ParseBinary(const unsigned char* data, int64_t size,
   return m;
 }
 
-// Reads the whole file into memory — the fallback when mmap is unavailable.
+// Reads the whole file into memory in one call.
 std::vector<unsigned char> SlurpFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   SRDA_CHECK(in.good()) << "cannot open " << path << " for reading";
@@ -355,33 +350,8 @@ void SaveBinary(const SrdaModel& m, const std::string& path) {
 }
 
 SrdaModel LoadBinary(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  SRDA_CHECK_GE(fd, 0) << "cannot open " << path << " for reading";
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    SRDA_CHECK(false) << "cannot stat " << path;
-  }
-  const int64_t size = static_cast<int64_t>(st.st_size);
-  void* mapping = size > 0
-                      ? ::mmap(nullptr, static_cast<size_t>(size), PROT_READ,
-                               MAP_PRIVATE, fd, 0)
-                      : MAP_FAILED;
-  ::close(fd);
-  if (mapping == MAP_FAILED) {
-    // Mapping can fail on exotic filesystems; the read path parses the same
-    // bytes (SlurpFile rejects anything unreadable, including empty files).
-    obs::Event("model.mmap_fallback")
-        .Str("path", path)
-        .Num("bytes", static_cast<double>(size));
-    const std::vector<unsigned char> buffer = SlurpFile(path);
-    return ParseBinary(buffer.data(), static_cast<int64_t>(buffer.size()),
-                       path);
-  }
-  SrdaModel m =
-      ParseBinary(static_cast<const unsigned char*>(mapping), size, path);
-  ::munmap(mapping, static_cast<size_t>(size));
-  return m;
+  const std::vector<unsigned char> buffer = SlurpFile(path);
+  return ParseBinary(buffer.data(), static_cast<int64_t>(buffer.size()), path);
 }
 
 Codec DetectCodec(const std::string& path) {

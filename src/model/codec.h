@@ -10,10 +10,9 @@
 //  * Binary ("SRDM" v1): a fixed header holding dimensions, provenance, and
 //    the byte offset of every section, followed by 64-byte-aligned sections
 //    (projection, bias, centroids, raw labels, trainer name) in native
-//    layout. Loading mmaps the file and memcpy's each section straight into
-//    place — zero parse cost, no per-element conversion — so a server picks
-//    up a model at memory bandwidth. Falls back to a plain read when
-//    mapping is unavailable; the loaded model is identical either way.
+//    layout. Loading reads the file in one call and memcpy's each section
+//    straight into place — zero parse cost, no per-element conversion — so
+//    a server picks up a model at memory bandwidth.
 //
 // Every load is wrapped in a `model.load` trace span (bytes + codec args)
 // so serving traces prove which path a model came through. All malformed
@@ -33,7 +32,7 @@ namespace model {
 
 enum class Codec {
   kText,    // "srda-model 2"
-  kBinary,  // "SRDM" v1, mmap-able
+  kBinary,  // "SRDM" v1, native layout
 };
 
 // Writes `m` to `path` in the requested codec. Aborts on I/O failure or an

@@ -6,7 +6,7 @@
 // compact -> raw label map of the training file, and provenance describing
 // how the model was trained. model::SrdaModel is that object; codec.h
 // persists it in two interchangeable formats (versioned text for
-// inspection/migration, mmap-able binary for zero-parse serving) and
+// inspection/migration, native-layout binary for zero-parse serving) and
 // serve/serving.h scores traffic against it.
 //
 // Naming note: srda::SrdaModel (core/srda.h) is the *fit result* of the

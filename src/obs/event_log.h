@@ -1,10 +1,10 @@
 // Structured JSONL event log: located lifecycle and fallback events.
 //
 // Counters say HOW OFTEN the training stack fell back (sketch factor
-// failure -> plain LSQR, downdate condition trip -> fresh factor, mmap
-// failure -> read path); the event log says WHEN and WITH WHAT, one JSON
-// object per line, so an operator can line a production incident up
-// against the exact fallback that fired. Events carry a steady-clock
+// failure -> plain LSQR, downdate condition trip -> fresh factor); the
+// event log says WHEN and WITH WHAT, one JSON object per line, so an
+// operator can line a production incident up against the exact fallback
+// that fired. Events carry a steady-clock
 // timestamp (microseconds since the obs epoch), a monotonically increasing
 // sequence number, the event name, and a flat set of numeric/string args:
 //

@@ -319,9 +319,9 @@ void RidgeSolver::SetSketch(const SketchConfig& config) {
   }
   const bool same_operator =
       config.sketch_rows == sketch_config_.sketch_rows &&
-      config.kind == sketch_config_.kind && config.seed == sketch_config_.seed;
+      config.seed == sketch_config_.seed;
   sketch_config_ = config;
-  // The sketch and its factor depend on (rows, kind, seed) but not on the
+  // The sketch and its factor depend on (rows, seed) but not on the
   // mode, so a mode flip alone keeps both caches.
   if (!same_operator) {
     sketch_ready_ = false;
@@ -357,14 +357,12 @@ void RidgeSolver::EnsureSketch(const LinearOperator* data) {
   const int n_effective =
       data->cols() + (bias_mode_ == RidgeBias::kAugmentedOnes ? 1 : 0);
   SketchOptions opts;
-  opts.kind = sketch_config_.kind;
   opts.seed = sketch_config_.seed;
   opts.sketch_rows = sketch_config_.sketch_rows > 0
                          ? sketch_config_.sketch_rows
                          : std::max(1, std::min(m, 4 * n_effective));
-  // Sketch the raw rows through the cheapest kernel the binding offers;
-  // the generic operator fallback only fires for operator types without
-  // row access.
+  // Sketch the raw rows through the row kernel the binding offers; only
+  // sparse and dense operators have row access.
   Matrix base;
   switch (binding_) {
     case Binding::kDense:
@@ -377,7 +375,9 @@ void RidgeSolver::EnsureSketch(const LinearOperator* data) {
                      dynamic_cast<const DenseOperator*>(operator_)) {
         base = SketchRows(*dense->matrix(), opts);
       } else {
-        base = SketchOperator(*operator_, opts);
+        SRDA_CHECK(false) << "sketching needs a SparseOperator or "
+                             "DenseOperator binding; this operator has no "
+                             "row access";
       }
       break;
     }

@@ -88,7 +88,6 @@ struct SketchConfig {
   // Sketch rows s; 0 picks min(rows, 4 * effective columns), the usual
   // preconditioning regime.
   int sketch_rows = 0;
-  SketchKind kind = SketchKind::kCountSketch;
   // Seed of the sketch operator. Same seed + any thread count or shard
   // size => bitwise-identical sketches, factors, and preconditioned solves.
   uint64_t seed = 0x5eed5eedULL;
@@ -176,11 +175,12 @@ class RidgeSolver {
   RidgeSolver ExcludeRows(const std::vector<int>& rows);
 
   // Configures sketching for subsequent Solve() calls. The sketch operator
-  // (rows/kind/seed) and its factored Gram are cached across calls and
-  // across the alpha grid; changing only the mode keeps both caches (the
-  // operator does not depend on the mode), changing rows/kind/seed drops
-  // them. Row-level bindings only (dense, operator, sharded) — Gram-bound
-  // solvers have no rows to sketch and must stay at SketchMode::kOff.
+  // (rows/seed) and its factored Gram are cached across calls and across
+  // the alpha grid; changing only the mode keeps both caches (the operator
+  // does not depend on the mode), changing rows/seed drops them. Row-level
+  // bindings only (dense, sharded, or a SparseOperator/DenseOperator) —
+  // Gram-bound solvers have no rows to sketch and must stay at
+  // SketchMode::kOff, and a solve on any other operator aborts.
   void SetSketch(const SketchConfig& config);
   const SketchConfig& sketch_config() const { return sketch_config_; }
 

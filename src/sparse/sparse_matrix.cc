@@ -284,15 +284,29 @@ void SparseMatrixBuilder::Add(int row, int col, double value) {
 }
 
 SparseMatrix SparseMatrixBuilder::Build() && {
+  std::vector<int64_t> row_offsets;
+  std::vector<int> col_indices;
+  std::vector<double> values;
+  std::move(*this).Build(&row_offsets, &col_indices, &values);
+  return SparseMatrix(rows_, cols_, std::move(row_offsets),
+                      std::move(col_indices), std::move(values));
+}
+
+void SparseMatrixBuilder::Build(std::vector<int64_t>* row_offsets_out,
+                                std::vector<int>* col_indices_out,
+                                std::vector<double>* values_out) && {
   // Stable, so duplicates sum in insertion order whatever the other rows.
   std::stable_sort(triplets_.begin(), triplets_.end(),
                    [](const Triplet& a, const Triplet& b) {
                      return a.row != b.row ? a.row < b.row : a.col < b.col;
                    });
 
-  std::vector<int64_t> row_offsets(static_cast<size_t>(rows_) + 1, 0);
-  std::vector<int> col_indices;
-  std::vector<double> values;
+  std::vector<int64_t>& row_offsets = *row_offsets_out;
+  std::vector<int>& col_indices = *col_indices_out;
+  std::vector<double>& values = *values_out;
+  row_offsets.assign(static_cast<size_t>(rows_) + 1, 0);
+  col_indices.clear();
+  values.clear();
   col_indices.reserve(triplets_.size());
   values.reserve(triplets_.size());
 
@@ -317,8 +331,6 @@ SparseMatrix SparseMatrixBuilder::Build() && {
     row_offsets[r + 1] += row_offsets[r];
   }
   triplets_.clear();
-  return SparseMatrix(rows_, cols_, std::move(row_offsets),
-                      std::move(col_indices), std::move(values));
 }
 
 SparseMatrix SparseFromDense(const Matrix& dense, double tolerance) {

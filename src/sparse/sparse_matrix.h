@@ -107,6 +107,12 @@ class SparseMatrixBuilder {
   // Assembles the CSR matrix. The builder may not be reused afterwards.
   SparseMatrix Build() &&;
 
+  // Assembles the same CSR arrays Build() wraps (as the SparseMatrix
+  // constructor takes them), for callers that keep them apart from a
+  // matrix. The builder may not be reused afterwards.
+  void Build(std::vector<int64_t>* row_offsets, std::vector<int>* col_indices,
+             std::vector<double>* values) &&;
+
  private:
   struct Triplet {
     int row;

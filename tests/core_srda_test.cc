@@ -299,6 +299,73 @@ TEST(SrdaTest, AlphaZeroAllowedWhenFullRank) {
   EXPECT_TRUE(model.converged);
 }
 
+// An alpha sweep through one bound solver (its Gram cached, one Cholesky
+// refactorization per alpha) must reproduce a fresh fit at every alpha.
+void ExpectSweepMatchesFreshFits(const Matrix& x,
+                                 const std::vector<int>& labels,
+                                 int num_classes,
+                                 const std::vector<double>& alphas) {
+  RidgeSolver solver(&x);
+  for (double alpha : alphas) {
+    SrdaOptions options;
+    options.alpha = alpha;
+    const SrdaModel swept = FitSrda(&solver, labels, num_classes, options);
+    const SrdaModel fresh = FitSrda(x, labels, num_classes, options);
+    ASSERT_TRUE(swept.converged && fresh.converged) << "alpha " << alpha;
+    EXPECT_EQ(MaxAbsDiff(swept.embedding.projection(),
+                         fresh.embedding.projection()),
+              0.0)
+        << "alpha " << alpha;
+    EXPECT_EQ(MaxAbsDiff(swept.embedding.bias(), fresh.embedding.bias()), 0.0)
+        << "alpha " << alpha;
+  }
+}
+
+TEST(SrdaTest, SolverSweepMatchesFreshFitsBitwise) {
+  Rng rng(11);
+  Matrix x;
+  std::vector<int> labels;
+  MakeBlobs(3, 20, 8, 2.5, &rng, &x, &labels);
+  ExpectSweepMatchesFreshFits(x, labels, 3,
+                              {1e-4, 0.01, 0.5, 1.0, 10.0, 500.0});
+}
+
+TEST(SrdaTest, SolverSweepMatchesFreshFitsInWideRegime) {
+  // n > m: the bound solver caches the dual m x m Gram instead.
+  Rng rng(12);
+  const int m = 15;
+  const int n = 40;
+  Matrix x(m, n);
+  std::vector<int> labels;
+  for (int i = 0; i < m; ++i) {
+    labels.push_back(i % 3);
+    for (int j = 0; j < n; ++j) x(i, j) = 1.5 * (i % 3) + rng.NextGaussian();
+  }
+  ExpectSweepMatchesFreshFits(x, labels, 3, {0.3, 2.0});
+}
+
+TEST(SrdaTest, SolverSweepShrinksProjectionMonotonically) {
+  Rng rng(13);
+  Matrix x;
+  std::vector<int> labels;
+  MakeBlobs(4, 15, 10, 2.5, &rng, &x, &labels);
+  RidgeSolver solver(&x);
+  double previous_norm = 1e300;
+  for (int grid = 0; grid < 50; ++grid) {
+    SrdaOptions options;
+    options.alpha = std::pow(10.0, -3.0 + 0.12 * grid);
+    const SrdaModel model = FitSrda(&solver, labels, 4, options);
+    ASSERT_TRUE(model.converged) << "alpha " << options.alpha;
+    double norm = 0.0;
+    for (int j = 0; j < model.embedding.output_dim(); ++j) {
+      norm += Norm2(model.embedding.projection().Col(j));
+    }
+    // Ridge shrinkage: total projection norm decreases as alpha grows.
+    EXPECT_LE(norm, previous_norm + 1e-12) << "alpha " << options.alpha;
+    previous_norm = norm;
+  }
+}
+
 TEST(SrdaDeathTest, NegativeAlphaAborts) {
   Matrix x(4, 2);
   SrdaOptions options;

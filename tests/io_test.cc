@@ -1,6 +1,7 @@
 // Tests for dataset and model file I/O.
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -181,6 +182,55 @@ TEST(LibSvmIoDeathTest, NonNumericLabelAborts) {
   EXPECT_DEATH(ReadLibSvmFile(path),
                "bad-label.libsvm:1: malformed label 'abc'");
   std::remove(path.c_str());
+}
+
+TEST(LibSvmIoDeathTest, IndexBeyondFixedWidthAbortsAtItsLine) {
+  // One scan serves both readers, so the one-shot read names the line of
+  // the offending index exactly as the streaming reader does.
+  const std::string path = TempPath("wide.libsvm");
+  {
+    std::ofstream out(path);
+    out << "1 1:1.0 3:2.0\n2 5:1.0\n";
+  }
+  const char kWant[] = "wide.libsvm:2: feature index 5 exceeds width 3";
+  EXPECT_DEATH(ReadLibSvmFile(path, 3), kWant);
+  RowShardReaderOptions options;
+  options.num_features = 3;
+  EXPECT_DEATH(RowShardReader(path, RowStreamFormat::kLibSvm, options),
+               kWant);
+  std::remove(path.c_str());
+}
+
+TEST(TextIoTest, InRamReadsNeedNoTempDir) {
+  // The one-shot readers keep their single shard in memory; only the
+  // streaming reader spills under TMPDIR.
+  const std::string libsvm = TempPath("notmp.libsvm");
+  const std::string csv = TempPath("notmp.csv");
+  {
+    std::ofstream out(libsvm);
+    out << "1 1:0.5 3:2\n2 2:1.5\n";
+  }
+  {
+    std::ofstream out(csv);
+    out << "0,1.0,2.0\n1,3.0,4.0\n";
+  }
+  const char* saved = std::getenv("TMPDIR");
+  const std::string saved_tmpdir = saved != nullptr ? saved : "";
+  ::setenv("TMPDIR", TempPath("no-such-tmpdir").c_str(), 1);
+  const SparseDataset sparse = ReadLibSvmFile(libsvm);
+  const DenseDataset dense = ReadDenseCsvFile(csv);
+  if (saved != nullptr) {
+    ::setenv("TMPDIR", saved_tmpdir.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  EXPECT_EQ(sparse.features.rows(), 2);
+  EXPECT_EQ(sparse.features.cols(), 3);
+  EXPECT_EQ(sparse.features.NumNonZeros(), 3);
+  EXPECT_EQ(dense.features.rows(), 2);
+  EXPECT_EQ(dense.features(1, 1), 4.0);
+  std::remove(libsvm.c_str());
+  std::remove(csv.c_str());
 }
 
 TEST(DenseCsvIoTest, RoundTrip) {

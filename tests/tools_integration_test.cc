@@ -336,6 +336,54 @@ TEST(ToolsIntegrationTest, ShardedTrainMatchesInRamModel) {
   std::remove(spill_dir.c_str());
 }
 
+TEST(ToolsIntegrationTest, InRamTrainNeedsNoTempDir) {
+  // Only --shard-rows spills under TMPDIR; an in-RAM read keeps the whole
+  // file in memory, so a missing TMPDIR must change neither the exit code
+  // nor the saved bytes.
+  const std::string libsvm = TempPath("notmp.libsvm");
+  const std::string csv = TempPath("notmp.csv");
+  {
+    SparseDataset sparse;
+    sparse.num_classes = 2;
+    SparseMatrixBuilder builder(120, 30);
+    Rng rng(29);
+    for (int i = 0; i < 120; ++i) {
+      const int label = i % 2;
+      sparse.labels.push_back(label);
+      for (int j = 0; j < 30; ++j) {
+        if (rng.NextDouble() < (j % 2 == label ? 0.3 : 0.1)) {
+          builder.Add(i, j, rng.NextDouble() + (j % 2 == label));
+        }
+      }
+    }
+    sparse.features = std::move(builder).Build();
+    WriteLibSvmFile(sparse, libsvm);
+  }
+  WriteDenseCsvFile(MakeBlobsDataset(90, 6, {0, 1, 2}, 31), csv);
+  for (const std::string& data :
+       {libsvm + " --format=libsvm --solver=lsqr", csv + " --format=csv"}) {
+    SCOPED_TRACE(data);
+    const std::string with_tmp = TempPath("notmp-default.model");
+    const std::string without_tmp = TempPath("notmp-missing.model");
+    const std::string train = ToolPath("srda_train") + " --data=" + data +
+                              " --model-format=binary";
+    std::string output;
+    ASSERT_EQ(RunCommand(train + " --model-out=" + with_tmp, &output), 0)
+        << output;
+    ASSERT_EQ(RunCommand("TMPDIR=/nonexistent " + train +
+                             " --model-out=" + without_tmp,
+                         &output),
+              0)
+        << output;
+    EXPECT_EQ(RunCommand("cmp " + with_tmp + " " + without_tmp, &output), 0)
+        << output;
+    std::remove(with_tmp.c_str());
+    std::remove(without_tmp.c_str());
+  }
+  std::remove(libsvm.c_str());
+  std::remove(csv.c_str());
+}
+
 TEST(ToolsIntegrationTest, PredictReadsSrdbBinaryData) {
   // Train on CSV, score the SRDB container of the same rows: identical
   // error rate, no CSV parse on the predict side.

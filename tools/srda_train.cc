@@ -5,7 +5,7 @@
 //              [--algorithm=srda|lda|rlda|idr_qr|fisherfaces|semi_srda]
 //              [--alpha=1.0] [--solver=normal|lsqr] [--lsqr-iterations=20]
 //              [--shard-rows=N] [--sketch-mode=off|precond]
-//              [--sketch-size=N] [--sketch-kind=count|gaussian]
+//              [--sketch-size=N]
 //              [--model-format=text|binary] --model-out=FILE
 //
 // CSV rows are "label,x1,...,xn"; LibSVM is the standard sparse format;
@@ -14,7 +14,7 @@
 // model-store file (src/model): the embedding, the nearest-centroid head,
 // the compact -> raw label map of the training file, and provenance
 // (trainer, alpha, sketch seed). --model-format picks the codec: "text"
-// (default, inspectable, migration-friendly) or "binary" (mmap-able SRDM,
+// (default, inspectable, migration-friendly) or "binary" (native-layout SRDM,
 // zero-parse load for serving). srda_predict and srda_serve read either.
 //
 // --shard-rows=N trains out of core: the dataset streams through a
@@ -26,9 +26,8 @@
 //
 // --sketch-mode=precond trains SRDA with LSQR right-preconditioned by a
 // factored randomized sketch of the data (same solutions, fewer iterations
-// on ill-conditioned data). --sketch-size=N sets the sketch rows (0 = auto,
-// 4x the feature count), --sketch-kind picks count-sketch (default) or
-// Gaussian. SRDA only.
+// on ill-conditioned data). The sketch is a count-sketch; --sketch-size=N
+// sets its rows (0 = auto, 4x the feature count). SRDA only.
 //
 // --trace-out=FILE writes a Chrome/Perfetto trace of the training run;
 // --metrics prints the phase/metrics summary without writing a trace. Either
@@ -66,7 +65,6 @@ constexpr char kUsage[] =
     "                  [--alpha=1.0] [--solver=normal|lsqr]\n"
     "                  [--lsqr-iterations=20] [--shard-rows=N]\n"
     "                  [--sketch-mode=off|precond] [--sketch-size=N]\n"
-    "                  [--sketch-kind=count|gaussian]\n"
     "                  [--model-format=text|binary]\n"
     "                  [--trace-out=FILE] [--metrics]\n"
     "                  [--metrics-out=FILE] [--metrics-interval=SEC]\n"
@@ -184,7 +182,6 @@ int Main(int argc, char** argv) {
   const int shard_rows = args.GetInt("shard-rows", 0);
   const std::string sketch_mode = args.GetString("sketch-mode", "off");
   const int sketch_size = args.GetInt("sketch-size", 0);
-  const std::string sketch_kind = args.GetString("sketch-kind", "count");
   const std::string model_format = args.GetString("model-format", "text");
   const std::string trace_path = args.GetString("trace-out", "");
   const bool print_metrics = args.GetBool("metrics");
@@ -206,15 +203,11 @@ int Main(int argc, char** argv) {
   SRDA_CHECK_GE(shard_rows, 0) << "--shard-rows must be non-negative";
   SRDA_CHECK(sketch_mode == "off" || sketch_mode == "precond")
       << "unknown --sketch-mode=" << sketch_mode << "\n" << kUsage;
-  SRDA_CHECK(sketch_kind == "count" || sketch_kind == "gaussian")
-      << "unknown --sketch-kind=" << sketch_kind << "\n" << kUsage;
   SRDA_CHECK_GE(sketch_size, 0) << "--sketch-size must be non-negative";
   SketchConfig sketch;
   sketch.mode = sketch_mode == "precond" ? SketchMode::kPrecondition
                                          : SketchMode::kOff;
   sketch.sketch_rows = sketch_size;
-  sketch.kind = sketch_kind == "gaussian" ? SketchKind::kGaussian
-                                          : SketchKind::kCountSketch;
   if (sketch.mode != SketchMode::kOff) {
     SRDA_CHECK(algorithm == "srda")
         << "--sketch-mode supports --algorithm=srda only";
