@@ -1,11 +1,12 @@
 #!/bin/sh
 # Builds the LSQR, operator, solver, sketch, sharded and sparse test
 # binaries, plus the Cholesky/triangular-sweep, rank-1 update, RLDA,
-# IDR/QR, incremental, determinism, dataset-IO and model-codec tests, with
-# AddressSanitizer and runs them with a multi-thread pool. Catches
-# out-of-bounds reads and writes, use-after-free and leaks in the block
-# products, the packed LSQR passes, the blocked triangular sweeps, the
-# Givens updates, the parsers and the shard streaming. The tools
+# IDR/QR, incremental, determinism, dataset-IO, model-codec, obs and
+# serving tests, with AddressSanitizer and runs them with a multi-thread
+# pool. Catches out-of-bounds reads and writes, use-after-free and leaks in
+# the block products, the packed LSQR passes, the blocked triangular
+# sweeps, the Givens updates, the parsers (data files, JSON, Prometheus
+# text, HTTP request lines) and the shard streaming. The tools
 # integration test runs the sanitized command-line tools (its CMake
 # dependencies build them), so the CLI read paths run under ASan both in
 # RAM and with --shard-rows.
@@ -15,7 +16,7 @@ cd "$(dirname "$0")/.."
 TESTS="linalg_lsqr_test solver_test sketch_test sharded_test core_srda_test
   sparse_test linalg_cholesky_test linalg_cholesky_update_test blocking_test
   core_rlda_test core_idr_qr_test core_incremental_test parallel_test
-  io_test model_test tools_integration_test"
+  io_test model_test obs_test serving_test tools_integration_test"
 
 cmake -B build-asan -S . -DSRDA_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -16,7 +16,6 @@
 
 #include "common/check.h"
 #include "io/dataset_io.h"
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -163,26 +162,10 @@ void RowShardReader::Reset() {
   next_row_ = 0;
   SRDA_CHECK(lseek(fd_, data_offset_, SEEK_SET) == data_offset_)
       << source_ << ": rewind failed: " << std::strerror(errno);
-  ++pass_index_;
-  pass_open_ = true;
-  obs::Event("io.shard_pass_start")
-      .Str("path", path_)
-      .Num("pass", static_cast<double>(pass_index_))
-      .Num("rows", rows_)
-      .Num("cols", cols_);
 }
 
 bool RowShardReader::Next(RowShard* shard) {
-  if (next_row_ >= rows_) {
-    if (pass_open_) {
-      pass_open_ = false;
-      obs::Event("io.shard_pass_end")
-          .Str("path", path_)
-          .Num("pass", static_cast<double>(pass_index_))
-          .Num("bytes_streamed", static_cast<double>(bytes_streamed_));
-    }
-    return false;
-  }
+  if (next_row_ >= rows_) return false;
   TraceSpan span("io.shard_read");
   const int count = std::min(options_.shard_rows, rows_ - next_row_);
   const int64_t bytes = format_ == RowStreamFormat::kLibSvm

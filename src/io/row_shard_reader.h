@@ -28,9 +28,8 @@
 //
 // Observability: every Next() emits an `io.shard_read` span (rows + bytes
 // args) and advances the global `io.bytes_streamed` counter (the scan adds
-// the text bytes, each pass the shard bytes it reads). With the event log
-// enabled (obs/event_log.h), each streaming pass brackets itself with
-// `io.shard_pass_start` / `io.shard_pass_end` events.
+// the text bytes, each pass the shard bytes it reads); bytes_streamed()
+// reports the same total for this reader alone.
 
 #ifndef SRDA_IO_ROW_SHARD_READER_H_
 #define SRDA_IO_ROW_SHARD_READER_H_
@@ -116,8 +115,6 @@ class RowShardReader final : public RowShardSource {
 
   // Streaming cursor.
   int next_row_ = 0;
-  int64_t pass_index_ = -1;  // increments on each Reset()
-  bool pass_open_ = false;   // guards the one io.shard_pass_end per pass
   Matrix dense_buffer_;
   SparseMatrix sparse_buffer_;
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "obs/event_log.h"
 #include "obs/trace.h"
 
 namespace srda {
@@ -383,12 +382,6 @@ SrdaModel Load(const std::string& path) {
     span.AddArg("coeffs", static_cast<double>(coeffs));
     span.AddArg("binary", codec == Codec::kBinary ? 1.0 : 0.0);
   }
-  obs::Event("model.load")
-      .Str("path", path)
-      .Str("codec", codec == Codec::kBinary ? "binary" : "text")
-      .Num("input_dim", m.input_dim())
-      .Num("output_dim", m.output_dim())
-      .Num("classes", m.num_classes());
   return m;
 }
 

@@ -7,19 +7,16 @@
 #include <string>
 #include <utility>
 
-#include "obs/json_check.h"
-
 namespace srda {
 namespace obs {
 namespace {
 
 // Shortest round-trip-ish formatting: integral values print bare, others
-// with %.17g (matches the event log's number formatting).
+// with %.17g.
 std::string FormatNumber(double value) {
   char buffer[40];
   if (!std::isfinite(value)) {
-    // Prometheus spells these +Inf / -Inf / NaN; JSON callers must filter
-    // non-finite values before reaching here.
+    // Prometheus spells these +Inf / -Inf / NaN.
     if (std::isnan(value)) return "NaN";
     return value > 0 ? "+Inf" : "-Inf";
   }
@@ -31,12 +28,6 @@ std::string FormatNumber(double value) {
     std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   }
   return buffer;
-}
-
-// JSON has no NaN/Inf literal; empty-window quantiles become null.
-std::string FormatJsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
-  return FormatNumber(value);
 }
 
 void AppendSample(std::string* out, const std::string& name,
@@ -132,63 +123,6 @@ std::string PrometheusTextAt(const MetricsRegistry& registry, int window_s,
   return out;
 }
 
-std::string MetricsJson(const MetricsRegistry& registry, int window_s) {
-  return MetricsJsonAt(registry, window_s, EpochSeconds());
-}
-
-std::string MetricsJsonAt(const MetricsRegistry& registry, int window_s,
-                          int64_t now_s) {
-  std::string out = "{\"window_s\":" + std::to_string(window_s);
-  out += ",\"cumulative\":[";
-  bool first = true;
-  for (const MetricSnapshot& row : registry.Snapshot()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"" + JsonEscape(row.name) + "\"";
-    switch (row.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        out += ",\"kind\":\"counter\",\"value\":" + FormatJsonNumber(row.value);
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        out += ",\"kind\":\"gauge\",\"value\":" + FormatJsonNumber(row.value);
-        break;
-      case MetricSnapshot::Kind::kHistogram:
-        out += ",\"kind\":\"histogram\",\"count\":" + std::to_string(row.count);
-        out += ",\"sum\":" + FormatJsonNumber(row.value);
-        out += ",\"mean\":" + FormatJsonNumber(row.mean);
-        out += ",\"min\":" + FormatJsonNumber(row.min);
-        out += ",\"max\":" + FormatJsonNumber(row.max);
-        out += ",\"p50\":" + FormatJsonNumber(row.p50);
-        out += ",\"p99\":" + FormatJsonNumber(row.p99);
-        break;
-    }
-    out += '}';
-  }
-  out += "],\"windowed\":[";
-  first = true;
-  for (const WindowedMetricSnapshot& row :
-       registry.WindowedSnapshotAt(window_s, now_s)) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"" + JsonEscape(row.name) + "\"";
-    switch (row.kind) {
-      case WindowedMetricSnapshot::Kind::kCounter:
-        out += ",\"kind\":\"counter\",\"sum\":" + FormatJsonNumber(row.sum);
-        out += ",\"rate\":" + FormatJsonNumber(row.rate);
-        break;
-      case WindowedMetricSnapshot::Kind::kHistogram:
-        out += ",\"kind\":\"histogram\",\"count\":" + std::to_string(row.count);
-        out += ",\"sum\":" + FormatJsonNumber(row.sum);
-        out += ",\"p50\":" + FormatJsonNumber(row.p50);
-        out += ",\"p99\":" + FormatJsonNumber(row.p99);
-        break;
-    }
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
 Exporter::Exporter(ExporterOptions options) : options_(std::move(options)) {}
 
 Exporter::~Exporter() { Stop(); }
@@ -224,11 +158,8 @@ void Exporter::Stop() {
 }
 
 bool Exporter::WriteSnapshot() {
-  const MetricsRegistry& registry = MetricsRegistry::Global();
   const std::string text =
-      options_.format == ExporterOptions::Format::kJson
-          ? MetricsJson(registry, options_.window_s)
-          : PrometheusText(registry, options_.window_s);
+      PrometheusText(MetricsRegistry::Global(), options_.window_s);
   // Write-to-temp + rename: a concurrent reader sees the old snapshot or
   // the new one, never a prefix.
   const std::string tmp = options_.path + ".tmp";

@@ -1,28 +1,23 @@
 // Metrics serialization and the background snapshot exporter.
 //
-// Two serializers turn the process-wide MetricsRegistry (cumulative AND
-// trailing-window instruments) into scrapeable text:
+// PrometheusText() turns the process-wide MetricsRegistry (cumulative AND
+// trailing-window instruments) into Prometheus text exposition format
+// 0.0.4. Metric names are sanitized ('.' -> '_', "srda_" prefix);
+// cumulative histograms export as summaries with quantile labels plus
+// _sum/_count, and windowed instruments export as gauges labeled with
+// their window ({window="10"}). Quantile samples are omitted when the
+// histogram is empty — a scrape never invents a latency from zero
+// observations.
 //
-//   PrometheusText()  - Prometheus text exposition format 0.0.4. Metric
-//                       names are sanitized ('.' -> '_', "srda_" prefix);
-//                       cumulative histograms export as summaries with
-//                       quantile labels plus _sum/_count, and windowed
-//                       instruments export as gauges labeled with their
-//                       window ({window="10"}). Quantile samples are
-//                       omitted when the histogram is empty — a scrape
-//                       never invents a latency from zero observations.
-//   MetricsJson()     - the same snapshot as one JSON object (cumulative
-//                       and windowed arrays) for programmatic consumers
-//                       and srda_trace_check --format=json.
-//
-// The Exporter wraps either serializer in a background thread that writes
-// a fresh snapshot to a file every interval (write-to-temp + rename, so a
+// The Exporter wraps the serializer in a background thread that writes a
+// fresh snapshot to a file every interval (write-to-temp + rename, so a
 // reader never sees a torn file). This is the file-based export path
-// (srda_train/srda_predict --metrics-out); the live HTTP path in
-// serve/telemetry.h calls PrometheusText() directly per scrape.
+// (srda_train/srda_predict/srda_serve --metrics-out, Prometheus text
+// whatever the file extension); the live HTTP path in serve/telemetry.h
+// calls PrometheusText() directly per scrape.
 //
-// Both serializers validate against obs/json_check.h
-// (ValidatePrometheusText / ParseJson) — the unit tests hold them to it.
+// The output validates against obs/json_check.h (ValidatePrometheusText)
+// — the unit tests hold it to it.
 
 #ifndef SRDA_OBS_EXPORTER_H_
 #define SRDA_OBS_EXPORTER_H_
@@ -51,20 +46,10 @@ std::string PrometheusText(const MetricsRegistry& registry, int window_s);
 std::string PrometheusTextAt(const MetricsRegistry& registry, int window_s,
                              int64_t now_s);
 
-// Serializes `registry` to one JSON object:
-//   {"window_s":10,"cumulative":[{"name":...,"kind":...,...}],
-//    "windowed":[{"name":...,"sum":...,"rate":...,"p50":...,...}]}
-// Non-finite quantiles (empty windows) serialize as null.
-std::string MetricsJson(const MetricsRegistry& registry, int window_s);
-std::string MetricsJsonAt(const MetricsRegistry& registry, int window_s,
-                          int64_t now_s);
-
 struct ExporterOptions {
   std::string path;                 // snapshot file (required)
   double interval_s = 1.0;          // time between snapshots
   int window_s = 10;                // trailing window for windowed rows
-  enum class Format { kPrometheus, kJson };
-  Format format = Format::kPrometheus;
 };
 
 // Background snapshot thread: every interval_s, serialize the global

@@ -21,6 +21,8 @@ const char* StatusText(int status) {
   switch (status) {
     case 200:
       return "OK";
+    case 400:
+      return "Bad Request";
     case 404:
       return "Not Found";
     case 405:
@@ -203,7 +205,7 @@ void HttpServer::ServeConnection(int fd) {
                                               : line.find(' ', sp1 + 1);
   HttpResponse response;
   if (sp1 == std::string::npos || sp2 == std::string::npos) {
-    response.status = 405;
+    response.status = 400;
     response.body = "malformed request line\n";
   } else if (line.substr(0, sp1) != "GET") {
     response.status = 405;

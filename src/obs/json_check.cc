@@ -468,69 +468,6 @@ bool ValidatePrometheusText(const std::string& text,
   return true;
 }
 
-bool ValidateJsonlEvents(const std::string& text,
-                         const std::vector<std::string>& required_events,
-                         std::string* error) {
-  auto fail = [error](int line_number, const std::string& message) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_number) + ": " + message;
-    }
-    return false;
-  };
-  std::set<std::string> names;
-  std::istringstream stream(text);
-  std::string line;
-  int line_number = 0;
-  int64_t events = 0;
-  double last_seq = -1.0;
-  while (std::getline(stream, line)) {
-    ++line_number;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    JsonValue event;
-    std::string parse_error;
-    if (!ParseJson(line, &event, &parse_error)) {
-      return fail(line_number, parse_error);
-    }
-    if (event.type != JsonValue::Type::kObject) {
-      return fail(line_number, "event is not an object");
-    }
-    const JsonValue* ts = event.Find("ts_us");
-    if (ts == nullptr || ts->type != JsonValue::Type::kNumber) {
-      return fail(line_number, "missing numeric \"ts_us\"");
-    }
-    const JsonValue* seq = event.Find("seq");
-    if (seq == nullptr || seq->type != JsonValue::Type::kNumber) {
-      return fail(line_number, "missing numeric \"seq\"");
-    }
-    if (seq->number <= last_seq) {
-      return fail(line_number, "sequence numbers not strictly increasing");
-    }
-    last_seq = seq->number;
-    const JsonValue* name = event.Find("event");
-    if (name == nullptr || name->type != JsonValue::Type::kString ||
-        name->string.empty()) {
-      return fail(line_number, "missing string \"event\"");
-    }
-    const JsonValue* args = event.Find("args");
-    if (args != nullptr && args->type != JsonValue::Type::kObject) {
-      return fail(line_number, "\"args\" is not an object");
-    }
-    names.insert(name->string);
-    ++events;
-  }
-  if (events == 0) return fail(line_number, "no events");
-  for (const std::string& required : required_events) {
-    if (names.count(required) == 0) {
-      if (error != nullptr) {
-        *error = "required event \"" + required + "\" not found";
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string JsonEscape(const std::string& text) {
   std::string out;
   out.reserve(text.size());

@@ -4,10 +4,9 @@
 // whole document into a small DOM (no external dependency) and checks the
 // structures our own emitters produce — the Chrome trace JSON written by
 // TraceRecorder::WriteJson (a top-level object with a "traceEvents" array
-// of complete events carrying name/ph/ts/dur/pid/tid), the Prometheus text
-// exposition written by obs/exporter.h, and the JSONL event stream written
-// by obs/event_log.h. These are validators for our own emitters, not
-// general format libraries.
+// of complete events carrying name/ph/ts/dur/pid/tid) and the Prometheus
+// text exposition written by obs/exporter.h. These are validators for our
+// own emitters, not general format libraries.
 
 #ifndef SRDA_OBS_JSON_CHECK_H_
 #define SRDA_OBS_JSON_CHECK_H_
@@ -60,19 +59,8 @@ bool ValidatePrometheusText(const std::string& text,
                             const std::vector<std::string>& required_names,
                             std::string* error);
 
-// Validates a JSONL event stream (what obs/event_log.h emits): every
-// non-empty line parses as one JSON object with a numeric "ts_us", a
-// numeric "seq", and a non-empty string "event"; "args", when present,
-// must be an object. Sequence numbers must be strictly increasing. Every
-// name in `required_events` must appear among the events. An empty
-// document (zero events) is rejected. Returns false and sets *error with
-// the offending line number.
-bool ValidateJsonlEvents(const std::string& text,
-                         const std::vector<std::string>& required_events,
-                         std::string* error);
-
-// Escapes a string for embedding inside a JSON string literal (the shared
-// helper behind the event log and exporter emitters).
+// Escapes a string for embedding inside a JSON string literal (used by
+// the /buildz emitter).
 std::string JsonEscape(const std::string& text);
 
 }  // namespace srda

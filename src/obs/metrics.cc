@@ -12,8 +12,8 @@ namespace obs {
 
 namespace {
 
-// Anchored on first use; windowed slots and event timestamps only ever
-// compare values from this one clock, so the anchor point is arbitrary.
+// Anchored on first use; windowed slots only ever compare values from
+// this one clock, so the anchor point is arbitrary.
 std::chrono::steady_clock::time_point MetricsEpoch() {
   static const std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
@@ -24,12 +24,6 @@ std::chrono::steady_clock::time_point MetricsEpoch() {
 
 int64_t EpochSeconds() {
   return std::chrono::duration_cast<std::chrono::seconds>(
-             std::chrono::steady_clock::now() - MetricsEpoch())
-      .count();
-}
-
-int64_t EpochMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - MetricsEpoch())
       .count();
 }

@@ -51,9 +51,6 @@ inline void AtomicAdd(std::atomic<double>* target, double delta) {
 // clock; tests inject explicit epochs instead.
 int64_t EpochSeconds();
 
-// Microseconds on the same clock (event-log timestamps).
-int64_t EpochMicros();
-
 }  // namespace obs
 
 // Monotonically increasing sum (flops, bytes, iterations, cache hits).

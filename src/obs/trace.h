@@ -11,8 +11,6 @@
 // It is toggled by the SRDA_TRACE environment variable (any value other
 // than "", "0", or "false") or programmatically via SetEnabled(); the bench
 // harness and the srda_train CLI flip it on for --trace-out / --metrics.
-// Defining SRDA_OBS_DISABLED at compile time removes the instrumentation
-// entirely (spans become empty objects).
 //
 // This module sits below src/common (common/flops.cc forwards its counter
 // here), so it depends only on the standard library.
@@ -116,8 +114,6 @@ class TraceRecorder {
 // True when SRDA_TRACE (or SetEnabled) turned tracing on. One relaxed load.
 inline bool TraceEnabled() { return TraceRecorder::Global().enabled(); }
 
-#ifndef SRDA_OBS_DISABLED
-
 // RAII scope: records one complete event from construction to destruction.
 // When tracing is disabled, construction is a single atomic load and the
 // destructor does nothing. Up to two numeric args ride along into the trace
@@ -176,17 +172,6 @@ class TraceSpan {
   const char* arg_keys_[2] = {nullptr, nullptr};
   double arg_values_[2] = {0.0, 0.0};
 };
-
-#else  // SRDA_OBS_DISABLED
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-  bool recording() const { return false; }
-  void AddArg(const char*, double) {}
-};
-
-#endif  // SRDA_OBS_DISABLED
 
 #define SRDA_TRACE_CONCAT_INNER(a, b) a##b
 #define SRDA_TRACE_CONCAT(a, b) SRDA_TRACE_CONCAT_INNER(a, b)

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -31,10 +30,6 @@ PredictionService::PredictionService(const model::SrdaModel* model,
   SRDA_CHECK_GE(options_.max_delay_ms, 0.0)
       << "max_delay_ms must be non-negative";
   scorer_.SetCentroids(model_->centroids);
-  obs::Event("serve.start")
-      .Num("max_batch", options_.max_batch)
-      .Num("max_delay_ms", options_.max_delay_ms)
-      .Num("input_dim", model_->input_dim());
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
@@ -45,9 +40,6 @@ PredictionService::~PredictionService() {
   }
   pending_cv_.notify_all();
   dispatcher_.join();
-  obs::Event("serve.stop")
-      .Num("requests", stats_.requests)
-      .Num("batches", stats_.batches);
 }
 
 std::vector<int> PredictionService::ScoreBatch(

@@ -19,12 +19,6 @@ TelemetryServer::TelemetryServer(int window_s) : window_s_(window_s) {
         obs::PrometheusText(MetricsRegistry::Global(), window_s_);
     return response;
   });
-  http_.Handle("/metrics.json", [this](const std::string&) {
-    obs::HttpResponse response;
-    response.content_type = "application/json";
-    response.body = obs::MetricsJson(MetricsRegistry::Global(), window_s_);
-    return response;
-  });
   http_.Handle("/healthz", [this](const std::string&) {
     obs::HttpResponse response;
     if (ready()) {

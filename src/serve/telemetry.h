@@ -7,7 +7,6 @@
 //                  gauge, and histogram in the global registry plus the
 //                  trailing-window serving instruments (QPS, batch size,
 //                  latency p50/p99 over the last window_s seconds).
-//   /metrics.json  The same snapshot as one JSON object.
 //   /healthz       200 "ok" once SetReady(true) — i.e. after the model is
 //                  loaded and the service can answer — 503 before that and
 //                  after SetReady(false). Load balancers key on this.

@@ -9,7 +9,6 @@
 #include "linalg/cholesky_update.h"
 #include "linalg/lsqr.h"
 #include "matrix/blas.h"
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -171,9 +170,8 @@ const Cholesky* RidgeSolver::FactorAt(double alpha) {
   if (parent_ != nullptr) {
     // The fold/downdate shortcut declined (condition trip or unsupported
     // shape) and we are paying for a fresh factor: count it whether or not
-    // a trace is recording, and log the alpha it happened at.
+    // a trace is recording.
     RidgeMetrics().fold_downdate_fallbacks->Increment();
-    obs::Event("ridge.downdate_fallback").Num("alpha", alpha);
   }
   Matrix shifted = GramBase();
   AddDiagonal(alpha, &shifted);
@@ -593,16 +591,13 @@ RidgeSolution RidgeSolver::SolveLsqr(const Matrix& responses, double alpha,
   if (sketch_config_.mode == SketchMode::kPrecondition) {
     // Factored sketched Gram of the effective matrix as a right
     // preconditioner; on a factor failure (alpha == 0 with a rank-deficient
-    // sketch) the solve falls back to plain LSQR — counted and logged, no
-    // longer silent.
+    // sketch) the solve falls back to plain LSQR, counted whether or not a
+    // trace is recording.
     const Cholesky* precond = SketchedFactorAt(data, alpha);
     if (precond != nullptr) {
       lsqr_options.right_precond = &precond->factor();
     } else {
       RidgeMetrics().sketch_precond_fallbacks->Increment();
-      obs::Event("ridge.sketch_fallback")
-          .Num("alpha", alpha)
-          .Num("rhs", responses.cols());
     }
   }
 
@@ -634,12 +629,6 @@ RidgeSolution RidgeSolver::SolveLsqr(const Matrix& responses, double alpha,
   for (int j = 0; j < d; ++j) {
     const LsqrResult& result = results[static_cast<size_t>(j)];
     solution.total_lsqr_iterations += result.iterations;
-    if (!result.converged) {
-      obs::Event("lsqr.nonconverged")
-          .Num("rhs", j)
-          .Num("iterations", result.iterations)
-          .Num("residual_norm", result.residual_norm);
-    }
     RidgeRhsDiagnostics diag;
     diag.iterations = result.iterations;
     diag.residual_norm = result.residual_norm;

@@ -6,11 +6,17 @@
 // every test starts from a clean slate via the fixture and restores the
 // disabled state on exit (other test binaries assume tracing is off).
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -23,7 +29,6 @@
 #include "common/parallel.h"
 #include "gtest/gtest.h"
 #include "linalg/lsqr.h"
-#include "obs/event_log.h"
 #include "obs/exporter.h"
 #include "obs/http.h"
 #include "obs/json_check.h"
@@ -560,7 +565,7 @@ TEST_F(ObsTest, RegistryWindowedSnapshot) {
   histogram->Reset();
 }
 
-// ---- Format validators (srda_trace_check --format=prom|events). ----
+// ---- Format validators (srda_trace_check --format=prom). ----
 
 TEST_F(ObsTest, ValidatePrometheusTextAcceptsWellFormed) {
   const std::string text =
@@ -601,82 +606,7 @@ TEST_F(ObsTest, ValidatePrometheusTextRejectsMalformed) {
   EXPECT_NE(error.find("srda_x"), std::string::npos) << error;
 }
 
-TEST_F(ObsTest, ValidateJsonlEventsAcceptsAndRejects) {
-  std::string error;
-  const std::string good =
-      "{\"ts_us\":10,\"seq\":0,\"event\":\"model.load\","
-      "\"args\":{\"path\":\"m.bin\"}}\n"
-      "{\"ts_us\":20,\"seq\":1,\"event\":\"serve.start\"}\n";
-  EXPECT_TRUE(ValidateJsonlEvents(good, {}, &error)) << error;
-  EXPECT_TRUE(ValidateJsonlEvents(good, {"model.load", "serve.start"}, &error))
-      << error;
-  // Missing required event.
-  EXPECT_FALSE(ValidateJsonlEvents(good, {"train.start"}, &error));
-  // Empty stream.
-  EXPECT_FALSE(ValidateJsonlEvents("", {}, &error));
-  EXPECT_NE(error.find("no events"), std::string::npos) << error;
-  // Non-monotone sequence numbers.
-  EXPECT_FALSE(ValidateJsonlEvents(
-      "{\"ts_us\":1,\"seq\":5,\"event\":\"a\"}\n"
-      "{\"ts_us\":2,\"seq\":5,\"event\":\"b\"}\n",
-      {}, &error));
-  // Missing "event" field.
-  EXPECT_FALSE(
-      ValidateJsonlEvents("{\"ts_us\":1,\"seq\":0}\n", {}, &error));
-  // args must be an object when present.
-  EXPECT_FALSE(ValidateJsonlEvents(
-      "{\"ts_us\":1,\"seq\":0,\"event\":\"a\",\"args\":3}\n", {}, &error));
-  // Malformed JSON line.
-  EXPECT_FALSE(ValidateJsonlEvents("{not json}\n", {}, &error));
-  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
-}
-
-// ---- Event log. ----
-
-TEST_F(ObsTest, EventLogWritesValidJsonl) {
-  const std::string path = ::testing::TempDir() + "/obs_test_events.jsonl";
-  std::remove(path.c_str());
-  ASSERT_TRUE(obs::EventLog::Global().Open(path));
-  EXPECT_TRUE(obs::EventLogEnabled());
-  {
-    obs::Event("model.load")
-        .Str("path", "weights \"v2\"\n")  // needs escaping
-        .Num("rows", 1024);
-  }
-  { obs::Event("serve.start").Num("alpha", 0.5); }
-  {
-    obs::Event("edge.cases")
-        .Num("nan", std::nan(""))  // non-finite -> null
-        .Num("big", 1e30);
-  }
-  obs::EventLog::Global().Close();
-  EXPECT_FALSE(obs::EventLogEnabled());
-
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string error;
-  EXPECT_TRUE(ValidateJsonlEvents(
-      buffer.str(), {"model.load", "serve.start", "edge.cases"}, &error))
-      << error << "\n" << buffer.str();
-  EXPECT_NE(buffer.str().find("\\\"v2\\\"\\n"), std::string::npos);
-  EXPECT_NE(buffer.str().find("\"nan\":null"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST_F(ObsTest, EventLogDisabledIsNoop) {
-  ASSERT_FALSE(obs::EventLogEnabled());
-  const int64_t before = obs::EventLog::Global().events_written();
-  { obs::Event("never.written").Num("x", 1.0); }
-  EXPECT_EQ(obs::EventLog::Global().events_written(), before);
-}
-
-TEST_F(ObsTest, EventLogOpenFailureStaysDisabled) {
-  EXPECT_FALSE(obs::EventLog::Global().Open("/nonexistent_dir/e.jsonl"));
-  EXPECT_FALSE(obs::EventLogEnabled());
-}
-
-// ---- Exporter serializers: must satisfy our own validators. ----
+// ---- Exporter serializer: must satisfy our own validator. ----
 
 TEST_F(ObsTest, PrometheusNameSanitizes) {
   EXPECT_EQ(obs::PrometheusName("serve.latency_us"), "srda_serve_latency_us");
@@ -712,35 +642,6 @@ TEST_F(ObsTest, PrometheusTextValidatesAndOmitsEmptyQuantiles) {
             std::string::npos);
 }
 
-TEST_F(ObsTest, MetricsJsonParsesAndCarriesWindowedRows) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.windowed_histogram("export.win_lat")->ObserveAt(70, 4.0);
-
-  const std::string text = obs::MetricsJsonAt(registry, 10, 70);
-  JsonValue root;
-  std::string error;
-  ASSERT_TRUE(ParseJson(text, &root, &error)) << error << "\n" << text;
-  const JsonValue* window_s = root.Find("window_s");
-  ASSERT_NE(window_s, nullptr);
-  EXPECT_DOUBLE_EQ(window_s->number, 10.0);
-  const JsonValue* cumulative = root.Find("cumulative");
-  ASSERT_NE(cumulative, nullptr);
-  EXPECT_EQ(cumulative->type, JsonValue::Type::kArray);
-  const JsonValue* windowed = root.Find("windowed");
-  ASSERT_NE(windowed, nullptr);
-  bool found = false;
-  for (const JsonValue& row : windowed->array) {
-    const JsonValue* name = row.Find("name");
-    if (name != nullptr && name->string == "export.win_lat") {
-      found = true;
-      const JsonValue* count = row.Find("count");
-      ASSERT_NE(count, nullptr);
-      EXPECT_DOUBLE_EQ(count->number, 1.0);
-    }
-  }
-  EXPECT_TRUE(found) << text;
-}
-
 TEST_F(ObsTest, ExporterWritesSnapshotsAtomically) {
   MetricsRegistry::Global().counter("export.alive")->Add(1.0);
   obs::ExporterOptions options;
@@ -771,21 +672,6 @@ TEST_F(ObsTest, ExporterWritesSnapshotsAtomically) {
   std::remove(options.path.c_str());
 }
 
-TEST_F(ObsTest, ExporterJsonFormat) {
-  obs::ExporterOptions options;
-  options.path = ::testing::TempDir() + "/obs_test_metrics.json";
-  options.format = obs::ExporterOptions::Format::kJson;
-  obs::Exporter exporter(options);
-  ASSERT_TRUE(exporter.WriteSnapshot());
-  std::ifstream in(options.path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  JsonValue root;
-  std::string error;
-  EXPECT_TRUE(ParseJson(buffer.str(), &root, &error)) << error;
-  std::remove(options.path.c_str());
-}
-
 TEST_F(ObsTest, ExporterUnwritablePathFailsStart) {
   obs::ExporterOptions options;
   options.path = "/nonexistent_dir/metrics.prom";
@@ -795,6 +681,31 @@ TEST_F(ObsTest, ExporterUnwritablePathFailsStart) {
 }
 
 // ---- HTTP server (the /metrics transport). ----
+
+// Sends `request` verbatim to 127.0.0.1:`port` and returns the raw
+// response; HttpGet only ever sends a well-formed GET.
+std::string RawHttpRequest(int port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string response;
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) == 0 &&
+      ::send(fd, request.data(), request.size(), 0) ==
+          static_cast<ssize_t>(request.size())) {
+    char buffer[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+      response.append(buffer, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return response;
+}
 
 TEST_F(ObsTest, HttpServerServesAndRoutes) {
   obs::HttpServer server;
@@ -827,7 +738,19 @@ TEST_F(ObsTest, HttpServerServesAndRoutes) {
   ASSERT_TRUE(obs::ParseHttpResponse(obs::HttpGet(server.port(), "/missing"),
                                      &status, &body));
   EXPECT_EQ(status, 404);
-  EXPECT_EQ(server.requests_served(), 3);
+  // A request line without method, path and version is a client error...
+  const std::string malformed =
+      RawHttpRequest(server.port(), "BROKEN\r\n\r\n");
+  ASSERT_TRUE(obs::ParseHttpResponse(malformed, &status, &body)) << malformed;
+  EXPECT_EQ(status, 400);
+  EXPECT_EQ(malformed.rfind("HTTP/1.0 400 Bad Request\r\n", 0), 0u)
+      << malformed;
+  // ...while a well-formed request with another method is not allowed.
+  ASSERT_TRUE(obs::ParseHttpResponse(
+      RawHttpRequest(server.port(), "POST /ping HTTP/1.0\r\n\r\n"), &status,
+      &body));
+  EXPECT_EQ(status, 405);
+  EXPECT_EQ(server.requests_served(), 5);
   server.Stop();
   EXPECT_FALSE(server.running());
   // After Stop, connections fail cleanly (empty raw response).

@@ -249,23 +249,22 @@ TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   EXPECT_DOUBLE_EQ(scraped_p99, latency_us->ApproxQuantile(0.99));
   EXPECT_GE(scraped_p99, scraped_p50);
 
-  // /metrics.json is one parseable object; /buildz carries the row we set.
-  ASSERT_TRUE(obs::ParseHttpResponse(
-      obs::HttpGet(telemetry.port(), "/metrics.json"), &status, &body));
-  EXPECT_EQ(status, 200);
-  JsonValue root;
-  EXPECT_TRUE(ParseJson(body, &root, &error)) << error;
+  // /buildz is one parseable object carrying the row we set.
   ASSERT_TRUE(obs::ParseHttpResponse(
       obs::HttpGet(telemetry.port(), "/buildz"), &status, &body));
   EXPECT_EQ(status, 200);
-  EXPECT_NE(body.find("in-memory-fixture"), std::string::npos);
+  JsonValue root;
+  ASSERT_TRUE(ParseJson(body, &root, &error)) << error << "\n" << body;
+  const JsonValue* model = root.Find("model");
+  ASSERT_NE(model, nullptr) << body;
+  EXPECT_EQ(model->string, "in-memory-fixture");
 
   // Readiness can be withdrawn.
   telemetry.SetReady(false);
   ASSERT_TRUE(obs::ParseHttpResponse(
       obs::HttpGet(telemetry.port(), "/healthz"), &status, &body));
   EXPECT_EQ(status, 503);
-  EXPECT_GE(telemetry.scrapes(), 6);
+  EXPECT_GE(telemetry.scrapes(), 5);
   telemetry.Stop();
 }
 

@@ -25,6 +25,7 @@
 #include "linalg/sketch.h"
 #include "matrix/blas.h"
 #include "matrix/matrix.h"
+#include "obs/metrics.h"
 #include "solver/ridge_solver.h"
 #include "sparse/sparse_matrix.h"
 
@@ -368,6 +369,39 @@ TEST(PrecondLsqrTest, ShardedSketchSolveMatchesInRamBitwise) {
     ASSERT_TRUE(solution.ok);
     ExpectBitwiseEqual(reference.coefficients, solution.coefficients);
   }
+}
+
+TEST(PrecondLsqrTest, SingularSketchFallsBackToPlainLsqr) {
+  // With fewer sketch rows than columns and alpha = 0 the sketched Gram is
+  // singular, so its factor fails the relative pivot floor. The solve then
+  // runs plain LSQR, bit for bit, and the fallback counter records it.
+  const Matrix x = RandomMatrix(96, 8, 17);
+  const Matrix responses = RandomMatrix(96, 2, 18);
+  RidgeSolveOptions options;
+  options.method = RidgeMethod::kLsqr;
+  options.lsqr_iterations = 40;
+
+  RidgeSolver plain(&x);
+  const RidgeSolution reference = plain.Solve(responses, 0.0, options);
+  ASSERT_TRUE(reference.ok);
+
+  const Counter* fallbacks =
+      MetricsRegistry::Global().counter("ridge.sketch_precond_fallback");
+  const double before = fallbacks->value();
+  RidgeSolver sketched(&x);
+  SketchConfig config;
+  config.mode = SketchMode::kPrecondition;
+  config.sketch_rows = 4;
+  sketched.SetSketch(config);
+  const RidgeSolution solution = sketched.Solve(responses, 0.0, options);
+  ASSERT_TRUE(solution.ok);
+  EXPECT_EQ(fallbacks->value() - before, 1.0);
+  ExpectBitwiseEqual(reference.coefficients, solution.coefficients);
+  ASSERT_EQ(reference.bias.size(), solution.bias.size());
+  for (int j = 0; j < reference.bias.size(); ++j) {
+    EXPECT_EQ(reference.bias[j], solution.bias[j]) << "bias " << j;
+  }
+  EXPECT_EQ(reference.total_lsqr_iterations, solution.total_lsqr_iterations);
 }
 
 TEST(PrecondLsqrDeathTest, OperatorWithoutRowAccessAborts) {

@@ -180,6 +180,10 @@ TEST(ToolsIntegrationTest, HelpAndBadFlagsExitCleanly) {
   // Unknown flags are rejected with a non-zero exit.
   EXPECT_NE(RunCommand(ToolPath("srda_train") + " --banana=1", &output), 0);
   EXPECT_NE(output.find("unknown flag"), std::string::npos);
+  // A flag no tool takes, such as --event-log, is rejected, not ignored.
+  EXPECT_NE(RunCommand(ToolPath("srda_train") + " --event-log=x", &output), 0);
+  EXPECT_NE(output.find("unknown flag --event-log"), std::string::npos)
+      << output;
 }
 
 TEST(ToolsIntegrationTest, SketchSolveModeIsAUsageError) {
@@ -582,14 +586,13 @@ TEST(ToolsIntegrationTest, BenchDiffGatePassesAndCatchesRegressions) {
   }
 }
 
-TEST(ToolsIntegrationTest, PredictMetricsAndEventLogValidate) {
-  // srda_predict --metrics-out/--event-log outputs must satisfy the
-  // format validators behind srda_trace_check.
+TEST(ToolsIntegrationTest, PredictMetricsOutValidates) {
+  // srda_predict --metrics-out writes Prometheus text that satisfies the
+  // validator behind srda_trace_check, whatever the file extension.
   const std::string data = TempPath("obs-pred.csv");
   const std::string model = TempPath("obs-pred.model");
   const std::string metrics = TempPath("obs-pred.prom");
   const std::string metrics_json = TempPath("obs-pred-metrics.json");
-  const std::string events = TempPath("obs-pred-events.jsonl");
   WriteDenseCsvFile(MakeBlobsDataset(90, 8, {0, 1, 2}, 31), data);
   std::string output;
   ASSERT_EQ(RunCommand(ToolPath("srda_train") + " --data=" + data +
@@ -597,52 +600,35 @@ TEST(ToolsIntegrationTest, PredictMetricsAndEventLogValidate) {
                 &output),
             0)
       << output;
-  ASSERT_EQ(RunCommand(ToolPath("srda_predict") + " --model=" + model +
-                    " --data=" + data + " --metrics-out=" + metrics +
-                    " --event-log=" + events,
-                &output),
-            0)
-      << output;
-  // The Prometheus snapshot validates and carries the always-on liveness
-  // sample.
-  EXPECT_EQ(RunCommand(ToolPath("srda_trace_check") + " " + metrics +
-                    " --format=prom --require=srda_up",
-                &output),
-            0)
-      << output;
-  // The event log validates and records the model load (the acceptance
-  // criterion: every load is visible in the structured log).
-  EXPECT_EQ(RunCommand(ToolPath("srda_trace_check") + " " + events +
-                    " --format=events --require=model.load",
-                &output),
-            0)
-      << output;
-  // JSON metrics flavor parses too (extension selects the format).
-  ASSERT_EQ(RunCommand(ToolPath("srda_predict") + " --model=" + model +
-                    " --data=" + data + " --metrics-out=" + metrics_json,
-                &output),
-            0)
-      << output;
-  std::ifstream in(metrics_json);
-  EXPECT_TRUE(in.good());
-  // Events file fed to the wrong validator must be rejected.
-  EXPECT_NE(RunCommand(ToolPath("srda_trace_check") + " " + events +
-                    " --format=prom",
+  for (const std::string& path : {metrics, metrics_json}) {
+    ASSERT_EQ(RunCommand(ToolPath("srda_predict") + " --model=" + model +
+                      " --data=" + data + " --metrics-out=" + path,
+                  &output),
+              0)
+        << output;
+    // The snapshot validates and carries the always-on liveness sample.
+    EXPECT_EQ(RunCommand(ToolPath("srda_trace_check") + " " + path +
+                      " --format=prom --require=srda_up",
+                  &output),
+              0)
+        << output;
+  }
+  // The snapshot fed to the wrong validator must be rejected.
+  EXPECT_NE(RunCommand(ToolPath("srda_trace_check") + " " + metrics +
+                    " --format=trace",
                 &output),
             0);
-  for (const std::string& path :
-       {data, model, metrics, metrics_json, events}) {
+  for (const std::string& path : {data, model, metrics, metrics_json}) {
     std::remove(path.c_str());
   }
 }
 
-TEST(ToolsIntegrationTest, ServeEventLogAndMetricsRecordLifecycle) {
-  // A served run leaves a structured event trail (model.load,
-  // serve.start, serve.stop) and a final metrics snapshot with the
-  // serving instruments.
+TEST(ToolsIntegrationTest, ServeTraceAndMetricsRecordLifecycle) {
+  // A served run leaves a trace with the model load and the served
+  // batches, and a final metrics snapshot with the serving instruments.
   const std::string data = TempPath("obs-serve.csv");
   const std::string model = TempPath("obs-serve.model");
-  const std::string events = TempPath("obs-serve-events.jsonl");
+  const std::string trace = TempPath("obs-serve-trace.json");
   const std::string metrics = TempPath("obs-serve.prom");
   WriteDenseCsvFile(MakeBlobsDataset(90, 8, {0, 1, 2}, 37), data);
   std::string output;
@@ -652,14 +638,14 @@ TEST(ToolsIntegrationTest, ServeEventLogAndMetricsRecordLifecycle) {
             0)
       << output;
   ASSERT_EQ(RunCommand(ToolPath("srda_serve") + " --model=" + model +
-                    " --data=" + data + " --requests=300 --event-log=" +
-                    events + " --metrics-out=" + metrics,
+                    " --data=" + data + " --requests=300 --trace-out=" +
+                    trace + " --metrics-out=" + metrics,
                 &output),
             0)
       << output;
-  EXPECT_EQ(RunCommand(ToolPath("srda_trace_check") + " " + events +
-                    " --format=events"
-                    " --require=model.load,serve.start,serve.stop",
+  EXPECT_NE(output.find(" predictions in "), std::string::npos) << output;
+  EXPECT_EQ(RunCommand(ToolPath("srda_trace_check") + " " + trace +
+                    " --require=model.load,serve.batch,classify.score",
                 &output),
             0)
       << output;
@@ -668,31 +654,7 @@ TEST(ToolsIntegrationTest, ServeEventLogAndMetricsRecordLifecycle) {
                 &output),
             0)
       << output;
-  for (const std::string& path : {data, model, events, metrics}) {
-    std::remove(path.c_str());
-  }
-}
-
-TEST(ToolsIntegrationTest, TrainEventLogViaEnvironmentVariable) {
-  // SRDA_EVENT_LOG enables the log without a flag — the zero-code-change
-  // path for instrumenting an existing pipeline.
-  const std::string data = TempPath("obs-env.csv");
-  const std::string model = TempPath("obs-env.model");
-  const std::string events = TempPath("obs-env-events.jsonl");
-  WriteDenseCsvFile(MakeBlobsDataset(90, 8, {0, 1, 2}, 41), data);
-  std::string output;
-  ASSERT_EQ(RunCommand("SRDA_EVENT_LOG=" + events + " " +
-                    ToolPath("srda_train") + " --data=" + data +
-                    " --model-out=" + model,
-                &output),
-            0)
-      << output;
-  EXPECT_EQ(RunCommand(ToolPath("srda_trace_check") + " " + events +
-                    " --format=events --require=train.start,train.end",
-                &output),
-            0)
-      << output;
-  for (const std::string& path : {data, model, events}) {
+  for (const std::string& path : {data, model, trace, metrics}) {
     std::remove(path.c_str());
   }
 }

@@ -3,12 +3,11 @@
 // Usage:
 //   srda_predict --model=FILE --data=FILE [--format=csv|libsvm|binary]
 //                [--predictions-out=FILE] [--trace-out=FILE] [--metrics]
-//                [--metrics-out=FILE] [--event-log=FILE]
+//                [--metrics-out=FILE]
 //
 // --trace-out writes a Chrome trace of the load/transform/score phases;
 // --metrics prints the run summary; --metrics-out writes a final registry
-// snapshot (Prometheus text, or JSON with a .json extension); --event-log
-// appends lifecycle events (model.load and any fallbacks) as JSONL.
+// snapshot as Prometheus text, whatever the file extension.
 //
 // The model file may be either model-store codec (versioned text or SRDM
 // binary), sniffed from the magic. "binary" data is the seekable SRDB
@@ -30,7 +29,6 @@
 #include "io/dataset_io.h"
 #include "model/codec.h"
 #include "model/model.h"
-#include "obs/event_log.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -43,8 +41,8 @@ constexpr char kUsage[] =
     "usage: srda_predict --model=FILE --data=FILE "
     "[--format=csv|libsvm|binary]\n"
     "                    [--predictions-out=FILE] [--trace-out=FILE]\n"
-    "                    [--metrics] [--metrics-out=FILE] "
-    "[--event-log=FILE]\n";
+    "                    [--metrics] [--metrics-out=FILE]\n"
+    "--metrics-out writes Prometheus text whatever the file extension.\n";
 
 // The dataset's compact labels mapped back to the raw ids of the file
 // (identity when the dataset carries no map).
@@ -72,7 +70,6 @@ int Main(int argc, char** argv) {
   const std::string trace_path = args.GetString("trace-out", "");
   const bool print_metrics = args.GetBool("metrics");
   const std::string metrics_out = args.GetString("metrics-out", "");
-  const std::string event_log_path = args.GetString("event-log", "");
   SRDA_CHECK(args.UnusedFlags().empty())
       << "unknown flag --" << args.UnusedFlags().front() << "\n" << kUsage;
   SRDA_CHECK(!model_path.empty() && !data_path.empty())
@@ -85,10 +82,6 @@ int Main(int argc, char** argv) {
     TraceRecorder::Global().SetEnabled(true);
     TraceRecorder::Global().Clear();
     MetricsRegistry::Global().ResetAll();
-  }
-  if (!event_log_path.empty()) {
-    SRDA_CHECK(obs::EventLog::Global().Open(event_log_path))
-        << "cannot open --event-log=" << event_log_path;
   }
 
   const model::SrdaModel model = model::Load(model_path);
@@ -136,11 +129,6 @@ int Main(int argc, char** argv) {
     // One-shot run: a single exit snapshot, no background thread.
     obs::ExporterOptions exporter_options;
     exporter_options.path = metrics_out;
-    exporter_options.format =
-        metrics_out.size() >= 5 &&
-                metrics_out.compare(metrics_out.size() - 5, 5, ".json") == 0
-            ? obs::ExporterOptions::Format::kJson
-            : obs::ExporterOptions::Format::kPrometheus;
     obs::Exporter exporter(exporter_options);
     SRDA_CHECK(exporter.WriteSnapshot())
         << "cannot write --metrics-out=" << metrics_out;

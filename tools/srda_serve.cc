@@ -8,7 +8,7 @@
 //              [--trace-out=FILE] [--metrics]
 //              [--http-port=N] [--metrics-window=10]
 //              [--metrics-out=FILE] [--metrics-interval=SEC]
-//              [--event-log=FILE] [--linger=SEC]
+//              [--linger=SEC]
 //
 // Loads a model-store file (text or SRDM binary, sniffed), then
 // drives synthetic traffic through the micro-batching PredictionService
@@ -33,11 +33,12 @@
 // loopback HTTP listener (0 = ephemeral; the chosen port is printed as
 // "telemetry listening on PORT") exposing /metrics (Prometheus text with
 // windowed QPS and latency quantiles over --metrics-window seconds),
-// /metrics.json, /healthz (503 until the model is loaded), and /buildz.
+// /healthz (503 until the model is loaded), and /buildz (model path,
+// shape, SIMD level and pool pinning).
 // --linger keeps the process (and the endpoint) alive that many seconds
 // after the traffic drains, so a scraper can observe a quiescing server.
 // --metrics-out snapshots the registry to a file every --metrics-interval
-// seconds; --event-log appends lifecycle events as JSONL.
+// seconds, as Prometheus text whatever the file extension.
 
 #include <algorithm>
 #include <atomic>
@@ -57,7 +58,6 @@
 #include "matrix/simd/simd.h"
 #include "model/codec.h"
 #include "model/model.h"
-#include "obs/event_log.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -76,7 +76,8 @@ constexpr char kUsage[] =
     "                  [--json-out=FILE] [--trace-out=FILE] [--metrics]\n"
     "                  [--http-port=N] [--metrics-window=10]\n"
     "                  [--metrics-out=FILE] [--metrics-interval=SEC]\n"
-    "                  [--event-log=FILE] [--linger=SEC]\n";
+    "                  [--linger=SEC]\n"
+    "--metrics-out writes Prometheus text whatever the file extension.\n";
 
 // Slices the dataset into contiguous blocks of `block_rows` query rows
 // (last block may be short). Blocks are what clients submit.
@@ -115,7 +116,6 @@ int Main(int argc, char** argv) {
   const int metrics_window = args.GetInt("metrics-window", 10);
   const std::string metrics_out = args.GetString("metrics-out", "");
   const double metrics_interval = args.GetDouble("metrics-interval", 1.0);
-  const std::string event_log_path = args.GetString("event-log", "");
   const double linger_s = args.GetDouble("linger", 0.0);
   SRDA_CHECK(args.UnusedFlags().empty())
       << "unknown flag --" << args.UnusedFlags().front() << "\n" << kUsage;
@@ -135,10 +135,6 @@ int Main(int argc, char** argv) {
     TraceRecorder::Global().Clear();
     MetricsRegistry::Global().ResetAll();
   }
-  if (!event_log_path.empty()) {
-    SRDA_CHECK(obs::EventLog::Global().Open(event_log_path))
-        << "cannot open --event-log=" << event_log_path;
-  }
 
   // Telemetry comes up BEFORE the model loads so /healthz honestly reports
   // the not-ready window; it flips ready only once serving can answer.
@@ -154,11 +150,6 @@ int Main(int argc, char** argv) {
   exporter_options.path = metrics_out;
   exporter_options.interval_s = metrics_interval;
   exporter_options.window_s = metrics_window;
-  exporter_options.format = metrics_out.size() >= 5 &&
-                                    metrics_out.compare(metrics_out.size() - 5,
-                                                        5, ".json") == 0
-                                ? obs::ExporterOptions::Format::kJson
-                                : obs::ExporterOptions::Format::kPrometheus;
   obs::Exporter exporter(exporter_options);
   if (!metrics_out.empty()) {
     SRDA_CHECK(exporter.Start())
@@ -175,14 +166,10 @@ int Main(int argc, char** argv) {
   telemetry.SetBuildInfo("classes", std::to_string(model.num_classes()));
   // Dispatch is resolved here, not lazily on the first batch, so /buildz
   // is truthful from the moment the server flips ready.
-  const char* simd_level = simd::CpuLevelName(simd::ActiveLevel());
-  const char* pool_pinning = GlobalThreadPool().pinned() ? "pinned" : "free";
-  telemetry.SetBuildInfo("simd_level", simd_level);
-  telemetry.SetBuildInfo("pool_pinning", pool_pinning);
-  obs::Event("serve.start")
-      .Str("model", model_path)
-      .Str("simd_level", simd_level)
-      .Str("pool_pinning", pool_pinning);
+  telemetry.SetBuildInfo("simd_level",
+                         simd::CpuLevelName(simd::ActiveLevel()));
+  telemetry.SetBuildInfo("pool_pinning",
+                         GlobalThreadPool().pinned() ? "pinned" : "free");
   telemetry.SetReady(true);
 
   const DenseDataset dataset = format == "binary"

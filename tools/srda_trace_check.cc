@@ -1,7 +1,7 @@
 // srda_trace_check: validate the files the obs layer emits.
 //
 // Usage:
-//   srda_trace_check FILE [--format=trace|prom|events] [--require=a,b,...]
+//   srda_trace_check FILE [--format=trace|prom] [--require=a,b,...]
 //
 // Formats:
 //   trace   (default) Chrome trace JSON written by --trace-out
@@ -9,8 +9,6 @@
 //   prom    Prometheus text exposition written by --metrics-out or scraped
 //           from /metrics; --require names metrics (post-sanitization,
 //           e.g. srda_serve_requests).
-//   events  JSONL event log written by --event-log / SRDA_EVENT_LOG;
-//           --require names events (e.g. model.load).
 //
 // Exits 0 when FILE validates and every --require'd name appears at least
 // once; prints the first violation to stderr and exits 1 otherwise. Used as
@@ -28,7 +26,7 @@ namespace srda {
 namespace {
 
 constexpr char kUsage[] =
-    "usage: srda_trace_check FILE [--format=trace|prom|events] "
+    "usage: srda_trace_check FILE [--format=trace|prom] "
     "[--require=name1,name2,...]\n";
 
 std::vector<std::string> SplitCommaList(const std::string& list) {
@@ -61,7 +59,7 @@ int Main(int argc, char** argv) {
     const std::string format_prefix = "--format=";
     if (arg.compare(0, format_prefix.size(), format_prefix) == 0) {
       format = arg.substr(format_prefix.size());
-      if (format != "trace" && format != "prom" && format != "events") {
+      if (format != "trace" && format != "prom") {
         std::cerr << "srda_trace_check: unknown format " << format << "\n"
                   << kUsage;
         return 1;
@@ -89,14 +87,10 @@ int Main(int argc, char** argv) {
   contents << input.rdbuf();
 
   std::string error;
-  bool ok;
-  if (format == "prom") {
-    ok = ValidatePrometheusText(contents.str(), required_names, &error);
-  } else if (format == "events") {
-    ok = ValidateJsonlEvents(contents.str(), required_names, &error);
-  } else {
-    ok = ValidateTraceJson(contents.str(), required_names, &error);
-  }
+  const bool ok =
+      format == "prom"
+          ? ValidatePrometheusText(contents.str(), required_names, &error)
+          : ValidateTraceJson(contents.str(), required_names, &error);
   if (!ok) {
     std::cerr << "srda_trace_check: " << path << ": " << error << "\n";
     return 1;

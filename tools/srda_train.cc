@@ -32,6 +32,8 @@
 // --trace-out=FILE writes a Chrome/Perfetto trace of the training run;
 // --metrics prints the phase/metrics summary without writing a trace. Either
 // flag (or SRDA_TRACE=1 in the environment) enables the trace recorder.
+// --metrics-out=FILE snapshots the metrics registry every
+// --metrics-interval seconds, as Prometheus text whatever the extension.
 
 #include <iostream>
 #include <string>
@@ -40,16 +42,13 @@
 
 #include "common/arg_parser.h"
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "core/srda.h"
-#include "matrix/simd/simd.h"
 #include "core/trainers.h"
 #include "io/dataset_io.h"
 #include "io/row_shard_reader.h"
 #include "model/codec.h"
 #include "model/model.h"
-#include "obs/event_log.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -68,7 +67,8 @@ constexpr char kUsage[] =
     "                  [--model-format=text|binary]\n"
     "                  [--trace-out=FILE] [--metrics]\n"
     "                  [--metrics-out=FILE] [--metrics-interval=SEC]\n"
-    "                  [--event-log=FILE] --model-out=FILE\n"
+    "                  --model-out=FILE\n"
+    "--metrics-out writes Prometheus text whatever the file extension.\n"
     "--shard-rows=N streams the data in N-row shards. CSV and LibSVM files\n"
     "are parsed once into a temporary spill under TMPDIR: 8 B per CSV cell,\n"
     "12 B per LibSVM nonzero plus 8 B per row.\n";
@@ -187,7 +187,6 @@ int Main(int argc, char** argv) {
   const bool print_metrics = args.GetBool("metrics");
   const std::string metrics_out = args.GetString("metrics-out", "");
   const double metrics_interval = args.GetDouble("metrics-interval", 1.0);
-  const std::string event_log_path = args.GetString("event-log", "");
   SRDA_CHECK(args.UnusedFlags().empty())
       << "unknown flag --" << args.UnusedFlags().front() << "\n" << kUsage;
   SRDA_CHECK(!data_path.empty() && !model_path.empty())
@@ -219,21 +218,11 @@ int Main(int argc, char** argv) {
     TraceRecorder::Global().Clear();
     MetricsRegistry::Global().ResetAll();
   }
-  if (!event_log_path.empty()) {
-    SRDA_CHECK(obs::EventLog::Global().Open(event_log_path))
-        << "cannot open --event-log=" << event_log_path;
-  }
-  // Periodic registry snapshots while training runs; format follows the
-  // extension (.json -> JSON, anything else -> Prometheus text). Stop()
-  // writes a final snapshot, so short runs still leave a complete file.
+  // Periodic registry snapshots while training runs. Stop() writes a final
+  // snapshot, so short runs still leave a complete file.
   obs::ExporterOptions exporter_options;
   exporter_options.path = metrics_out;
   exporter_options.interval_s = metrics_interval;
-  exporter_options.format = metrics_out.size() >= 5 &&
-                                    metrics_out.compare(metrics_out.size() - 5,
-                                                        5, ".json") == 0
-                                ? obs::ExporterOptions::Format::kJson
-                                : obs::ExporterOptions::Format::kPrometheus;
   obs::Exporter exporter(exporter_options);
   if (!metrics_out.empty()) {
     SRDA_CHECK(exporter.Start())
@@ -241,13 +230,6 @@ int Main(int argc, char** argv) {
   }
 
   model::SrdaModel model;
-  obs::Event("train.start")
-      .Str("data", data_path)
-      .Str("algorithm", algorithm)
-      .Str("simd_level", simd::CpuLevelName(simd::ActiveLevel()))
-      .Str("pool_pinning", GlobalThreadPool().pinned() ? "pinned" : "free")
-      .Num("alpha", alpha)
-      .Num("shard_rows", shard_rows);
   Stopwatch watch;
   if (shard_rows > 0) {
     SRDA_CHECK(algorithm == "srda")
@@ -310,9 +292,6 @@ int Main(int argc, char** argv) {
                               MakeProvenance(algorithm, alpha, sketch));
   }
   const double seconds = watch.ElapsedSeconds();
-  obs::Event("train.end")
-      .Num("seconds", seconds)
-      .Num("directions", model.output_dim());
   model::Save(model, model_path,
               model_format == "binary" ? model::Codec::kBinary
                                        : model::Codec::kText);
