@@ -125,10 +125,10 @@ void BM_SparseMatVec(benchmark::State& state) {
     }
   }
   const SparseMatrix sparse = std::move(builder).Build();
-  Vector x(n);
-  for (int j = 0; j < n; ++j) x[j] = rng.NextGaussian();
+  Matrix x(n, 1);
+  for (int j = 0; j < n; ++j) x(j, 0) = rng.NextGaussian();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sparse.Multiply(x));
+    benchmark::DoNotOptimize(sparse.MultiplyDense(x));
   }
   state.SetItemsProcessed(state.iterations() * sparse.NumNonZeros());
 }

@@ -29,10 +29,12 @@ done
 # the atomic chunk cursor, so its claim/retire handshake needs its own
 # race coverage. The blocked triangular solves (blocking_test) and the
 # batched preconditioned LSQR substitutions (linalg_lsqr_test) run a
-# ParallelFor per panel, so they ride along.
+# ParallelFor per panel, so they ride along, as do the sparse A^T*B
+# accumulator's chunk waves and folds, in RAM (sparse_test) and on
+# streamed shards (sharded_test).
 export SRDA_PIN_THREADS=1
 for t in parallel_test simd_test core_srda_test blocking_test \
-         linalg_lsqr_test; do
+         linalg_lsqr_test sparse_test sharded_test; do
   echo "== TSan (pinned): $t =="
   ./build-tsan/tests/"$t" --gtest_filter='-*DeathTest*'
 done

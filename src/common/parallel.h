@@ -14,7 +14,7 @@
 // order never depends on the partition at all — making 1-thread and
 // N-thread results bitwise identical (see DESIGN.md, "Threading model").
 // Cross-chunk reductions must combine fixed-size per-chunk partials in
-// chunk-index order; FixedChunkCount supports that pattern.
+// chunk-index order, as sparse/SparseTransposeAccumulator does.
 //
 // Thread count resolution: ThreadPoolOptions.num_threads > 0 wins; 0 reads
 // the SRDA_NUM_THREADS environment variable, falling back to
@@ -119,14 +119,6 @@ void SetGlobalThreadCount(int num_threads);
 
 // ParallelFor on the global pool.
 void ParallelFor(int begin, int end, const std::function<void(int, int)>& fn);
-
-// Number of fixed-size chunks covering `count` items, independent of the
-// thread count. Reductions partition their input with this, accumulate one
-// partial per chunk, and fold partials in chunk-index order so results do
-// not depend on how many threads ran.
-inline int FixedChunkCount(int count, int chunk_size) {
-  return count <= 0 ? 0 : (count + chunk_size - 1) / chunk_size;
-}
 
 }  // namespace srda
 

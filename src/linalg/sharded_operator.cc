@@ -2,33 +2,41 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
-#include "common/flops.h"
-#include "common/parallel.h"
 #include "matrix/blas.h"
 #include "obs/trace.h"
 
 namespace srda {
-namespace {
 
-// Folds one finished chunk partial into the output and clears it for the
-// next chunk. The first chunk is a straight copy — matching the in-RAM
-// fold's `y = std::move(partials[0])` bit for bit (0.0 + v would flip a
-// negative zero) — later chunks add elementwise in ascending chunk order.
-void FoldChunk(int folded, Matrix* partial, Matrix* y) {
-  double* py = y->data();
-  double* pp = partial->data();
-  const int64_t total = static_cast<int64_t>(y->rows()) * y->cols();
-  if (folded == 0) {
-    std::memcpy(py, pp, static_cast<size_t>(total) * sizeof(double));
-  } else {
-    for (int64_t e = 0; e < total; ++e) py[e] += pp[e];
+void ForEachShard(RowShardSource* source,
+                  const std::function<void(const RowShard&)>& visit) {
+  source->Reset();
+  RowShard shard;
+  int next_row = 0;
+  while (source->Next(&shard)) {
+    SRDA_CHECK_EQ(shard.first_row, next_row)
+        << "shard stream out of order: shard at row " << shard.first_row
+        << ", expected row " << next_row;
+    const bool sparse = shard.sparse != nullptr;
+    SRDA_CHECK(sparse != (shard.dense != nullptr) && sparse == source->sparse())
+        << "shard at row " << next_row << " is not the "
+        << (source->sparse() ? "sparse" : "dense") << " kind its source streams";
+    const int width = sparse ? shard.sparse->cols() : shard.dense->cols();
+    SRDA_CHECK_EQ(width, source->cols())
+        << "shard at row " << next_row << " has width " << width
+        << ", the source " << source->cols();
+    SRDA_CHECK_LE(shard.rows(), source->rows() - next_row)
+        << "shard at row " << next_row << " holds " << shard.rows()
+        << " rows, past the source's " << source->rows();
+    visit(shard);
+    next_row += shard.rows();
   }
-  std::memset(pp, 0, static_cast<size_t>(total) * sizeof(double));
+  SRDA_CHECK_EQ(next_row, source->rows())
+      << "shard stream ended early at row " << next_row << " of "
+      << source->rows();
 }
-
-}  // namespace
 
 ShardedOperator::ShardedOperator(RowShardSource* source) : source_(source) {
   SRDA_CHECK(source != nullptr);
@@ -43,85 +51,33 @@ Matrix ShardedOperator::ApplyMulti(const Matrix& x) const {
   SRDA_CHECK_EQ(x.rows(), cols()) << "sharded A*X shape mismatch";
   TraceSpan span("sharded.apply");
   Matrix y(rows(), x.cols());
-  source_->Reset();
-  RowShard shard;
-  int next_row = 0;
-  while (source_->Next(&shard)) {
-    SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
+  ForEachShard(source_, [&](const RowShard& shard) {
     const Matrix part = shard.dense != nullptr
                             ? Multiply(*shard.dense, x)
                             : shard.sparse->MultiplyDense(x);
-    std::memcpy(y.RowPtr(next_row), part.data(),
+    std::memcpy(y.RowPtr(shard.first_row), part.data(),
                 static_cast<size_t>(part.rows()) * part.cols() *
                     sizeof(double));
-    next_row += shard.rows();
-  }
-  SRDA_CHECK_EQ(next_row, rows()) << "shard stream ended early";
+  });
   return y;
 }
 
 Matrix ShardedOperator::ApplyTransposedMulti(const Matrix& x) const {
   SRDA_CHECK_EQ(x.rows(), rows()) << "sharded A^T*X shape mismatch";
   TraceSpan span("sharded.apply_t");
-  const int d = x.cols();
-  Matrix y(cols(), d);
-  source_->Reset();
-  RowShard shard;
-  int next_row = 0;
-  if (!source_->sparse()) {
-    while (source_->Next(&shard)) {
-      SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
-      const Matrix segment = x.Block(next_row, 0, shard.rows(), d);
-      MultiplyTransposedAAccumulate(*shard.dense, segment, &y);
-      next_row += shard.rows();
-    }
-    SRDA_CHECK_EQ(next_row, rows()) << "shard stream ended early";
-    return y;
+  if (source_->sparse()) {
+    SparseTransposeAccumulator accumulator(cols(), &x);
+    ForEachShard(source_, [&](const RowShard& shard) {
+      accumulator.Add(*shard.sparse, shard.first_row);
+    });
+    return std::move(accumulator).Finish();
   }
-
-  // Sparse: accumulate on the global chunk grid, folding each finished
-  // chunk in ascending order (see the header). With a single chunk the
-  // in-RAM kernel accumulates straight into y; target aliases y to match.
-  const int num_chunks = FixedChunkCount(rows(), kSparseTransposeChunkRows);
-  const bool fold = num_chunks > 1;
-  Matrix partial(fold ? cols() : 0, fold ? d : 0);
-  Matrix* target = fold ? &partial : &y;
-  int folded = 0;
-  while (source_->Next(&shard)) {
-    SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
-    const SparseMatrix& s = *shard.sparse;
-    AddFlops(2.0 * static_cast<double>(s.NumNonZeros()) * d);
-    for (int i = 0; i < s.rows(); ++i) {
-      const int g = next_row + i;
-      if (fold) {
-        const int chunk = g / kSparseTransposeChunkRows;
-        while (folded < chunk) {
-          FoldChunk(folded, &partial, &y);
-          ++folded;
-        }
-      }
-      const double* brow = x.RowPtr(g);
-      const int nnz = s.RowNonZeros(i);
-      const int* idx = s.RowIndices(i);
-      const double* values = s.RowValues(i);
-      for (int k = 0; k < nnz; ++k) {
-        double* trow = target->RowPtr(idx[k]);
-        const double value = values[k];
-        for (int j = 0; j < d; ++j) {
-          // Same per-entry zero skip as MultiplyTransposedDense, keeping
-          // the accumulation chains equal column by column.
-          if (brow[j] == 0.0) continue;
-          trow[j] += brow[j] * value;
-        }
-      }
-    }
-    next_row += s.rows();
-  }
-  SRDA_CHECK_EQ(next_row, rows()) << "shard stream ended early";
-  while (fold && folded < num_chunks) {
-    FoldChunk(folded, &partial, &y);
-    ++folded;
-  }
+  Matrix y(cols(), x.cols());
+  ForEachShard(source_, [&](const RowShard& shard) {
+    MultiplyTransposedAAccumulate(
+        *shard.dense, x.Block(shard.first_row, 0, shard.rows(), x.cols()),
+        &y);
+  });
   return y;
 }
 

@@ -5,7 +5,8 @@
 // CSR SparseMatrix that stays valid only until the next shard is fetched.
 // ShardedOperator adapts such a source to the LinearOperator interface by
 // making one streaming pass over the shards per product, holding one shard
-// plus O(n) accumulator state in memory at a time.
+// plus the product's accumulator (for sparse A^T*X, bounded as
+// SparseTransposeAccumulator states) in memory at a time.
 //
 // Determinism: every product is bitwise identical to the in-RAM kernel on
 // the concatenated matrix, at any shard size and thread count.
@@ -14,11 +15,9 @@
 //  * Dense A^T*X continues each output element's ascending-k accumulation
 //    chain across shards via the chain-continuing blas kernel
 //    MultiplyTransposedAAccumulate.
-//  * Sparse A^T*X replicates the global kSparseTransposeChunkRows
-//    reduction grid of SparseMatrix::MultiplyTransposedDense: rows
-//    accumulate into the current chunk's partial (carried across shard
-//    boundaries when a shard splits a chunk) and partials fold in ascending
-//    chunk order, reproducing the in-RAM fold exactly.
+//  * Sparse A^T*X feeds each shard to one SparseTransposeAccumulator, the
+//    same reduction SparseMatrix::MultiplyTransposedDense runs on the whole
+//    matrix as one block; its chunk grid does not depend on the shards.
 //
 // Unlike the other LinearOperators, a ShardedOperator is NOT thread-
 // compatible: each product Reset()s and drains the source's cursor, so only
@@ -26,6 +25,8 @@
 
 #ifndef SRDA_LINALG_SHARDED_OPERATOR_H_
 #define SRDA_LINALG_SHARDED_OPERATOR_H_
+
+#include <functional>
 
 #include "linalg/linear_operator.h"
 #include "matrix/matrix.h"
@@ -67,6 +68,14 @@ class RowShardSource {
   // order with no gaps or overlaps.
   virtual bool Next(RowShard* shard) = 0;
 };
+
+// The one drain loop of every streamed pass: rewinds `source` and passes
+// each shard to `visit` in row order. Before a shard is used it aborts,
+// naming the shard's row, if the shard leaves a gap or overlaps, is not
+// the kind source->sparse() names, has the wrong width, or runs past
+// source->rows(); it aborts too if the stream ends early.
+void ForEachShard(RowShardSource* source,
+                  const std::function<void(const RowShard&)>& visit);
 
 // LinearOperator over a shard stream; see the file comment. The source is
 // not owned and must outlive the operator.

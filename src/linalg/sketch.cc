@@ -138,19 +138,13 @@ Matrix SketchShards(RowShardSource* source, const SketchOptions& options) {
   TraceSpan span("sketch.build");
   AddBuildArgs(&span, source->rows(), options);
   Matrix sketch(options.sketch_rows, source->cols());
-  source->Reset();
-  RowShard shard;
-  int next_row = 0;
-  while (source->Next(&shard)) {
-    SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
+  ForEachShard(source, [&](const RowShard& shard) {
     if (shard.sparse != nullptr) {
-      SketchAccumulate(*shard.sparse, next_row, options, &sketch);
+      SketchAccumulate(*shard.sparse, shard.first_row, options, &sketch);
     } else {
-      SketchAccumulate(*shard.dense, next_row, options, &sketch);
+      SketchAccumulate(*shard.dense, shard.first_row, options, &sketch);
     }
-    next_row += shard.rows();
-  }
-  SRDA_CHECK_EQ(next_row, source->rows()) << "shard stream ended early";
+  });
   return sketch;
 }
 

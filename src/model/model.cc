@@ -53,18 +53,9 @@ SrdaModel BuildModel(const LinearEmbedding& embedding,
                      std::vector<int> raw_labels, Provenance provenance) {
   CentroidClassifier head;
   head.Fit(embedded_train, labels, num_classes);
-  return BuildModelFromCentroids(embedding, head.centroids(),
-                                 std::move(raw_labels),
-                                 std::move(provenance));
-}
-
-SrdaModel BuildModelFromCentroids(const LinearEmbedding& embedding,
-                                  Matrix centroids,
-                                  std::vector<int> raw_labels,
-                                  Provenance provenance) {
   SrdaModel model;
   model.embedding = embedding;
-  model.centroids = std::move(centroids);
+  model.centroids = head.centroids();
   model.raw_labels = raw_labels.empty() ? IdentityLabels(model.num_classes())
                                         : std::move(raw_labels);
   model.provenance = std::move(provenance);

@@ -74,13 +74,6 @@ SrdaModel BuildModel(const LinearEmbedding& embedding,
                      const std::vector<int>& labels, int num_classes,
                      std::vector<int> raw_labels, Provenance provenance);
 
-// Same, from a precomputed centroid head (the out-of-core training path,
-// which accumulates centroids shard by shard).
-SrdaModel BuildModelFromCentroids(const LinearEmbedding& embedding,
-                                  Matrix centroids,
-                                  std::vector<int> raw_labels,
-                                  Provenance provenance);
-
 }  // namespace model
 }  // namespace srda
 

@@ -126,17 +126,11 @@ const Matrix& RidgeSolver::GramBase() {
     // one-shot Gram(centered_) bit for bit at any shard size.
     PrepareSharded();
     gram_ = Matrix(source_->cols(), source_->cols());
-    source_->Reset();
-    RowShard shard;
-    int next_row = 0;
-    while (source_->Next(&shard)) {
-      SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
+    ForEachShard(source_, [&](const RowShard& shard) {
       Matrix centered_shard = *shard.dense;
       SubtractRowVector(mean_, &centered_shard);
       GramAccumulateUpper(centered_shard, &gram_);
-      next_row += shard.rows();
-    }
-    SRDA_CHECK_EQ(next_row, source_->rows()) << "shard stream ended early";
+    });
     SymmetrizeFromUpper(&gram_);
     gram_ready_ = true;
     return gram_;
@@ -435,18 +429,11 @@ const Vector& RidgeSolver::mean() {
     mean_ = ColumnMeans(*x_);
   } else if (binding_ == Binding::kSharded && !source_->sparse()) {
     TraceSpan span("ridge.prepare_sharded");
-    const int m = source_->rows();
     Vector sums(source_->cols());
-    source_->Reset();
-    RowShard shard;
-    int next_row = 0;
-    while (source_->Next(&shard)) {
-      SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
+    ForEachShard(source_, [&](const RowShard& shard) {
       ColumnSumsAccumulate(*shard.dense, &sums);
-      next_row += shard.rows();
-    }
-    SRDA_CHECK_EQ(next_row, m) << "shard stream ended early";
-    Scale(1.0 / m, &sums);
+    });
+    Scale(1.0 / source_->rows(), &sums);
     mean_ = std::move(sums);
   } else {
     const LinearOperator* data = ResolveOperator();
@@ -518,19 +505,14 @@ RidgeSolution RidgeSolver::SolveNormalEquations(const Matrix& responses,
     // concatenated centered matrix, so rhs — and hence the solve — is
     // bitwise identical to the dense-bound path.
     Matrix rhs(source_->cols(), responses.cols());
-    source_->Reset();
-    RowShard shard;
-    int next_row = 0;
-    while (source_->Next(&shard)) {
-      SRDA_CHECK_EQ(shard.first_row, next_row) << "shard stream out of order";
+    ForEachShard(source_, [&](const RowShard& shard) {
       Matrix centered_shard = *shard.dense;
       SubtractRowVector(mean_, &centered_shard);
       MultiplyTransposedAAccumulate(
           centered_shard,
-          responses.Block(next_row, 0, shard.rows(), responses.cols()), &rhs);
-      next_row += shard.rows();
-    }
-    SRDA_CHECK_EQ(next_row, source_->rows()) << "shard stream ended early";
+          responses.Block(shard.first_row, 0, shard.rows(), responses.cols()),
+          &rhs);
+    });
     solution.coefficients = chol->SolveMatrix(rhs);
     const int d = responses.cols();
     solution.bias = Vector(d);

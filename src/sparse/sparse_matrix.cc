@@ -44,9 +44,9 @@ int SparseMatrix::RowNonZeros(int i) const {
 
 namespace {
 
-// Row-chunk size for the A^T*x reduction: see the determinism note on
-// kSparseTransposeChunkRows in the header and in parallel.h.
-constexpr int kTransposeChunkRows = kSparseTransposeChunkRows;
+// Rows per chunk of the A^T*B reduction grid; see
+// SparseTransposeAccumulator.
+constexpr int kSparseTransposeChunkRows = 512;
 
 Counter* SparseBytesTouched() {
   static Counter* counter =
@@ -62,89 +62,31 @@ double SparseBytes(int64_t nnz, int rows, int cols, int vec_columns) {
          8.0 * (static_cast<double>(rows) + cols) * vec_columns;
 }
 
+// Adds global rows [row_begin, row_end) of A into `partial`, where `block`
+// holds A's rows from global row first_row on.
+void AddRows(const SparseMatrix& block, int first_row, int row_begin,
+             int row_end, const Matrix& b, Matrix* partial) {
+  const int d = b.cols();
+  const int64_t* offsets = block.row_offsets().data();
+  const int* indices = block.col_indices().data();
+  const double* values = block.values().data();
+  for (int g = row_begin; g < row_end; ++g) {
+    const double* brow = b.RowPtr(g);
+    const int i = g - first_row;
+    for (int64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      const double value = values[k];
+      double* prow = partial->RowPtr(indices[k]);
+      for (int j = 0; j < d; ++j) {
+        // The per-entry zero skip keeps column j's chain equal to the
+        // product on column j of B alone.
+        if (brow[j] == 0.0) continue;
+        prow[j] += brow[j] * value;
+      }
+    }
+  }
+}
+
 }  // namespace
-
-Vector SparseMatrix::Multiply(const Vector& x) const {
-  SRDA_CHECK_EQ(x.size(), cols_) << "sparse A*x shape mismatch";
-  TraceSpan span("spmv");
-  if (span.recording()) {
-    span.AddArg("flops", 2.0 * static_cast<double>(NumNonZeros()));
-    SparseBytesTouched()->Add(SparseBytes(NumNonZeros(), rows_, cols_, 1));
-  }
-  AddFlops(2.0 * static_cast<double>(NumNonZeros()));
-  Vector y(rows_);
-  const double* px = x.data();
-  ParallelFor(0, rows_, [&](int row_begin, int row_end) {
-    for (int i = row_begin; i < row_end; ++i) {
-      const int64_t begin = row_offsets_[static_cast<size_t>(i)];
-      const int64_t end = row_offsets_[static_cast<size_t>(i) + 1];
-      double sum = 0.0;
-      for (int64_t k = begin; k < end; ++k) {
-        sum += values_[static_cast<size_t>(k)] *
-               px[col_indices_[static_cast<size_t>(k)]];
-      }
-      y[i] = sum;
-    }
-  });
-  return y;
-}
-
-Vector SparseMatrix::MultiplyTransposed(const Vector& x) const {
-  SRDA_CHECK_EQ(x.size(), rows_) << "sparse A^T*x shape mismatch";
-  TraceSpan span("spmv_t");
-  if (span.recording()) {
-    span.AddArg("flops", 2.0 * static_cast<double>(NumNonZeros()));
-    SparseBytesTouched()->Add(SparseBytes(NumNonZeros(), rows_, cols_, 1));
-  }
-  AddFlops(2.0 * static_cast<double>(NumNonZeros()));
-  Vector y(cols_);
-  const int num_chunks = FixedChunkCount(rows_, kTransposeChunkRows);
-  if (num_chunks <= 1) {
-    // Single chunk: accumulate straight into y (the original serial path).
-    double* py = y.data();
-    for (int i = 0; i < rows_; ++i) {
-      const double xi = x[i];
-      if (xi == 0.0) continue;
-      const int64_t begin = row_offsets_[static_cast<size_t>(i)];
-      const int64_t end = row_offsets_[static_cast<size_t>(i) + 1];
-      for (int64_t k = begin; k < end; ++k) {
-        py[col_indices_[static_cast<size_t>(k)]] +=
-            xi * values_[static_cast<size_t>(k)];
-      }
-    }
-    return y;
-  }
-
-  // Rows scatter across the whole output, so each chunk accumulates into a
-  // private buffer; the buffers are folded in fixed chunk order below.
-  std::vector<Vector> partials(static_cast<size_t>(num_chunks));
-  ParallelFor(0, num_chunks, [&](int chunk_begin, int chunk_end) {
-    for (int c = chunk_begin; c < chunk_end; ++c) {
-      Vector& partial = partials[static_cast<size_t>(c)];
-      partial = Vector(cols_);
-      double* pp = partial.data();
-      const int row_begin = c * kTransposeChunkRows;
-      const int row_end = std::min(rows_, row_begin + kTransposeChunkRows);
-      for (int i = row_begin; i < row_end; ++i) {
-        const double xi = x[i];
-        if (xi == 0.0) continue;
-        const int64_t begin = row_offsets_[static_cast<size_t>(i)];
-        const int64_t end = row_offsets_[static_cast<size_t>(i) + 1];
-        for (int64_t k = begin; k < end; ++k) {
-          pp[col_indices_[static_cast<size_t>(k)]] +=
-              xi * values_[static_cast<size_t>(k)];
-        }
-      }
-    }
-  });
-  y = std::move(partials[0]);
-  double* py = y.data();
-  for (int c = 1; c < num_chunks; ++c) {
-    const double* pp = partials[static_cast<size_t>(c)].data();
-    for (int j = 0; j < cols_; ++j) py[j] += pp[j];
-  }
-  return y;
-}
 
 Matrix SparseMatrix::MultiplyDense(const Matrix& b) const {
   SRDA_CHECK_EQ(b.rows(), cols_) << "sparse A*B shape mismatch";
@@ -181,59 +123,9 @@ Matrix SparseMatrix::MultiplyTransposedDense(const Matrix& b) const {
     SparseBytesTouched()->Add(
         SparseBytes(NumNonZeros(), rows_, cols_, b.cols()));
   }
-  AddFlops(2.0 * static_cast<double>(NumNonZeros()) * b.cols());
-  const int d = b.cols();
-  const int num_chunks = FixedChunkCount(rows_, kTransposeChunkRows);
-  if (num_chunks <= 1) {
-    Matrix y(cols_, d);
-    for (int i = 0; i < rows_; ++i) {
-      const double* brow = b.RowPtr(i);
-      const int64_t begin = row_offsets_[static_cast<size_t>(i)];
-      const int64_t end = row_offsets_[static_cast<size_t>(i) + 1];
-      for (int64_t k = begin; k < end; ++k) {
-        const double value = values_[static_cast<size_t>(k)];
-        double* yrow = y.RowPtr(col_indices_[static_cast<size_t>(k)]);
-        for (int j = 0; j < d; ++j) {
-          // The per-entry zero skip matches the row skip in the vector
-          // kernel column by column, keeping the accumulation chains equal.
-          if (brow[j] == 0.0) continue;
-          yrow[j] += brow[j] * value;
-        }
-      }
-    }
-    return y;
-  }
-
-  std::vector<Matrix> partials(static_cast<size_t>(num_chunks));
-  ParallelFor(0, num_chunks, [&](int chunk_begin, int chunk_end) {
-    for (int c = chunk_begin; c < chunk_end; ++c) {
-      Matrix& partial = partials[static_cast<size_t>(c)];
-      partial = Matrix(cols_, d);
-      const int row_begin = c * kTransposeChunkRows;
-      const int row_end = std::min(rows_, row_begin + kTransposeChunkRows);
-      for (int i = row_begin; i < row_end; ++i) {
-        const double* brow = b.RowPtr(i);
-        const int64_t begin = row_offsets_[static_cast<size_t>(i)];
-        const int64_t end = row_offsets_[static_cast<size_t>(i) + 1];
-        for (int64_t k = begin; k < end; ++k) {
-          const double value = values_[static_cast<size_t>(k)];
-          double* prow = partial.RowPtr(col_indices_[static_cast<size_t>(k)]);
-          for (int j = 0; j < d; ++j) {
-            if (brow[j] == 0.0) continue;
-            prow[j] += brow[j] * value;
-          }
-        }
-      }
-    }
-  });
-  Matrix y = std::move(partials[0]);
-  double* py = y.RowPtr(0);
-  for (int c = 1; c < num_chunks; ++c) {
-    const double* pp = partials[static_cast<size_t>(c)].RowPtr(0);
-    const int64_t total = static_cast<int64_t>(cols_) * d;
-    for (int64_t e = 0; e < total; ++e) py[e] += pp[e];
-  }
-  return y;
+  SparseTransposeAccumulator accumulator(cols_, &b);
+  accumulator.Add(*this, 0);
+  return std::move(accumulator).Finish();
 }
 
 SparseMatrix SparseMatrix::RowSlice(int row_begin, int row_end) const {
@@ -267,6 +159,91 @@ Matrix SparseMatrix::ToDense() const {
     }
   }
   return dense;
+}
+
+SparseTransposeAccumulator::SparseTransposeAccumulator(int cols,
+                                                       const Matrix* b)
+    : b_(b) {
+  SRDA_CHECK(b != nullptr);
+  c_ = Matrix(cols, b->cols());
+}
+
+void SparseTransposeAccumulator::Add(const SparseMatrix& block,
+                                     int first_row) {
+  const int rows = b_->rows();
+  const int end_row = first_row + block.rows();
+  SRDA_CHECK(block.cols() == c_.rows() && first_row == next_row_ &&
+             block.rows() <= rows - first_row)
+      << "sparse A^T*B block of rows [" << first_row << ", " << end_row
+      << ") and width " << block.cols() << " does not continue row "
+      << next_row_ << " of " << rows << " x " << c_.rows();
+  AddFlops(2.0 * static_cast<double>(block.NumNonZeros()) * c_.cols());
+  next_row_ = end_row;
+  const auto chunk_end = [rows](int chunk) {
+    return std::min(rows, (chunk + 1) * kSparseTransposeChunkRows);
+  };
+  // Where `chunk` sums: c_ for chunk 0, else `slot`, zeroed when the chunk
+  // starts in this block (`fresh`) or allocated on first use.
+  const auto partial = [this](int chunk, Matrix* slot, bool fresh) {
+    if (chunk == 0) return &c_;
+    if (slot->rows() != c_.rows()) {
+      *slot = Matrix(c_.rows(), c_.cols());
+    } else if (fresh) {
+      slot->Fill(0.0);
+    }
+    return slot;
+  };
+  const int width = GlobalThreadCount();
+  for (int row = first_row; row < end_row;) {
+    const int chunk = row / kSparseTransposeChunkRows;
+    if (row % kSparseTransposeChunkRows != 0 || chunk_end(chunk) > end_row) {
+      // A chunk cut by a block boundary accumulates in carry_ across blocks.
+      const int stop = std::min(end_row, chunk_end(chunk));
+      AddRows(block, first_row, row, stop, *b_,
+              partial(chunk, &carry_, row % kSparseTransposeChunkRows == 0));
+      if (stop == chunk_end(chunk) && chunk > 0) Fold(&carry_, chunk, 1);
+      row = stop;
+      continue;
+    }
+    // A wave of whole chunks, at most one per pool thread.
+    int count = 1;
+    while (count < width &&
+           (chunk + count) * kSparseTransposeChunkRows < end_row &&
+           chunk_end(chunk + count) <= end_row) {
+      ++count;
+    }
+    partials_.resize(std::max(partials_.size(), static_cast<size_t>(count)));
+    ParallelFor(0, count, [&](int slot_begin, int slot_end) {
+      for (int slot = slot_begin; slot < slot_end; ++slot) {
+        AddRows(block, first_row, (chunk + slot) * kSparseTransposeChunkRows,
+                chunk_end(chunk + slot), *b_,
+                partial(chunk + slot, &partials_[static_cast<size_t>(slot)],
+                        true));
+      }
+    });
+    Fold(partials_.data(), chunk, count);
+    row = chunk_end(chunk + count - 1);
+  }
+}
+
+Matrix SparseTransposeAccumulator::Finish() && {
+  SRDA_CHECK_EQ(next_row_, b_->rows())
+      << "sparse A^T*B blocks ended at row " << next_row_ << " of "
+      << b_->rows();
+  return std::move(c_);
+}
+
+void SparseTransposeAccumulator::Fold(Matrix* partials, int chunk,
+                                      int count) {
+  const int d = c_.cols();
+  ParallelFor(0, c_.rows(), [&](int row_begin, int row_end) {
+    const size_t n = static_cast<size_t>(row_end - row_begin) * d;
+    double* pc = c_.RowPtr(row_begin);
+    for (int slot = chunk == 0 ? 1 : 0; slot < count; ++slot) {
+      const double* pp = partials[slot].RowPtr(row_begin);
+      for (size_t e = 0; e < n; ++e) pc[e] += pp[e];
+    }
+  });
 }
 
 SparseMatrixBuilder::SparseMatrixBuilder(int rows, int cols)

@@ -1,8 +1,8 @@
 // Compressed sparse row (CSR) matrix and its builder.
 //
-// The sparse path of SRDA (Section III-C2 of the paper) only needs
-// matrix-vector products A*x and A^T*x plus row access; CSR provides both in
-// O(nnz). Rows are samples, as in the dense Matrix.
+// The sparse path of SRDA (Section III-C2 of the paper) only needs the
+// block products A*B and A^T*B plus row access; CSR provides both in
+// O(nnz * B.cols()). Rows are samples, as in the dense Matrix.
 
 #ifndef SRDA_SPARSE_SPARSE_MATRIX_H_
 #define SRDA_SPARSE_SPARSE_MATRIX_H_
@@ -11,17 +11,8 @@
 #include <vector>
 
 #include "matrix/matrix.h"
-#include "matrix/vector.h"
 
 namespace srda {
-
-// Row-chunk size of the A^T*x / A^T*B reduction grid. The grid is anchored
-// at global row 0 and depends only on the matrix shape, never on thread
-// count — that is what makes the chunk-order fold deterministic. The
-// out-of-core sharded operator replicates the same grid across shard
-// boundaries (carrying a partial chunk between shards) to stay bitwise
-// identical to the in-RAM kernels.
-inline constexpr int kSparseTransposeChunkRows = 512;
 
 // An immutable CSR matrix of doubles.
 class SparseMatrix {
@@ -58,24 +49,16 @@ class SparseMatrix {
     return values_.data() + row_offsets_[static_cast<size_t>(i)];
   }
 
-  // y = A * x  (x has cols() entries, result has rows()).
-  Vector Multiply(const Vector& x) const;
-
-  // y = A^T * x  (x has rows() entries, result has cols()).
-  Vector MultiplyTransposed(const Vector& x) const;
-
-  // C = A * B where B is dense cols() x k; result is rows() x k. Used to
-  // embed sparse samples with a dense projection matrix. Each column of C
-  // accumulates in the same order as Multiply() on the matching column of
-  // B, so the two are bitwise identical.
+  // C = A * B where B is dense cols() x k; result is rows() x k. Each
+  // element of C accumulates its row's entries in ascending order, so
+  // column j of C is bitwise the product on column j of B alone.
   Matrix MultiplyDense(const Matrix& b) const;
 
-  // C = A^T * B where B is dense rows() x k; result is cols() x k. The
-  // multi-RHS mirror of MultiplyTransposed: the same fixed 512-row chunk
-  // grid and ascending chunk-order fold, so column j of the result is
-  // bitwise identical to MultiplyTransposed(column j of B) at any thread
-  // count. This is what lets the batched LSQR path make one pass over the
-  // matrix per iteration for all right-hand sides.
+  // C = A^T * B where B is dense rows() x k; result is cols() x k. One
+  // SparseTransposeAccumulator block (below), so column j of C is bitwise
+  // the product on column j of B alone, at any thread count. This is what
+  // lets the batched LSQR path make one pass over the matrix per iteration
+  // for all right-hand sides.
   Matrix MultiplyTransposedDense(const Matrix& b) const;
 
   // Copies rows [row_begin, row_end) into a new CSR matrix with the same
@@ -92,6 +75,47 @@ class SparseMatrix {
   std::vector<int64_t> row_offsets_;  // size rows_ + 1
   std::vector<int> col_indices_;      // size nnz, sorted within each row
   std::vector<double> values_;        // size nnz
+};
+
+// C = A^T * B streamed over contiguous row blocks of A: the one reduction
+// behind every sparse transpose product, in RAM (one block) and out of core
+// (one block per shard). Rows fall on a fixed 512-row chunk grid anchored
+// at global row 0, so the grid depends on A's row count alone. Each chunk
+// sums its rows in ascending order into a zeroed partial (skipping zero
+// entries of B); chunk 0 sums straight into C, which is never added to
+// 0.0, and the other partials fold into C in ascending chunk order. So C
+// is bitwise identical for every split of A into blocks and at every
+// thread count.
+//
+// The whole chunks of a block reduce on the global thread pool in waves of
+// one chunk per pool thread, each wave folding in parallel over the rows of
+// C; a chunk cut by a block boundary is carried into the next block. Memory
+// bound: at most GlobalThreadCount() + 1 chunk partials (cols x B.cols()
+// each) are live besides C, one per wave slot plus the carried one, reused
+// from chunk to chunk.
+class SparseTransposeAccumulator {
+ public:
+  // `b` is B, one row per row of A; `cols` is A's width. `b` is not copied
+  // and must outlive the accumulator.
+  SparseTransposeAccumulator(int cols, const Matrix* b);
+
+  // Adds rows [first_row, first_row + block.rows()) of A. Each block must
+  // start where the previous one ended.
+  void Add(const SparseMatrix& block, int first_row);
+
+  // C, once every row of A has been added.
+  Matrix Finish() &&;
+
+ private:
+  // Adds the partials of chunks [chunk, chunk + count) to c_, skipping
+  // chunk 0, which c_ already holds.
+  void Fold(Matrix* partials, int chunk, int count);
+
+  const Matrix* b_;
+  Matrix c_;
+  int next_row_ = 0;
+  Matrix carry_;                  // partial of a chunk cut by a block end
+  std::vector<Matrix> partials_;  // one per wave slot
 };
 
 // Accumulates (row, col, value) triplets and assembles a CSR matrix.

@@ -121,10 +121,14 @@ TEST(TextCodecTest, AdversarialDoublesRoundTripExactly) {
   model::Provenance provenance;
   provenance.trainer = "adversarial";
   provenance.alpha = 1.0 / 3.0;  // alpha must round-trip exactly too
-  const model::SrdaModel original = model::BuildModelFromCentroids(
-      LinearEmbedding(projection, Vector{1.0 / 7.0, -2.0 / 3.0}),
-      Matrix::FromRows({{1e-17, 2.0 / 3.0}, {3.0000000000000004, -1e-300}}),
-      {}, provenance);
+  model::SrdaModel original;
+  original.embedding =
+      LinearEmbedding(projection, Vector{1.0 / 7.0, -2.0 / 3.0});
+  original.centroids =
+      Matrix::FromRows({{1e-17, 2.0 / 3.0}, {3.0000000000000004, -1e-300}});
+  original.raw_labels = {0, 1};
+  original.provenance = provenance;
+  original.Validate();
 
   const std::string path = TempPath("precision.txt");
   model::SaveText(original, path);
@@ -188,9 +192,13 @@ TEST(RawLabelTest, GappedLabelsSurviveBothCodecs) {
 // --- Error paths (satellite 4) --------------------------------------------
 
 model::SrdaModel MakeSmallModel() {
-  return model::BuildModelFromCentroids(
-      LinearEmbedding(Matrix::FromRows({{1.0}, {0.5}, {-0.5}}), Vector{0.0}),
-      Matrix::FromRows({{-1.0}, {1.0}}), {}, {});
+  model::SrdaModel m;
+  m.embedding =
+      LinearEmbedding(Matrix::FromRows({{1.0}, {0.5}, {-0.5}}), Vector{0.0});
+  m.centroids = Matrix::FromRows({{-1.0}, {1.0}});
+  m.raw_labels = {0, 1};
+  m.Validate();
+  return m;
 }
 
 void TruncateFile(const std::string& path, int64_t keep_bytes) {

@@ -228,17 +228,21 @@ TEST(DeterminismTest, SparseTransposeProductBitwiseIdentical) {
     }
   }
   const SparseMatrix sparse = std::move(builder).Build();
-  Vector x(rows);
-  for (int i = 0; i < rows; ++i) x[i] = rng.NextGaussian();
-  Vector dense_x(cols);
-  for (int j = 0; j < cols; ++j) dense_x[j] = rng.NextGaussian();
+  Matrix x(rows, 3);
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < 3; ++j) x(i, j) = rng.NextGaussian();
+  }
+  Matrix dense_x(cols, 3);
+  for (int i = 0; i < cols; ++i) {
+    for (int j = 0; j < 3; ++j) dense_x(i, j) = rng.NextGaussian();
+  }
 
   SetGlobalThreadCount(1);
-  const Vector transposed1 = sparse.MultiplyTransposed(x);
-  const Vector forward1 = sparse.Multiply(dense_x);
+  const Matrix transposed1 = sparse.MultiplyTransposedDense(x);
+  const Matrix forward1 = sparse.MultiplyDense(dense_x);
   SetGlobalThreadCount(4);
-  const Vector transposed4 = sparse.MultiplyTransposed(x);
-  const Vector forward4 = sparse.Multiply(dense_x);
+  const Matrix transposed4 = sparse.MultiplyTransposedDense(x);
+  const Matrix forward4 = sparse.MultiplyDense(dense_x);
   SetGlobalThreadCount(1);
 
   EXPECT_TRUE(BitwiseEqual(transposed1, transposed4));

@@ -115,19 +115,142 @@ TEST(ShardedOperatorTest, DenseProductsMatchAtEveryShardSize) {
 }
 
 TEST(ShardedOperatorTest, SparseProductsMatchAcrossChunkGrid) {
-  // 700 rows puts shard boundaries both inside and across the 512-row
-  // transpose chunk grid, the hardest case for the carry-partial fold.
-  const SparseMatrix x = RandomSparse(700, 23, 6);
+  // 1,700 rows span four 512-row transpose chunks, the last one short.
+  // 300-row shards cut chunks and carry them; 1,100-row shards also hold
+  // whole chunks, which reduce on the pool; m-row shards hold every chunk.
+  const SparseMatrix x = RandomSparse(1700, 23, 6);
   const SparseOperator reference(&x);
   const Matrix vm = RandomMatrix(23, 3, 9);
-  const Matrix um = RandomMatrix(700, 3, 10);
-  for (int shard_rows : AdversarialShardSizes(700)) {
-    SparseMatrixShardSource source(&x, shard_rows);
-    ShardedOperator sharded(&source);
-    ExpectBitwiseEqual(reference.ApplyMulti(vm), sharded.ApplyMulti(vm));
-    ExpectBitwiseEqual(reference.ApplyTransposedMulti(um),
-                       sharded.ApplyTransposedMulti(um));
+  const Matrix um = RandomMatrix(1700, 3, 10);
+  const int saved = GlobalThreadCount();
+  SetGlobalThreadCount(1);
+  const Matrix forward = reference.ApplyMulti(vm);
+  const Matrix transposed = reference.ApplyTransposedMulti(um);
+  std::vector<int> shard_sizes = AdversarialShardSizes(1700);
+  shard_sizes.push_back(1100);
+  for (int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    ExpectBitwiseEqual(transposed, reference.ApplyTransposedMulti(um));
+    for (int shard_rows : shard_sizes) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, "
+                                      << shard_rows << "-row shards");
+      SparseMatrixShardSource source(&x, shard_rows);
+      ShardedOperator sharded(&source);
+      ExpectBitwiseEqual(forward, sharded.ApplyMulti(vm));
+      ExpectBitwiseEqual(transposed, sharded.ApplyTransposedMulti(um));
+    }
   }
+  SetGlobalThreadCount(saved);
+}
+
+// A RowShardSource that replays a fixed list of shards, faulty ones
+// included, to check that every pass rejects a broken stream.
+class ScriptedShardSource final : public RowShardSource {
+ public:
+  ScriptedShardSource(int rows, int cols, bool sparse,
+                      std::vector<RowShard> shards)
+      : rows_(rows), cols_(cols), sparse_(sparse), shards_(std::move(shards)) {}
+
+  int rows() const override { return rows_; }
+  int cols() const override { return cols_; }
+  bool sparse() const override { return sparse_; }
+  void Reset() override { next_ = 0; }
+  bool Next(RowShard* shard) override {
+    if (next_ == shards_.size()) return false;
+    *shard = shards_[next_++];
+    return true;
+  }
+
+ private:
+  int rows_;
+  int cols_;
+  bool sparse_;
+  std::vector<RowShard> shards_;
+  size_t next_ = 0;
+};
+
+RowShard DenseShard(int first_row, const Matrix* rows) {
+  RowShard shard;
+  shard.first_row = first_row;
+  shard.dense = rows;
+  return shard;
+}
+
+RowShard SparseShard(int first_row, const SparseMatrix* rows) {
+  RowShard shard;
+  shard.first_row = first_row;
+  shard.sparse = rows;
+  return shard;
+}
+
+// Runs both products of a ShardedOperator over `source`; each must abort
+// with `message` before it touches memory the stream does not cover.
+void ExpectBothProductsDie(ScriptedShardSource* source,
+                           const std::string& message) {
+  ShardedOperator sharded(source);
+  const Matrix v(source->cols(), 2, 1.0);
+  const Matrix u(source->rows(), 2, 1.0);
+  EXPECT_DEATH(sharded.ApplyMulti(v), message);
+  EXPECT_DEATH(sharded.ApplyTransposedMulti(u), message);
+}
+
+TEST(ShardedOperatorDeathTest, GapInStreamAborts) {
+  const Matrix four = RandomMatrix(4, 3, 40);
+  ScriptedShardSource source(
+      10, 3, false, {DenseShard(0, &four), DenseShard(5, &four)});
+  ExpectBothProductsDie(&source, "out of order: shard at row 5, expected "
+                                 "row 4");
+}
+
+TEST(ShardedOperatorDeathTest, OverlappingShardAborts) {
+  const SparseMatrix four = RandomSparse(4, 3, 41);
+  ScriptedShardSource source(
+      10, 3, true, {SparseShard(0, &four), SparseShard(2, &four)});
+  ExpectBothProductsDie(&source, "out of order: shard at row 2");
+}
+
+TEST(ShardedOperatorDeathTest, ShardPastRowsAborts) {
+  const Matrix four = RandomMatrix(4, 3, 42);
+  ScriptedShardSource dense(6, 3, false,
+                            {DenseShard(0, &four), DenseShard(4, &four)});
+  ExpectBothProductsDie(&dense, "shard at row 4 holds 4 rows, past the "
+                                "source's 6");
+  const SparseMatrix sparse_four = RandomSparse(4, 3, 43);
+  ScriptedShardSource sparse(
+      6, 3, true, {SparseShard(0, &sparse_four), SparseShard(4, &sparse_four)});
+  ExpectBothProductsDie(&sparse, "shard at row 4 holds 4 rows");
+}
+
+TEST(ShardedOperatorDeathTest, WrongWidthAborts) {
+  const Matrix three = RandomMatrix(3, 3, 44);
+  const Matrix wide = RandomMatrix(3, 5, 45);
+  ScriptedShardSource dense(6, 3, false,
+                            {DenseShard(0, &three), DenseShard(3, &wide)});
+  ExpectBothProductsDie(&dense, "shard at row 3 has width 5, the source 3");
+  const SparseMatrix sparse_wide = RandomSparse(6, 5, 46);
+  ScriptedShardSource sparse(6, 3, true, {SparseShard(0, &sparse_wide)});
+  ExpectBothProductsDie(&sparse, "shard at row 0 has width 5");
+}
+
+TEST(ShardedOperatorDeathTest, WrongKindAborts) {
+  const Matrix dense_rows = RandomMatrix(6, 3, 47);
+  const SparseMatrix sparse_rows = RandomSparse(6, 3, 48);
+  ScriptedShardSource sparse(6, 3, true, {DenseShard(0, &dense_rows)});
+  ExpectBothProductsDie(&sparse,
+                        "shard at row 0 is not the sparse kind its source");
+  ScriptedShardSource dense(6, 3, false, {SparseShard(0, &sparse_rows)});
+  ExpectBothProductsDie(&dense,
+                        "shard at row 0 is not the dense kind its source");
+  RowShard both = DenseShard(0, &dense_rows);
+  both.sparse = &sparse_rows;
+  ScriptedShardSource ambiguous(6, 3, false, {both});
+  ExpectBothProductsDie(&ambiguous, "is not the dense kind");
+}
+
+TEST(ShardedOperatorDeathTest, StreamEndingEarlyAborts) {
+  const Matrix four = RandomMatrix(4, 3, 49);
+  ScriptedShardSource source(6, 3, false, {DenseShard(0, &four)});
+  ExpectBothProductsDie(&source, "ended early at row 4 of 6");
 }
 
 // --- RidgeSolver sharded binding vs. the dense binding. ---

@@ -26,8 +26,11 @@ TEST(SparseMatrixTest, EmptyMatrix) {
   EXPECT_EQ(m.cols(), 4);
   EXPECT_EQ(m.NumNonZeros(), 0);
   EXPECT_EQ(m.AvgNonZerosPerRow(), 0.0);
-  const Vector y = m.Multiply(Vector(4));
-  EXPECT_EQ(y.size(), 3);
+  const Matrix y = m.MultiplyDense(Matrix(4, 1));
+  EXPECT_EQ(y.rows(), 3);
+  const Matrix z = m.MultiplyTransposedDense(Matrix(3, 1));
+  EXPECT_EQ(z.rows(), 4);
+  EXPECT_EQ(MaxAbsDiff(z, Matrix(4, 1)), 0.0);
 }
 
 TEST(SparseMatrixTest, BuildAndDensify) {
@@ -114,19 +117,19 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
   Rng rng(7);
   const SparseMatrix sparse = RandomSparse(20, 30, 0.15, &rng);
   const Matrix dense = sparse.ToDense();
-  Vector x(30);
-  for (int i = 0; i < 30; ++i) x[i] = rng.NextGaussian();
-  EXPECT_LT(MaxAbsDiff(sparse.Multiply(x), Multiply(dense, x)), 1e-12);
+  Matrix x(30, 1);
+  for (int i = 0; i < 30; ++i) x(i, 0) = rng.NextGaussian();
+  EXPECT_LT(MaxAbsDiff(sparse.MultiplyDense(x), Multiply(dense, x)), 1e-12);
 }
 
 TEST(SparseMatrixTest, MultiplyTransposedMatchesDense) {
   Rng rng(11);
   const SparseMatrix sparse = RandomSparse(25, 18, 0.2, &rng);
   const Matrix dense = sparse.ToDense();
-  Vector x(25);
-  for (int i = 0; i < 25; ++i) x[i] = rng.NextGaussian();
-  EXPECT_LT(MaxAbsDiff(sparse.MultiplyTransposed(x),
-                       MultiplyTransposed(dense, x)),
+  Matrix x(25, 1);
+  for (int i = 0; i < 25; ++i) x(i, 0) = rng.NextGaussian();
+  EXPECT_LT(MaxAbsDiff(sparse.MultiplyTransposedDense(x),
+                       MultiplyTransposedA(dense, x)),
             1e-12);
 }
 
@@ -144,9 +147,9 @@ TEST(SparseMatrixTest, MultiplyDenseMatchesDense) {
 
 TEST(SparseMatrixTest, MultiplyTransposedDenseMatchesColumnsBitwise) {
   // The multi-RHS transpose kernel promises column j of A^T B bitwise equal
-  // to MultiplyTransposed(B.Col(j)) — that is what makes the batched LSQR
-  // path reproduce the serial per-column solves exactly. Large enough rows
-  // to span multiple 512-row reduction chunks.
+  // to the one-column product on B's column j — that is what makes the
+  // batched LSQR path reproduce the serial per-column solves exactly. Large
+  // enough rows to span multiple 512-row reduction chunks.
   Rng rng(17);
   const SparseMatrix sparse = RandomSparse(1200, 40, 0.1, &rng);
   Matrix b(1200, 3);
@@ -157,9 +160,11 @@ TEST(SparseMatrixTest, MultiplyTransposedDenseMatchesColumnsBitwise) {
   ASSERT_EQ(product.rows(), 40);
   ASSERT_EQ(product.cols(), 3);
   for (int j = 0; j < 3; ++j) {
-    EXPECT_EQ(0.0,
-              MaxAbsDiff(product.Col(j), sparse.MultiplyTransposed(b.Col(j))))
-        << "column " << j;
+    const Matrix column =
+        sparse.MultiplyTransposedDense(b.Block(0, j, b.rows(), 1));
+    for (int i = 0; i < product.rows(); ++i) {
+      ASSERT_EQ(product(i, j), column(i, 0)) << "column " << j << " row " << i;
+    }
   }
 }
 
@@ -167,8 +172,8 @@ TEST(SparseMatrixDeathTest, ProductShapeMismatchAborts) {
   SparseMatrixBuilder builder(2, 3);
   builder.Add(0, 0, 1.0);
   const SparseMatrix m = std::move(builder).Build();
-  EXPECT_DEATH(m.Multiply(Vector(2)), "shape mismatch");
-  EXPECT_DEATH(m.MultiplyTransposed(Vector(3)), "shape mismatch");
+  EXPECT_DEATH(m.MultiplyDense(Matrix(2, 1)), "shape mismatch");
+  EXPECT_DEATH(m.MultiplyTransposedDense(Matrix(3, 1)), "shape mismatch");
 }
 
 TEST(SparseMatrixTest, AvgNonZerosPerRow) {
@@ -189,12 +194,12 @@ TEST_P(SparseDualityTest, AdjointIdentityHolds) {
   const int rows = 5 + GetParam() % 17;
   const int cols = 3 + GetParam() % 23;
   const SparseMatrix a = RandomSparse(rows, cols, 0.2, &rng);
-  Vector x(cols);
-  Vector y(rows);
-  for (int i = 0; i < cols; ++i) x[i] = rng.NextGaussian();
-  for (int i = 0; i < rows; ++i) y[i] = rng.NextGaussian();
-  const double left = Dot(a.Multiply(x), y);
-  const double right = Dot(x, a.MultiplyTransposed(y));
+  Matrix x(cols, 1);
+  Matrix y(rows, 1);
+  for (int i = 0; i < cols; ++i) x(i, 0) = rng.NextGaussian();
+  for (int i = 0; i < rows; ++i) y(i, 0) = rng.NextGaussian();
+  const double left = Dot(a.MultiplyDense(x).Col(0), y.Col(0));
+  const double right = Dot(x.Col(0), a.MultiplyTransposedDense(y).Col(0));
   EXPECT_NEAR(left, right, 1e-10 * (1.0 + std::abs(left)));
 }
 

@@ -35,6 +35,7 @@
 // --metrics-out=FILE snapshots the metrics registry every
 // --metrics-interval seconds, as Prometheus text whatever the extension.
 
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -100,10 +101,10 @@ model::Provenance MakeProvenance(const std::string& algorithm, double alpha,
 
 // Out-of-core training: SRDA through a RidgeSolver bound to the shard
 // stream (one pass per Gram/RHS build or LSQR iteration), then one more
-// pass fitting the nearest-centroid head on the streamed embeddings. The
-// class-sum accumulation visits rows in the same ascending order
-// CentroidClassifier::Fit uses on the full embedded matrix, so the model is
-// bitwise identical to the in-RAM fit at any shard size.
+// pass embedding every shard into one m x (c-1) matrix, the size of the
+// response matrix the fit already held. Embedding rows are independent,
+// so BuildModel fits the same centroid head as the in-RAM path and the
+// model is bitwise identical at any shard size.
 model::SrdaModel TrainSharded(const std::string& data_path,
                               RowStreamFormat stream_format, int shard_rows,
                               double alpha, const std::string& solver,
@@ -132,38 +133,21 @@ model::SrdaModel TrainSharded(const std::string& data_path,
                          trained.total_lsqr_iterations);
   }
 
-  const std::vector<int>& labels = reader.labels();
-  const int num_classes = reader.num_classes();
-  const std::vector<int> counts = ClassCounts(labels, num_classes);
-  for (int k = 0; k < num_classes; ++k) {
-    SRDA_CHECK_GT(counts[static_cast<size_t>(k)], 0)
-        << "class " << k << " has no training samples";
-  }
-  Matrix centroids(num_classes, trained.embedding.output_dim());
-  reader.Reset();
-  RowShard shard;
-  while (reader.Next(&shard)) {
-    const Matrix embedded = shard.sparse != nullptr
-                                ? trained.embedding.Transform(*shard.sparse)
-                                : trained.embedding.Transform(*shard.dense);
-    for (int i = 0; i < embedded.rows(); ++i) {
-      const double* row = embedded.RowPtr(i);
-      double* centroid = centroids.RowPtr(
-          labels[static_cast<size_t>(shard.first_row + i)]);
-      for (int j = 0; j < embedded.cols(); ++j) centroid[j] += row[j];
-    }
-  }
-  for (int k = 0; k < num_classes; ++k) {
-    const double inv = 1.0 / counts[static_cast<size_t>(k)];
-    double* centroid = centroids.RowPtr(k);
-    for (int j = 0; j < centroids.cols(); ++j) centroid[j] *= inv;
-  }
+  Matrix embedded(reader.rows(), trained.embedding.output_dim());
+  ForEachShard(&reader, [&](const RowShard& shard) {
+    const Matrix part = shard.sparse != nullptr
+                            ? trained.embedding.Transform(*shard.sparse)
+                            : trained.embedding.Transform(*shard.dense);
+    std::memcpy(embedded.RowPtr(shard.first_row), part.data(),
+                static_cast<size_t>(part.rows()) * part.cols() *
+                    sizeof(double));
+  });
   std::cout << "streamed " << reader.bytes_streamed()
             << " bytes total, peak shard " << reader.peak_shard_bytes()
             << " bytes\n";
-  return model::BuildModelFromCentroids(
-      trained.embedding, std::move(centroids), reader.raw_labels(),
-      MakeProvenance("srda", alpha, sketch));
+  return model::BuildModel(trained.embedding, embedded, reader.labels(),
+                           reader.num_classes(), reader.raw_labels(),
+                           MakeProvenance("srda", alpha, sketch));
 }
 
 int Main(int argc, char** argv) {
