@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -252,8 +253,10 @@ int Main(int argc, char** argv) {
     options.images_per_subject = smoke ? 8 : (full ? 170 : 40);
     options.image_size = full ? 32 : 16;
     const DenseDataset faces = GenerateFaceDataset(options);
-    panels.push_back(RunDensePanel("PIE-like (4 train)", faces,
-                                   smoke ? 4 : 10, splits, 51));
+    const int train = smoke ? 4 : 10;
+    panels.push_back(RunDensePanel(
+        "PIE-like (" + std::to_string(train) + " train)", faces, train,
+        splits, 51));
     if (!smoke) {
       panels.push_back(
           RunDensePanel("PIE-like (30 train)", faces, 30, splits, 52));
@@ -264,8 +267,10 @@ int Main(int argc, char** argv) {
     options.examples_per_class = smoke ? 12 : (full ? 240 : 120);
     options.num_features = smoke ? 60 : (full ? 617 : 200);
     const DenseDataset isolet = GenerateSpokenLetterDataset(options);
-    panels.push_back(RunDensePanel("Isolet-like (6 train)", isolet,
-                                   smoke ? 6 : 50, splits, 53));
+    const int train = smoke ? 6 : 50;
+    panels.push_back(RunDensePanel(
+        "Isolet-like (" + std::to_string(train) + " train)", isolet, train,
+        splits, 53));
     if (!smoke) {
       panels.push_back(
           RunDensePanel("Isolet-like (90 train)", isolet, 90, splits, 54));
@@ -276,8 +281,10 @@ int Main(int argc, char** argv) {
     options.examples_per_class = smoke ? 12 : (full ? 400 : 200);
     options.image_size = smoke ? 8 : (full ? 28 : 16);
     const DenseDataset digits = GenerateDigitDataset(options);
-    panels.push_back(RunDensePanel("MNIST-like (6 train)", digits,
-                                   smoke ? 6 : 30, splits, 55));
+    const int train = smoke ? 6 : 30;
+    panels.push_back(RunDensePanel(
+        "MNIST-like (" + std::to_string(train) + " train)", digits, train,
+        splits, 55));
     if (!smoke) {
       panels.push_back(
           RunDensePanel("MNIST-like (100 train)", digits, 100, splits, 56));
@@ -289,8 +296,10 @@ int Main(int argc, char** argv) {
     options.vocabulary_size = smoke ? 2000 : (full ? 26214 : 8000);
     options.topic_vocabulary_size = smoke ? 200 : (full ? 1500 : 500);
     const SparseDataset text = GenerateTextDataset(options);
-    panels.push_back(RunTextPanel("20News-like (20% train)", text,
-                                  smoke ? 0.2 : 0.05, splits, 57));
+    const int train_percent = smoke ? 20 : 5;
+    panels.push_back(RunTextPanel(
+        "20News-like (" + std::to_string(train_percent) + "% train)", text,
+        train_percent / 100.0, splits, 57));
     if (!smoke) {
       panels.push_back(
           RunTextPanel("20News-like (10% train)", text, 0.10, splits, 58));

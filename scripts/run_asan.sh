@@ -1,5 +1,5 @@
 #!/bin/sh
-# Builds the LSQR, operator, solver, sketch, sharded and sparse test
+# Builds the LSQR, operator, solver, sharded and sparse test
 # binaries, plus the Cholesky/triangular-sweep, rank-1 update, RLDA,
 # IDR/QR, incremental, determinism, dataset-IO, model-codec, obs and
 # serving tests, with AddressSanitizer and runs them with a multi-thread
@@ -13,7 +13,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-TESTS="linalg_lsqr_test solver_test sketch_test sharded_test core_srda_test
+TESTS="linalg_lsqr_test solver_test sharded_test core_srda_test
   sparse_test linalg_cholesky_test linalg_cholesky_update_test blocking_test
   core_rlda_test core_idr_qr_test core_incremental_test parallel_test
   io_test model_test obs_test serving_test tools_integration_test"

@@ -12,14 +12,14 @@ cmake -B build-tsan -S . -DSRDA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInf
 cmake --build build-tsan --target \
   parallel_test matrix_test sparse_test linalg_lsqr_test core_srda_test \
   blocking_test simd_test linalg_cholesky_test linalg_cholesky_update_test \
-  solver_test obs_test io_test sharded_test sketch_test classify_test \
+  solver_test obs_test io_test sharded_test classify_test \
   model_test serving_test
 
 export SRDA_NUM_THREADS=4
 for t in parallel_test matrix_test sparse_test linalg_lsqr_test \
          core_srda_test blocking_test simd_test linalg_cholesky_test \
          linalg_cholesky_update_test solver_test obs_test io_test \
-         sharded_test sketch_test classify_test model_test \
+         sharded_test classify_test model_test \
          serving_test; do
   echo "== TSan: $t =="
   ./build-tsan/tests/"$t" --gtest_filter='-*DeathTest*'
@@ -27,9 +27,9 @@ done
 
 # Second pass under chunk->thread pinning: the residue scheduler replaces
 # the atomic chunk cursor, so its claim/retire handshake needs its own
-# race coverage. The blocked triangular solves (blocking_test) and the
-# batched preconditioned LSQR substitutions (linalg_lsqr_test) run a
-# ParallelFor per panel, so they ride along, as do the sparse A^T*B
+# race coverage. The blocked triangular solves (blocking_test) run a
+# ParallelFor per panel and the batched LSQR passes (linalg_lsqr_test) run
+# the operator products, so they ride along, as do the sparse A^T*B
 # accumulator's chunk waves and folds, in RAM (sparse_test) and on
 # streamed shards (sharded_test).
 export SRDA_PIN_THREADS=1

@@ -28,16 +28,12 @@ SrdaModel FitSrda(RidgeSolver* solver, const std::vector<int>& labels,
   model.num_responses = responses.cols();
 
   RidgeSolveOptions solve_options;
-  // Preconditioning only exists on the LSQR path, so it implies the solver.
-  const bool use_lsqr = options.solver == SrdaSolver::kLsqr ||
-                        options.sketch.mode == SketchMode::kPrecondition;
-  solve_options.method =
-      use_lsqr ? RidgeMethod::kLsqr : RidgeMethod::kNormalEquations;
+  solve_options.method = options.solver == SrdaSolver::kLsqr
+                             ? RidgeMethod::kLsqr
+                             : RidgeMethod::kNormalEquations;
   solve_options.lsqr_iterations = options.lsqr_iterations;
   solve_options.lsqr_atol = options.lsqr_atol;
   solve_options.lsqr_btol = options.lsqr_btol;
-  // Unconditional so a reused solver drops sketching when the options do.
-  solver->SetSketch(options.sketch);
 
   RidgeSolution solution =
       solver->Solve(responses, options.alpha, solve_options);

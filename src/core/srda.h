@@ -53,11 +53,6 @@ struct SrdaOptions {
   // LSQR early-stopping tolerances.
   double lsqr_atol = 1e-10;
   double lsqr_btol = 1e-10;
-  // Randomized sketching (solver/ridge_solver.h): kOff trains exactly as
-  // before; kPrecondition runs LSQR with the factored sketched Gram as a
-  // right preconditioner (exact solutions, fewer iterations; forces the
-  // LSQR solver).
-  SketchConfig sketch;
 };
 
 struct SrdaModel {

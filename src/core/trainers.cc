@@ -33,7 +33,6 @@ TrainResult TrainDenseByName(const std::string& name, const Matrix& x,
     srda_options.alpha = options.alpha;
     srda_options.solver = options.solver;
     srda_options.lsqr_iterations = options.lsqr_iterations;
-    srda_options.sketch = options.sketch;
     SrdaModel model = FitSrda(x, labels, num_classes, srda_options);
     SRDA_CHECK(model.converged) << "SRDA training failed";
     result.embedding = std::move(model.embedding);
@@ -41,8 +40,6 @@ TrainResult TrainDenseByName(const std::string& name, const Matrix& x,
     result.lsqr_diagnostics = std::move(model.lsqr_diagnostics);
     return result;
   }
-  SRDA_CHECK(options.sketch.mode == SketchMode::kOff)
-      << "sketching supports the srda trainer only";
   if (name == "lda") {
     LdaModel model = FitLda(x, labels, num_classes);
     SRDA_CHECK(model.converged) << "LDA training failed";

@@ -26,12 +26,11 @@ namespace srda {
 
 // Options shared across every dense trainer; fields that do not apply to a
 // given trainer are ignored (alpha feeds srda/rlda/semi_srda, the solver
-// knobs and sketch feed srda only).
+// knobs feed srda only).
 struct TrainerOptions {
   double alpha = 1.0;
   SrdaSolver solver = SrdaSolver::kNormalEquations;
   int lsqr_iterations = 20;
-  SketchConfig sketch;
 };
 
 struct TrainResult {

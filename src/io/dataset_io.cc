@@ -1,6 +1,7 @@
 #include "io/dataset_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -250,6 +251,7 @@ DenseDataset ReadDenseBinaryFile(const std::string& path) {
     ReadBinaryBlock(&in, dataset.features.RowPtr(i),
                     static_cast<size_t>(header.cols) * sizeof(double), path);
   }
+  CheckFiniteRows(dataset.features.data(), header.rows, header.cols, 0, path);
   ValidateDataset(dataset);
   return dataset;
 }
@@ -283,6 +285,16 @@ DenseBinaryHeader ReadDenseBinaryHeader(std::ifstream* in,
   header.labels.assign(labels.begin(), labels.end());
   header.data_offset = static_cast<int64_t>(in->tellg());
   return header;
+}
+
+void CheckFiniteRows(const double* values, int rows, int cols, int first_row,
+                     const std::string& path) {
+  const int64_t count = static_cast<int64_t>(rows) * cols;
+  for (int64_t k = 0; k < count; ++k) {
+    SRDA_CHECK(std::isfinite(values[k]))
+        << path << ": row " << first_row + k / cols << ", column " << k % cols
+        << ": non-finite value";
+  }
 }
 
 }  // namespace srda

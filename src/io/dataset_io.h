@@ -129,6 +129,13 @@ struct DenseBinaryHeader {
 DenseBinaryHeader ReadDenseBinaryHeader(std::ifstream* in,
                                         const std::string& path);
 
+// Aborts with "path: row r, column c: non-finite value" (0-based) at the
+// first NaN or Inf among `rows` row-major rows of `cols` features whose
+// first row is row `first_row` of the file. Raw binary features get the
+// check the text grammar applies while parsing.
+void CheckFiniteRows(const double* values, int rows, int cols, int first_row,
+                     const std::string& path);
+
 }  // namespace srda
 
 #endif  // SRDA_IO_DATASET_IO_H_

@@ -208,6 +208,7 @@ int64_t RowShardReader::ReadDenseShard(int count, RowShard* shard) {
   const int64_t bytes = static_cast<int64_t>(count) * cols_ * 8;
   iovec iov = {dense_buffer_.RowPtr(0), static_cast<size_t>(bytes)};
   TransferAll(readv, fd_, &iov, 1, source_);
+  CheckFiniteRows(dense_buffer_.RowPtr(0), count, cols_, next_row_, source_);
   shard->dense = &dense_buffer_;
   shard->sparse = nullptr;
   return bytes;

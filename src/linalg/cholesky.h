@@ -71,9 +71,8 @@ class Cholesky {
 // per-row finish (multiply by the pivot's reciprocal) as
 // Cholesky::SolveMatrix, which is these two in sequence. Column j's
 // arithmetic depends on no other column, so it is bitwise identical to the
-// sweep of column j alone at any thread count, panel width, and SIMD level;
-// the preconditioned LSQR path leans on that contract. A one-column B is
-// the single-vector solve.
+// sweep of column j alone at any thread count, panel width, and SIMD level.
+// A one-column B is the single-vector solve.
 Matrix ForwardSubstituteMatrix(const Matrix& l, const Matrix& b);
 Matrix BackSubstituteTransposedMatrix(const Matrix& l, const Matrix& b);
 

@@ -49,11 +49,6 @@ class DenseOperator final : public LinearOperator {
   Matrix ApplyMulti(const Matrix& x) const override;
   Matrix ApplyTransposedMulti(const Matrix& x) const override;
 
-  // The wrapped matrix. Lets row-level consumers (linalg/sketch.h) reach
-  // the concrete storage through a dynamic_cast instead of the generic
-  // operator products.
-  const Matrix* matrix() const { return matrix_; }
-
  private:
   const Matrix* matrix_;
 };
@@ -67,9 +62,6 @@ class SparseOperator final : public LinearOperator {
   int cols() const override;
   Matrix ApplyMulti(const Matrix& x) const override;
   Matrix ApplyTransposedMulti(const Matrix& x) const override;
-
-  // The wrapped CSR matrix (see DenseOperator::matrix()).
-  const SparseMatrix* matrix() const { return matrix_; }
 
  private:
   const SparseMatrix* matrix_;

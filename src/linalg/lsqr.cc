@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "linalg/cholesky.h"
 #include "matrix/blas.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -35,98 +34,6 @@ void RecordLsqrMetrics(const LsqrResult& result) {
   LsqrMetrics().iterations->Add(static_cast<double>(result.iterations));
   LsqrMetrics().iterations_per_rhs->Observe(
       static_cast<double>(result.iterations));
-}
-
-// Iterations spent inside right-preconditioned solves. Together with the
-// lsqr.iterations total this lets the phase summary split preconditioned
-// from plain iteration counts (obs/report.cc).
-void RecordPrecondIterations(int iterations) {
-  if (!TraceEnabled()) return;
-  static Counter* precond =
-      MetricsRegistry::Global().counter("lsqr.precond_iterations");
-  precond->Add(static_cast<double>(iterations));
-}
-
-// The right-preconditioned damped operator B = [A; damp I] L^{-T}. The
-// damp rows are made explicit (rather than left to LSQR's own damping)
-// because damping acts on the SOLVE variable: damping z would penalize
-// ||z|| = ||L^T x||, not ||x||. With the rows folded in, the inner solve
-// runs undamped and minimizes the original damped objective exactly.
-//
-// Column independence: the matrix triangular solves and the base
-// operator's products each compute column j from column j alone, and so
-// does everything in between, so a preconditioned column's bits do not
-// depend on which other columns share the batch, at any thread count.
-class PrecondDampedOperator final : public LinearOperator {
- public:
-  PrecondDampedOperator(const LinearOperator* base, const Matrix* l,
-                        double damp)
-      : base_(base),
-        l_(l),
-        damp_(damp),
-        rows_(base->rows() + (damp > 0.0 ? base->cols() : 0)) {}
-
-  int rows() const override { return rows_; }
-  int cols() const override { return base_->cols(); }
-
-  Matrix ApplyMulti(const Matrix& z) const override {
-    TraceSpan span("sketch.apply");
-    const Matrix x = BackSubstituteTransposedMatrix(*l_, z);
-    Matrix top = base_->ApplyMulti(x);
-    if (damp_ == 0.0) return top;
-    const int m = base_->rows();
-    const int n = base_->cols();
-    const int k = z.cols();
-    Matrix out(rows_, k);
-    for (int i = 0; i < m; ++i) {
-      const double* src = top.RowPtr(i);
-      double* dst = out.RowPtr(i);
-      for (int j = 0; j < k; ++j) dst[j] = src[j];
-    }
-    for (int i = 0; i < n; ++i) {
-      const double* src = x.RowPtr(i);
-      double* dst = out.RowPtr(m + i);
-      for (int j = 0; j < k; ++j) dst[j] = damp_ * src[j];
-    }
-    return out;
-  }
-
-  Matrix ApplyTransposedMulti(const Matrix& y) const override {
-    TraceSpan span("sketch.apply");
-    const int m = base_->rows();
-    const int n = base_->cols();
-    const int k = y.cols();
-    Matrix top(m, k);
-    for (int i = 0; i < m; ++i) {
-      const double* src = y.RowPtr(i);
-      double* dst = top.RowPtr(i);
-      for (int j = 0; j < k; ++j) dst[j] = src[j];
-    }
-    Matrix t = base_->ApplyTransposedMulti(top);
-    if (damp_ > 0.0) {
-      for (int i = 0; i < n; ++i) {
-        const double* src = y.RowPtr(m + i);
-        double* dst = t.RowPtr(i);
-        for (int j = 0; j < k; ++j) dst[j] += damp_ * src[j];
-      }
-    }
-    return ForwardSubstituteMatrix(*l_, t);
-  }
-
- private:
-  const LinearOperator* base_;
-  const Matrix* l_;
-  const double damp_;
-  const int rows_;
-};
-
-// Inner options of a preconditioned solve: the preconditioner moves into
-// the operator, damping moves into the explicit damp rows.
-LsqrOptions InnerOptions(const LsqrOptions& options) {
-  LsqrOptions inner = options;
-  inner.right_precond = nullptr;
-  inner.damp = 0.0;
-  return inner;
 }
 
 // Per-column bidiagonalization state for LsqrBatch; `active` is false once
@@ -169,31 +76,6 @@ std::vector<LsqrResult> LsqrBatch(const LinearOperator& a, const Matrix& b,
   SRDA_CHECK_EQ(b.rows(), a.rows()) << "LSQR batch rhs size mismatch";
   SRDA_CHECK_GT(options.max_iterations, 0);
   SRDA_CHECK_GE(options.damp, 0.0);
-  if (options.right_precond != nullptr) {
-    const Matrix& l = *options.right_precond;
-    SRDA_CHECK_EQ(l.rows(), a.cols()) << "right_precond shape mismatch";
-    SRDA_CHECK_EQ(l.cols(), a.cols()) << "right_precond must be square";
-    PrecondDampedOperator pre(&a, &l, options.damp);
-    Matrix rhs(pre.rows(), b.cols());  // [b; 0] per column.
-    for (int i = 0; i < b.rows(); ++i) {
-      const double* src = b.RowPtr(i);
-      double* dst = rhs.RowPtr(i);
-      for (int j = 0; j < b.cols(); ++j) dst[j] = src[j];
-    }
-    std::vector<LsqrResult> results = LsqrBatch(pre, rhs, InnerOptions(options));
-    // One batched back-substitution maps every column's z back to x.
-    Matrix z(a.cols(), b.cols());
-    for (int j = 0; j < b.cols(); ++j) {
-      z.SetCol(j, results[static_cast<size_t>(j)].x);
-    }
-    const Matrix x = BackSubstituteTransposedMatrix(l, z);
-    for (int j = 0; j < b.cols(); ++j) {
-      results[static_cast<size_t>(j)].x = x.Col(j);
-      RecordPrecondIterations(results[static_cast<size_t>(j)].iterations);
-    }
-    return results;
-  }
-
   const int m = a.rows();
   const int n = a.cols();
   const int d = b.cols();

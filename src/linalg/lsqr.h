@@ -25,22 +25,6 @@ struct LsqrOptions {
   // also stops early when the estimated residual is compatible with these.
   double atol = 1e-10;
   double btol = 1e-10;
-  // Optional right preconditioner: the lower-triangular Cholesky factor L
-  // of an approximation to A^T A + damp^2 I (e.g. a sketched ridge Gram,
-  // linalg/sketch.h). When set, LSQR runs on the change of variable
-  // z = L^T x: it solves min_z ||[A; damp I] L^{-T} z - [b; 0]|| with no
-  // inner damping (the damp rows are folded into the operator) and
-  // back-substitutes x = L^{-T} z at the end. The better L L^T approximates
-  // A^T A + damp^2 I, the closer the preconditioned operator is to an
-  // isometry and the fewer iterations the solve takes. Each iteration adds
-  // two O(n^2) triangular solves on top of the base operator products.
-  // Not owned; must be a.cols() x a.cols() and outlive the call.
-  //
-  // Result semantics under preconditioning: residual_norm is still the
-  // damped residual ||[A; damp I] x - [b; 0]|| of the ORIGINAL problem
-  // (the change of variable preserves it), but normal_residual_norm and the
-  // atol/btol stopping rules act in the preconditioned variable.
-  const Matrix* right_precond = nullptr;
 };
 
 // Why the iteration stopped. kIterationLimit is the only non-converged

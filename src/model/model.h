@@ -38,7 +38,7 @@ enum class HeadKind : int {
 struct Provenance {
   std::string trainer;  // "srda", "lda", "rlda", "idr_qr", ...
   double alpha = 0.0;   // ridge penalty (0 when the trainer has none)
-  uint64_t seed = 0;    // stochastic-component seed (sketch seed; 0 = none)
+  uint64_t seed = 0;    // kept for format stability; always written as 0
 };
 
 struct SrdaModel {

@@ -130,8 +130,6 @@ void PrintRunSummary(std::ostream& os) {
   // refactorizations only on the condition fallback.
   double fold_hits = 0.0;
   double fold_fallbacks = 0.0;
-  double lsqr_iterations = 0.0;
-  double precond_iterations = 0.0;
   bool any_metrics = false;
   for (const MetricSnapshot& snapshot : MetricsRegistry::Global().Snapshot()) {
     any_metrics = any_metrics || snapshot.value != 0.0 || snapshot.count != 0;
@@ -139,10 +137,6 @@ void PrintRunSummary(std::ostream& os) {
       fold_hits = snapshot.value;
     } else if (snapshot.name == "ridge.fold_downdate_fallback") {
       fold_fallbacks = snapshot.value;
-    } else if (snapshot.name == "lsqr.iterations") {
-      lsqr_iterations = snapshot.value;
-    } else if (snapshot.name == "lsqr.precond_iterations") {
-      precond_iterations = snapshot.value;
     }
   }
   if (fold_hits > 0.0 || fold_fallbacks > 0.0) {
@@ -150,17 +144,6 @@ void PrintRunSummary(std::ostream& os) {
                   "\n== Fold factors ==\n  %.0f downdated from the parent "
                   "factor, %.0f rebuilt (condition fallback)\n",
                   fold_hits, fold_fallbacks);
-    os << line;
-  }
-  // Sketch-preconditioning effectiveness, one line: how the run's LSQR
-  // iterations split between preconditioned and plain solves, so benches
-  // surface the saving without JSON spelunking.
-  if (precond_iterations > 0.0) {
-    std::snprintf(line, sizeof(line),
-                  "\n== LSQR iterations (precond vs plain) ==\n  %.0f "
-                  "preconditioned, %.0f plain\n",
-                  precond_iterations,
-                  std::max(0.0, lsqr_iterations - precond_iterations));
     os << line;
   }
   if (any_metrics) {

@@ -65,13 +65,6 @@ double CrossValidate(
 AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
                                   const std::vector<double>& alphas,
                                   int num_folds, uint64_t seed) {
-  return SelectSrdaAlpha(dataset, alphas, num_folds, seed, SrdaOptions{});
-}
-
-AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
-                                  const std::vector<double>& alphas,
-                                  int num_folds, uint64_t seed,
-                                  const SrdaOptions& base_options) {
   SRDA_CHECK(!alphas.empty()) << "no alpha candidates";
   AlphaSearchResult result;
   result.errors.assign(alphas.size(), 0.0);
@@ -112,7 +105,7 @@ AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
     for (int f = 0; f < num_folds; ++f) {
       const DenseDataset& train = train_sets[static_cast<size_t>(f)];
       const DenseDataset& validation = validation_sets[static_cast<size_t>(f)];
-      SrdaOptions options = base_options;
+      SrdaOptions options;
       options.alpha = alphas[a];
       const SrdaModel model =
           FitSrda(&fold_solvers[static_cast<size_t>(f)], train.labels,

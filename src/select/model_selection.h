@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/srda.h"
 #include "dataset/dataset.h"
 #include "dataset/split.h"
 
@@ -48,18 +47,6 @@ struct AlphaSearchResult {
 AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
                                   const std::vector<double>& alphas,
                                   int num_folds, uint64_t seed);
-
-// Same search with every fold fit running under `base_options` (solver
-// choice, LSQR budget, sketch config — see SrdaOptions; the alpha field is
-// overridden by each grid candidate). With base_options.sketch.mode ==
-// SketchMode::kPrecondition each fold solver builds its sketch once and
-// pays only a small s-row refactorization per grid point, mirroring the
-// Gram amortization. The default-options overload above is
-// bitwise-unchanged from the historical search.
-AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
-                                  const std::vector<double>& alphas,
-                                  int num_folds, uint64_t seed,
-                                  const SrdaOptions& base_options);
 
 }  // namespace srda
 

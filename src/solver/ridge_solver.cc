@@ -24,9 +24,6 @@ struct RidgeInstruments {
   Counter* factor_misses;
   Counter* fold_downdate_hits;
   Counter* fold_downdate_fallbacks;
-  Counter* sketch_hits;
-  Counter* sketch_misses;
-  Counter* sketch_precond_fallbacks;
 };
 
 const RidgeInstruments& RidgeMetrics() {
@@ -37,10 +34,7 @@ const RidgeInstruments& RidgeMetrics() {
                             registry.counter("ridge.factor_cache_hits"),
                             registry.counter("ridge.factor_cache_misses"),
                             registry.counter("ridge.fold_downdate_hit"),
-                            registry.counter("ridge.fold_downdate_fallback"),
-                            registry.counter("ridge.sketch_cache_hits"),
-                            registry.counter("ridge.sketch_cache_misses"),
-                            registry.counter("ridge.sketch_precond_fallback")};
+                            registry.counter("ridge.fold_downdate_fallback")};
   }();
   return instruments;
 }
@@ -303,24 +297,6 @@ bool RidgeSolver::TryFoldDowndate(double alpha) {
   return true;
 }
 
-void RidgeSolver::SetSketch(const SketchConfig& config) {
-  SRDA_CHECK(config.mode == SketchMode::kOff || binding_ != Binding::kGram)
-      << "sketching needs row-level data; Gram-bound solvers have no rows";
-  if (config.sketch_rows != 0) {
-    SRDA_CHECK_GT(config.sketch_rows, 0) << "sketch_rows must be positive";
-  }
-  const bool same_operator =
-      config.sketch_rows == sketch_config_.sketch_rows &&
-      config.seed == sketch_config_.seed;
-  sketch_config_ = config;
-  // The sketch and its factor depend on (rows, seed) but not on the
-  // mode, so a mode flip alone keeps both caches.
-  if (!same_operator) {
-    sketch_ready_ = false;
-    sketch_factor_ready_ = false;
-  }
-}
-
 const LinearOperator* RidgeSolver::ResolveOperator() {
   switch (binding_) {
     case Binding::kDense:
@@ -337,83 +313,6 @@ const LinearOperator* RidgeSolver::ResolveOperator() {
   }
   SRDA_CHECK(false) << "no operator view of a Gram-bound solver";
   return nullptr;
-}
-
-void RidgeSolver::EnsureSketch(const LinearOperator* data) {
-  if (sketch_ready_) {
-    if (TraceEnabled()) RidgeMetrics().sketch_hits->Increment();
-    return;
-  }
-  if (TraceEnabled()) RidgeMetrics().sketch_misses->Increment();
-  const int m = data->rows();
-  const int n_effective =
-      data->cols() + (bias_mode_ == RidgeBias::kAugmentedOnes ? 1 : 0);
-  SketchOptions opts;
-  opts.seed = sketch_config_.seed;
-  opts.sketch_rows = sketch_config_.sketch_rows > 0
-                         ? sketch_config_.sketch_rows
-                         : std::max(1, std::min(m, 4 * n_effective));
-  // Sketch the raw rows through the row kernel the binding offers; only
-  // sparse and dense operators have row access.
-  Matrix base;
-  switch (binding_) {
-    case Binding::kDense:
-      base = SketchRows(*x_, opts);
-      break;
-    case Binding::kOperator: {
-      if (const auto* sparse = dynamic_cast<const SparseOperator*>(operator_)) {
-        base = SketchRows(*sparse->matrix(), opts);
-      } else if (const auto* dense =
-                     dynamic_cast<const DenseOperator*>(operator_)) {
-        base = SketchRows(*dense->matrix(), opts);
-      } else {
-        SRDA_CHECK(false) << "sketching needs a SparseOperator or "
-                             "DenseOperator binding; this operator has no "
-                             "row access";
-      }
-      break;
-    }
-    case Binding::kSharded:
-      base = SketchShards(source_, opts);
-      break;
-    case Binding::kGram:
-      SRDA_CHECK(false) << "sketching needs row-level data";
-  }
-  // Correct for the bias mode so the sketch is of the EFFECTIVE matrix the
-  // LSQR path solves against: S(A - 1 meanᵀ) = SA - (S·1) meanᵀ and
-  // S[A 1] = [SA, S·1], both without a second data pass.
-  const Vector sketched_ones = SketchOnes(m, opts);
-  if (bias_mode_ == RidgeBias::kImplicitCentering) {
-    const Vector& column_mean = mean();
-    for (int t = 0; t < base.rows(); ++t) {
-      const double s1 = sketched_ones[t];
-      if (s1 == 0.0) continue;
-      double* row = base.RowPtr(t);
-      for (int j = 0; j < base.cols(); ++j) row[j] -= s1 * column_mean[j];
-    }
-    sketch_ = std::move(base);
-  } else {
-    sketch_ = Matrix(opts.sketch_rows, n_effective);
-    for (int t = 0; t < opts.sketch_rows; ++t) {
-      const double* src = base.RowPtr(t);
-      double* dst = sketch_.RowPtr(t);
-      std::copy(src, src + base.cols(), dst);
-      dst[base.cols()] = sketched_ones[t];
-    }
-  }
-  sketch_ready_ = true;
-}
-
-const Cholesky* RidgeSolver::SketchedFactorAt(const LinearOperator* data,
-                                              double alpha) {
-  EnsureSketch(data);
-  if (sketch_factor_ready_ && sketch_factor_alpha_ == alpha) {
-    return sketch_factor_ok_ ? &sketch_chol_ : nullptr;
-  }
-  sketch_factor_ok_ = FactorSketchedGram(sketch_, alpha, &sketch_chol_);
-  sketch_factor_alpha_ = alpha;
-  sketch_factor_ready_ = true;
-  return sketch_factor_ok_ ? &sketch_chol_ : nullptr;
 }
 
 // Dense rows — in RAM or streamed as dense shards — sum through the serial
@@ -570,18 +469,6 @@ RidgeSolution RidgeSolver::SolveLsqr(const Matrix& responses, double alpha,
   lsqr_options.damp = std::sqrt(alpha);
   lsqr_options.atol = options.lsqr_atol;
   lsqr_options.btol = options.lsqr_btol;
-  if (sketch_config_.mode == SketchMode::kPrecondition) {
-    // Factored sketched Gram of the effective matrix as a right
-    // preconditioner; on a factor failure (alpha == 0 with a rank-deficient
-    // sketch) the solve falls back to plain LSQR, counted whether or not a
-    // trace is recording.
-    const Cholesky* precond = SketchedFactorAt(data, alpha);
-    if (precond != nullptr) {
-      lsqr_options.right_precond = &precond->factor();
-    } else {
-      RidgeMetrics().sketch_precond_fallbacks->Increment();
-    }
-  }
 
   RidgeSolution solution;
   solution.coefficients = Matrix(n, d);

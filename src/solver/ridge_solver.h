@@ -28,7 +28,6 @@
 #include "linalg/linear_operator.h"
 #include "linalg/lsqr.h"
 #include "linalg/sharded_operator.h"
-#include "linalg/sketch.h"
 #include "matrix/matrix.h"
 #include "matrix/vector.h"
 
@@ -68,29 +67,6 @@ struct RidgeSolveOptions {
   int lsqr_iterations = 20;
   double lsqr_atol = 1e-10;
   double lsqr_btol = 1e-10;
-};
-
-// How the solver uses a randomized sketch (linalg/sketch.h) of the bound
-// data. Configured per solver via SetSketch(); the sketch itself is
-// alpha-independent and cached across the alpha grid exactly like the Gram.
-enum class SketchMode {
-  // No sketching (the default).
-  kOff,
-  // LSQR runs with the factored sketched Gram as a right preconditioner
-  // (LsqrOptions::right_precond). Exact solutions, fewer iterations on
-  // ill-conditioned data; if the sketched factor fails (alpha == 0 on a
-  // rank-deficient sketch) the solve falls back to plain LSQR.
-  kPrecondition,
-};
-
-struct SketchConfig {
-  SketchMode mode = SketchMode::kOff;
-  // Sketch rows s; 0 picks min(rows, 4 * effective columns), the usual
-  // preconditioning regime.
-  int sketch_rows = 0;
-  // Seed of the sketch operator. Same seed + any thread count or shard
-  // size => bitwise-identical sketches, factors, and preconditioned solves.
-  uint64_t seed = 0x5eed5eedULL;
 };
 
 // Convergence record for one LSQR right-hand side, surfaced so trainers
@@ -174,16 +150,6 @@ class RidgeSolver {
   // which path each factor took (while tracing).
   RidgeSolver ExcludeRows(const std::vector<int>& rows);
 
-  // Configures sketching for subsequent Solve() calls. The sketch operator
-  // (rows/seed) and its factored Gram are cached across calls and across
-  // the alpha grid; changing only the mode keeps both caches (the operator
-  // does not depend on the mode), changing rows/seed drops them. Row-level
-  // bindings only (dense, sharded, or a SparseOperator/DenseOperator) —
-  // Gram-bound solvers have no rows to sketch and must stay at
-  // SketchMode::kOff, and a solve on any other operator aborts.
-  void SetSketch(const SketchConfig& config);
-  const SketchConfig& sketch_config() const { return sketch_config_; }
-
   // Solves the ridge problem for every column of `responses` at `alpha`.
   RidgeSolution Solve(const Matrix& responses, double alpha,
                       const RidgeSolveOptions& options = {});
@@ -198,7 +164,7 @@ class RidgeSolver {
   // Column means of the bound data, cached: ColumnMeans for dense-bound
   // solvers, one streaming pass for dense shards, A^T 1 / m through the
   // operator for operator-bound solvers and sparse shards. Row-level
-  // bindings only. The LSQR and sketch paths center with this same vector.
+  // bindings only. The LSQR path centers with this same vector.
   const Vector& mean();
 
   // The centered copy X̄ = X - 1 meanᵀ (dense-bound solvers only). RLDA
@@ -220,13 +186,6 @@ class RidgeSolver {
   // The operator view of the bound data the LSQR path runs on
   // (creates and caches the DenseOperator for dense bindings).
   const LinearOperator* ResolveOperator();
-  // Builds (and caches) the sketch of the EFFECTIVE solve matrix — the
-  // base data corrected for the bias mode (implicit centering subtracts
-  // (S·1) meanᵀ, augmented-ones appends the S·1 column).
-  void EnsureSketch(const LinearOperator* data);
-  // Cholesky factor of (sketchᵀ sketch + alpha I), cached per alpha like
-  // FactorAt. nullptr when the factorization fails.
-  const Cholesky* SketchedFactorAt(const LinearOperator* data, double alpha);
 
   Binding binding_ = Binding::kGram;
   const Matrix* x_ = nullptr;
@@ -265,16 +224,6 @@ class RidgeSolver {
 
   // LSQR-path cache: the operator view of dense data.
   std::unique_ptr<DenseOperator> dense_operator_;
-
-  // Sketch caches (SetSketch): the alpha-independent sketch of the
-  // effective solve matrix and the last factored (sketchᵀ sketch + alpha I).
-  SketchConfig sketch_config_;
-  bool sketch_ready_ = false;
-  Matrix sketch_;
-  bool sketch_factor_ready_ = false;
-  double sketch_factor_alpha_ = 0.0;
-  bool sketch_factor_ok_ = false;
-  Cholesky sketch_chol_;
 };
 
 }  // namespace srda

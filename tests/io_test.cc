@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -379,6 +380,63 @@ TEST(NonFiniteIoDeathTest, CsvInfCellAborts) {
   const char kWant[] = "inf.csv:1: malformed cell 'infinity'";
   EXPECT_DEATH(ReadDenseCsvFile(path), kWant);
   EXPECT_DEATH(RowShardReader(path, RowStreamFormat::kCsv, {}), kWant);
+  std::remove(path.c_str());
+}
+
+// SRDB features are raw doubles with no grammar, so both binary readers
+// check them: the one-shot read names the first non-finite cell, and the
+// shard stream names it by its row in the file, not in the shard.
+std::string WriteBinaryWithNonFinite(const std::string& name, int row,
+                                     int col, double value) {
+  const std::string path = TempPath(name);
+  DenseDataset dataset;
+  dataset.num_classes = 2;
+  dataset.features = Matrix(5, 3);
+  for (int i = 0; i < 5; ++i) {
+    dataset.labels.push_back(i % 2);
+    for (int j = 0; j < 3; ++j) dataset.features(i, j) = i - j;
+  }
+  dataset.features(row, col) = value;
+  WriteDenseBinaryFile(dataset, path);
+  return path;
+}
+
+void DrainInShardsOfTwo(const std::string& path) {
+  RowShardReaderOptions options;
+  options.shard_rows = 2;
+  RowShardReader reader(path, RowStreamFormat::kBinary, options);
+  ForEachShard(&reader, [](const RowShard&) {});
+}
+
+TEST(NonFiniteIoDeathTest, BinaryNanFeatureAbortsOneShotRead) {
+  const std::string path = WriteBinaryWithNonFinite(
+      "nan-read.bin", 3, 1, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_DEATH(ReadDenseBinaryFile(path),
+               "nan-read.bin: row 3, column 1: non-finite value");
+  std::remove(path.c_str());
+}
+
+TEST(NonFiniteIoDeathTest, BinaryInfFeatureAbortsOneShotRead) {
+  const std::string path = WriteBinaryWithNonFinite(
+      "inf-read.bin", 0, 2, -std::numeric_limits<double>::infinity());
+  EXPECT_DEATH(ReadDenseBinaryFile(path),
+               "inf-read.bin: row 0, column 2: non-finite value");
+  std::remove(path.c_str());
+}
+
+TEST(NonFiniteIoDeathTest, BinaryNanFeatureAbortsShardStream) {
+  const std::string path = WriteBinaryWithNonFinite(
+      "nan-shards.bin", 3, 1, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_DEATH(DrainInShardsOfTwo(path),
+               "nan-shards.bin: row 3, column 1: non-finite value");
+  std::remove(path.c_str());
+}
+
+TEST(NonFiniteIoDeathTest, BinaryInfFeatureAbortsShardStream) {
+  const std::string path = WriteBinaryWithNonFinite(
+      "inf-shards.bin", 4, 0, std::numeric_limits<double>::infinity());
+  EXPECT_DEATH(DrainInShardsOfTwo(path),
+               "inf-shards.bin: row 4, column 0: non-finite value");
   std::remove(path.c_str());
 }
 

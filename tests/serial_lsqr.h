@@ -2,8 +2,7 @@
 // LsqrBatch's per-column loop mirrors, kept as a test oracle only. It drives
 // the operator through one-column ApplyMulti / ApplyTransposedMulti calls,
 // so a batched column matching it bitwise shows the batch neither mixes
-// columns nor reorders the recurrence's arithmetic. No preconditioning:
-// preconditioned batches are checked against one-column LsqrBatch calls.
+// columns nor reorders the recurrence's arithmetic.
 
 #ifndef SRDA_TESTS_SERIAL_LSQR_H_
 #define SRDA_TESTS_SERIAL_LSQR_H_
@@ -37,8 +36,6 @@ inline Vector ApplyTransposedColumn(const LinearOperator& a, const Vector& x) {
 inline LsqrResult SerialLsqr(const LinearOperator& a, const Vector& b,
                              const LsqrOptions& options = {}) {
   SRDA_CHECK_EQ(b.size(), a.rows()) << "LSQR rhs size mismatch";
-  SRDA_CHECK(options.right_precond == nullptr)
-      << "the serial oracle runs unpreconditioned solves only";
   const int n = a.cols();
   LsqrResult result;
   result.x = Vector(n);

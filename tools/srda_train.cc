@@ -4,8 +4,7 @@
 //   srda_train --data=FILE [--format=csv|libsvm|binary]
 //              [--algorithm=srda|lda|rlda|idr_qr|fisherfaces|semi_srda]
 //              [--alpha=1.0] [--solver=normal|lsqr] [--lsqr-iterations=20]
-//              [--shard-rows=N] [--sketch-mode=off|precond]
-//              [--sketch-size=N]
+//              [--shard-rows=N]
 //              [--model-format=text|binary] --model-out=FILE
 //
 // CSV rows are "label,x1,...,xn"; LibSVM is the standard sparse format;
@@ -13,9 +12,10 @@
 // always trains SRDA with LSQR. The saved artifact is a versioned
 // model-store file (src/model): the embedding, the nearest-centroid head,
 // the compact -> raw label map of the training file, and provenance
-// (trainer, alpha, sketch seed). --model-format picks the codec: "text"
-// (default, inspectable, migration-friendly) or "binary" (native-layout SRDM,
-// zero-parse load for serving). srda_predict and srda_serve read either.
+// (trainer, alpha; the seed field is always 0). --model-format picks the
+// codec: "text" (default, inspectable, migration-friendly) or "binary"
+// (native-layout SRDM, zero-parse load for serving). srda_predict and
+// srda_serve read either.
 //
 // --shard-rows=N trains out of core: the dataset streams through a
 // RowShardReader in shards of N rows, the dataset never resides in RAM as
@@ -23,11 +23,6 @@
 // at any N. SRDA only. CSV and LibSVM files are parsed once into an
 // unlinked spill file under TMPDIR (8 B per CSV cell; 12 B per LibSVM
 // nonzero plus 8 B per row) that every pass reads back.
-//
-// --sketch-mode=precond trains SRDA with LSQR right-preconditioned by a
-// factored randomized sketch of the data (same solutions, fewer iterations
-// on ill-conditioned data). The sketch is a count-sketch; --sketch-size=N
-// sets its rows (0 = auto, 4x the feature count). SRDA only.
 //
 // --trace-out=FILE writes a Chrome/Perfetto trace of the training run;
 // --metrics prints the phase/metrics summary without writing a trace. Either
@@ -64,7 +59,6 @@ constexpr char kUsage[] =
     "semi_srda]\n"
     "                  [--alpha=1.0] [--solver=normal|lsqr]\n"
     "                  [--lsqr-iterations=20] [--shard-rows=N]\n"
-    "                  [--sketch-mode=off|precond] [--sketch-size=N]\n"
     "                  [--model-format=text|binary]\n"
     "                  [--trace-out=FILE] [--metrics]\n"
     "                  [--metrics-out=FILE] [--metrics-interval=SEC]\n"
@@ -90,12 +84,10 @@ void PrintLsqrDiagnostics(const std::vector<RidgeRhsDiagnostics>& diagnostics,
 }
 
 // Provenance shared by every training path below.
-model::Provenance MakeProvenance(const std::string& algorithm, double alpha,
-                                 const SketchConfig& sketch) {
+model::Provenance MakeProvenance(const std::string& algorithm, double alpha) {
   model::Provenance provenance;
   provenance.trainer = algorithm;
   provenance.alpha = alpha;
-  provenance.seed = sketch.mode == SketchMode::kOff ? 0 : sketch.seed;
   return provenance;
 }
 
@@ -108,8 +100,7 @@ model::Provenance MakeProvenance(const std::string& algorithm, double alpha,
 model::SrdaModel TrainSharded(const std::string& data_path,
                               RowStreamFormat stream_format, int shard_rows,
                               double alpha, const std::string& solver,
-                              int lsqr_iterations, const SketchConfig& sketch,
-                              bool observe) {
+                              int lsqr_iterations, bool observe) {
   RowShardReaderOptions reader_options;
   reader_options.shard_rows = shard_rows;
   RowShardReader reader(data_path, stream_format, reader_options);
@@ -124,7 +115,6 @@ model::SrdaModel TrainSharded(const std::string& data_path,
                        ? SrdaSolver::kLsqr
                        : SrdaSolver::kNormalEquations;
   options.lsqr_iterations = lsqr_iterations;
-  options.sketch = sketch;
   const SrdaModel trained =
       FitSrda(&ridge, reader.labels(), reader.num_classes(), options);
   SRDA_CHECK(trained.converged) << "SRDA training failed";
@@ -147,7 +137,7 @@ model::SrdaModel TrainSharded(const std::string& data_path,
             << " bytes\n";
   return model::BuildModel(trained.embedding, embedded, reader.labels(),
                            reader.num_classes(), reader.raw_labels(),
-                           MakeProvenance("srda", alpha, sketch));
+                           MakeProvenance("srda", alpha));
 }
 
 int Main(int argc, char** argv) {
@@ -164,8 +154,6 @@ int Main(int argc, char** argv) {
   const std::string solver = args.GetString("solver", "normal");
   const int lsqr_iterations = args.GetInt("lsqr-iterations", 20);
   const int shard_rows = args.GetInt("shard-rows", 0);
-  const std::string sketch_mode = args.GetString("sketch-mode", "off");
-  const int sketch_size = args.GetInt("sketch-size", 0);
   const std::string model_format = args.GetString("model-format", "text");
   const std::string trace_path = args.GetString("trace-out", "");
   const bool print_metrics = args.GetBool("metrics");
@@ -184,17 +172,6 @@ int Main(int argc, char** argv) {
   SRDA_CHECK(model_format == "text" || model_format == "binary")
       << "unknown --model-format=" << model_format << "\n" << kUsage;
   SRDA_CHECK_GE(shard_rows, 0) << "--shard-rows must be non-negative";
-  SRDA_CHECK(sketch_mode == "off" || sketch_mode == "precond")
-      << "unknown --sketch-mode=" << sketch_mode << "\n" << kUsage;
-  SRDA_CHECK_GE(sketch_size, 0) << "--sketch-size must be non-negative";
-  SketchConfig sketch;
-  sketch.mode = sketch_mode == "precond" ? SketchMode::kPrecondition
-                                         : SketchMode::kOff;
-  sketch.sketch_rows = sketch_size;
-  if (sketch.mode != SketchMode::kOff) {
-    SRDA_CHECK(algorithm == "srda")
-        << "--sketch-mode supports --algorithm=srda only";
-  }
 
   const bool observe = !trace_path.empty() || print_metrics || TraceEnabled();
   if (observe) {
@@ -223,7 +200,7 @@ int Main(int argc, char** argv) {
         : format == "csv"  ? RowStreamFormat::kCsv
                            : RowStreamFormat::kBinary;
     model = TrainSharded(data_path, stream_format, shard_rows, alpha, solver,
-                         lsqr_iterations, sketch, observe);
+                         lsqr_iterations, observe);
   } else if (format == "libsvm") {
     SRDA_CHECK(algorithm == "srda")
         << "sparse data supports --algorithm=srda only";
@@ -236,7 +213,6 @@ int Main(int argc, char** argv) {
     options.alpha = alpha;
     options.solver = SrdaSolver::kLsqr;
     options.lsqr_iterations = lsqr_iterations;
-    options.sketch = sketch;
     const SrdaModel trained = FitSrda(dataset.features, dataset.labels,
                                       dataset.num_classes, options);
     SRDA_CHECK(trained.converged) << "SRDA training failed";
@@ -248,7 +224,7 @@ int Main(int argc, char** argv) {
                               trained.embedding.Transform(dataset.features),
                               dataset.labels, dataset.num_classes,
                               dataset.raw_labels,
-                              MakeProvenance(algorithm, alpha, sketch));
+                              MakeProvenance(algorithm, alpha));
   } else {
     const DenseDataset dataset = format == "binary"
                                      ? ReadDenseBinaryFile(data_path)
@@ -261,7 +237,6 @@ int Main(int argc, char** argv) {
     options.solver =
         solver == "lsqr" ? SrdaSolver::kLsqr : SrdaSolver::kNormalEquations;
     options.lsqr_iterations = lsqr_iterations;
-    options.sketch = sketch;
     const TrainResult trained =
         TrainDenseByName(algorithm, dataset.features, dataset.labels,
                          dataset.num_classes, options);
@@ -273,7 +248,7 @@ int Main(int argc, char** argv) {
                               trained.embedding.Transform(dataset.features),
                               dataset.labels, dataset.num_classes,
                               dataset.raw_labels,
-                              MakeProvenance(algorithm, alpha, sketch));
+                              MakeProvenance(algorithm, alpha));
   }
   const double seconds = watch.ElapsedSeconds();
   model::Save(model, model_path,
