@@ -274,16 +274,16 @@ void WriteKernelBlockingJson(const BlockConfig& blk,
 
 // --sweep-blocks: autotunes the cache-blocking knobs on this machine.
 //
-// Coordinate descent over the four SRDA_BLOCK_* knobs: each is swept over
+// Coordinate descent over the four BlockConfig knobs: each is swept over
 // a candidate ladder while the other three hold their current best values.
 // The level-3 knobs (kc, mc, nc) minimise combined Gram + gemm time; nb
 // only shapes the factorization panels, so it minimises blocked Cholesky
 // time. One pass is enough in practice — kc/nc size the streaming panels,
 // mc the output tile, and nb is independent of all three — and keeps the
 // sweep to a couple of minutes at n = 1024. The winning configuration is
-// printed as SRDA_BLOCK_* exports and used to refresh
-// BENCH_kernel_blocking.json so the recorded speedups match the tuned
-// shapes.
+// printed as BlockConfig defaults to paste into matrix/blocking.h and used
+// to refresh BENCH_kernel_blocking.json so the recorded speedups match the
+// tuned shapes.
 int SweepBlocks(bool smoke, bool full, Rng* rng) {
   SetGlobalThreadCount(1);
   const int n = smoke ? 64 : (full ? 1024 : 512);
@@ -355,11 +355,12 @@ int SweepBlocks(bool smoke, bool full, Rng* rng) {
             << " nc=" << initial.nc << " nb=" << initial.nb << "\n"
             << "tuned config:   kc=" << best.kc << " mc=" << best.mc
             << " nc=" << best.nc << " nb=" << best.nb << "\n"
-            << "to persist:\n"
-            << "  export SRDA_BLOCK_KC=" << best.kc << "\n"
-            << "  export SRDA_BLOCK_MC=" << best.mc << "\n"
-            << "  export SRDA_BLOCK_NC=" << best.nc << "\n"
-            << "  export SRDA_BLOCK_NB=" << best.nb << "\n";
+            << "to persist, set the BlockConfig defaults in "
+               "src/matrix/blocking.h:\n"
+            << "  int kc = " << best.kc << ";\n"
+            << "  int mc = " << best.mc << ";\n"
+            << "  int nc = " << best.nc << ";\n"
+            << "  int nb = " << best.nb << ";\n";
 
   // Re-measure blocked vs naive under the tuned shapes and refresh the
   // recorded experiment.
@@ -484,7 +485,7 @@ int Main(int argc, char** argv) {
   }
 
   if (HasFlag(argc, argv, "--sweep-blocks")) {
-    // Autotune mode (scripts/autotune_blocks.sh): sweep the SRDA_BLOCK_*
+    // Autotune mode (scripts/autotune_blocks.sh): sweep the BlockConfig
     // knobs and refresh BENCH_kernel_blocking.json, skipping the
     // complexity experiments.
     return SweepBlocks(smoke, full, &rng);

@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "obs/runtime_info.h"
 #include "obs/trace.h"
 
 namespace srda {
@@ -64,56 +57,15 @@ int EnvThreadCount() {
   return hardware == 0 ? 1 : static_cast<int>(hardware);
 }
 
-// Pins `thread` to one CPU of the process's allowed set, round-robin by
-// worker slot. Best-effort: any failure (or a non-Linux platform) leaves
-// the thread under OS placement, which only costs locality, never
-// correctness.
-void PinThreadToCpuSlot(std::thread& thread, int slot) {
-#if defined(__linux__)
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
-  int matching = -1;
-  int target_cpu = -1;
-  const int total = CPU_COUNT(&allowed);
-  if (total <= 0) return;
-  const int wanted = slot % total;
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (!CPU_ISSET(cpu, &allowed)) continue;
-    if (++matching == wanted) {
-      target_cpu = cpu;
-      break;
-    }
-  }
-  if (target_cpu < 0) return;
-  cpu_set_t target;
-  CPU_ZERO(&target);
-  CPU_SET(target_cpu, &target);
-  pthread_setaffinity_np(thread.native_handle(), sizeof(target), &target);
-#else
-  (void)thread;
-  (void)slot;
-#endif
-}
-
 }  // namespace
 
-int ResolveThreadCount(const ThreadPoolOptions& options) {
-  SRDA_CHECK_GE(options.num_threads, 0) << "negative thread count";
-  return options.num_threads > 0 ? options.num_threads : EnvThreadCount();
-}
-
-bool ResolvePinning(const ThreadPoolOptions& options) {
-  if (options.pin_threads >= 0) return options.pin_threads != 0;
-  const char* env = std::getenv("SRDA_PIN_THREADS");
-  return env != nullptr && std::strcmp(env, "1") == 0;
+int ResolveThreadCount(int num_threads) {
+  SRDA_CHECK_GE(num_threads, 0) << "negative thread count";
+  return num_threads > 0 ? num_threads : EnvThreadCount();
 }
 
 // One ParallelFor call in flight: a statically partitioned chunk range that
-// workers (and the calling thread) claim through an atomic cursor — or,
-// in pinned mode, through the fixed residue mapping chunk c → participant
-// c mod `participants` (the caller is participant 0, worker w is
-// participant w). Chunk boundaries are identical in both modes.
+// workers (and the calling thread) claim through an atomic cursor.
 struct ThreadPool::Job {
   std::function<void(int, int)> fn;
   int begin = 0;
@@ -126,20 +78,9 @@ struct ThreadPool::Job {
   std::condition_variable done_cv;
   std::exception_ptr error;  // first exception, guarded by `mutex`
 
-  // Pinned mode only; all three guarded by the pool's mutex_.
-  bool pinned = false;
-  int participants = 0;
-  std::vector<char> residue_claimed;
-  int residues_finished = 0;
-
   // Deterministic chunk c -> [ChunkBegin(c), ChunkBegin(c + 1)).
   int ChunkBegin(int c) const {
     return begin + c * chunk_base + std::min(c, chunk_extra);
-  }
-
-  // Pinned mode: runs every chunk of one participant's residue class.
-  void RunResidue(int residue) {
-    for (int c = residue; c < num_chunks; c += participants) RunChunk(c);
   }
 
   void RunChunk(int c) {
@@ -165,17 +106,14 @@ struct ThreadPool::Job {
   }
 };
 
-ThreadPool::ThreadPool(const ThreadPoolOptions& options)
-    : num_threads_(ResolveThreadCount(options)),
-      pinned_(ResolvePinning(options)) {
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(ResolveThreadCount(num_threads)) {
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
   // The calling thread participates in every ParallelFor, so a pool of N
-  // threads owns N - 1 workers. Worker i is participant i in pinned mode.
+  // threads owns N - 1 workers.
   for (int i = 1; i < num_threads_; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-    if (pinned_) PinThreadToCpuSlot(workers_.back(), i);
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
-  obs::SetRuntimeInfo("pool.pinning", pinned_ ? "pinned" : "free");
 }
 
 ThreadPool::~ThreadPool() {
@@ -196,27 +134,11 @@ void ThreadPool::EraseJob(const std::shared_ptr<Job>& job) {
   }
 }
 
-void ThreadPool::WorkerLoop(int worker_index) {
+void ThreadPool::WorkerLoop() {
   tls_pool_worker = true;
   std::unique_lock<std::mutex> lock(mutex_);
+  const auto ready = [this] { return stop_ || !jobs_.empty(); };
   while (true) {
-    // Oldest job this worker can still help. A pinned job is claimable at
-    // most once per participant, and the queue can hold a newer job behind
-    // a pinned one whose caller is blocked inside a nested ParallelFor —
-    // scanning past served jobs (instead of only inspecting the front) is
-    // what keeps that nesting deadlock-free.
-    std::shared_ptr<Job> job;
-    const auto ready = [this, worker_index, &job] {
-      if (stop_) return true;
-      for (const std::shared_ptr<Job>& candidate : jobs_) {
-        if (!candidate->pinned ||
-            !candidate->residue_claimed[static_cast<size_t>(worker_index)]) {
-          job = candidate;
-          return true;
-        }
-      }
-      return false;
-    };
     if (TraceEnabled()) {
       // Time spent parked (or re-checking for work) is the worker's idle
       // share; busy time accrues in RunChunk. Together they account for the
@@ -230,18 +152,12 @@ void ThreadPool::WorkerLoop(int worker_index) {
       work_cv_.wait(lock, ready);
     }
     if (stop_) return;
-    if (job->pinned) {
-      job->residue_claimed[static_cast<size_t>(worker_index)] = 1;
-      lock.unlock();
-      job->RunResidue(worker_index);
-      lock.lock();
-      if (++job->residues_finished == job->participants) EraseJob(job);
-      continue;
-    }
+    // The front job is the oldest; once its cursor is exhausted it is
+    // retired, so the next job becomes the front.
+    const std::shared_ptr<Job> job = jobs_.front();
     const int chunk = job->next_chunk.fetch_add(1);
     if (chunk >= job->num_chunks) {
-      // Exhausted: retire it and look for the next job.
-      EraseJob(job);
+      jobs_.pop_front();
       continue;
     }
     lock.unlock();
@@ -273,32 +189,19 @@ void ThreadPool::ParallelFor(int begin, int end,
     PoolMetrics().jobs->Increment();
     PoolMetrics().chunks->Add(static_cast<double>(job->num_chunks));
   }
-  if (pinned_) {
-    job->pinned = true;
-    job->participants = num_threads_;
-    job->residue_claimed.assign(static_cast<size_t>(num_threads_), 0);
-    job->residue_claimed[0] = 1;  // The caller is participant 0.
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     jobs_.push_back(job);
   }
   work_cv_.notify_all();
 
-  if (pinned_) {
-    // The caller runs its own residue class; workers run theirs. The job
-    // stays queued until every participant (including those whose residue
-    // class is empty) has claimed and finished it.
-    job->RunResidue(0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (++job->residues_finished == job->participants) EraseJob(job);
-  } else {
-    // The caller claims chunks alongside the workers.
-    while (true) {
-      const int chunk = job->next_chunk.fetch_add(1);
-      if (chunk >= job->num_chunks) break;
-      job->RunChunk(chunk);
-    }
+  // The caller claims chunks alongside the workers.
+  while (true) {
+    const int chunk = job->next_chunk.fetch_add(1);
+    if (chunk >= job->num_chunks) break;
+    job->RunChunk(chunk);
+  }
+  {
     // Retire the job if no worker got to it after the caller drained it.
     std::lock_guard<std::mutex> lock(mutex_);
     EraseJob(job);
@@ -332,13 +235,11 @@ ThreadPool& GlobalThreadPool() {
 int GlobalThreadCount() { return GlobalThreadPool().num_threads(); }
 
 void SetGlobalThreadCount(int num_threads) {
-  ThreadPoolOptions options;
-  options.num_threads = num_threads;
-  const int resolved = ResolveThreadCount(options);
+  const int resolved = ResolveThreadCount(num_threads);
   std::lock_guard<std::mutex> lock(g_pool_mutex);
   std::unique_ptr<ThreadPool>& pool = GlobalPoolSlot();
   if (pool && pool->num_threads() == resolved) return;
-  pool = std::make_unique<ThreadPool>(options);
+  pool = std::make_unique<ThreadPool>(resolved);
 }
 
 void ParallelFor(int begin, int end, const std::function<void(int, int)>& fn) {

@@ -16,24 +16,13 @@
 // Cross-chunk reductions must combine fixed-size per-chunk partials in
 // chunk-index order, as sparse/SparseTransposeAccumulator does.
 //
-// Thread count resolution: ThreadPoolOptions.num_threads > 0 wins; 0 reads
-// the SRDA_NUM_THREADS environment variable, falling back to
+// Thread count resolution: a positive num_threads is used as given; 0
+// reads the SRDA_NUM_THREADS environment variable, falling back to
 // std::thread::hardware_concurrency(). A pool with one thread runs
 // everything inline on the calling thread (serial fallback). ParallelFor
 // calls issued from inside a pool worker also run inline, so nested
 // parallel kernels (e.g. a sparse product inside a pooled LSQR solve)
 // neither deadlock nor oversubscribe.
-//
-// Pinning (SRDA_PIN_THREADS=1, or ThreadPoolOptions.pin_threads): worker
-// threads are pinned round-robin over the process's allowed CPUs, and
-// chunk assignment switches from the first-come atomic cursor to a fixed
-// residue mapping — chunk c always runs on participant c mod N (the
-// caller is participant 0 and stays unpinned). Combined with the
-// first-touch allocation of packed panels (matrix::PanelScratch inside
-// chunk lambdas), repeated kernels touch the same pages from the same
-// CPU, which keeps panels node-local on NUMA hosts. Chunk *boundaries*
-// are identical in both modes, and the kernels are partition-invariant,
-// so pinning never changes results — only placement.
 
 #ifndef SRDA_COMMON_PARALLEL_H_
 #define SRDA_COMMON_PARALLEL_H_
@@ -48,29 +37,20 @@
 
 namespace srda {
 
-struct ThreadPoolOptions {
-  // Number of worker threads. 0 resolves SRDA_NUM_THREADS from the
-  // environment and falls back to the hardware concurrency.
-  int num_threads = 0;
-  // Chunk→thread pinning: 1 on, 0 off, -1 resolves SRDA_PIN_THREADS from
-  // the environment (off unless the variable is exactly "1").
-  int pin_threads = -1;
-};
-
-// Resolves ThreadPoolOptions to a concrete thread count (>= 1).
-int ResolveThreadCount(const ThreadPoolOptions& options);
-
-// Resolves ThreadPoolOptions.pin_threads (consulting SRDA_PIN_THREADS).
-bool ResolvePinning(const ThreadPoolOptions& options);
+// Resolves a requested thread count to a concrete one (>= 1): 0 reads
+// SRDA_NUM_THREADS from the environment and falls back to the hardware
+// concurrency.
+int ResolveThreadCount(int num_threads);
 
 // A persistent pool of worker threads executing ParallelFor chunks.
 // ParallelFor blocks until every chunk has run; the calling thread
 // participates, so a busy pool can never stall a caller indefinitely.
+// Workers and the caller claim chunks through one atomic cursor.
 // Exceptions thrown by the callback are captured and the first one is
 // rethrown on the calling thread after all chunks finish.
 class ThreadPool {
  public:
-  explicit ThreadPool(const ThreadPoolOptions& options = {});
+  explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -78,8 +58,8 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  // True when this pool runs with chunk→thread pinning.
-  bool pinned() const { return pinned_; }
+  // Always false; kept because perfbench's provenance line still reads it.
+  bool pinned() const { return false; }
 
   // Invokes fn(chunk_begin, chunk_end) over contiguous chunks covering
   // [begin, end) exactly once. Chunk boundaries are deterministic for a
@@ -92,12 +72,11 @@ class ThreadPool {
  private:
   struct Job;
 
-  void WorkerLoop(int worker_index);
+  void WorkerLoop();
   // Removes `job` from the queue if still present. Requires mutex_ held.
   void EraseJob(const std::shared_ptr<Job>& job);
 
   const int num_threads_;
-  const bool pinned_;
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -106,7 +85,8 @@ class ThreadPool {
 };
 
 // The process-wide pool used by the library kernels. Created on first use
-// from ThreadPoolOptions{} (i.e. SRDA_NUM_THREADS / hardware concurrency).
+// with ResolveThreadCount(0) threads (SRDA_NUM_THREADS / hardware
+// concurrency).
 ThreadPool& GlobalThreadPool();
 
 // Current worker count of the global pool (creates it if needed).

@@ -7,7 +7,7 @@
 // The factorization is blocked and right-looking (POTRF-style): each
 // panel's diagonal block is factored serially, then the panel below it is
 // solved (TRSM) and the trailing matrix updated (SYRK) on the thread pool,
-// with the panel width taken from matrix/blocking.h (SRDA_BLOCK_NB).
+// with the panel width taken from matrix/blocking.h (BlockConfig::nb).
 // Every element's update chain runs over the reduction index in one fixed
 // ascending order regardless of the ParallelFor partition, so — like the
 // rest of the library — 1-thread and N-thread factors are bitwise

@@ -7,7 +7,7 @@
 // The level-3 kernels (Multiply, MultiplyTransposedA/B, Gram, OuterGram)
 // are cache-blocked: the reduction dimension streams in packed K-panels
 // against register-unrolled output tiles, with tile shapes from
-// matrix/blocking.h (SRDA_BLOCK_* knobs). Every output element accumulates
+// matrix/blocking.h (BlockConfig). Every output element accumulates
 // its k-terms in one fixed ascending chain, so results are bitwise
 // identical for any tile shape and any thread count. The unblocked
 // originals live in srda::naive for agreement tests and the blocked-vs-

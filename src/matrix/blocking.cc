@@ -1,37 +1,13 @@
 #include "matrix/blocking.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <new>
 
 namespace srda {
 namespace {
 
-// One env-overridable tile dimension; falls back to `fallback` unless the
-// variable parses to a positive integer.
-int ResolveDimension(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed <= 0 || parsed > 1 << 20) {
-    return fallback;
-  }
-  return static_cast<int>(parsed);
-}
-
-BlockConfig ResolveFromEnvironment() {
-  const BlockConfig defaults;
-  BlockConfig config;
-  config.kc = ResolveDimension("SRDA_BLOCK_KC", defaults.kc);
-  config.mc = ResolveDimension("SRDA_BLOCK_MC", defaults.mc);
-  config.nc = ResolveDimension("SRDA_BLOCK_NC", defaults.nc);
-  config.nb = ResolveDimension("SRDA_BLOCK_NB", defaults.nb);
-  return config;
-}
-
 BlockConfig& ActiveConfig() {
-  static BlockConfig config = ResolveFromEnvironment();
+  static BlockConfig config;
   return config;
 }
 

@@ -3,9 +3,10 @@
 // All tiled kernels — the level-3 products in matrix/blas.cc and the
 // blocked Cholesky factorization / triangular solves in linalg/cholesky.cc —
 // read their tile shapes from one process-wide BlockConfig. The defaults
-// target a typical 32 KB L1 / 512 KB L2 cache; benches sweep them through
-// the SRDA_BLOCK_* environment variables, tests shrink them with
-// SetBlockConfig to exercise tile boundaries on small matrices.
+// target a typical 32 KB L1 / 512 KB L2 cache; the autotune sweep
+// (bench_table1_complexity --sweep-blocks) tries others and prints new
+// defaults, and tests shrink them with SetBlockConfig to exercise tile
+// boundaries on small matrices.
 //
 // Tile shapes never affect results: every blocked kernel accumulates each
 // output element in a fixed k-ascending order regardless of the tiling (see
@@ -21,22 +22,20 @@ namespace srda {
 struct BlockConfig {
   // K-panel depth of the level-3 products: the reduction dimension is cut
   // into panels of kc iterations that stream through cache while an output
-  // tile stays resident.  (SRDA_BLOCK_KC)
+  // tile stays resident.
   int kc = 128;
   // Output row-tile height: rows of C updated against one K-panel before
-  // the panel is released.  (SRDA_BLOCK_MC)
+  // the panel is released.
   int mc = 32;
   // Output column-stripe width, sized so a stripe of the operand panel and
-  // the C rows it updates fit in L1 together.  (SRDA_BLOCK_NC)
+  // the C rows it updates fit in L1 together.
   int nc = 256;
   // Panel width of the blocked right-looking Cholesky factorization and of
-  // the blocked triangular solves.  (SRDA_BLOCK_NB)
+  // the blocked triangular solves.
   int nb = 64;
 };
 
-// The active configuration. The first call resolves SRDA_BLOCK_KC /
-// SRDA_BLOCK_MC / SRDA_BLOCK_NC / SRDA_BLOCK_NB from the environment;
-// unset, non-numeric, or non-positive values keep the defaults above.
+// The active configuration: the defaults above until SetBlockConfig.
 const BlockConfig& GetBlockConfig();
 
 // Replaces the active configuration; fields <= 0 reset to their defaults.
@@ -48,10 +47,8 @@ void SetBlockConfig(const BlockConfig& config);
 // thread that consumes it. Acquire() allocates 64-byte-aligned storage
 // (full-cacheline vector loads) and zero-fills it on growth — the
 // zero-fill is the first touch, so under the first-touch NUMA policy the
-// pages land on the node of the worker that will stream the panel. With
-// chunk→thread pinning (SRDA_PIN_THREADS=1) the same worker re-touches
-// the same panels on every pass, keeping them node-local. Declare one
-// inside each ParallelFor chunk lambda.
+// pages land on the node of the worker that will stream the panel.
+// Declare one inside each ParallelFor chunk lambda.
 class PanelScratch {
  public:
   PanelScratch() = default;

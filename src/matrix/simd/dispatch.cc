@@ -78,8 +78,8 @@ CpuLevel DetectBest() {
 }
 
 // SRDA_CPU_LEVEL override. Unknown names and unsupported levels fall back
-// to the detected best silently — same contract as SRDA_BLOCK_* (a bad
-// value never aborts a run, it just doesn't apply).
+// to the detected best silently (a bad value never aborts a run, it just
+// doesn't apply).
 CpuLevel ResolveLevel() {
   CpuLevel level = DetectBest();
   const char* env = std::getenv("SRDA_CPU_LEVEL");

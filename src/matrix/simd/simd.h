@@ -6,8 +6,7 @@
 // Dispatch(). The table is resolved once, on first use, from CPUID
 // (x86-64) or the architecture baseline (aarch64 NEON), and can be forced
 // with SRDA_CPU_LEVEL=scalar|avx2|avx512|neon — unknown or unsupported
-// values silently fall back to the detected best, matching the SRDA_BLOCK_*
-// idiom.
+// values silently fall back to the detected best.
 //
 // Determinism contract (see DESIGN.md §4j): every vector kernel assigns
 // SIMD lanes to *independent output elements* and walks k strictly

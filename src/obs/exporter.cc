@@ -123,7 +123,17 @@ std::string PrometheusTextAt(const MetricsRegistry& registry, int window_s,
   return out;
 }
 
-Exporter::Exporter(ExporterOptions options) : options_(std::move(options)) {}
+Exporter::Exporter(ExporterOptions options) : options_(std::move(options)) {
+  // Loop() converts the interval to a clock duration; a non-finite or huge
+  // value would overflow that conversion.
+  if (!(options_.interval_s > 0.0 && options_.interval_s <= 1e6)) {
+    std::fprintf(stderr,
+                 "ExporterOptions::interval_s (--metrics-interval) must be "
+                 "in (0, 1e6] seconds, got %g\n",
+                 options_.interval_s);
+    std::abort();
+  }
+}
 
 Exporter::~Exporter() { Stop(); }
 
@@ -176,8 +186,7 @@ bool Exporter::WriteSnapshot() {
 }
 
 void Exporter::Loop() {
-  const auto interval = std::chrono::duration<double>(
-      options_.interval_s > 0 ? options_.interval_s : 1.0);
+  const auto interval = std::chrono::duration<double>(options_.interval_s);
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stop_requested_) {
     if (cv_.wait_for(lock, interval, [this] { return stop_requested_; })) {

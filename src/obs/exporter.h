@@ -48,7 +48,7 @@ std::string PrometheusTextAt(const MetricsRegistry& registry, int window_s,
 
 struct ExporterOptions {
   std::string path;                 // snapshot file (required)
-  double interval_s = 1.0;          // time between snapshots
+  double interval_s = 1.0;          // time between snapshots, (0, 1e6]
   int window_s = 10;                // trailing window for windowed rows
 };
 

@@ -93,15 +93,10 @@ void PrintRunSummary(std::ostream& os) {
   char line[256];
   if (!phases.empty()) {
     os << "\n== Phase summary (from trace spans) ==\n";
-    // Runtime facts published by the layers that decide them (simd
-    // dispatch, the thread pool) — the numbers below are meaningless
-    // without knowing which kernels and scheduler produced them.
+    // The SIMD level is published by the dispatch layer — the numbers
+    // below are meaningless without knowing which kernels produced them.
     const std::string simd_level = obs::GetRuntimeInfo("simd.level");
-    const std::string pinning = obs::GetRuntimeInfo("pool.pinning");
-    if (!simd_level.empty() || !pinning.empty()) {
-      os << "  runtime: simd=" << (simd_level.empty() ? "?" : simd_level)
-         << "  pool=" << (pinning.empty() ? "?" : pinning) << "\n";
-    }
+    if (!simd_level.empty()) os << "  runtime: simd=" << simd_level << "\n";
     std::snprintf(line, sizeof(line), "  %-24s %8s %11s %11s %10s %9s\n",
                   "phase", "count", "wall ms", "self ms", "GFLOP",
                   "GFLOP/s");

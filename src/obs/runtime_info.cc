@@ -31,11 +31,5 @@ std::string GetRuntimeInfo(const std::string& key,
   return it == InfoMap().end() ? fallback : it->second;
 }
 
-std::vector<std::pair<std::string, std::string>> RuntimeInfoSnapshot() {
-  std::lock_guard<std::mutex> lock(InfoMutex());
-  return std::vector<std::pair<std::string, std::string>>(InfoMap().begin(),
-                                                          InfoMap().end());
-}
-
 }  // namespace obs
 }  // namespace srda

@@ -1,19 +1,17 @@
-// Process-wide runtime configuration facts (active SIMD dispatch level,
-// thread-pinning mode, ...) as a tiny key/value store.
+// Process-wide runtime configuration facts (the active SIMD dispatch
+// level) as a tiny key/value store.
 //
 // The obs layer sits below matrix/linalg, so the phase-summary printer
 // and telemetry endpoints cannot ask simd::Dispatch() directly without
 // inverting the dependency graph. Instead the layers that *decide* a
-// runtime fact publish it here (simd dispatch, the thread pool), and the
-// reporters read it back. Keys are stable identifiers ("simd.level",
-// "pool.pinning"); values are short strings.
+// runtime fact publish it here (simd dispatch), and the reporters read it
+// back. Keys are stable identifiers ("simd.level"); values are short
+// strings.
 
 #ifndef SRDA_OBS_RUNTIME_INFO_H_
 #define SRDA_OBS_RUNTIME_INFO_H_
 
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace srda {
 namespace obs {
@@ -24,9 +22,6 @@ void SetRuntimeInfo(const std::string& key, const std::string& value);
 // Value for `key`, or `fallback` when the key was never published.
 std::string GetRuntimeInfo(const std::string& key,
                            const std::string& fallback = "");
-
-// All published facts, sorted by key. Thread-safe snapshot.
-std::vector<std::pair<std::string, std::string>> RuntimeInfoSnapshot();
 
 }  // namespace obs
 }  // namespace srda

@@ -27,8 +27,11 @@ PredictionService::PredictionService(const model::SrdaModel* model,
   SRDA_CHECK(model_ != nullptr) << "serving needs a model";
   model_->Validate();
   SRDA_CHECK_GT(options_.max_batch, 0) << "max_batch must be positive";
-  SRDA_CHECK_GE(options_.max_delay_ms, 0.0)
-      << "max_delay_ms must be non-negative";
+  // The dispatcher casts the delay to integer nanoseconds; a non-finite or
+  // huge value would overflow that cast.
+  SRDA_CHECK(options_.max_delay_ms >= 0.0 && options_.max_delay_ms <= 1e6)
+      << "max_delay_ms (--max-delay-ms) must be in [0, 1e6], got "
+      << options_.max_delay_ms;
   scorer_.SetCentroids(model_->centroids);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }

@@ -2,8 +2,8 @@
 // srda::naive references at adversarial sizes, the blocked Cholesky against
 // the serial reference, the blocked SolveMatrix against the column-striped
 // solve it replaced, bitwise thread-count / panel-width / SIMD-level
-// determinism of the blocked paths, SRDA_BLOCK_* config resolution, and the
-// runtime flop counter.
+// determinism of the blocked paths, SetBlockConfig's handling of
+// non-positive fields, and the runtime flop counter.
 
 #include <cmath>
 #include <cstring>

@@ -76,7 +76,7 @@ TEST(CholeskyRankKDowndateTest, MatchesRebuildRankNMinus1) {
 }
 
 TEST(CholeskyRankKDowndateTest, MatchesRebuildFoldLargerThanBlock) {
-  // k exceeds the factorization panel width SRDA_BLOCK_NB, the adversarial
+  // k exceeds the factorization panel width BlockConfig::nb, the adversarial
   // "fold larger than block" shape of a real CV fold.
   const int nb = GetBlockConfig().nb;
   ExpectDowndateMatchesRebuild(/*n=*/nb + 32, /*k=*/nb + 6, /*seed=*/13);

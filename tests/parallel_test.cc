@@ -50,9 +50,7 @@ bool BitwiseEqual(const Vector& x, const Vector& y) {
 
 TEST(ThreadPoolTest, StartupAndShutdownRepeatedly) {
   for (int round = 0; round < 3; ++round) {
-    ThreadPoolOptions options;
-    options.num_threads = 4;
-    ThreadPool pool(options);
+    ThreadPool pool(4);
     EXPECT_EQ(pool.num_threads(), 4);
     std::atomic<int> sum{0};
     pool.ParallelFor(0, 100, [&](int begin, int end) {
@@ -64,21 +62,17 @@ TEST(ThreadPoolTest, StartupAndShutdownRepeatedly) {
 
 TEST(ThreadPoolTest, ResolvesThreadCountFromEnvironment) {
   ASSERT_EQ(setenv("SRDA_NUM_THREADS", "3", /*overwrite=*/1), 0);
-  EXPECT_EQ(ResolveThreadCount(ThreadPoolOptions{}), 3);
-  // Explicit options win over the environment.
-  ThreadPoolOptions explicit_options;
-  explicit_options.num_threads = 2;
-  EXPECT_EQ(ResolveThreadCount(explicit_options), 2);
+  EXPECT_EQ(ResolveThreadCount(0), 3);
+  // An explicit count wins over the environment.
+  EXPECT_EQ(ResolveThreadCount(2), 2);
   // Garbage in the variable falls back to hardware concurrency (>= 1).
   ASSERT_EQ(setenv("SRDA_NUM_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(ResolveThreadCount(ThreadPoolOptions{}), 1);
+  EXPECT_GE(ResolveThreadCount(0), 1);
   ASSERT_EQ(unsetenv("SRDA_NUM_THREADS"), 0);
 }
 
 TEST(ThreadPoolTest, CoversAllIndicesExactlyOnce) {
-  ThreadPoolOptions options;
-  options.num_threads = 4;
-  ThreadPool pool(options);
+  ThreadPool pool(4);
   constexpr int kCount = 10007;  // Prime: exercises uneven chunk sizes.
   std::vector<std::atomic<int>> hits(kCount);
   for (auto& h : hits) h.store(0);
@@ -91,10 +85,39 @@ TEST(ThreadPoolTest, CoversAllIndicesExactlyOnce) {
   }
 }
 
+TEST(ThreadPoolTest, ConcurrentExternalCallersEachCoverTheirRange) {
+  // Two threads that are not pool workers share one pool, so the queue
+  // holds two jobs at once and workers must move past a drained front job
+  // to help the other caller.
+  ThreadPool pool(4);
+  constexpr int kCount = 997;
+  constexpr int kCalls = 200;
+  const auto caller = [&pool](int offset, bool* ok) {
+    std::vector<std::atomic<int>> hits(kCount);
+    for (int call = 0; call < kCalls && *ok; ++call) {
+      for (auto& h : hits) h.store(0);
+      pool.ParallelFor(offset, offset + kCount, [&](int begin, int end) {
+        for (int i = begin; i < end; ++i) {
+          hits[static_cast<size_t>(i - offset)]++;
+        }
+      });
+      for (const auto& h : hits) {
+        if (h.load() != 1) *ok = false;
+      }
+    }
+  };
+  bool ok_a = true;
+  bool ok_b = true;
+  std::thread a(caller, 0, &ok_a);
+  std::thread b(caller, 5000, &ok_b);
+  a.join();
+  b.join();
+  EXPECT_TRUE(ok_a);
+  EXPECT_TRUE(ok_b);
+}
+
 TEST(ThreadPoolTest, EmptyAndSingletonRanges) {
-  ThreadPoolOptions options;
-  options.num_threads = 4;
-  ThreadPool pool(options);
+  ThreadPool pool(4);
   int calls = 0;
   pool.ParallelFor(5, 5, [&](int, int) { ++calls; });
   EXPECT_EQ(calls, 0);
@@ -107,9 +130,7 @@ TEST(ThreadPoolTest, EmptyAndSingletonRanges) {
 }
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
-  ThreadPoolOptions options;
-  options.num_threads = 1;
-  ThreadPool pool(options);
+  ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
   pool.ParallelFor(0, 64, [&](int, int) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
@@ -117,9 +138,7 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
 }
 
 TEST(ThreadPoolTest, PropagatesExceptionsToCaller) {
-  ThreadPoolOptions options;
-  options.num_threads = 4;
-  ThreadPool pool(options);
+  ThreadPool pool(4);
   EXPECT_THROW(
       pool.ParallelFor(0, 1000,
                        [&](int begin, int) {
@@ -137,9 +156,7 @@ TEST(ThreadPoolTest, PropagatesExceptionsToCaller) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
-  ThreadPoolOptions options;
-  options.num_threads = 4;
-  ThreadPool pool(options);
+  ThreadPool pool(4);
   std::atomic<int> total{0};
   pool.ParallelFor(0, 16, [&](int begin, int end) {
     for (int i = begin; i < end; ++i) {

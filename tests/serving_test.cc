@@ -275,5 +275,15 @@ TEST(ServingDeathTest, QueryWidthMismatchAborts) {
   EXPECT_DEATH(service.Predict(wrong), "query width");
 }
 
+TEST(ServingDeathTest, InfiniteMaxDelayAborts) {
+  // The dispatcher converts max_delay_ms to integer nanoseconds, which an
+  // infinite delay would overflow.
+  const Fixture f = MakeFixture(40, 4, 5, 2, {});
+  serve::ServeOptions options;
+  options.max_delay_ms = INFINITY;
+  EXPECT_DEATH({ serve::PredictionService service(&f.model, options); },
+               "max_delay_ms");
+}
+
 }  // namespace
 }  // namespace srda

@@ -196,6 +196,31 @@ TEST(ToolsIntegrationTest, HelpAndBadFlagsExitCleanly) {
   EXPECT_NE(output.find("unknown flag --sketch-mode"), std::string::npos)
       << output;
   EXPECT_FALSE(std::ifstream(model).good()) << "no model may be written";
+  // Durations that cannot be converted to a clock duration are rejected by
+  // name, with a real model and data file so nothing else can fail.
+  ASSERT_EQ(RunCommand(ToolPath("srda_train") + " --data=" + data +
+                           " --model-out=" + model,
+                       &output),
+            0)
+      << output;
+  const std::string serve = ToolPath("srda_serve") + " --model=" + model +
+                            " --data=" + data + " --requests=100";
+  const struct {
+    std::string command;
+    const char* flag;
+  } bad_durations[] = {
+      {serve + " --max-delay-ms=inf", "--max-delay-ms"},
+      {serve + " --linger=inf", "--linger"},
+      {serve + " --metrics-interval=inf", "--metrics-interval"},
+      {ToolPath("srda_train") + " --data=" + data + " --model-out=" + model +
+           " --metrics-interval=inf",
+       "--metrics-interval"},
+  };
+  for (const auto& bad : bad_durations) {
+    EXPECT_NE(RunCommand(bad.command, &output), 0) << bad.command;
+    EXPECT_NE(output.find(bad.flag), std::string::npos) << output;
+  }
+  std::remove(model.c_str());
   std::remove(data.c_str());
 }
 

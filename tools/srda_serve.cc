@@ -34,7 +34,7 @@
 // "telemetry listening on PORT") exposing /metrics (Prometheus text with
 // windowed QPS and latency quantiles over --metrics-window seconds),
 // /healthz (503 until the model is loaded), and /buildz (model path,
-// shape, SIMD level and pool pinning).
+// shape and SIMD level).
 // --linger keeps the process (and the endpoint) alive that many seconds
 // after the traffic drains, so a scraper can observe a quiescing server.
 // --metrics-out snapshots the registry to a file every --metrics-interval
@@ -52,7 +52,6 @@
 
 #include "common/arg_parser.h"
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "io/dataset_io.h"
 #include "matrix/simd/simd.h"
@@ -127,7 +126,8 @@ int Main(int argc, char** argv) {
   SRDA_CHECK_GT(client_block, 0) << "--client-block must be positive";
   SRDA_CHECK_GE(requests, 0) << "--requests must be non-negative";
   SRDA_CHECK_GT(metrics_window, 0) << "--metrics-window must be positive";
-  SRDA_CHECK_GE(linger_s, 0.0) << "--linger must be non-negative";
+  SRDA_CHECK(linger_s >= 0.0 && linger_s <= 1e6)
+      << "--linger must be in [0, 1e6] seconds, got " << linger_s;
 
   const bool observe = !trace_path.empty() || print_metrics || TraceEnabled();
   if (observe) {
@@ -168,8 +168,6 @@ int Main(int argc, char** argv) {
   // is truthful from the moment the server flips ready.
   telemetry.SetBuildInfo("simd_level",
                          simd::CpuLevelName(simd::ActiveLevel()));
-  telemetry.SetBuildInfo("pool_pinning",
-                         GlobalThreadPool().pinned() ? "pinned" : "free");
   telemetry.SetReady(true);
 
   const DenseDataset dataset = format == "binary"
