@@ -74,7 +74,16 @@ void BM_SymmetricEigen(benchmark::State& state) {
     benchmark::DoNotOptimize(SymmetricEigen(spd));
   }
 }
-BENCHMARK(BM_SymmetricEigen)->Arg(64)->Arg(128)->Arg(256);
+// 680 is perfbench faces_dense's dual Gram (the LDA baseline's eigen
+// stage); 512 and 1024 bracket it with power-of-two row strides.
+BENCHMARK(BM_SymmetricEigen)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(680)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ThinSvd(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -84,7 +93,14 @@ void BM_ThinSvd(benchmark::State& state) {
     benchmark::DoNotOptimize(ThinSvd(a));
   }
 }
-BENCHMARK(BM_ThinSvd)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_ThinSvd)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(512)
+    ->Arg(680)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CholeskyRank1Update(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -379,7 +379,8 @@ int SweepBlocks(bool smoke, bool full, Rng* rng) {
 // SRDA_CPU_LEVEL=scalar and under the detected best level and compares the
 // two files byte-for-byte. The digest covers a dense normal-equations fit,
 // a sparse LSQR fit, a cross-validated alpha search, a rank-k downdated
-// factor, and a multi-panel SolveMatrix — each at 1 and at 4 threads — so
+// factor, a multi-panel SolveMatrix, and an LDA fit (its eigen stage runs
+// the QL rotation panels) — each at 1 and at 4 threads — so
 // any dispatch level or thread count changing any output bit changes the
 // file.
 uint64_t Fnv1a(const double* values, size_t count, uint64_t hash) {
@@ -434,12 +435,14 @@ int WriteDigest(const std::string& path, Rng* rng) {
     CholeskyRankKDowndate(&l, v);
     Cholesky solve_chol;
     solve_chol.Factor(solve_spd);
+    const LdaModel lda = FitLda(dense.features, dense.labels, kNumClasses);
 
     hash = HashMatrix(dense_model.embedding.projection(), hash);
     hash = HashMatrix(sparse_model.embedding.projection(), hash);
     hash = Fnv1a(search.errors.data(), search.errors.size(), hash);
     hash = HashMatrix(l, hash);
     hash = HashMatrix(solve_chol.SolveMatrix(solve_rhs), hash);
+    hash = HashMatrix(lda.embedding.projection(), hash);
   }
   SetGlobalThreadCount(0);
 

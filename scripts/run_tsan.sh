@@ -13,14 +13,16 @@ cmake --build build-tsan --target \
   parallel_test matrix_test sparse_test linalg_lsqr_test core_srda_test \
   blocking_test simd_test linalg_cholesky_test linalg_cholesky_update_test \
   solver_test obs_test io_test sharded_test classify_test \
-  model_test serving_test
+  model_test serving_test linalg_eigen_test linalg_svd_test core_lda_test \
+  select_test
 
 export SRDA_NUM_THREADS=4
 for t in parallel_test matrix_test sparse_test linalg_lsqr_test \
          core_srda_test blocking_test simd_test linalg_cholesky_test \
          linalg_cholesky_update_test solver_test obs_test io_test \
          sharded_test classify_test model_test \
-         serving_test; do
+         serving_test linalg_eigen_test linalg_svd_test core_lda_test \
+         select_test; do
   echo "== TSan: $t =="
   ./build-tsan/tests/"$t" --gtest_filter='-*DeathTest*'
 done

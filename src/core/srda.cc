@@ -20,11 +20,15 @@ void ValidateOptions(const SrdaOptions& options) {
 
 SrdaModel FitSrda(RidgeSolver* solver, const std::vector<int>& labels,
                   int num_classes, const SrdaOptions& options) {
+  return FitSrda(solver, GenerateSrdaResponses(labels, num_classes), options);
+}
+
+SrdaModel FitSrda(RidgeSolver* solver, const Matrix& responses,
+                  const SrdaOptions& options) {
   ValidateOptions(options);
   SRDA_CHECK(solver != nullptr);
 
   SrdaModel model;
-  const Matrix responses = GenerateSrdaResponses(labels, num_classes);
   model.num_responses = responses.cols();
 
   RidgeSolveOptions solve_options;

@@ -84,6 +84,14 @@ SrdaModel FitSrda(const SparseMatrix& x, const std::vector<int>& labels,
 SrdaModel FitSrda(RidgeSolver* solver, const std::vector<int>& labels,
                   int num_classes, const SrdaOptions& options = {});
 
+// Same, with the spectral responses already built by
+// GenerateSrdaResponses for the solver's samples, so an alpha sweep builds
+// them once instead of once per grid point. The solver checks that there
+// is one response row per sample; that the rows are this solver's samples'
+// responses, in order, is the caller's contract.
+SrdaModel FitSrda(RidgeSolver* solver, const Matrix& responses,
+                  const SrdaOptions& options = {});
+
 }  // namespace srda
 
 #endif  // SRDA_CORE_SRDA_H_

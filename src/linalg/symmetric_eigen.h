@@ -4,7 +4,10 @@
 // accumulated transformations (EISPACK tred2) followed by the implicit-shift
 // QL iteration (EISPACK tql2). O(n^3) with a small constant — this is the
 // dense eigensolver whose cost dominates classical LDA, the baseline the
-// paper's SRDA avoids.
+// paper's SRDA avoids. The loops walk rows of the row-major matrix and the
+// QL rotations are applied to transposed 32-row panels; every element
+// keeps EISPACK's operation order, so the results are bitwise independent
+// of the SIMD dispatch level (DESIGN.md §4k). The solver is serial.
 
 #ifndef SRDA_LINALG_SYMMETRIC_EIGEN_H_
 #define SRDA_LINALG_SYMMETRIC_EIGEN_H_

@@ -6,10 +6,11 @@
 // linalg/cholesky_update.cc, lifted to raw-pointer signatures. Each
 // output element owns exactly one accumulator chain that advances k
 // strictly ascending; unrolling (4x4 register tile, 2x2 dot tile, the
-// 8-lane downdate tile) only multiplies the number of *concurrent*
-// elements. The vector kernels in kernels_avx2.cc / kernels_avx512.cc /
-// kernels_neon.cc reproduce these chains lane-for-lane, which is what
-// makes every dispatch level bitwise identical.
+// 8-lane downdate tile, the 32-lane rotation panel) only multiplies the
+// number of *concurrent* elements. The vector kernels in kernels_avx2.cc /
+// kernels_avx512.cc / kernels_neon.cc reproduce these chains
+// lane-for-lane, which is what makes every dispatch level bitwise
+// identical.
 
 #ifndef SRDA_MATRIX_SIMD_KERNEL_IMPL_H_
 #define SRDA_MATRIX_SIMD_KERNEL_IMPL_H_
@@ -238,6 +239,24 @@ inline void DowndateTile(double* const* lrows, double* wtile,
       }
     }
     for (int q = 0; q < kLanes; ++q) lrows[q][j] = lv[q];
+  }
+}
+
+// QL eigen sweep: each rotation mixes two kRotationLanes-wide columns of
+// the panel; lanes are independent rows, rotations run in logged order.
+inline void RotatePanel(double* panel, const PlaneRotation* rotations,
+                        int count) {
+  constexpr int kLanes = kRotationLanes;
+  for (int t = 0; t < count; ++t) {
+    double* lo = panel + static_cast<size_t>(rotations[t].i) * kLanes;
+    double* hi = lo + kLanes;
+    const double c = rotations[t].c;
+    const double s = rotations[t].s;
+    for (int q = 0; q < kLanes; ++q) {
+      const double f = hi[q];
+      hi[q] = s * lo[q] + c * f;
+      lo[q] = c * lo[q] - s * f;
+    }
   }
 }
 

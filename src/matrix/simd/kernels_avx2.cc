@@ -23,7 +23,8 @@ namespace {
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
-      &GemmTileYmm, &DotTileYmm, &SyrkRowYmm, &TrsmRowsYmm, &DowndateTileYmm,
+      &GemmTileYmm,     &DotTileYmm,      &SyrkRowYmm,
+      &TrsmRowsYmm,     &DowndateTileYmm, &RotatePanelYmm,
   };
   return table;
 }

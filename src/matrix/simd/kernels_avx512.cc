@@ -144,11 +144,53 @@ void DowndateTileZmm(double* const* lrows, double* wtile, const double* p,
   }
 }
 
+// rotate_panel: each kRotationLanes-wide column is four zmm registers. A
+// sweep's rotations walk i downward, so rotation t's new column i is the
+// next rotation's column i + 1: it stays in registers (`carry`, holding
+// column `cur`) and is stored only when the next rotation does not read
+// it, which takes the store-to-load round trip off the serial chain.
+void RotatePanelZmm(double* panel, const PlaneRotation* rotations,
+                    int count) {
+  constexpr int kLanes = kRotationLanes;
+  static_assert(kLanes == 32, "zmm rotation kernel assumes 32 lanes");
+  __m512d carry[4];
+  int cur = -1;
+  for (int t = 0; t < count; ++t) {
+    const int i = rotations[t].i;
+    double* lo = panel + static_cast<size_t>(i) * kLanes;
+    double* hi = lo + kLanes;
+    const __m512d c = _mm512_set1_pd(rotations[t].c);
+    const __m512d s = _mm512_set1_pd(rotations[t].s);
+    __m512d f[4];
+    if (i + 1 == cur) {
+      for (int v = 0; v < 4; ++v) f[v] = carry[v];
+    } else {
+      if (cur >= 0) {
+        double* spill = panel + static_cast<size_t>(cur) * kLanes;
+        for (int v = 0; v < 4; ++v) _mm512_storeu_pd(spill + 8 * v, carry[v]);
+      }
+      for (int v = 0; v < 4; ++v) f[v] = _mm512_loadu_pd(hi + 8 * v);
+    }
+    for (int v = 0; v < 4; ++v) {
+      const __m512d x = _mm512_loadu_pd(lo + 8 * v);
+      _mm512_storeu_pd(hi + 8 * v, _mm512_add_pd(_mm512_mul_pd(s, x),
+                                                 _mm512_mul_pd(c, f[v])));
+      carry[v] = _mm512_sub_pd(_mm512_mul_pd(c, x), _mm512_mul_pd(s, f[v]));
+    }
+    cur = i;
+  }
+  if (cur >= 0) {
+    double* spill = panel + static_cast<size_t>(cur) * kLanes;
+    for (int v = 0; v < 4; ++v) _mm512_storeu_pd(spill + 8 * v, carry[v]);
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx512Table() {
   static const KernelTable table = {
-      &GemmTileZmm, &DotTileYmm, &SyrkRowYmm, &TrsmRowsZmm, &DowndateTileZmm,
+      &GemmTileZmm,     &DotTileYmm,      &SyrkRowYmm,
+      &TrsmRowsZmm,     &DowndateTileZmm, &RotatePanelZmm,
   };
   return table;
 }

@@ -234,10 +234,12 @@ void DowndateTileNeon(double* const* lrows, double* wtile, const double* p,
 
 }  // namespace
 
+// rotate_panel uses the generic loop: NEON is the aarch64 baseline, so
+// that loop already compiles to q-register code.
 const KernelTable& NeonTable() {
   static const KernelTable table = {
       &GemmTileNeon, &DotTileNeon, &SyrkRowNeon, &TrsmRowsNeon,
-      &DowndateTileNeon,
+      &DowndateTileNeon, &generic::RotatePanel,
   };
   return table;
 }

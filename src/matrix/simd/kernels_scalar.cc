@@ -14,7 +14,7 @@ namespace internal {
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
       &generic::GemmTile,     &generic::DotTile,      &generic::SyrkRow,
-      &generic::TrsmRows,     &generic::DowndateTile,
+      &generic::TrsmRows,     &generic::DowndateTile, &generic::RotatePanel,
   };
   return table;
 }

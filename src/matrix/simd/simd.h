@@ -1,12 +1,13 @@
 // Explicit SIMD micro-kernels behind one-time runtime CPU dispatch.
 //
 // The blocked dense kernels (GEMM family, SYRK/TRSM of the blocked
-// Cholesky, and the downdate engine's rotation sweep) funnel their
-// innermost loops through the function-pointer table returned by
-// Dispatch(). The table is resolved once, on first use, from CPUID
-// (x86-64) or the architecture baseline (aarch64 NEON), and can be forced
-// with SRDA_CPU_LEVEL=scalar|avx2|avx512|neon — unknown or unsupported
-// values silently fall back to the detected best.
+// Cholesky, the downdate engine's rotation sweep, and the QL eigen
+// sweep's plane rotations) funnel their innermost loops through the
+// function-pointer table returned by Dispatch(). The table is resolved
+// once, on first use, from CPUID (x86-64) or the architecture baseline
+// (aarch64 NEON), and can be forced with
+// SRDA_CPU_LEVEL=scalar|avx2|avx512|neon — unknown or unsupported values
+// silently fall back to the detected best.
 //
 // Determinism contract (see DESIGN.md §4j): every vector kernel assigns
 // SIMD lanes to *independent output elements* and walks k strictly
@@ -36,6 +37,20 @@ enum class CpuLevel {
 // rotation step) and the workspace builder in linalg/cholesky_update.cc
 // agree by construction.
 inline constexpr int kDowndateLanes = 8;
+
+// Rows per transposed panel of the QL eigen sweep (rotate_panel): a
+// multiple of every vector width, so each rotation updates whole
+// registers, and wide enough that the serial chain of a sweep's rotations
+// is hidden behind independent lanes.
+inline constexpr int kRotationLanes = 32;
+
+// One plane rotation of the QL eigen sweep: panel columns i and i + 1
+// become (c x_i - s x_{i+1}, s x_i + c x_{i+1}).
+struct PlaneRotation {
+  int i;
+  double c;
+  double s;
+};
 
 // Widest row group any trsm_rows implementation processes in lockstep;
 // callers must size the scratch argument as kTrsmMaxLanes * (p1 - p0).
@@ -82,6 +97,14 @@ struct KernelTable {
   // tile's lane-interleaved workspace wtile (k * kDowndateLanes doubles).
   void (*downdate_tile)(double* const* lrows, double* wtile,
                         const double* p, const double* g, int width, int k);
+
+  // QL eigen sweep: applies `count` rotations, in order, to a panel of
+  // kRotationLanes rows stored lane-interleaved (column j's lanes at
+  // panel + j * kRotationLanes). Per lane, with f the old x_{i+1}:
+  // x_{i+1} = s x_i + c f, then x_i = c x_i - s f, every product rounded
+  // before its add.
+  void (*rotate_panel)(double* panel, const PlaneRotation* rotations,
+                       int count);
 };
 
 // The table for the active dispatch level. First call resolves the level

@@ -4,6 +4,7 @@
 
 #include "classify/classifiers.h"
 #include "common/check.h"
+#include "core/responses.h"
 #include "core/srda.h"
 #include "solver/ridge_solver.h"
 
@@ -37,14 +38,26 @@ std::vector<std::vector<int>> StratifiedFolds(const std::vector<int>& labels,
   return folds;
 }
 
-double CrossValidate(
-    const DenseDataset& dataset, int num_folds, Rng* rng,
-    const std::function<double(const DenseDataset& train,
-                               const DenseDataset& validation)>& evaluate) {
-  SRDA_CHECK(evaluate != nullptr);
+AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
+                                  const std::vector<double>& alphas,
+                                  int num_folds, uint64_t seed) {
+  SRDA_CHECK(!alphas.empty()) << "no alpha candidates";
+  AlphaSearchResult result;
+  result.errors.assign(alphas.size(), 0.0);
+
+  // One draw of the folds serves every candidate (paired comparison).
+  // Per-fold Gram cache: one solver is bound to each training fold, so a
+  // fold builds its centered data, Gram and responses once and pays one
+  // Cholesky refactorization per alpha. This beats deriving each fold
+  // factor from a full-data factor by a rank-(|fold|+1) downdate
+  // (RidgeSolver::ExcludeRows), which costs more than the refactor it saves
+  // at the paper's sizes (BENCH_cv_downdate.json). The loop runs
+  // fold-outer / alpha-inner, so only one fold's data and solver are alive
+  // at a time; each alpha's error sum still adds the folds in ascending
+  // order, and each solver still sees the alphas in grid order.
+  Rng rng(seed);
   const std::vector<std::vector<int>> folds =
-      StratifiedFolds(dataset.labels, dataset.num_classes, num_folds, rng);
-  double total = 0.0;
+      StratifiedFolds(dataset.labels, dataset.num_classes, num_folds, &rng);
   for (int f = 0; f < num_folds; ++f) {
     std::vector<int> train_indices;
     for (int other = 0; other < num_folds; ++other) {
@@ -57,59 +70,13 @@ double CrossValidate(
     const DenseDataset train = Subset(dataset, train_indices);
     const DenseDataset validation =
         Subset(dataset, folds[static_cast<size_t>(f)]);
-    total += evaluate(train, validation);
-  }
-  return total / num_folds;
-}
-
-AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
-                                  const std::vector<double>& alphas,
-                                  int num_folds, uint64_t seed) {
-  SRDA_CHECK(!alphas.empty()) << "no alpha candidates";
-  AlphaSearchResult result;
-  result.errors.assign(alphas.size(), 0.0);
-
-  // One draw of the folds serves every candidate (paired comparison).
-  // Per-fold Gram cache: one solver is bound to each training fold, so a
-  // fold builds its centered data and Gram once and pays one Cholesky
-  // refactorization per alpha. This beats deriving each fold factor from a
-  // full-data factor by a rank-(|fold|+1) downdate (RidgeSolver::
-  // ExcludeRows), which costs more than the refactor it saves at the
-  // paper's sizes (BENCH_cv_downdate.json). The loop runs alpha-outer /
-  // fold-inner, so for a fixed alpha the error sum accumulates over folds
-  // in ascending order, matching the historical loop orders.
-  Rng rng(seed);
-  const std::vector<std::vector<int>> folds =
-      StratifiedFolds(dataset.labels, dataset.num_classes, num_folds, &rng);
-  std::vector<DenseDataset> train_sets;
-  std::vector<DenseDataset> validation_sets;
-  std::vector<RidgeSolver> fold_solvers;
-  // Reserved up front: each solver points at its fold's features.
-  train_sets.reserve(static_cast<size_t>(num_folds));
-  validation_sets.reserve(static_cast<size_t>(num_folds));
-  fold_solvers.reserve(static_cast<size_t>(num_folds));
-  for (int f = 0; f < num_folds; ++f) {
-    std::vector<int> train_indices;
-    for (int other = 0; other < num_folds; ++other) {
-      if (other == f) continue;
-      train_indices.insert(train_indices.end(),
-                           folds[static_cast<size_t>(other)].begin(),
-                           folds[static_cast<size_t>(other)].end());
-    }
-    std::sort(train_indices.begin(), train_indices.end());
-    train_sets.push_back(Subset(dataset, train_indices));
-    validation_sets.push_back(Subset(dataset, folds[static_cast<size_t>(f)]));
-    fold_solvers.emplace_back(&train_sets.back().features);
-  }
-  for (size_t a = 0; a < alphas.size(); ++a) {
-    for (int f = 0; f < num_folds; ++f) {
-      const DenseDataset& train = train_sets[static_cast<size_t>(f)];
-      const DenseDataset& validation = validation_sets[static_cast<size_t>(f)];
+    RidgeSolver solver(&train.features);
+    const Matrix responses =
+        GenerateSrdaResponses(train.labels, train.num_classes);
+    for (size_t a = 0; a < alphas.size(); ++a) {
       SrdaOptions options;
       options.alpha = alphas[a];
-      const SrdaModel model =
-          FitSrda(&fold_solvers[static_cast<size_t>(f)], train.labels,
-                  train.num_classes, options);
+      const SrdaModel model = FitSrda(&solver, responses, options);
       SRDA_CHECK(model.converged) << "SRDA failed during CV";
       CentroidClassifier classifier;
       classifier.Fit(model.embedding.Transform(train.features), train.labels,

@@ -9,7 +9,6 @@
 #ifndef SRDA_SELECT_MODEL_SELECTION_H_
 #define SRDA_SELECT_MODEL_SELECTION_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,13 +24,6 @@ std::vector<std::vector<int>> StratifiedFolds(const std::vector<int>& labels,
                                               int num_classes, int num_folds,
                                               Rng* rng);
 
-// Evaluates `evaluate(train, validation)` over the k folds and returns the
-// mean validation value (typically an error rate).
-double CrossValidate(
-    const DenseDataset& dataset, int num_folds, Rng* rng,
-    const std::function<double(const DenseDataset& train,
-                               const DenseDataset& validation)>& evaluate);
-
 struct AlphaSearchResult {
   // Mean validation error (fraction in [0, 1]) per candidate.
   std::vector<double> errors;
@@ -42,8 +34,8 @@ struct AlphaSearchResult {
 
 // Grid-searches SRDA's ridge parameter by k-fold cross-validation with a
 // nearest-centroid classifier in the embedded space. Each training fold
-// binds one RidgeSolver, so a k-fold x g-alpha grid pays k Gram builds and
-// one Cholesky refactorization per grid point.
+// binds one RidgeSolver, so a k-fold x g-alpha grid pays k Gram and
+// response builds and one Cholesky refactorization per grid point.
 AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
                                   const std::vector<double>& alphas,
                                   int num_folds, uint64_t seed);

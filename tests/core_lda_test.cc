@@ -1,10 +1,12 @@
 // Tests for classical LDA (Section II of the paper).
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "classify/classifiers.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/lda.h"
 #include "matrix/blas.h"
@@ -166,6 +168,36 @@ TEST(LdaTest, PerfectTrainingAccuracyWhenSamplesIndependent) {
   CentroidClassifier classifier;
   classifier.Fit(embedded, labels, 3);
   EXPECT_EQ(ErrorRate(classifier.Predict(embedded), labels), 0.0);
+}
+
+// LDA's Gram and projection products run on the pool and its eigen stage
+// (ThinSvd's Gram eigendecomposition) applies its QL rotations to row
+// panels; every output bit must be independent of the thread count. 120
+// samples in 150 dimensions take the dual 120 x 120 eigenproblem: several
+// 32-row panels plus a partial one.
+TEST(LdaTest, ProjectionBitwiseAcrossThreadCounts) {
+  Rng rng(9);
+  Matrix x;
+  std::vector<int> labels;
+  MakeBlobs(40, 150, 3.0, &rng, &x, &labels);
+  SetGlobalThreadCount(1);
+  const LdaModel serial = FitLda(x, labels, 3);
+  SetGlobalThreadCount(4);
+  const LdaModel threaded = FitLda(x, labels, 3);
+  SetGlobalThreadCount(0);
+  ASSERT_TRUE(serial.converged);
+  ASSERT_TRUE(threaded.converged);
+  const Matrix& p1 = serial.embedding.projection();
+  const Matrix& p4 = threaded.embedding.projection();
+  ASSERT_EQ(p1.rows(), p4.rows());
+  ASSERT_EQ(p1.cols(), p4.cols());
+  EXPECT_EQ(std::memcmp(p1.data(), p4.data(),
+                        sizeof(double) * p1.rows() * p1.cols()),
+            0);
+  const Vector& b1 = serial.embedding.bias();
+  const Vector& b4 = threaded.embedding.bias();
+  ASSERT_EQ(b1.size(), b4.size());
+  EXPECT_EQ(std::memcmp(b1.data(), b4.data(), sizeof(double) * b1.size()), 0);
 }
 
 TEST(LdaDeathTest, SingleClassAborts) {

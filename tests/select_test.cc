@@ -1,10 +1,14 @@
-// Tests for stratified k-fold cross-validation and alpha selection.
+// Tests for stratified k-fold splitting and alpha selection.
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "classify/classifiers.h"
 #include "common/rng.h"
+#include "core/srda.h"
 #include "select/model_selection.h"
 
 namespace srda {
@@ -50,25 +54,6 @@ TEST(StratifiedFoldsDeathTest, TooManyFoldsAborts) {
   const std::vector<int> labels = BalancedLabels(2, 3);
   Rng rng(3);
   EXPECT_DEATH(StratifiedFolds(labels, 2, 4, &rng), "fewer samples");
-}
-
-TEST(CrossValidateTest, CallsEvaluateOncePerFold) {
-  DenseDataset dataset;
-  dataset.num_classes = 2;
-  dataset.features = Matrix(12, 2);
-  dataset.labels = BalancedLabels(2, 6);
-  Rng rng(4);
-  int calls = 0;
-  const double mean = CrossValidate(
-      dataset, 3, &rng,
-      [&](const DenseDataset& train, const DenseDataset& validation) {
-        ++calls;
-        EXPECT_EQ(train.features.rows() + validation.features.rows(), 12);
-        EXPECT_EQ(validation.features.rows(), 4);
-        return static_cast<double>(calls);
-      });
-  EXPECT_EQ(calls, 3);
-  EXPECT_DOUBLE_EQ(mean, 2.0);  // (1 + 2 + 3) / 3.
 }
 
 TEST(SelectSrdaAlphaTest, PicksReasonableAlphaOnBlobs) {
@@ -121,6 +106,72 @@ TEST(SelectSrdaAlphaTest, DeterministicInSeed) {
   const AlphaSearchResult b = SelectSrdaAlpha(dataset, alphas, 3, 7);
   EXPECT_EQ(a.errors, b.errors);
   EXPECT_EQ(a.best_index, b.best_index);
+}
+
+// Each grid point's error is the fold mean of a fresh FitSrda on the
+// training fold, scored by the centroid classifier on the held-out fold.
+// The search shares one solver and one response matrix per fold across the
+// grid and must reproduce those errors bit for bit, on the primal (more
+// rows than features) and the dual (more features than rows) path.
+TEST(SelectSrdaAlphaTest, ErrorsMatchPerFoldFitSrda) {
+  const std::vector<double> alphas = {0.01, 1.0, 100.0};
+  const int num_folds = 5;
+  const uint64_t seed = 11;
+  for (const int dim : {6, 50}) {
+    Rng rng(8 + dim);
+    DenseDataset dataset;
+    dataset.num_classes = 3;
+    const int per_class = 15;
+    dataset.features = Matrix(3 * per_class, dim);
+    // Interleaved labels: each training fold has its own label sequence,
+    // so its responses differ from every other fold's.
+    for (int row = 0; row < 3 * per_class; ++row) {
+      const int k = row % 3;
+      dataset.labels.push_back(k);
+      for (int j = 0; j < dim; ++j) {
+        dataset.features(row, j) = 1.2 * (j % 3 == k) + rng.NextGaussian();
+      }
+    }
+    const AlphaSearchResult result =
+        SelectSrdaAlpha(dataset, alphas, num_folds, seed);
+
+    Rng fold_rng(seed);
+    const std::vector<std::vector<int>> folds = StratifiedFolds(
+        dataset.labels, dataset.num_classes, num_folds, &fold_rng);
+    std::vector<double> expected(alphas.size(), 0.0);
+    for (int f = 0; f < num_folds; ++f) {
+      std::vector<int> train_indices;
+      for (int other = 0; other < num_folds; ++other) {
+        if (other == f) continue;
+        train_indices.insert(train_indices.end(),
+                             folds[static_cast<size_t>(other)].begin(),
+                             folds[static_cast<size_t>(other)].end());
+      }
+      std::sort(train_indices.begin(), train_indices.end());
+      const DenseDataset train = Subset(dataset, train_indices);
+      const DenseDataset validation =
+          Subset(dataset, folds[static_cast<size_t>(f)]);
+      for (size_t a = 0; a < alphas.size(); ++a) {
+        SrdaOptions options;
+        options.alpha = alphas[a];
+        const SrdaModel model = FitSrda(train.features, train.labels,
+                                        train.num_classes, options);
+        ASSERT_TRUE(model.converged);
+        CentroidClassifier classifier;
+        classifier.Fit(model.embedding.Transform(train.features),
+                       train.labels, train.num_classes);
+        expected[a] += ErrorRate(
+            classifier.Predict(model.embedding.Transform(validation.features)),
+            validation.labels);
+      }
+    }
+    for (double& error : expected) error /= num_folds;
+    ASSERT_EQ(result.errors.size(), expected.size());
+    EXPECT_EQ(std::memcmp(result.errors.data(), expected.data(),
+                          sizeof(double) * expected.size()),
+              0)
+        << "dim=" << dim;
+  }
 }
 
 TEST(SelectSrdaAlphaDeathTest, EmptyGridAborts) {

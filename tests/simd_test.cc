@@ -7,6 +7,7 @@
 // exercise every vector-width remainder path, and between 1-thread and
 // 4-thread runs of the public kernels that funnel through the table.
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -250,6 +251,35 @@ TEST(SimdKernelTest, DowndateTileMatchesGenericBitwise) {
                   0)
             << simd::CpuLevelName(level) << " width=" << width << " k=" << k;
       }
+    }
+  }
+}
+
+TEST(SimdKernelTest, RotatePanelMatchesGenericBitwise) {
+  Rng rng(29);
+  constexpr int kLanes = simd::kRotationLanes;
+  const int n = 13;
+  const std::vector<double> panel0 =
+      RandomBuffer(static_cast<size_t>(n) * kLanes, &rng);
+  // Descending runs like a QL sweep's, plus the orders a sweep boundary
+  // can produce: a rotation on the column the last one kept (i == cur),
+  // an ascending step, repeats, and the panel's first and last pairs.
+  std::vector<simd::PlaneRotation> rotations;
+  for (const int i : {11, 10, 9, 9, 10, 4, 3, 2, 1, 0, 0, 1, 5, 11, 7}) {
+    const double angle = rng.NextGaussian();
+    rotations.push_back({i, std::cos(angle), std::sin(angle)});
+  }
+  for (int count = 0; count <= static_cast<int>(rotations.size()); ++count) {
+    std::vector<double> want = panel0;
+    simd::generic::RotatePanel(want.data(), rotations.data(), count);
+    for (simd::CpuLevel level : Levels()) {
+      ScopedLevel forced(level);
+      std::vector<double> got = panel0;
+      simd::Dispatch().rotate_panel(got.data(), rotations.data(), count);
+      ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                            sizeof(double) * want.size()),
+                0)
+          << simd::CpuLevelName(level) << " count=" << count;
     }
   }
 }
