@@ -40,6 +40,7 @@
 #include "select/model_selection.h"
 #include "sparse/sparse_matrix.h"
 #include "tests/column_striped_solve.h"
+#include "tests/naive_kernels.h"
 
 namespace srda {
 namespace bench {
@@ -511,12 +512,22 @@ int Main(int argc, char** argv) {
   std::vector<double> lda_times;
   std::vector<double> srda_times;
   std::vector<double> dsizes;
+  // Every size of the exponent fit is timed as the minimum of 5 runs. Noise
+  // on a shared host (preemption, cache and frequency disturbance) only adds
+  // time, so the minimum is the most stable estimate of the intrinsic cost.
+  // A median of 3 lets one disturbed run move the few-ms LDA point at the
+  // smallest size, which tilts the log-log slope by up to ~0.3.
+  constexpr int kFitReps = 5;
   for (int size : sizes) {
     const DenseDataset data = RandomDense(size, size, &rng);
-    const double lda_time = TimeMedian(
-        [&] { FitLda(data.features, data.labels, kNumClasses); });
-    const double srda_time = TimeMedian(
-        [&] { FitSrda(data.features, data.labels, kNumClasses); });
+    const double lda_time =
+        TimeKernel([&] { FitLda(data.features, data.labels, kNumClasses); },
+                   kFitReps)
+            .seconds;
+    const double srda_time =
+        TimeKernel([&] { FitSrda(data.features, data.labels, kNumClasses); },
+                   kFitReps)
+            .seconds;
     lda_times.push_back(lda_time);
     srda_times.push_back(srda_time);
     dsizes.push_back(size);

@@ -10,7 +10,9 @@
 //
 // The solution is exactly the batch augmented ridge regression
 //   min ||[X 1] [a; b] - ybar||^2 + alpha (||a||^2 + b^2),
-// i.e. the same problem SRDA's LSQR path solves (the bias is damped too).
+// so IncrementalSrda damps the bias b. FitSrda does not: both of its paths
+// solve on implicitly centered data and leave the bias out of the penalty
+// (the paper's Eq. 15), so the two models differ slightly at alpha > 0.
 
 #ifndef SRDA_CORE_INCREMENTAL_SRDA_H_
 #define SRDA_CORE_INCREMENTAL_SRDA_H_

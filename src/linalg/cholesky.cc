@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -243,15 +242,6 @@ const Matrix& Cholesky::factor() const {
   return l_;
 }
 
-void Cholesky::SetFactor(Matrix l) {
-  SRDA_CHECK_EQ(l.rows(), l.cols()) << "factor must be square";
-  for (int j = 0; j < l.rows(); ++j) {
-    SRDA_CHECK_GT(l(j, j), 0.0) << "factor needs a positive diagonal at " << j;
-  }
-  l_ = std::move(l);
-  ok_ = true;
-}
-
 Matrix ForwardSubstituteMatrix(const Matrix& l, const Matrix& b) {
   SRDA_CHECK_EQ(l.rows(), l.cols()) << "triangular solve needs square matrix";
   SRDA_CHECK_EQ(b.rows(), l.rows()) << "triangular solve shape mismatch";
@@ -271,39 +261,5 @@ Matrix BackSubstituteTransposedMatrix(const Matrix& l, const Matrix& b) {
   BackwardSweep(l, &x);
   return x;
 }
-
-namespace naive {
-
-bool CholeskyFactor(const Matrix& a, Matrix* l) {
-  SRDA_CHECK(l != nullptr);
-  SRDA_CHECK_EQ(a.rows(), a.cols()) << "Cholesky needs a square matrix";
-  const int n = a.rows();
-  *l = Matrix(n, n);
-  double max_diag = 0.0;
-  for (int j = 0; j < n; ++j) {
-    if (!std::isfinite(a(j, j))) return false;
-    max_diag = std::max(max_diag, std::fabs(a(j, j)));
-  }
-  const double pivot_floor = 1e-14 * max_diag;
-  AddFlops(static_cast<double>(n) * n * n / 3.0);
-  for (int j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    const double* lrow_j = l->RowPtr(j);
-    for (int k = 0; k < j; ++k) diag -= lrow_j[k] * lrow_j[k];
-    if (diag <= pivot_floor || !std::isfinite(diag)) return false;
-    const double ljj = std::sqrt(diag);
-    (*l)(j, j) = ljj;
-    const double inv = 1.0 / ljj;
-    for (int i = j + 1; i < n; ++i) {
-      double sum = a(i, j);
-      const double* lrow_i = l->RowPtr(i);
-      for (int k = 0; k < j; ++k) sum -= lrow_i[k] * lrow_j[k];
-      (*l)(i, j) = sum * inv;
-    }
-  }
-  return true;
-}
-
-}  // namespace naive
 
 }  // namespace srda

@@ -53,12 +53,6 @@ class Cholesky {
   // The lower-triangular factor L. Requires a successful Factor().
   const Matrix& factor() const;
 
-  // Adopts `l` as the factor, as if Factor() had produced it. The lower
-  // triangle is trusted as-is (square, positive diagonal); used by the
-  // rank-k update engine (linalg/cholesky_update.h) to install a
-  // downdated factor without paying a refactorization.
-  void SetFactor(Matrix l);
-
   bool ok() const { return ok_; }
 
  private:
@@ -75,15 +69,6 @@ class Cholesky {
 // A one-column B is the single-vector solve.
 Matrix ForwardSubstituteMatrix(const Matrix& l, const Matrix& b);
 Matrix BackSubstituteTransposedMatrix(const Matrix& l, const Matrix& b);
-
-// Reference implementation: the serial column-by-column factorization the
-// blocked Cholesky replaced. Writes the lower-triangular factor into `l`
-// and returns false on a non-positive pivot, like Cholesky::Factor. Kept
-// for agreement tests and the blocked-vs-naive bench sweep; not for
-// production call sites.
-namespace naive {
-bool CholeskyFactor(const Matrix& a, Matrix* l);
-}  // namespace naive
 
 }  // namespace srda
 

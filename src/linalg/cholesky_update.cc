@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -222,26 +221,24 @@ void CheckShapes(const Matrix& l, const Matrix& v) {
 
 }  // namespace
 
-void CholeskyRank1Update(Matrix* l, Vector v, int begin) {
+void CholeskyRank1Update(Matrix* l, Vector v) {
   SRDA_CHECK(l != nullptr);
   SRDA_CHECK_EQ(l->rows(), l->cols()) << "factor must be square";
-  SRDA_CHECK(begin >= 0 && begin + v.size() <= l->rows())
-      << "update vector size mismatch: " << v.size() << " entries from row "
-      << begin << " of a " << l->rows() << "-row factor";
+  SRDA_CHECK_EQ(v.size(), l->rows()) << "update vector size mismatch";
   Matrix& factor = *l;
-  const int end = begin + v.size();
+  const int n = v.size();
   // Sequence of Givens rotations zeroing v against the diagonal.
-  for (int d = begin; d < end; ++d) {
+  for (int d = 0; d < n; ++d) {
     const double ldd = factor(d, d);
     SRDA_CHECK_GT(ldd, 0.0) << "invalid Cholesky factor at " << d;
-    const double vd = v[d - begin];
+    const double vd = v[d];
     const double rr = std::hypot(ldd, vd);
     const double c = rr / ldd;
     const double s = vd / ldd;
     factor(d, d) = rr;
-    for (int i = d + 1; i < end; ++i) {
-      const double lid = (factor(i, d) + s * v[i - begin]) / c;
-      v[i - begin] = c * v[i - begin] - s * lid;
+    for (int i = d + 1; i < n; ++i) {
+      const double lid = (factor(i, d) + s * v[i]) / c;
+      v[i] = c * v[i] - s * lid;
       factor(i, d) = lid;
     }
   }
@@ -283,53 +280,6 @@ bool CholeskyRankKDowndate(Matrix* l, const Matrix& v) {
   if (!RankKSweep<true>(l, &w, k, &diag)) return false;
   FromUnitLower(l, diag);
   return true;
-}
-
-Matrix CholeskyDeleteRowsCols(const Matrix& l,
-                              const std::vector<int>& indices) {
-  SRDA_CHECK_EQ(l.rows(), l.cols()) << "factor must be square";
-  const int n = l.rows();
-  SRDA_CHECK_LT(static_cast<int>(indices.size()), n)
-      << "cannot delete every row of the factor";
-  for (size_t j = 0; j < indices.size(); ++j) {
-    SRDA_CHECK_GE(indices[j], 0) << "index out of range";
-    SRDA_CHECK_LT(indices[j], n) << "index out of range";
-    if (j > 0) {
-      SRDA_CHECK_GT(indices[j], indices[j - 1])
-          << "indices must be sorted ascending and unique";
-    }
-  }
-  TraceSpan span("cholesky.delete_rows");
-  if (span.recording()) {
-    span.AddArg("k", static_cast<double>(indices.size()));
-  }
-  Matrix work = l;
-  int ncur = n;
-  // Descending order keeps the not-yet-deleted (smaller) indices valid as
-  // the matrix shrinks: splicing out `idx` only moves rows/cols above it.
-  for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
-    const int idx = *it;
-    const int tail = ncur - idx - 1;
-    // The deleted column's sub-diagonal entries are exactly the rank-1
-    // contribution the trailing factor loses with the splice.
-    Vector v(tail);
-    for (int i = 0; i < tail; ++i) v[i] = work(idx + 1 + i, idx);
-    for (int i = idx + 1; i < ncur; ++i) {
-      const double* src = work.RowPtr(i);
-      double* dst = work.RowPtr(i - 1);
-      std::copy(src, src + idx, dst);
-      std::copy(src + idx + 1, src + i + 1, dst + idx);
-    }
-    --ncur;
-    AddFlops(4.0 * tail * tail);
-    CholeskyRank1Update(&work, std::move(v), idx);
-  }
-  Matrix out(ncur, ncur);
-  for (int i = 0; i < ncur; ++i) {
-    const double* src = work.RowPtr(i);
-    std::copy(src, src + i + 1, out.RowPtr(i));
-  }
-  return out;
 }
 
 }  // namespace srda

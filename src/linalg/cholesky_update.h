@@ -7,11 +7,8 @@
 // to LDLᵀ form and swept with "fast" (scaled) plane rotations — method C1
 // of Gill, Golub, Murray & Saunders — two fused multiply-adds per
 // element·vector, the hyperbolic variant falling out of the same
-// recurrence with a negative running sigma. This is the engine behind RidgeSolver::ExcludeRows: a
-// cross-validation fold's Gram X̄_trᵀX̄_tr + αI is exactly the full-data
-// factor downdated by the fold's centered rows plus one mean-correction
-// vector, so k-fold CV can factor once and derive every fold (DESIGN.md
-// §4e).
+// recurrence with a negative running sigma. Incremental SRDA's AddShard
+// folds a block of new samples in with the rank-k update.
 //
 // The rank-k sweep is panel-blocked: for each panel of factor columns the
 // k rotation coefficients per column are formed once (serial, triangular
@@ -28,27 +25,20 @@
 // factor loses all accuracy. CholeskyRankKDowndate monitors the pivot
 // shrink ratio d̄_j/d_j (the rotation's ρ²) at every step and returns
 // false (condition fallback) instead of producing a garbage factor;
-// callers are expected to refactor from scratch in that case (RidgeSolver
-// does).
+// callers are expected to refactor from scratch in that case.
 
 #ifndef SRDA_LINALG_CHOLESKY_UPDATE_H_
 #define SRDA_LINALG_CHOLESKY_UPDATE_H_
-
-#include <vector>
 
 #include "matrix/matrix.h"
 #include "matrix/vector.h"
 
 namespace srda {
 
-// Rank-1 update by Givens rotations, in place, of the diagonal block of L
-// that starts at row/column `begin` and spans v.size() rows: given that
-// block B with A_b = BBᵀ, computes B' with B'B'ᵀ = A_b + vvᵀ in
-// O(v.size()²). Nothing outside the block is read or written. With
-// begin = 0 and v.size() = n it updates the whole factor (incremental
-// SRDA's AddSample); CholeskyDeleteRowsCols repairs the trailing block
-// after each splice with it.
-void CholeskyRank1Update(Matrix* l, Vector v, int begin = 0);
+// Rank-1 update by Givens rotations, in place: given L with G = LLᵀ,
+// computes L' with L'L'ᵀ = G + vvᵀ in O(n²) (incremental SRDA's
+// AddSample).
+void CholeskyRank1Update(Matrix* l, Vector v);
 
 // Rank-k update, in place: given L with G = LLᵀ, computes L' with
 // L'L'ᵀ = G + VᵀV. `v` is k x n; each row is one update vector.
@@ -63,16 +53,6 @@ void CholeskyRankKUpdate(Matrix* l, const Matrix& v);
 // value, i.e. G − VᵀV is not safely positive definite at working
 // precision. Emits the `cholesky.downdate` trace span.
 bool CholeskyRankKDowndate(Matrix* l, const Matrix& v);
-
-// Factor of the principal submatrix: given L with G = LLᵀ, returns the
-// factor of G with the rows AND columns in `indices` removed (indices
-// sorted ascending, unique, in range). Each deletion splices the factor
-// and repairs the trailing block with one CholeskyRank1Update
-// ("choldelete"); O(Σ (n − i)²) total. This is the dual-side half of the
-// fold API: deleting a fold's rows from the factor of X̄X̄ᵀ + αI yields the
-// factor of the held-in rows' outer Gram, still shifted by α.
-Matrix CholeskyDeleteRowsCols(const Matrix& l,
-                              const std::vector<int>& indices);
 
 }  // namespace srda
 

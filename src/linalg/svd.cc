@@ -39,30 +39,36 @@ SvdResult ThinSvd(const Matrix& a, double rank_tolerance) {
   }
   result.rank = rank;
   result.singular_values = Vector(rank);
+  // Gather the top-rank eigenvectors in descending order, row by row.
   Matrix small_side(t, rank);
   for (int k = 0; k < rank; ++k) {
-    const int src = t - 1 - k;  // descending order
-    result.singular_values[k] = std::sqrt(eigen.eigenvalues[src]);
-    for (int i = 0; i < t; ++i) {
-      small_side(i, k) = eigen.eigenvectors(i, src);
-    }
+    result.singular_values[k] = std::sqrt(eigen.eigenvalues[t - 1 - k]);
+  }
+  for (int i = 0; i < t; ++i) {
+    const double* src = eigen.eigenvectors.RowPtr(i);
+    double* dst = small_side.RowPtr(i);
+    for (int k = 0; k < rank; ++k) dst[k] = src[t - 1 - k];
   }
 
-  // Recover the other factor: the paper's "recover U from V" step.
+  // Recover the other factor: the paper's "recover U from V" step, each
+  // column k scaled by 1/sigma_k.
+  Vector inv_sigma(rank);
+  for (int k = 0; k < rank; ++k) {
+    inv_sigma[k] = 1.0 / result.singular_values[k];
+  }
+  Matrix* other;
   if (tall) {
     result.v = std::move(small_side);
     result.u = Multiply(a, result.v);  // m x r
-    for (int k = 0; k < rank; ++k) {
-      const double inv = 1.0 / result.singular_values[k];
-      for (int i = 0; i < m; ++i) result.u(i, k) *= inv;
-    }
+    other = &result.u;
   } else {
     result.u = std::move(small_side);
     result.v = MultiplyTransposedA(a, result.u);  // n x r
-    for (int k = 0; k < rank; ++k) {
-      const double inv = 1.0 / result.singular_values[k];
-      for (int i = 0; i < n; ++i) result.v(i, k) *= inv;
-    }
+    other = &result.v;
+  }
+  for (int i = 0; i < other->rows(); ++i) {
+    double* row = other->RowPtr(i);
+    for (int k = 0; k < rank; ++k) row[k] *= inv_sigma[k];
   }
   return result;
 }

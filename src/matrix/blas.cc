@@ -499,99 +499,4 @@ double MaxAbsDiff(const Vector& x, const Vector& y) {
   return max_diff;
 }
 
-namespace naive {
-
-Matrix Multiply(const Matrix& a, const Matrix& b) {
-  SRDA_CHECK_EQ(a.cols(), b.rows()) << "A*B shape mismatch";
-  AddFlops(2.0 * a.rows() * a.cols() * b.cols());
-  Matrix c(a.rows(), b.cols());
-  for (int i = 0; i < a.rows(); ++i) {
-    const double* arow = a.RowPtr(i);
-    double* crow = c.RowPtr(i);
-    for (int k = 0; k < a.cols(); ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b.RowPtr(k);
-      for (int j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
-    }
-  }
-  return c;
-}
-
-Matrix MultiplyTransposedA(const Matrix& a, const Matrix& b) {
-  SRDA_CHECK_EQ(a.rows(), b.rows()) << "A^T*B shape mismatch";
-  AddFlops(2.0 * a.rows() * a.cols() * b.cols());
-  Matrix c(a.cols(), b.cols());
-  for (int i = 0; i < a.cols(); ++i) {
-    double* crow = c.RowPtr(i);
-    for (int k = 0; k < a.rows(); ++k) {
-      const double aki = a.RowPtr(k)[i];
-      if (aki == 0.0) continue;
-      const double* brow = b.RowPtr(k);
-      for (int j = 0; j < b.cols(); ++j) crow[j] += aki * brow[j];
-    }
-  }
-  return c;
-}
-
-Matrix MultiplyTransposedB(const Matrix& a, const Matrix& b) {
-  SRDA_CHECK_EQ(a.cols(), b.cols()) << "A*B^T shape mismatch";
-  AddFlops(2.0 * a.rows() * a.cols() * b.rows());
-  Matrix c(a.rows(), b.rows());
-  for (int i = 0; i < a.rows(); ++i) {
-    const double* arow = a.RowPtr(i);
-    double* crow = c.RowPtr(i);
-    for (int j = 0; j < b.rows(); ++j) {
-      const double* brow = b.RowPtr(j);
-      double sum = 0.0;
-      for (int k = 0; k < a.cols(); ++k) sum += arow[k] * brow[k];
-      crow[j] = sum;
-    }
-  }
-  return c;
-}
-
-Matrix Gram(const Matrix& a) {
-  const int n = a.cols();
-  AddFlops(static_cast<double>(a.rows()) * n * (n + 1));
-  Matrix c(n, n);
-  for (int i = 0; i < n; ++i) {
-    double* crow = c.RowPtr(i);
-    for (int k = 0; k < a.rows(); ++k) {
-      const double* arow = a.RowPtr(k);
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      for (int j = i; j < n; ++j) crow[j] += aki * arow[j];
-    }
-  }
-  for (int j = 1; j < n; ++j) {
-    double* crow = c.RowPtr(j);
-    for (int i = 0; i < j; ++i) crow[i] = c.RowPtr(i)[j];
-  }
-  return c;
-}
-
-Matrix OuterGram(const Matrix& a) {
-  const int m = a.rows();
-  AddFlops(static_cast<double>(a.cols()) * m * (m + 1));
-  Matrix c(m, m);
-  for (int i = 0; i < m; ++i) {
-    const double* rowi = a.RowPtr(i);
-    double* crow = c.RowPtr(i);
-    for (int j = i; j < m; ++j) {
-      const double* rowj = a.RowPtr(j);
-      double sum = 0.0;
-      for (int k = 0; k < a.cols(); ++k) sum += rowi[k] * rowj[k];
-      crow[j] = sum;
-    }
-  }
-  for (int j = 1; j < m; ++j) {
-    double* crow = c.RowPtr(j);
-    for (int i = 0; i < j; ++i) crow[i] = c.RowPtr(i)[j];
-  }
-  return c;
-}
-
-}  // namespace naive
-
 }  // namespace srda

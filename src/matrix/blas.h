@@ -10,8 +10,8 @@
 // matrix/blocking.h (BlockConfig). Every output element accumulates
 // its k-terms in one fixed ascending chain, so results are bitwise
 // identical for any tile shape and any thread count. The unblocked
-// originals live in srda::naive for agreement tests and the blocked-vs-
-// naive bench sweep, and all kernels report flop counts to
+// originals live in tests/naive_kernels.h for agreement tests and the
+// blocked-vs-naive bench sweep. All kernels report flop counts to
 // common/flops.h's runtime counter.
 
 #ifndef SRDA_MATRIX_BLAS_H_
@@ -97,20 +97,6 @@ double MaxAbsDiff(const Matrix& a, const Matrix& b);
 
 // max_i |x[i] - y[i]|; sizes must match.
 double MaxAbsDiff(const Vector& x, const Vector& y);
-
-// Reference level-3 kernels: the unblocked serial loops the blocked
-// versions replaced. Agreement tests pin the blocked kernels against these,
-// and bench_table1_complexity's kernel sweep (BENCH_kernel_blocking.json)
-// measures the blocking speedup from them. Not for production call sites.
-namespace naive {
-
-Matrix Multiply(const Matrix& a, const Matrix& b);
-Matrix MultiplyTransposedA(const Matrix& a, const Matrix& b);
-Matrix MultiplyTransposedB(const Matrix& a, const Matrix& b);
-Matrix Gram(const Matrix& a);
-Matrix OuterGram(const Matrix& a);
-
-}  // namespace naive
 
 }  // namespace srda
 

@@ -120,26 +120,9 @@ void PrintRunSummary(std::ostream& os) {
       os << line;
     }
   }
-  // Fold-downdate effectiveness, one line: cross-validation should show
-  // every fold factor coming from a downdate of the parent's, with full
-  // refactorizations only on the condition fallback.
-  double fold_hits = 0.0;
-  double fold_fallbacks = 0.0;
   bool any_metrics = false;
   for (const MetricSnapshot& snapshot : MetricsRegistry::Global().Snapshot()) {
     any_metrics = any_metrics || snapshot.value != 0.0 || snapshot.count != 0;
-    if (snapshot.name == "ridge.fold_downdate_hit") {
-      fold_hits = snapshot.value;
-    } else if (snapshot.name == "ridge.fold_downdate_fallback") {
-      fold_fallbacks = snapshot.value;
-    }
-  }
-  if (fold_hits > 0.0 || fold_fallbacks > 0.0) {
-    std::snprintf(line, sizeof(line),
-                  "\n== Fold factors ==\n  %.0f downdated from the parent "
-                  "factor, %.0f rebuilt (condition fallback)\n",
-                  fold_hits, fold_fallbacks);
-    os << line;
   }
   if (any_metrics) {
     os << "\n== Metrics ==\n";

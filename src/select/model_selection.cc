@@ -48,10 +48,8 @@ AlphaSearchResult SelectSrdaAlpha(const DenseDataset& dataset,
   // One draw of the folds serves every candidate (paired comparison).
   // Per-fold Gram cache: one solver is bound to each training fold, so a
   // fold builds its centered data, Gram and responses once and pays one
-  // Cholesky refactorization per alpha. This beats deriving each fold
-  // factor from a full-data factor by a rank-(|fold|+1) downdate
-  // (RidgeSolver::ExcludeRows), which costs more than the refactor it saves
-  // at the paper's sizes (BENCH_cv_downdate.json). The loop runs
+  // Cholesky refactorization per alpha (a rank-k downdate of the full-data
+  // factor measured slower than this; DESIGN.md §4e). The loop runs
   // fold-outer / alpha-inner, so only one fold's data and solver are alive
   // at a time; each alpha's error sum still adds the folds in ascending
   // order, and each solver still sees the alphas in grid order.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "linalg/cholesky_update.h"
 #include "linalg/lsqr.h"
 #include "matrix/blas.h"
 #include "obs/metrics.h"
@@ -22,8 +21,6 @@ struct RidgeInstruments {
   Counter* gram_misses;
   Counter* factor_hits;
   Counter* factor_misses;
-  Counter* fold_downdate_hits;
-  Counter* fold_downdate_fallbacks;
 };
 
 const RidgeInstruments& RidgeMetrics() {
@@ -32,9 +29,7 @@ const RidgeInstruments& RidgeMetrics() {
     return RidgeInstruments{registry.counter("ridge.gram_cache_hits"),
                             registry.counter("ridge.gram_cache_misses"),
                             registry.counter("ridge.factor_cache_hits"),
-                            registry.counter("ridge.factor_cache_misses"),
-                            registry.counter("ridge.fold_downdate_hit"),
-                            registry.counter("ridge.fold_downdate_fallback")};
+                            registry.counter("ridge.factor_cache_misses")};
   }();
   return instruments;
 }
@@ -83,17 +78,7 @@ void RidgeSolver::PrepareDense() {
   TraceSpan span("ridge.prepare_dense");
   centered_ = *x_;
   SubtractRowVector(mean(), &centered_);
-  switch (side_) {
-    case GramSide::kAuto:
-      use_primal_ = x_->cols() <= x_->rows();
-      break;
-    case GramSide::kPrimal:
-      use_primal_ = true;
-      break;
-    case GramSide::kDual:
-      use_primal_ = false;
-      break;
-  }
+  use_primal_ = side_ == GramSide::kPrimal || x_->cols() <= x_->rows();
   dense_ready_ = true;
 }
 
@@ -143,23 +128,10 @@ const Cholesky* RidgeSolver::FactorAt(double alpha) {
     if (TraceEnabled()) RidgeMetrics().factor_hits->Increment();
     return factor_ok_ ? &chol_ : nullptr;
   }
-  if (parent_ != nullptr && TryFoldDowndate(alpha)) {
-    if (TraceEnabled()) RidgeMetrics().fold_downdate_hits->Increment();
-    factor_ok_ = true;
-    factor_alpha_ = alpha;
-    factor_ready_ = true;
-    return &chol_;
-  }
   TraceSpan span("ridge.factor");
   if (span.recording()) {
     span.AddArg("alpha", alpha);
     RidgeMetrics().factor_misses->Increment();
-  }
-  if (parent_ != nullptr) {
-    // The fold/downdate shortcut declined (condition trip or unsupported
-    // shape) and we are paying for a fresh factor: count it whether or not
-    // a trace is recording.
-    RidgeMetrics().fold_downdate_fallbacks->Increment();
   }
   Matrix shifted = GramBase();
   AddDiagonal(alpha, &shifted);
@@ -186,15 +158,7 @@ RidgeSolver RidgeSolver::ExcludeRows(const std::vector<int>& rows) {
           << "excluded rows must be sorted ascending and unique";
     }
   }
-  // Resolve the Gram side now so the child inherits the side the parent's
-  // factor actually lives on; the downdate algebra must match it.
-  PrepareDense();
-  RidgeSolver child;
-  child.binding_ = Binding::kDense;
-  child.parent_ = this;
-  child.fold_rows_ = rows;
-  child.side_ = use_primal_ ? GramSide::kPrimal : GramSide::kDual;
-  child.owned_x_ = std::make_unique<Matrix>(m - k, n);
+  auto kept = std::make_unique<Matrix>(m - k, n);
   int next = 0;
   int out = 0;
   for (int i = 0; i < m; ++i) {
@@ -203,98 +167,12 @@ RidgeSolver RidgeSolver::ExcludeRows(const std::vector<int>& rows) {
       continue;
     }
     const double* src = x_->RowPtr(i);
-    std::copy(src, src + n, child.owned_x_->RowPtr(out));
+    std::copy(src, src + n, kept->RowPtr(out));
     ++out;
   }
-  child.x_ = child.owned_x_.get();
+  RidgeSolver child(kept.get());
+  child.owned_x_ = std::move(kept);
   return child;
-}
-
-// Derives this fold child's factor of (G_train + alpha I) from the
-// parent's full-data factor at the same alpha.
-//
-// Primal (G = X̄ᵀX̄): with x̄_i the parent's centered rows, s = Σ_fold x̄_i
-// and m_tr kept rows, the training Gram centered on the training mean is
-//
-//   X̄_trᵀX̄_tr = G_full − Σ_fold x̄_i x̄_iᵀ − s sᵀ / m_tr,
-//
-// a pure rank-(k+1) downdate (the trailing vector moves the centering from
-// the full mean to the training mean); the +alpha I shift carries through.
-//
-// Dual (G = X̄X̄ᵀ): deleting the fold's rows/cols from the factor gives the
-// kept rows' outer Gram still centered on the full mean (alpha shift again
-// preserved on the principal submatrix). Re-centering subtracts the
-// symmetric rank-2 term u𝟙ᵀ + 𝟙uᵀ − (dᵀd)𝟙𝟙ᵀ, where d = mean_tr − mean
-// and u = X̄_tr d; with w = u − (dᵀd/2)𝟙 that term is
-// ½(w+𝟙)(w+𝟙)ᵀ − ½(w−𝟙)(w−𝟙)ᵀ — one rank-1 update then one rank-1
-// downdate.
-//
-// Returns false when the parent factor is unavailable or a downdate
-// rotation hits the condition floor; FactorAt then rebuilds from scratch.
-bool RidgeSolver::TryFoldDowndate(double alpha) {
-  const Cholesky* parent_factor = parent_->FactorAt(alpha);
-  if (parent_factor == nullptr) return false;
-  PrepareDense();
-  const Matrix& parent_centered = parent_->centered();
-  const int n = parent_centered.cols();
-  const int k = static_cast<int>(fold_rows_.size());
-  const int m_train = x_->rows();
-  TraceSpan span("ridge.fold_downdate");
-  if (span.recording()) {
-    span.AddArg("k", static_cast<double>(k));
-    span.AddArg("alpha", alpha);
-  }
-  // Sum of the fold's centered rows; the training mean sits at
-  // mean_full − s / m_train.
-  Vector s(n);
-  for (int r = 0; r < k; ++r) {
-    const double* row = parent_centered.RowPtr(fold_rows_[static_cast<size_t>(r)]);
-    for (int j = 0; j < n; ++j) s[j] += row[j];
-  }
-  if (use_primal_) {
-    Matrix v(k + 1, n);
-    for (int r = 0; r < k; ++r) {
-      const double* src =
-          parent_centered.RowPtr(fold_rows_[static_cast<size_t>(r)]);
-      std::copy(src, src + n, v.RowPtr(r));
-    }
-    const double scale = 1.0 / std::sqrt(static_cast<double>(m_train));
-    double* last = v.RowPtr(k);
-    for (int j = 0; j < n; ++j) last[j] = scale * s[j];
-    Matrix l = parent_factor->factor();
-    if (!CholeskyRankKDowndate(&l, v)) return false;
-    chol_.SetFactor(std::move(l));
-    return true;
-  }
-  Matrix l = CholeskyDeleteRowsCols(parent_factor->factor(), fold_rows_);
-  Vector d = s;
-  Scale(-1.0 / m_train, &d);
-  const double dd = Dot(d, d);
-  Matrix update(1, m_train);
-  Matrix downdate(1, m_train);
-  const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
-  double* up = update.RowPtr(0);
-  double* down = downdate.RowPtr(0);
-  const int m = parent_centered.rows();
-  int next = 0;
-  int out = 0;
-  for (int i = 0; i < m; ++i) {
-    if (next < k && fold_rows_[static_cast<size_t>(next)] == i) {
-      ++next;
-      continue;
-    }
-    const double* row = parent_centered.RowPtr(i);
-    double u = 0.0;
-    for (int j = 0; j < n; ++j) u += row[j] * d[j];
-    const double w = u - 0.5 * dd;
-    up[out] = (w - 1.0) * inv_sqrt2;
-    down[out] = (w + 1.0) * inv_sqrt2;
-    ++out;
-  }
-  CholeskyRankKUpdate(&l, update);
-  if (!CholeskyRankKDowndate(&l, downdate)) return false;
-  chol_.SetFactor(std::move(l));
-  return true;
 }
 
 const LinearOperator* RidgeSolver::ResolveOperator() {

@@ -58,7 +58,6 @@ enum class RidgeMethod {
 enum class GramSide {
   kAuto,    // primal n x n when n <= m, else the dual m x m (Eqn. 21)
   kPrimal,  // force X̄ᵀX̄ (RLDA needs the n x n scatter factor itself)
-  kDual,    // force X̄X̄ᵀ
 };
 
 struct RidgeSolveOptions {
@@ -133,21 +132,10 @@ class RidgeSolver {
   RidgeSolver(const RidgeSolver&) = delete;
   RidgeSolver& operator=(const RidgeSolver&) = delete;
 
-  // Fold API: returns a child solver bound to this solver's dense data with
-  // the given rows (sorted ascending, unique, a strict subset) held out —
-  // the training side of one cross-validation fold. The child owns a copy
-  // of the kept rows and solves exactly the same ridge problem a fresh
-  // solver on that submatrix would, but derives each Cholesky factor from
-  // the parent's by a rank-(k+1) downdate (primal: the fold's centered rows
-  // plus one mean-correction vector; dual: row/col deletion plus a rank-2
-  // recentering) instead of rebuilding and refactoring the Gram — O(n²k)
-  // per alpha instead of O(mn² + n³). When the downdate nears singularity
-  // it falls back to a full Gram build + factorization, so the child's
-  // Solve()/FactorAt() contract (including the `ok` failure mode) is
-  // unchanged. The parent must outlive the child and resolves its Gram
-  // side first; the child inherits it so the algebra lines up. Counters
-  // `ridge.fold_downdate_hit` / `ridge.fold_downdate_fallback` record
-  // which path each factor took (while tracing).
+  // Returns a solver bound to an owned copy of this dense-bound solver's
+  // data with the given rows (sorted ascending, unique, a strict subset)
+  // held out, with GramSide::kAuto: exactly RidgeSolver(&kept_rows), so its
+  // results are bitwise those of a fresh solver on that submatrix.
   RidgeSolver ExcludeRows(const std::vector<int>& rows);
 
   // Solves the ridge problem for every column of `responses` at `alpha`.
@@ -179,7 +167,6 @@ class RidgeSolver {
   void PrepareDense();
   void PrepareSharded();
   const Matrix& GramBase();
-  bool TryFoldDowndate(double alpha);
   RidgeSolution SolveNormalEquations(const Matrix& responses, double alpha);
   RidgeSolution SolveLsqr(const Matrix& responses, double alpha,
                           const RidgeSolveOptions& options);
@@ -214,12 +201,8 @@ class RidgeSolver {
   bool factor_ok_ = false;
   Cholesky chol_;
 
-  // Fold-child state (ExcludeRows): the parent whose packed Gram factor we
-  // downdate, the excluded parent row indices, and the owned copy of the
-  // kept rows that x_ points at (kept in a unique_ptr so moves don't
-  // invalidate the pointer).
-  RidgeSolver* parent_ = nullptr;
-  std::vector<int> fold_rows_;
+  // ExcludeRows: the owned copy of the kept rows that x_ points at (kept in
+  // a unique_ptr so moves don't invalidate the pointer).
   std::unique_ptr<Matrix> owned_x_;
 
   // LSQR-path cache: the operator view of dense data.

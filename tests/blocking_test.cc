@@ -20,6 +20,7 @@
 #include "matrix/blocking.h"
 #include "matrix/simd/simd.h"
 #include "tests/column_striped_solve.h"
+#include "tests/naive_kernels.h"
 #include "tests/scoped_level.h"
 
 namespace srda {

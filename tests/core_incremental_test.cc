@@ -65,11 +65,10 @@ TEST(CholeskyRank1UpdateTest, RepeatedUpdatesStayAccurate) {
 }
 
 TEST(CholeskyRank1UpdateDeathTest, SizeMismatchAborts) {
-  // The update block (v.size() rows from `begin`) must lie inside the
-  // factor.
+  // The update vector must have one entry per factor row.
   Matrix factor = Matrix::Identity(3);
   EXPECT_DEATH(CholeskyRank1Update(&factor, Vector(4)), "size mismatch");
-  EXPECT_DEATH(CholeskyRank1Update(&factor, Vector(2), 2), "size mismatch");
+  EXPECT_DEATH(CholeskyRank1Update(&factor, Vector(2)), "size mismatch");
 }
 
 void MakeBlobs(int num_classes, int per_class, int dim, Rng* rng, Matrix* x,

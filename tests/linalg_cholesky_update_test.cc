@@ -1,7 +1,6 @@
 // Tests for the rank-k Cholesky update/downdate engine.
 
 #include <cmath>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -169,42 +168,6 @@ TEST(CholeskyRankKDowndateTest, BitwiseDeterministicAcrossThreadCounts) {
   SetGlobalThreadCount(1);
   ASSERT_TRUE(ok);
   EXPECT_EQ(MaxAbsDiff(serial, threaded), 0.0);
-}
-
-TEST(CholeskyDeleteRowsColsTest, MatchesSubmatrixFactor) {
-  Rng rng(31);
-  const int n = 14;
-  const Matrix g = RandomSpd(n, &rng);
-  const std::vector<int> drop = {0, 3, 4, 9, 13};
-  Cholesky chol;
-  ASSERT_TRUE(chol.Factor(g));
-  const Matrix deleted = CholeskyDeleteRowsCols(chol.factor(), drop);
-
-  std::vector<int> keep;
-  for (int i = 0; i < n; ++i) {
-    bool dropped = false;
-    for (int index : drop) dropped = dropped || index == i;
-    if (!dropped) keep.push_back(i);
-  }
-  Matrix sub(static_cast<int>(keep.size()), static_cast<int>(keep.size()));
-  for (size_t i = 0; i < keep.size(); ++i) {
-    for (size_t j = 0; j < keep.size(); ++j) {
-      sub(static_cast<int>(i), static_cast<int>(j)) =
-          g(keep[i], keep[j]);
-    }
-  }
-  Cholesky sub_chol;
-  ASSERT_TRUE(sub_chol.Factor(sub));
-  ASSERT_EQ(deleted.rows(), sub_chol.factor().rows());
-  EXPECT_LT(MaxAbsDiff(deleted, sub_chol.factor()), 1e-9);
-}
-
-TEST(CholeskyDeleteRowsColsDeathTest, UnsortedIndicesAbort) {
-  Rng rng(32);
-  const Matrix g = RandomSpd(4, &rng);
-  Cholesky chol;
-  ASSERT_TRUE(chol.Factor(g));
-  EXPECT_DEATH(CholeskyDeleteRowsCols(chol.factor(), {2, 1}), "sorted");
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "matrix/simd/kernel_impl.h"
 #include "matrix/simd/simd.h"
 #include "select/model_selection.h"
+#include "tests/naive_kernels.h"
 #include "tests/scoped_level.h"
 
 namespace srda {

@@ -8,6 +8,7 @@
 // engine on fixed-seed data, dense and sparse, at several thread counts.
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -353,10 +354,21 @@ Matrix DropRows(const Matrix& x, const std::vector<int>& rows) {
   return kept;
 }
 
+// Byte-for-byte equality of two solutions' coefficients and bias.
+void ExpectSameBits(const RidgeSolution& got, const RidgeSolution& want) {
+  ASSERT_EQ(got.coefficients.rows(), want.coefficients.rows());
+  ASSERT_EQ(got.coefficients.cols(), want.coefficients.cols());
+  ASSERT_EQ(got.bias.size(), want.bias.size());
+  EXPECT_EQ(0, std::memcmp(got.coefficients.data(), want.coefficients.data(),
+                           sizeof(double) * got.coefficients.rows() *
+                               got.coefficients.cols()));
+  EXPECT_EQ(0, std::memcmp(got.bias.data(), want.bias.data(),
+                           sizeof(double) * got.bias.size()));
+}
+
 TEST(RidgeSolverTest, ExcludeRowsPrimalMatchesFreshSolverOnSubset) {
-  // The fold child's downdated factor must solve the same ridge problem a
-  // fresh solver on the kept rows does, across an alpha sweep (the
-  // factor-once CV path). m > n keeps the parent on the primal side.
+  // The held-out-rows solver is a fresh solver on the kept rows, so every
+  // alpha of a sweep gives that solver's bits. m > n keeps it primal.
   const Matrix x = RandomMatrix(40, 12, 41);
   const Matrix responses = RandomMatrix(34, 3, 42);
   const std::vector<int> fold = {3, 7, 8, 19, 25, 31};
@@ -369,18 +381,14 @@ TEST(RidgeSolverTest, ExcludeRowsPrimalMatchesFreshSolverOnSubset) {
     const RidgeSolution direct = fresh.Solve(responses, alpha);
     ASSERT_TRUE(fold_solution.ok);
     ASSERT_TRUE(direct.ok);
-    EXPECT_LT(MaxAbsDiff(fold_solution.coefficients, direct.coefficients),
-              1e-8)
-        << "alpha " << alpha;
-    EXPECT_LT(MaxAbsDiff(fold_solution.bias, direct.bias), 1e-8)
-        << "alpha " << alpha;
+    SCOPED_TRACE(alpha);
+    ExpectSameBits(fold_solution, direct);
   }
 }
 
 TEST(RidgeSolverTest, ExcludeRowsDualMatchesFreshSolverOnSubset) {
-  // n > m puts the parent on the dual side: the child factor comes from
-  // row/col deletion plus the rank-2 recentering instead of the primal
-  // rank-(k+1) downdate. Boundary indices (first and last row) included.
+  // n > m puts the kept rows on the dual side through GramSide::kAuto.
+  // Boundary indices (first and last row) included.
   const Matrix x = RandomMatrix(15, 50, 43);
   const Matrix responses = RandomMatrix(11, 2, 44);
   const std::vector<int> fold = {0, 4, 9, 14};
@@ -389,24 +397,20 @@ TEST(RidgeSolverTest, ExcludeRowsDualMatchesFreshSolverOnSubset) {
   RidgeSolver child = parent.ExcludeRows(fold);
   for (double alpha : {0.1, 1.5}) {
     const RidgeSolution fold_solution = child.Solve(responses, alpha);
-    RidgeSolver fresh(&kept, GramSide::kDual);
+    RidgeSolver fresh(&kept);
     const RidgeSolution direct = fresh.Solve(responses, alpha);
     ASSERT_TRUE(fold_solution.ok);
     ASSERT_TRUE(direct.ok);
-    EXPECT_LT(MaxAbsDiff(fold_solution.coefficients, direct.coefficients),
-              1e-8)
-        << "alpha " << alpha;
-    EXPECT_LT(MaxAbsDiff(fold_solution.bias, direct.bias), 1e-8)
-        << "alpha " << alpha;
+    SCOPED_TRACE(alpha);
+    ExpectSameBits(fold_solution, direct);
   }
 }
 
-TEST(RidgeSolverTest, ExcludeRowsFallsBackAndPreservesFailureContract) {
-  // Excluding enough rows makes the child's Gram rank-deficient at
-  // alpha == 0: the downdate hits the condition floor, the fallback
-  // refactors from scratch and also (correctly) fails, so Solve reports
-  // ok == false exactly like a fresh solver would. A positive alpha then
-  // recovers through the downdate path.
+TEST(RidgeSolverTest, ExcludeRowsPreservesFailureContract) {
+  // Excluding enough rows makes the kept rows' Gram singular: at
+  // alpha == 0 FactorAt returns nullptr and Solve reports ok == false,
+  // exactly like a fresh solver. A positive alpha then solves with the
+  // fresh solver's bits.
   const Matrix x = RandomMatrix(14, 10, 45);
   const std::vector<int> fold = {1, 2, 5, 6, 8, 10, 11, 13};
   const Matrix kept = DropRows(x, fold);  // 6 rows < 10 cols: singular Gram.
@@ -418,10 +422,10 @@ TEST(RidgeSolverTest, ExcludeRowsFallsBackAndPreservesFailureContract) {
   const Matrix responses = RandomMatrix(6, 2, 46);
   const RidgeSolution recovered = child.Solve(responses, 0.5);
   ASSERT_TRUE(recovered.ok);
-  RidgeSolver fresh(&kept, GramSide::kPrimal);
+  RidgeSolver fresh(&kept);
   const RidgeSolution direct = fresh.Solve(responses, 0.5);
   ASSERT_TRUE(direct.ok);
-  EXPECT_LT(MaxAbsDiff(recovered.coefficients, direct.coefficients), 1e-8);
+  ExpectSameBits(recovered, direct);
 }
 
 TEST(RidgeSolverDeathTest, ExcludeRowsRejectsUnsortedRows) {
