@@ -3,16 +3,19 @@
 # binaries, plus the Cholesky/triangular-sweep, rank-1 update, eigen, SVD,
 # LDA, RLDA, IDR/QR, incremental, model-selection, determinism,
 # dataset-IO, model-codec, obs and serving tests, plus the SIMD dispatch
-# test, with AddressSanitizer and runs them with a multi-thread pool.
-# Catches out-of-bounds reads and writes, use-after-free and leaks in the
+# test, with AddressSanitizer and UndefinedBehaviorSanitizer
+# (-DSRDA_SANITIZE=address builds both; any UB report aborts the binary),
+# and runs them with a multi-thread pool. Catches out-of-bounds reads and
+# writes, use-after-free, leaks and undefined behaviour (signed overflow,
+# misaligned or null accesses, bad shifts and casts) in the
 # block products, the packed LSQR passes, the blocked triangular sweeps,
 # the Givens updates, the QL rotation panels, every kernel table's
 # hand-written vector kernels (downdate_tile, rotate_panel, trsm_rows),
 # the parsers (data files, JSON, Prometheus
 # text, HTTP request lines) and the shard streaming. The tools
 # integration test runs the sanitized command-line tools (its CMake
-# dependencies build them), so the CLI read paths run under ASan both in
-# RAM and with --shard-rows.
+# dependencies build them), so the CLI read paths run under both
+# sanitizers in RAM and with --shard-rows.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -29,7 +32,7 @@ cmake --build build-asan --target $TESTS
 
 export SRDA_NUM_THREADS=4
 for t in $TESTS; do
-  echo "== ASan: $t =="
+  echo "== ASan+UBSan: $t =="
   ./build-asan/tests/"$t"
 done
-echo "ASan suite passed."
+echo "ASan+UBSan suite passed."

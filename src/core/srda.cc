@@ -1,11 +1,12 @@
 #include "core/srda.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "core/responses.h"
-#include "linalg/linear_operator.h"
+#include "linalg/sharded_operator.h"
 #include "solver/ridge_solver.h"
 
 namespace srda {
@@ -65,8 +66,9 @@ SrdaModel FitSrda(const SparseMatrix& x, const std::vector<int>& labels,
                   int num_classes, const SrdaOptions& options) {
   SRDA_CHECK_EQ(static_cast<int>(labels.size()), x.rows())
       << "label count mismatch";
-  const SparseOperator data(&x);
-  RidgeSolver solver(&data);
+  // One whole-matrix shard: the rows binding without a copy of x.
+  SparseMatrixShardSource source(&x, std::max(x.rows(), 1));
+  RidgeSolver solver(&source);
   // Sparse data always trains matrix-free, whatever options.solver says.
   SrdaOptions adjusted = options;
   adjusted.solver = SrdaSolver::kLsqr;

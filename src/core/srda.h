@@ -71,16 +71,17 @@ struct SrdaModel {
 SrdaModel FitSrda(const Matrix& x, const std::vector<int>& labels,
                   int num_classes, const SrdaOptions& options = {});
 
-// Trains SRDA on sparse data with LSQR; the data matrix is only touched
+// Trains SRDA on sparse data with LSQR through the rows binding over one
+// whole-matrix shard of x (no copy); the data matrix is only touched
 // through A*X / A^T*X block products.
 SrdaModel FitSrda(const SparseMatrix& x, const std::vector<int>& labels,
                   int num_classes, const SrdaOptions& options = {});
 
 // Trains SRDA through a caller-provided RidgeSolver already bound to the
 // training data. Consecutive calls with different alphas reuse the solver's
-// cached Gram, so an alpha sweep pays only one Cholesky refactorization per
-// grid point. The solver must be bound to the same samples the labels
-// describe.
+// cached Gram and right-hand sides, so an alpha sweep pays only one
+// Cholesky refactorization and triangular solve per grid point. The solver
+// must be bound to the same samples the labels describe.
 SrdaModel FitSrda(RidgeSolver* solver, const std::vector<int>& labels,
                   int num_classes, const SrdaOptions& options = {});
 

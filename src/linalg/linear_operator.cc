@@ -1,26 +1,8 @@
 #include "linalg/linear_operator.h"
 
 #include "common/check.h"
-#include "matrix/blas.h"
 
 namespace srda {
-
-DenseOperator::DenseOperator(const Matrix* matrix) : matrix_(matrix) {
-  SRDA_CHECK(matrix != nullptr);
-}
-
-int DenseOperator::rows() const { return matrix_->rows(); }
-int DenseOperator::cols() const { return matrix_->cols(); }
-
-Matrix DenseOperator::ApplyMulti(const Matrix& x) const {
-  // The blocked GEMM folds each output element's k-terms in one ascending
-  // chain that no other column touches, so columns are independent.
-  return Multiply(*matrix_, x);
-}
-
-Matrix DenseOperator::ApplyTransposedMulti(const Matrix& x) const {
-  return MultiplyTransposedA(*matrix_, x);
-}
 
 SparseOperator::SparseOperator(const SparseMatrix* matrix) : matrix_(matrix) {
   SRDA_CHECK(matrix != nullptr);

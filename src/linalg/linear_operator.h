@@ -1,10 +1,11 @@
 // Abstract matrix-free linear operator.
 //
 // LSQR (and any other iterative solver) only needs the two products A*X and
-// A^T*Y. Expressing that as an interface lets the same solver run on dense
-// matrices, CSR matrices, and the paper's "append a constant 1 feature"
-// bias-absorption trick (Section III-B) without ever materializing an
-// augmented or centered matrix.
+// A^T*Y. Expressing that as an interface lets the same solver run on row
+// shard streams (linalg/sharded_operator.h, in RAM or out of core), CSR
+// matrices, and the paper's "append a constant 1 feature" bias-absorption
+// trick (Section III-B) without ever materializing an augmented or centered
+// matrix.
 
 #ifndef SRDA_LINALG_LINEAR_OPERATOR_H_
 #define SRDA_LINALG_LINEAR_OPERATOR_H_
@@ -37,20 +38,6 @@ class LinearOperator {
 
   // Y = A^T * X; X is rows() x k, result is cols() x k.
   virtual Matrix ApplyTransposedMulti(const Matrix& x) const = 0;
-};
-
-// Wraps a dense matrix (not owned; must outlive the operator).
-class DenseOperator final : public LinearOperator {
- public:
-  explicit DenseOperator(const Matrix* matrix);
-
-  int rows() const override;
-  int cols() const override;
-  Matrix ApplyMulti(const Matrix& x) const override;
-  Matrix ApplyTransposedMulti(const Matrix& x) const override;
-
- private:
-  const Matrix* matrix_;
 };
 
 // Wraps a CSR matrix (not owned; must outlive the operator).

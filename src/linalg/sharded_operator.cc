@@ -50,11 +50,16 @@ int ShardedOperator::cols() const { return source_->cols(); }
 Matrix ShardedOperator::ApplyMulti(const Matrix& x) const {
   SRDA_CHECK_EQ(x.rows(), cols()) << "sharded A*X shape mismatch";
   TraceSpan span("sharded.apply");
-  Matrix y(rows(), x.cols());
+  Matrix y;
   ForEachShard(source_, [&](const RowShard& shard) {
-    const Matrix part = shard.dense != nullptr
-                            ? Multiply(*shard.dense, x)
-                            : shard.sparse->MultiplyDense(x);
+    Matrix part = shard.dense != nullptr ? Multiply(*shard.dense, x)
+                                         : shard.sparse->MultiplyDense(x);
+    // A shard of every row (in-RAM data) is the whole product.
+    if (part.rows() == rows()) {
+      y = std::move(part);
+      return;
+    }
+    if (y.rows() == 0) y = Matrix(rows(), x.cols());
     std::memcpy(y.RowPtr(shard.first_row), part.data(),
                 static_cast<size_t>(part.rows()) * part.cols() *
                     sizeof(double));
@@ -94,9 +99,13 @@ int DenseMatrixShardSource::cols() const { return matrix_->cols(); }
 bool DenseMatrixShardSource::Next(RowShard* shard) {
   if (next_row_ >= matrix_->rows()) return false;
   const int end = std::min(matrix_->rows(), next_row_ + shard_rows_);
-  buffer_ = matrix_->Block(next_row_, 0, end - next_row_, matrix_->cols());
   shard->first_row = next_row_;
-  shard->dense = &buffer_;
+  if (next_row_ == 0 && end == matrix_->rows()) {
+    shard->dense = matrix_;
+  } else {
+    buffer_ = matrix_->Block(next_row_, 0, end - next_row_, matrix_->cols());
+    shard->dense = &buffer_;
+  }
   shard->sparse = nullptr;
   next_row_ = end;
   return true;
@@ -115,10 +124,14 @@ int SparseMatrixShardSource::cols() const { return matrix_->cols(); }
 bool SparseMatrixShardSource::Next(RowShard* shard) {
   if (next_row_ >= matrix_->rows()) return false;
   const int end = std::min(matrix_->rows(), next_row_ + shard_rows_);
-  buffer_ = matrix_->RowSlice(next_row_, end);
   shard->first_row = next_row_;
   shard->dense = nullptr;
-  shard->sparse = &buffer_;
+  if (next_row_ == 0 && end == matrix_->rows()) {
+    shard->sparse = matrix_;
+  } else {
+    buffer_ = matrix_->RowSlice(next_row_, end);
+    shard->sparse = &buffer_;
+  }
   next_row_ = end;
   return true;
 }

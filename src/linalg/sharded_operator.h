@@ -1,4 +1,5 @@
-// Row-shard streaming: the out-of-core counterpart of Dense/SparseOperator.
+// Row-shard streaming: the one row-level view of training data, in RAM or
+// out of core.
 //
 // A RowShardSource yields the rows of an m x n matrix as consecutive
 // contiguous blocks ("shards"), each presented as a small dense Matrix or
@@ -50,8 +51,9 @@ struct RowShard {
 };
 
 // A restartable stream of row shards covering rows [0, rows()) in order.
-// Implementations: DenseMatrixShardSource / SparseMatrixShardSource (in-RAM,
-// for tests) and io/RowShardReader (files).
+// Implementations: DenseMatrixShardSource / SparseMatrixShardSource (in-RAM
+// matrices; one whole-matrix shard is how RidgeSolver and FitSrda bind
+// in-RAM data) and io/RowShardReader (files).
 class RowShardSource {
  public:
   virtual ~RowShardSource() = default;
@@ -93,8 +95,10 @@ class ShardedOperator final : public LinearOperator {
 };
 
 // In-RAM shard sources: stream an existing matrix as blocks of `shard_rows`
-// rows, copying each block into a private buffer so consumers exercise the
-// real transient-shard contract. The matrix is not owned.
+// rows. With shard_rows >= rows() the one shard is the caller's matrix
+// itself, handed out without a copy; smaller shards are copied into a
+// private buffer, so consumers exercise the real transient-shard contract.
+// The matrix is not owned and must outlive the source.
 class DenseMatrixShardSource final : public RowShardSource {
  public:
   DenseMatrixShardSource(const Matrix* matrix, int shard_rows);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -34,13 +35,22 @@ const RidgeInstruments& RidgeMetrics() {
   return instruments;
 }
 
+// X̄ rows of one dense shard: the shard minus the column mean.
+Matrix CenteredShard(const RowShard& shard, const Vector& mean) {
+  Matrix centered = *shard.dense;
+  SubtractRowVector(mean, &centered);
+  return centered;
+}
+
 }  // namespace
 
 RidgeSolver::RidgeSolver(const Matrix* x, GramSide side) {
   SRDA_CHECK(x != nullptr);
-  binding_ = Binding::kDense;
   x_ = x;
-  side_ = side;
+  owned_source_ =
+      std::make_unique<DenseMatrixShardSource>(x, std::max(x->rows(), 1));
+  BindRows(owned_source_.get());
+  use_primal_ = side == GramSide::kPrimal || x->cols() <= x->rows();
 }
 
 RidgeSolver::RidgeSolver(const LinearOperator* data, RidgeBias bias) {
@@ -52,14 +62,16 @@ RidgeSolver::RidgeSolver(const LinearOperator* data, RidgeBias bias) {
 
 RidgeSolver::RidgeSolver(RowShardSource* source) {
   SRDA_CHECK(source != nullptr);
-  binding_ = Binding::kSharded;
-  source_ = source;
-  sharded_operator_ = std::make_unique<ShardedOperator>(source);
-  // The dual m x m Gram needs all rows at once, so sharded solvers are
+  // The dual m x m Gram needs all rows at once, so streamed solvers are
   // primal-only; sparse shard streams additionally skip the Gram entirely
   // (Solve auto-routes them to LSQR).
-  side_ = GramSide::kPrimal;
-  use_primal_ = true;
+  BindRows(source);
+}
+
+void RidgeSolver::BindRows(RowShardSource* source) {
+  binding_ = Binding::kRows;
+  source_ = source;
+  sharded_operator_ = std::make_unique<ShardedOperator>(source);
 }
 
 RidgeSolver RidgeSolver::FromGram(Matrix gram) {
@@ -71,58 +83,80 @@ RidgeSolver RidgeSolver::FromGram(Matrix gram) {
   return solver;
 }
 
-void RidgeSolver::PrepareDense() {
-  SRDA_CHECK(binding_ == Binding::kDense)
-      << "dense data accessor on a non-dense-bound solver";
-  if (dense_ready_) return;
-  TraceSpan span("ridge.prepare_dense");
-  centered_ = *x_;
-  SubtractRowVector(mean(), &centered_);
-  use_primal_ = side_ == GramSide::kPrimal || x_->cols() <= x_->rows();
-  dense_ready_ = true;
-}
-
-void RidgeSolver::PrepareSharded() {
-  SRDA_CHECK(binding_ == Binding::kSharded)
-      << "sharded data accessor on a non-sharded solver";
-  SRDA_CHECK(!source_->sparse())
-      << "sharded normal equations need dense shards; sparse shard streams "
-         "solve via RidgeMethod::kLsqr";
-  mean();
-}
-
-const Matrix& RidgeSolver::GramBase() {
+const Matrix& RidgeSolver::GramBase(const Matrix* responses) {
   if (gram_ready_) {
     if (TraceEnabled()) RidgeMetrics().gram_hits->Increment();
     return gram_;
   }
   TraceSpan span("ridge.gram_build");
   if (span.recording()) RidgeMetrics().gram_misses->Increment();
-  if (binding_ == Binding::kSharded) {
-    // Primal Gram X̄ᵀX̄ accumulated shard by shard. GramAccumulateUpper
-    // continues each output element's ascending-k dot-product chain from
-    // the values already in gram_, so the sum over shards reproduces the
-    // one-shot Gram(centered_) bit for bit at any shard size.
-    PrepareSharded();
-    gram_ = Matrix(source_->cols(), source_->cols());
-    ForEachShard(source_, [&](const RowShard& shard) {
-      Matrix centered_shard = *shard.dense;
-      SubtractRowVector(mean_, &centered_shard);
-      GramAccumulateUpper(centered_shard, &gram_);
-    });
-    SymmetrizeFromUpper(&gram_);
+  if (use_primal_) {
+    StreamPrimal(/*gram=*/true, responses);
+  } else {
+    gram_ = OuterGram(centered());
     gram_ready_ = true;
-    return gram_;
   }
-  PrepareDense();
-  gram_ = use_primal_ ? Gram(centered_) : OuterGram(centered_);
-  gram_ready_ = true;
   return gram_;
 }
 
+// One streamed pass that builds the primal Gram X̄ᵀX̄ (when `gram`) and the
+// sides X̄ᵀY for `responses` (when not null), centering each shard once for
+// both. GramAccumulateUpper and MultiplyTransposedAAccumulate continue each
+// output element's ascending-row chain from the values already summed, so
+// the sums over shards are Gram(X̄) and MultiplyTransposedA(X̄, Y) bit for
+// bit at any shard size.
+void RidgeSolver::StreamPrimal(bool gram, const Matrix* responses) {
+  SRDA_CHECK(!source_->sparse())
+      << "normal equations need dense rows; sparse shard streams solve via "
+         "RidgeMethod::kLsqr";
+  const Vector& column_mean = mean();
+  const int n = source_->cols();
+  if (gram) gram_ = Matrix(n, n);
+  if (responses != nullptr) rhs_ = Matrix(n, responses->cols());
+  ForEachShard(source_, [&](const RowShard& shard) {
+    const Matrix centered = CenteredShard(shard, column_mean);
+    if (gram) GramAccumulateUpper(centered, &gram_);
+    if (responses != nullptr) {
+      MultiplyTransposedAAccumulate(
+          centered,
+          responses->Block(shard.first_row, 0, shard.rows(),
+                           responses->cols()),
+          &rhs_);
+    }
+  });
+  if (gram) {
+    SymmetrizeFromUpper(&gram_);
+    gram_ready_ = true;
+  }
+  if (responses != nullptr) {
+    rhs_responses_ = *responses;
+    rhs_ready_ = true;
+  }
+}
+
+// The sides are keyed on the responses' bytes, so an alpha sweep over one Y
+// streams the rows for them once (with the Gram, on the first solve) and a
+// changed Y, even one edited in place, is never served stale sides.
+const Matrix& RidgeSolver::CenteredRhs(const Matrix& responses) {
+  const size_t bytes = sizeof(double) * static_cast<size_t>(responses.rows()) *
+                       static_cast<size_t>(responses.cols());
+  if (!rhs_ready_ || rhs_responses_.rows() != responses.rows() ||
+      rhs_responses_.cols() != responses.cols() ||
+      (bytes > 0 &&
+       std::memcmp(rhs_responses_.data(), responses.data(), bytes) != 0)) {
+    TraceSpan span("ridge.rhs_build");
+    StreamPrimal(/*gram=*/false, &responses);
+  }
+  return rhs_;
+}
+
 const Cholesky* RidgeSolver::FactorAt(double alpha) {
+  return Factor(alpha, nullptr);
+}
+
+const Cholesky* RidgeSolver::Factor(double alpha, const Matrix* responses) {
   SRDA_CHECK(binding_ != Binding::kOperator)
-      << "FactorAt needs a dense-, Gram-, or sharded-bound solver";
+      << "FactorAt needs a row- or Gram-bound solver";
   SRDA_CHECK_GE(alpha, 0.0) << "alpha must be non-negative";
   if (factor_ready_ && factor_alpha_ == alpha) {
     if (TraceEnabled()) RidgeMetrics().factor_hits->Increment();
@@ -133,7 +167,7 @@ const Cholesky* RidgeSolver::FactorAt(double alpha) {
     span.AddArg("alpha", alpha);
     RidgeMetrics().factor_misses->Increment();
   }
-  Matrix shifted = GramBase();
+  Matrix shifted = GramBase(responses);
   AddDiagonal(alpha, &shifted);
   factor_ok_ = chol_.Factor(shifted);
   factor_alpha_ = alpha;
@@ -142,8 +176,7 @@ const Cholesky* RidgeSolver::FactorAt(double alpha) {
 }
 
 RidgeSolver RidgeSolver::ExcludeRows(const std::vector<int>& rows) {
-  SRDA_CHECK(binding_ == Binding::kDense)
-      << "ExcludeRows needs a dense-bound parent";
+  SRDA_CHECK(x_ != nullptr) << "ExcludeRows needs a Matrix-bound parent";
   const int m = x_->rows();
   const int n = x_->cols();
   const int k = static_cast<int>(rows.size());
@@ -175,37 +208,21 @@ RidgeSolver RidgeSolver::ExcludeRows(const std::vector<int>& rows) {
   return child;
 }
 
-const LinearOperator* RidgeSolver::ResolveOperator() {
-  switch (binding_) {
-    case Binding::kDense:
-      if (dense_operator_ == nullptr) {
-        dense_operator_ = std::make_unique<DenseOperator>(x_);
-      }
-      return dense_operator_.get();
-    case Binding::kOperator:
-      return operator_;
-    case Binding::kSharded:
-      return sharded_operator_.get();
-    case Binding::kGram:
-      break;
-  }
-  SRDA_CHECK(false) << "no operator view of a Gram-bound solver";
-  return nullptr;
+const LinearOperator* RidgeSolver::RowsOperator() const {
+  SRDA_CHECK(binding_ != Binding::kGram)
+      << "no operator view of a Gram-bound solver";
+  return binding_ == Binding::kOperator ? operator_ : sharded_operator_.get();
 }
 
-// Dense rows — in RAM or streamed as dense shards — sum through the serial
-// ascending-row chain of ColumnMeans / ColumnSumsAccumulate, so the sharded
-// mean is bitwise identical to the in-RAM one; those are also the bits
-// A^T 1 / m through the operator gives. Only operator bindings and sparse
-// shards, which offer no dense rows, sum through the operator.
+// Dense rows sum through the serial ascending-row chain of
+// ColumnSumsAccumulate, the chain ColumnMeans runs on a whole matrix and
+// the bits A^T 1 / m through the operator gives. Only operator bindings and
+// sparse shards, which offer no dense rows, sum through the operator.
 const Vector& RidgeSolver::mean() {
   if (mean_ready_) return mean_;
-  SRDA_CHECK(binding_ != Binding::kGram)
-      << "column means need row-level data; Gram-bound solvers have no rows";
-  if (binding_ == Binding::kDense) {
-    mean_ = ColumnMeans(*x_);
-  } else if (binding_ == Binding::kSharded && !source_->sparse()) {
-    TraceSpan span("ridge.prepare_sharded");
+  const LinearOperator* data = RowsOperator();
+  TraceSpan span("ridge.mean");
+  if (binding_ == Binding::kRows && !source_->sparse()) {
     Vector sums(source_->cols());
     ForEachShard(source_, [&](const RowShard& shard) {
       ColumnSumsAccumulate(*shard.dense, &sums);
@@ -213,7 +230,6 @@ const Vector& RidgeSolver::mean() {
     Scale(1.0 / source_->rows(), &sums);
     mean_ = std::move(sums);
   } else {
-    const LinearOperator* data = ResolveOperator();
     mean_ = data->ApplyTransposedMulti(Matrix(data->rows(), 1, 1.0)).Col(0);
     Scale(1.0 / data->rows(), &mean_);
   }
@@ -222,7 +238,13 @@ const Vector& RidgeSolver::mean() {
 }
 
 const Matrix& RidgeSolver::centered() {
-  PrepareDense();
+  SRDA_CHECK(x_ != nullptr) << "centered() needs a Matrix-bound solver";
+  if (!centered_ready_) {
+    TraceSpan span("ridge.center");
+    centered_ = *x_;
+    SubtractRowVector(mean(), &centered_);
+    centered_ready_ = true;
+  }
   return centered_;
 }
 
@@ -233,13 +255,13 @@ RidgeSolution RidgeSolver::Solve(const Matrix& responses, double alpha,
   if (method == RidgeMethod::kAuto) {
     const bool streaming_only =
         binding_ == Binding::kOperator ||
-        (binding_ == Binding::kSharded && source_->sparse());
+        (binding_ == Binding::kRows && source_->sparse());
     method = streaming_only ? RidgeMethod::kLsqr
                             : RidgeMethod::kNormalEquations;
   }
   if (method == RidgeMethod::kNormalEquations) {
     SRDA_CHECK(binding_ != Binding::kOperator)
-        << "normal equations need dense or Gram-bound data";
+        << "normal equations need row- or Gram-bound data";
     if (binding_ == Binding::kGram) {
       SRDA_CHECK_EQ(responses.rows(), gram_.rows())
           << "response count mismatch";
@@ -254,15 +276,15 @@ RidgeSolution RidgeSolver::Solve(const Matrix& responses, double alpha,
     return SolveNormalEquations(responses, alpha);
   }
   SRDA_CHECK(binding_ != Binding::kGram)
-      << "LSQR needs dense- or operator-bound data";
+      << "LSQR needs row- or operator-bound data";
   return SolveLsqr(responses, alpha, options);
 }
 
-// Dense normal-equations path (Section III-C1): primal
-// (X̄ᵀX̄ + alpha I) A = X̄ᵀY, or the exact dual A = X̄ᵀ(X̄X̄ᵀ + alpha I)⁻¹Y
-// when the solver was sided that way. With responses orthogonal to the ones
-// vector, centering makes the optimal regression bias zero; the embedding
-// bias folds the mean back in as b = -meanᵀ a.
+// Normal-equations path (Section III-C1): primal (X̄ᵀX̄ + alpha I) A = X̄ᵀY,
+// or the exact dual A = X̄ᵀ(X̄X̄ᵀ + alpha I)⁻¹Y when the solver was sided
+// that way. With responses orthogonal to the ones vector, centering makes
+// the optimal regression bias zero; the embedding bias folds the mean back
+// in as b = -meanᵀ a.
 RidgeSolution RidgeSolver::SolveNormalEquations(const Matrix& responses,
                                                 double alpha) {
   TraceSpan span("ridge.solve_normal");
@@ -270,53 +292,23 @@ RidgeSolution RidgeSolver::SolveNormalEquations(const Matrix& responses,
     span.AddArg("rhs", static_cast<double>(responses.cols()));
     span.AddArg("alpha", alpha);
   }
-  if (binding_ == Binding::kSharded) {
-    PrepareSharded();
-    SRDA_CHECK_EQ(responses.rows(), source_->rows())
-        << "response count mismatch";
-    RidgeSolution solution;
-    const Cholesky* chol = FactorAt(alpha);
-    if (chol == nullptr) return solution;
-    // Right-hand sides X̄ᵀY streamed shard by shard: each block product
-    // continues the accumulator chains of MultiplyTransposedA on the
-    // concatenated centered matrix, so rhs — and hence the solve — is
-    // bitwise identical to the dense-bound path.
-    Matrix rhs(source_->cols(), responses.cols());
-    ForEachShard(source_, [&](const RowShard& shard) {
-      Matrix centered_shard = *shard.dense;
-      SubtractRowVector(mean_, &centered_shard);
-      MultiplyTransposedAAccumulate(
-          centered_shard,
-          responses.Block(shard.first_row, 0, shard.rows(), responses.cols()),
-          &rhs);
-    });
-    solution.coefficients = chol->SolveMatrix(rhs);
-    const int d = responses.cols();
-    solution.bias = Vector(d);
-    const Vector mean_projected =
-        MultiplyTransposed(solution.coefficients, mean_);
-    for (int j = 0; j < d; ++j) solution.bias[j] = -mean_projected[j];
-    solution.ok = true;
-    return solution;
-  }
-  PrepareDense();
-  SRDA_CHECK_EQ(responses.rows(), x_->rows()) << "response count mismatch";
+  SRDA_CHECK_EQ(responses.rows(), source_->rows())
+      << "response count mismatch";
   RidgeSolution solution;
-  const Cholesky* chol = FactorAt(alpha);
+  // A Gram built here also builds the primal sides in its pass.
+  const Cholesky* chol = Factor(alpha, use_primal_ ? &responses : nullptr);
   if (chol == nullptr) return solution;
-
   if (use_primal_) {
-    solution.coefficients =
-        chol->SolveMatrix(MultiplyTransposedA(centered_, responses));
+    solution.coefficients = chol->SolveMatrix(CenteredRhs(responses));
   } else {
     solution.coefficients =
-        MultiplyTransposedA(centered_, chol->SolveMatrix(responses));
+        MultiplyTransposedA(centered(), chol->SolveMatrix(responses));
   }
 
   const int d = responses.cols();
   solution.bias = Vector(d);
   const Vector mean_projected =
-      MultiplyTransposed(solution.coefficients, mean_);
+      MultiplyTransposed(solution.coefficients, mean());
   for (int j = 0; j < d; ++j) solution.bias[j] = -mean_projected[j];
   solution.ok = true;
   return solution;
@@ -332,11 +324,10 @@ RidgeSolution RidgeSolver::SolveLsqr(const Matrix& responses, double alpha,
     span.AddArg("alpha", alpha);
   }
   SRDA_CHECK_GT(options.lsqr_iterations, 0);
-  // For the sharded binding, one streaming pass over the shards per
-  // operator product; every product is bitwise identical to the in-RAM
-  // operator on the concatenated matrix, so the whole LSQR recurrence
-  // matches too.
-  const LinearOperator* data = ResolveOperator();
+  // For the rows binding, one streaming pass over the shards per operator
+  // product; no product's bits depend on the shard size, so neither do the
+  // LSQR recurrence's.
+  const LinearOperator* data = RowsOperator();
   SRDA_CHECK_EQ(responses.rows(), data->rows()) << "response count mismatch";
 
   const int n = data->cols();

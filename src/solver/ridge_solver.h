@@ -3,15 +3,17 @@
 // Theorem 1 of the paper reduces each discriminant variant to "spectral
 // responses + regularized least squares"; this layer owns that second step so
 // the trainers stop carrying private Gram/Cholesky/LSQR loops. A RidgeSolver
-// binds to one description of the data — a dense matrix, a matrix-free
-// LinearOperator, or a precomputed SPD Gram — and solves
+// binds to one description of the data — rows (a shard stream, of which an
+// in-RAM matrix is the one-shard case), a matrix-free LinearOperator, or a
+// precomputed SPD Gram — and solves
 //
 //   min_A ||X A - Y||^2 + alpha ||A||^2        (all responses at once)
 //
 // for any number of alphas. The expensive, alpha-independent work (column
-// means, centering, the Gram product X̄ᵀX̄ or X̄X̄ᵀ) is computed once and
-// cached inside the solver, so an alpha sweep pays only one Cholesky
-// refactorization per grid point (the paper's §III-C / Fig. 5 amortization).
+// means, the Gram product X̄ᵀX̄ or X̄X̄ᵀ, and X̄ᵀY for the last responses) is
+// computed once and cached inside the solver, so an alpha sweep pays only
+// one Cholesky refactorization and one triangular solve per grid point (the
+// paper's §III-C / Fig. 5 amortization).
 //
 // Determinism contract: every path reuses the repo's bitwise-deterministic
 // kernels, and the batched LSQR path gives each response exactly the bits
@@ -47,14 +49,14 @@ enum class RidgeBias {
 
 // Which solve algorithm Solve() runs.
 enum class RidgeMethod {
-  // Normal equations for dense-bound and Gram-bound solvers, LSQR for
-  // operator-bound ones.
+  // Normal equations for dense rows and Gram-bound solvers, LSQR for
+  // sparse rows and operator-bound ones.
   kAuto,
   kNormalEquations,
   kLsqr,
 };
 
-// Which Gram product a dense-bound solver caches for the normal equations.
+// Which Gram product a Matrix-bound solver caches for the normal equations.
 enum class GramSide {
   kAuto,    // primal n x n when n <= m, else the dual m x m (Eqn. 21)
   kPrimal,  // force X̄ᵀX̄ (RLDA needs the n x n scatter factor itself)
@@ -94,32 +96,33 @@ struct RidgeSolution {
 };
 
 // One instance per training-data binding. Solve() may be called repeatedly
-// with different alphas and responses; the Gram and the last Cholesky factor
-// are cached across calls. Movable but not copyable; not thread-safe (the
-// caches mutate). The bound matrix/operator is not owned and must outlive
-// the solver.
+// with different alphas and responses; the Gram, the last right-hand sides
+// X̄ᵀY and the last Cholesky factor are cached across calls. Movable but not
+// copyable; not thread-safe (the caches mutate). The bound
+// matrix/operator/source is not owned and must outlive the solver.
 class RidgeSolver {
  public:
-  // Binds dense data (rows are samples) with implicit centering. Normal
-  // equations by default; RidgeMethod::kLsqr runs the matrix-free path on
-  // the same data.
+  // Binds dense data (rows are samples) with implicit centering: the rows
+  // binding over one whole-matrix shard of *x, so in-RAM data takes the
+  // streamed path below with no copy. Normal equations by default;
+  // RidgeMethod::kLsqr runs the matrix-free path on the same rows. The
+  // dual m x m Gram (GramSide::kAuto with n > m) is the one in-RAM special
+  // case: it cannot stream row-wise, so it is built from X̄ = centered().
   explicit RidgeSolver(const Matrix* x, GramSide side = GramSide::kAuto);
 
   // Binds a matrix-free operator; Solve() always runs batched LSQR.
   explicit RidgeSolver(const LinearOperator* data,
                        RidgeBias bias = RidgeBias::kImplicitCentering);
 
-  // Binds an out-of-core shard stream. Dense shard sources solve by
+  // Binds a shard stream (the rows binding). Dense shard sources solve by
   // streamed normal equations: the column mean, the primal Gram X̄ᵀX̄, and
   // the right-hand sides X̄ᵀY accumulate shard by shard through the
-  // chain-continuing blas kernels, bitwise identical to a dense-bound
-  // solver on the concatenated matrix at any shard size (the dual m x m
-  // Gram cannot stream row-wise, so the side is always primal). Sparse
-  // shard sources solve by batched LSQR over a ShardedOperator — one
-  // streaming pass over the shards per iteration, bitwise identical to the
-  // operator-bound in-RAM path. RidgeMethod::kLsqr forces the streaming
-  // LSQR path for dense sources too. The source is not owned, must outlive
-  // the solver, and is exclusively cursored by it during Solve/FactorAt.
+  // chain-continuing blas kernels, so the bits do not depend on the shard
+  // size. Sparse shard sources solve by batched LSQR over a ShardedOperator,
+  // one streaming pass over the shards per iteration. RidgeMethod::kLsqr
+  // forces the streaming LSQR path for dense sources too. The source is not
+  // owned, must outlive the solver, and is exclusively cursored by it
+  // during Solve/FactorAt/mean.
   explicit RidgeSolver(RowShardSource* source);
 
   // Binds a precomputed SPD base matrix G; Solve() returns
@@ -132,7 +135,7 @@ class RidgeSolver {
   RidgeSolver(const RidgeSolver&) = delete;
   RidgeSolver& operator=(const RidgeSolver&) = delete;
 
-  // Returns a solver bound to an owned copy of this dense-bound solver's
+  // Returns a solver bound to an owned copy of this Matrix-bound solver's
   // data with the given rows (sorted ascending, unique, a strict subset)
   // held out, with GramSide::kAuto: exactly RidgeSolver(&kept_rows), so its
   // results are bitwise those of a fresh solver on that submatrix.
@@ -144,69 +147,77 @@ class RidgeSolver {
 
   // Cholesky factor of (base + alpha I) where base is the cached Gram.
   // Returns nullptr if the factorization fails; the factor is cached, so
-  // repeated calls at the same alpha are free. Dense- and Gram-bound
+  // repeated calls at the same alpha are free. Dense-row and Gram-bound
   // solvers only. The pointer is invalidated by the next FactorAt/Solve
   // with a different alpha.
   const Cholesky* FactorAt(double alpha);
 
-  // Column means of the bound data, cached: ColumnMeans for dense-bound
-  // solvers, one streaming pass for dense shards, A^T 1 / m through the
-  // operator for operator-bound solvers and sparse shards. Row-level
-  // bindings only. The LSQR path centers with this same vector.
+  // Column means of the bound data, cached: one ascending-row pass over
+  // dense shards, A^T 1 / m through the operator for sparse shards and
+  // operator-bound solvers. Row-level bindings only. The LSQR path centers
+  // with this same vector.
   const Vector& mean();
 
-  // The centered copy X̄ = X - 1 meanᵀ (dense-bound solvers only). RLDA
+  // The centered copy X̄ = X - 1 meanᵀ (Matrix-bound solvers only). RLDA
   // builds its class-sum matrix from this.
   const Matrix& centered();
 
  private:
-  enum class Binding { kDense, kOperator, kGram, kSharded };
+  enum class Binding { kRows, kOperator, kGram };
 
   RidgeSolver() = default;
 
-  void PrepareDense();
-  void PrepareSharded();
-  const Matrix& GramBase();
+  void BindRows(RowShardSource* source);
+  // FactorAt; a primal Gram built on the way also gets the sides X̄ᵀY for
+  // `responses` (when not null) in the same pass over the rows.
+  const Cholesky* Factor(double alpha, const Matrix* responses);
+  const Matrix& GramBase(const Matrix* responses);
+  void StreamPrimal(bool gram, const Matrix* responses);
+  // X̄ᵀY for `responses`, cached until the responses' bytes change.
+  const Matrix& CenteredRhs(const Matrix& responses);
   RidgeSolution SolveNormalEquations(const Matrix& responses, double alpha);
   RidgeSolution SolveLsqr(const Matrix& responses, double alpha,
                           const RidgeSolveOptions& options);
-  // The operator view of the bound data the LSQR path runs on
-  // (creates and caches the DenseOperator for dense bindings).
-  const LinearOperator* ResolveOperator();
+  // The operator view of the bound rows the LSQR path runs on.
+  const LinearOperator* RowsOperator() const;
 
   Binding binding_ = Binding::kGram;
-  const Matrix* x_ = nullptr;
   const LinearOperator* operator_ = nullptr;
-  // Sharded binding: the shard stream and its operator view (owned).
+  RidgeBias bias_mode_ = RidgeBias::kImplicitCentering;
+  // Rows binding: the shard stream and its operator view (owned).
   RowShardSource* source_ = nullptr;
   std::unique_ptr<ShardedOperator> sharded_operator_;
-  RidgeBias bias_mode_ = RidgeBias::kImplicitCentering;
-  GramSide side_ = GramSide::kAuto;
+  // Matrix-bound solvers: the caller's rows, for the dual Gram and
+  // centered(), and the whole-matrix source source_ points at (kept in a
+  // unique_ptr so moves don't invalidate the pointer).
+  const Matrix* x_ = nullptr;
+  std::unique_ptr<DenseMatrixShardSource> owned_source_;
+  // ExcludeRows: the owned copy of the kept rows that x_ points at.
+  std::unique_ptr<Matrix> owned_x_;
+  bool use_primal_ = true;
 
-  // Column means (every row-level binding) and the dense-binding caches,
+  // Column means (every row-level binding) and the centered copy X̄,
   // built on first use.
   bool mean_ready_ = false;
   Vector mean_;
-  bool dense_ready_ = false;
+  bool centered_ready_ = false;
   Matrix centered_;
-  bool use_primal_ = true;
 
   // The alpha-independent Gram base (X̄ᵀX̄, X̄X̄ᵀ, or the user's G).
   bool gram_ready_ = false;
   Matrix gram_;
+
+  // The alpha-independent right-hand sides X̄ᵀY of the primal normal
+  // equations, and a copy of the responses Y they were built from.
+  bool rhs_ready_ = false;
+  Matrix rhs_responses_;
+  Matrix rhs_;
 
   // Last Cholesky factor of (gram_ + alpha I).
   bool factor_ready_ = false;
   double factor_alpha_ = 0.0;
   bool factor_ok_ = false;
   Cholesky chol_;
-
-  // ExcludeRows: the owned copy of the kept rows that x_ points at (kept in
-  // a unique_ptr so moves don't invalidate the pointer).
-  std::unique_ptr<Matrix> owned_x_;
-
-  // LSQR-path cache: the operator view of dense data.
-  std::unique_ptr<DenseOperator> dense_operator_;
 };
 
 }  // namespace srda

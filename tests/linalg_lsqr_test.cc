@@ -15,6 +15,7 @@
 #include "linalg/sharded_operator.h"
 #include "matrix/blas.h"
 #include "sparse/sparse_matrix.h"
+#include "tests/dense_rows.h"
 
 namespace srda {
 namespace {
@@ -49,19 +50,6 @@ void ExpectAdjoint(const LinearOperator& op, const Matrix& x, const Matrix& y) {
   }
 }
 
-TEST(DenseOperatorTest, MatchesMatrixProducts) {
-  Rng rng(1);
-  const Matrix a = RandomMatrix(6, 4, &rng);
-  const DenseOperator op(&a);
-  EXPECT_EQ(op.rows(), 6);
-  EXPECT_EQ(op.cols(), 4);
-  const Matrix x = RandomMatrix(4, 3, &rng);
-  EXPECT_LT(MaxAbsDiff(op.ApplyMulti(x), Multiply(a, x)), 1e-14);
-  const Matrix y = RandomMatrix(6, 3, &rng);
-  EXPECT_LT(MaxAbsDiff(op.ApplyTransposedMulti(y), MultiplyTransposedA(a, y)),
-            1e-14);
-}
-
 TEST(SparseOperatorTest, MatchesSparseProducts) {
   SparseMatrixBuilder builder(3, 2);
   builder.Add(0, 0, 2.0);
@@ -80,7 +68,8 @@ TEST(SparseOperatorTest, MatchesSparseProducts) {
 TEST(AppendOnesColumnOperatorTest, AppendsBiasColumn) {
   Rng rng(2);
   const Matrix a = RandomMatrix(5, 3, &rng);
-  const DenseOperator base(&a);
+  const DenseRows base_rows(&a);
+  const LinearOperator& base = base_rows.op;
   const AppendOnesColumnOperator op(&base);
   EXPECT_EQ(op.cols(), 4);
   const Matrix y = op.ApplyMulti(Column(Vector{1.0, 2.0, 3.0, 10.0}));
@@ -92,7 +81,8 @@ TEST(AppendOnesColumnOperatorTest, AppendsBiasColumn) {
 TEST(AppendOnesColumnOperatorTest, TransposeSumsLastRow) {
   Rng rng(3);
   const Matrix a = RandomMatrix(4, 2, &rng);
-  const DenseOperator base(&a);
+  const DenseRows base_rows(&a);
+  const LinearOperator& base = base_rows.op;
   const AppendOnesColumnOperator op(&base);
   const Matrix x = op.ApplyTransposedMulti(Column(Vector{1.0, 2.0, 3.0, 4.0}));
   EXPECT_EQ(x.rows(), 3);
@@ -102,7 +92,8 @@ TEST(AppendOnesColumnOperatorTest, TransposeSumsLastRow) {
 TEST(AppendOnesColumnOperatorTest, AdjointIdentity) {
   Rng rng(4);
   const Matrix a = RandomMatrix(7, 5, &rng);
-  const DenseOperator base(&a);
+  const DenseRows base_rows(&a);
+  const LinearOperator& base = base_rows.op;
   const AppendOnesColumnOperator op(&base);
   const Matrix x = RandomMatrix(6, 3, &rng);
   const Matrix y = RandomMatrix(7, 3, &rng);
@@ -115,7 +106,8 @@ TEST(LsqrTest, SolvesConsistentSquareSystem) {
   Vector x_true(6);
   for (int i = 0; i < 6; ++i) x_true[i] = rng.NextGaussian();
   const Vector b = Multiply(a, x_true);
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   LsqrOptions options;
   options.max_iterations = 200;
   options.atol = 1e-12;
@@ -127,7 +119,8 @@ TEST(LsqrTest, SolvesConsistentSquareSystem) {
 TEST(LsqrTest, ZeroRhsGivesZeroSolution) {
   Rng rng(6);
   const Matrix a = RandomMatrix(4, 3, &rng);
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   const LsqrResult result = LsqrOneColumn(op, Vector(4));
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, 0);
@@ -146,7 +139,8 @@ TEST(LsqrTest, OverdeterminedMatchesNormalEquations) {
   const Vector reference =
       chol.SolveMatrix(Column(MultiplyTransposed(a, b))).Col(0);
 
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   LsqrOptions options;
   options.max_iterations = 100;
   const LsqrResult result = LsqrOneColumn(op, b, options);
@@ -167,7 +161,8 @@ TEST(LsqrTest, DampedMatchesRidgeNormalEquations) {
   const Vector reference =
       chol.SolveMatrix(Column(MultiplyTransposed(a, b))).Col(0);
 
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   LsqrOptions options;
   options.max_iterations = 200;
   options.damp = std::sqrt(alpha);  // damp^2 == alpha
@@ -191,7 +186,8 @@ TEST(LsqrTest, UnderdeterminedRidgeRegularized) {
   const Vector reference =
       chol.SolveMatrix(Column(MultiplyTransposed(a, b))).Col(0);
 
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   LsqrOptions options;
   options.max_iterations = 300;
   options.damp = std::sqrt(alpha);
@@ -217,7 +213,8 @@ TEST(LsqrTest, SparseOperatorPath) {
   LsqrOptions options;
   options.max_iterations = 150;
   const SparseOperator sparse_op(&sparse);
-  const DenseOperator dense_op(&dense);
+  const DenseRows dense_op_rows(&dense);
+  const LinearOperator& dense_op = dense_op_rows.op;
   const LsqrResult sparse_result = LsqrOneColumn(sparse_op, b, options);
   const LsqrResult dense_result = LsqrOneColumn(dense_op, b, options);
   EXPECT_LT(MaxAbsDiff(sparse_result.x, dense_result.x), 1e-9);
@@ -228,7 +225,8 @@ TEST(LsqrTest, IterationCapRespected) {
   const Matrix a = RandomMatrix(50, 40, &rng);
   Vector b(50);
   for (int i = 0; i < 50; ++i) b[i] = rng.NextGaussian();
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   LsqrOptions options;
   options.max_iterations = 5;
   options.atol = 0.0;
@@ -243,7 +241,8 @@ TEST(LsqrTest, ResidualNormEstimateAccurate) {
   const Matrix a = RandomMatrix(25, 8, &rng);
   Vector b(25);
   for (int i = 0; i < 25; ++i) b[i] = rng.NextGaussian();
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   LsqrOptions options;
   options.max_iterations = 100;
   const LsqrResult result = LsqrOneColumn(op, b, options);
@@ -264,7 +263,8 @@ TEST(LsqrTest, DampedResidualNormMatchesAugmentedSystem) {
   for (int i = 0; i < 25; ++i) b[i] = rng.NextGaussian();
   const double damp = 0.9;
 
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   LsqrOptions options;
   options.max_iterations = 100;
   options.damp = damp;
@@ -288,7 +288,8 @@ TEST(CenterColumnsOperatorTest, MatchesExplicitlyCenteredMatrix) {
   Matrix centered_dense = a;
   SubtractRowVector(mean, &centered_dense);
 
-  const DenseOperator base(&a);
+  const DenseRows base_rows(&a);
+  const LinearOperator& base = base_rows.op;
   const CenterColumnsOperator op(&base, &mean);
   EXPECT_EQ(op.rows(), 9);
   EXPECT_EQ(op.cols(), 5);
@@ -305,7 +306,8 @@ TEST(CenterColumnsOperatorTest, AdjointIdentity) {
   Rng rng(16);
   const Matrix a = RandomMatrix(8, 6, &rng);
   const Vector mean = ColumnMeans(a);
-  const DenseOperator base(&a);
+  const DenseRows base_rows(&a);
+  const LinearOperator& base = base_rows.op;
   const CenterColumnsOperator op(&base, &mean);
   const Matrix x = RandomMatrix(6, 3, &rng);
   const Matrix y = RandomMatrix(8, 3, &rng);
@@ -314,7 +316,8 @@ TEST(CenterColumnsOperatorTest, AdjointIdentity) {
 
 TEST(LsqrDeathTest, RhsSizeMismatchAborts) {
   const Matrix a(3, 2);
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   EXPECT_DEATH(LsqrOneColumn(op, Vector(2)), "size mismatch");
 }
 
@@ -332,7 +335,8 @@ TEST(LsqrTest, TwentyIterationsNearConvergedOnWellConditioned) {
   const Vector reference =
       chol.SolveMatrix(Column(MultiplyTransposed(a, b))).Col(0);
 
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   LsqrOptions options;
   options.max_iterations = 20;
   options.damp = 1.0;
@@ -400,12 +404,12 @@ TEST(OperatorContractTest, ColumnsIndependentOfTheirNeighbours) {
     for (int j = 0; j < dense.cols(); ++j) augmented(i, j) = dense(i, j);
   }
 
-  const DenseOperator dense_op(&dense);
+  // The dense case is sharded(dense, 150) below: one whole-matrix shard.
+  const DenseRows dense_rows(&dense);
   const SparseOperator sparse_op(&sparse);
   const CenterColumnsOperator center_op(&sparse_op, &sparse_mean);
-  const AppendOnesColumnOperator ones_op(&dense_op);
+  const AppendOnesColumnOperator ones_op(&dense_rows.op);
   std::vector<OperatorCase> cases = {
-      {"dense", &dense_op, &dense},
       {"sparse", &sparse_op, &sparse_dense},
       {"center_columns(sparse)", &center_op, &centered},
       {"append_ones(dense)", &ones_op, &augmented},

@@ -18,6 +18,7 @@
 #include "linalg/svd.h"
 #include "linalg/symmetric_eigen.h"
 #include "matrix/blas.h"
+#include "tests/dense_rows.h"
 
 namespace srda {
 namespace {
@@ -221,7 +222,8 @@ TEST(RobustnessTest, SrdaAbsurdFeatureScalesFailsCleanly) {
 
 TEST(RobustnessTest, LsqrOnZeroOperator) {
   const Matrix zero(5, 3);
-  const DenseOperator op(&zero);
+  const DenseRows op_rows(&zero);
+  const LinearOperator& op = op_rows.op;
   const Matrix b(5, 1, 1.0);
   const LsqrResult result = LsqrBatch(op, b)[0];
   EXPECT_TRUE(result.converged);
@@ -234,7 +236,8 @@ TEST(RobustnessTest, LsqrHugeDamping) {
   for (int i = 0; i < 10; ++i) {
     for (int j = 0; j < 4; ++j) a(i, j) = rng.NextGaussian();
   }
-  const DenseOperator op(&a);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
   Matrix b(10, 1);
   for (int i = 0; i < 10; ++i) b(i, 0) = rng.NextGaussian();
   LsqrOptions options;

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -98,19 +99,49 @@ std::vector<int> AdversarialShardSizes(int rows) {
   return sizes;
 }
 
-// --- ShardedOperator vs. the in-RAM operators, both block products. ---
+// --- ShardedOperator vs. the in-RAM kernels, both block products. ---
 
 TEST(ShardedOperatorTest, DenseProductsMatchAtEveryShardSize) {
   const Matrix x = RandomMatrix(37, 9, 1);
-  const DenseOperator reference(&x);
   const Matrix vm = RandomMatrix(9, 4, 4);
   const Matrix um = RandomMatrix(37, 4, 5);
+  const Matrix reference = Multiply(x, vm);
+  const Matrix reference_t = MultiplyTransposedA(x, um);
   for (int shard_rows : AdversarialShardSizes(37)) {
     DenseMatrixShardSource source(&x, shard_rows);
     ShardedOperator sharded(&source);
-    ExpectBitwiseEqual(reference.ApplyMulti(vm), sharded.ApplyMulti(vm));
-    ExpectBitwiseEqual(reference.ApplyTransposedMulti(um),
-                       sharded.ApplyTransposedMulti(um));
+    EXPECT_EQ(37, sharded.rows());
+    EXPECT_EQ(9, sharded.cols());
+    ExpectBitwiseEqual(reference, sharded.ApplyMulti(vm));
+    ExpectBitwiseEqual(reference_t, sharded.ApplyTransposedMulti(um));
+  }
+}
+
+// A source whose one shard covers every row hands out the caller's matrix
+// itself; smaller shards are private copies, valid until the next fetch.
+TEST(ShardedOperatorTest, WholeMatrixSourcesHandOutTheCallersMatrix) {
+  const Matrix x = RandomMatrix(12, 4, 2);
+  const SparseMatrix s = RandomSparse(12, 4, 3);
+  for (int shard_rows : {12, 13, 1000}) {
+    DenseMatrixShardSource dense(&x, shard_rows);
+    SparseMatrixShardSource sparse(&s, shard_rows);
+    RowShard shard;
+    ASSERT_TRUE(dense.Next(&shard));
+    EXPECT_EQ(&x, shard.dense);
+    EXPECT_FALSE(dense.Next(&shard));
+    ASSERT_TRUE(sparse.Next(&shard));
+    EXPECT_EQ(&s, shard.sparse);
+    EXPECT_FALSE(sparse.Next(&shard));
+  }
+  for (int shard_rows : {1, 5, 11}) {
+    DenseMatrixShardSource dense(&x, shard_rows);
+    SparseMatrixShardSource sparse(&s, shard_rows);
+    RowShard shard;
+    while (dense.Next(&shard)) {
+      EXPECT_NE(&x, shard.dense);
+      EXPECT_EQ(shard.dense->RowPtr(0)[0], x(shard.first_row, 0));
+    }
+    while (sparse.Next(&shard)) EXPECT_NE(&s, shard.sparse);
   }
 }
 
@@ -269,6 +300,79 @@ TEST(ShardedRidgeTest, NormalEquationsMatchDenseBitwise) {
     ExpectBitwiseEqual(reference.coefficients, solution.coefficients);
     ExpectBitwiseEqual(reference.bias, solution.bias);
   }
+}
+
+// A DenseMatrixShardSource that counts its passes (rewinds).
+class CountingShardSource final : public RowShardSource {
+ public:
+  CountingShardSource(const Matrix* matrix, int shard_rows)
+      : inner_(matrix, shard_rows) {}
+
+  int rows() const override { return inner_.rows(); }
+  int cols() const override { return inner_.cols(); }
+  bool sparse() const override { return false; }
+  void Reset() override {
+    ++passes_;
+    inner_.Reset();
+  }
+  bool Next(RowShard* shard) override { return inner_.Next(shard); }
+
+  int passes() const { return passes_; }
+
+ private:
+  DenseMatrixShardSource inner_;
+  int passes_ = 0;
+};
+
+// The cached X̄ᵀY is keyed on the responses' bytes: an alpha sweep over Y,
+// Y changed in place (same object, same alpha, so only the sides rebuild),
+// and Y restored must each give bitwise what a fresh solver gives, in RAM
+// (shard_rows 0 below) and over every shard size, at 1 and 4 threads. A
+// streamed solver reads its rows once for the mean, once for the Gram with
+// the first Y's sides, and once more only when Y's bytes change.
+TEST(ShardedRidgeTest, RhsCacheFollowsTheResponsesBytes) {
+  const Matrix x = RandomMatrix(31, 6, 30);
+  const Matrix original = RandomMatrix(31, 3, 31);
+  const int saved = GlobalThreadCount();
+  for (int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    for (int shard_rows : {0, 1, 5, 31}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", shard_rows " +
+                   std::to_string(shard_rows));
+      std::unique_ptr<CountingShardSource> source;
+      std::unique_ptr<RidgeSolver> solver;
+      if (shard_rows == 0) {
+        solver = std::make_unique<RidgeSolver>(&x);
+      } else {
+        source = std::make_unique<CountingShardSource>(&x, shard_rows);
+        solver = std::make_unique<RidgeSolver>(source.get());
+      }
+      Matrix y = original;
+      const auto expect_fresh = [&](double alpha) {
+        const RidgeSolution solution = solver->Solve(y, alpha);
+        RidgeSolver fresh(&x);
+        const RidgeSolution reference = fresh.Solve(y, alpha);
+        ASSERT_TRUE(solution.ok);
+        ASSERT_TRUE(reference.ok);
+        ExpectBitwiseEqual(reference.coefficients, solution.coefficients);
+        ExpectBitwiseEqual(reference.bias, solution.bias);
+      };
+      const auto expect_passes = [&](int passes) {
+        if (source != nullptr) {
+          EXPECT_EQ(passes, source->passes());
+        }
+      };
+      for (double alpha : {0.1, 10.0, 1.0}) expect_fresh(alpha);
+      expect_passes(2);
+      y(7, 1) += 0.5;
+      for (double alpha : {1.0, 0.3}) expect_fresh(alpha);
+      expect_passes(3);
+      y(7, 1) = original(7, 1);
+      for (double alpha : {0.3, 0.1}) expect_fresh(alpha);
+      expect_passes(4);
+    }
+  }
+  SetGlobalThreadCount(saved);
 }
 
 TEST(ShardedRidgeTest, MeanMatchesDenseBitwise) {

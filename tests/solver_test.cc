@@ -21,6 +21,7 @@
 #include "matrix/blas.h"
 #include "solver/ridge_solver.h"
 #include "sparse/sparse_matrix.h"
+#include "tests/dense_rows.h"
 #include "tests/serial_lsqr.h"
 
 namespace srda {
@@ -160,7 +161,8 @@ TEST(RidgeSolverTest, DualNormalEquationsMatchGoldenBitwise) {
 TEST(RidgeSolverTest, DenseLsqrMatchesGoldenBitwise) {
   const Matrix x = RandomMatrix(30, 14, 11);
   const Matrix responses = RandomMatrix(30, 3, 12);
-  const DenseOperator data(&x);
+  const DenseRows data_rows(&x);
+  const LinearOperator& data = data_rows.op;
   Matrix golden_projection;
   Vector golden_bias;
   int golden_iterations = 0;
@@ -257,7 +259,8 @@ TEST(LsqrBatchTest, MixedConvergenceMatchesSerial) {
   // logic: the batch must keep late columns running bitwise-identically
   // after early ones drop out.
   const Matrix dense = RandomMatrix(30, 10, 21);
-  const DenseOperator data(&dense);
+  const DenseRows data_rows(&dense);
+  const LinearOperator& data = data_rows.op;
   Matrix b = RandomMatrix(30, 3, 22);
   // Make column 0 exactly solvable (in the range of A) so it converges fast.
   const Vector seed_x = RandomMatrix(10, 1, 23).Col(0);

@@ -30,6 +30,7 @@
 // --metrics-out=FILE snapshots the metrics registry every
 // --metrics-interval seconds, as Prometheus text whatever the extension.
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -43,6 +44,7 @@
 #include "core/trainers.h"
 #include "io/dataset_io.h"
 #include "io/row_shard_reader.h"
+#include "linalg/sharded_operator.h"
 #include "model/codec.h"
 #include "model/model.h"
 #include "obs/exporter.h"
@@ -91,40 +93,35 @@ model::Provenance MakeProvenance(const std::string& algorithm, double alpha) {
   return provenance;
 }
 
-// Out-of-core training: SRDA through a RidgeSolver bound to the shard
-// stream (one pass per Gram/RHS build or LSQR iteration), then one more
-// pass embedding every shard into one m x (c-1) matrix, the size of the
-// response matrix the fit already held. Embedding rows are independent,
-// so BuildModel fits the same centroid head as the in-RAM path and the
-// model is bitwise identical at any shard size.
-model::SrdaModel TrainSharded(const std::string& data_path,
-                              RowStreamFormat stream_format, int shard_rows,
-                              double alpha, const std::string& solver,
-                              int lsqr_iterations, bool observe) {
-  RowShardReaderOptions reader_options;
-  reader_options.shard_rows = shard_rows;
-  RowShardReader reader(data_path, stream_format, reader_options);
-  std::cout << "streaming " << reader.rows() << " samples, " << reader.cols()
-            << " features, " << reader.num_classes()
-            << " classes in shards of " << shard_rows << " rows\n";
-
-  RidgeSolver ridge(&reader);
+// SRDA through a RidgeSolver bound to a row shard stream (one pass per
+// Gram/RHS build or LSQR iteration), then one more pass embedding every
+// shard into one m x (c-1) matrix, the size of the response matrix the fit
+// already held. Out-of-core files stream through a RowShardReader; in-RAM
+// LibSVM data is one whole-matrix shard. Embedding rows are independent,
+// so BuildModel fits the same centroid head, and the model is bitwise
+// identical, at any shard size.
+model::SrdaModel TrainSrdaOnRows(RowShardSource* source,
+                                 const std::vector<int>& labels,
+                                 int num_classes,
+                                 const std::vector<int>& raw_labels,
+                                 double alpha, const std::string& solver,
+                                 int lsqr_iterations, bool observe) {
+  RidgeSolver ridge(source);
   SrdaOptions options;
   options.alpha = alpha;
-  options.solver = reader.sparse() || solver == "lsqr"
+  options.solver = source->sparse() || solver == "lsqr"
                        ? SrdaSolver::kLsqr
                        : SrdaSolver::kNormalEquations;
   options.lsqr_iterations = lsqr_iterations;
-  const SrdaModel trained =
-      FitSrda(&ridge, reader.labels(), reader.num_classes(), options);
+  const SrdaModel trained = FitSrda(&ridge, labels, num_classes, options);
   SRDA_CHECK(trained.converged) << "SRDA training failed";
   if (observe) {
     PrintLsqrDiagnostics(trained.lsqr_diagnostics,
                          trained.total_lsqr_iterations);
   }
 
-  Matrix embedded(reader.rows(), trained.embedding.output_dim());
-  ForEachShard(&reader, [&](const RowShard& shard) {
+  Matrix embedded(source->rows(), trained.embedding.output_dim());
+  ForEachShard(source, [&](const RowShard& shard) {
     const Matrix part = shard.sparse != nullptr
                             ? trained.embedding.Transform(*shard.sparse)
                             : trained.embedding.Transform(*shard.dense);
@@ -132,12 +129,8 @@ model::SrdaModel TrainSharded(const std::string& data_path,
                 static_cast<size_t>(part.rows()) * part.cols() *
                     sizeof(double));
   });
-  std::cout << "streamed " << reader.bytes_streamed()
-            << " bytes total, peak shard " << reader.peak_shard_bytes()
-            << " bytes\n";
-  return model::BuildModel(trained.embedding, embedded, reader.labels(),
-                           reader.num_classes(), reader.raw_labels(),
-                           MakeProvenance("srda", alpha));
+  return model::BuildModel(trained.embedding, embedded, labels, num_classes,
+                           raw_labels, MakeProvenance("srda", alpha));
 }
 
 int Main(int argc, char** argv) {
@@ -199,8 +192,18 @@ int Main(int argc, char** argv) {
         format == "libsvm" ? RowStreamFormat::kLibSvm
         : format == "csv"  ? RowStreamFormat::kCsv
                            : RowStreamFormat::kBinary;
-    model = TrainSharded(data_path, stream_format, shard_rows, alpha, solver,
-                         lsqr_iterations, observe);
+    RowShardReaderOptions reader_options;
+    reader_options.shard_rows = shard_rows;
+    RowShardReader reader(data_path, stream_format, reader_options);
+    std::cout << "streaming " << reader.rows() << " samples, "
+              << reader.cols() << " features, " << reader.num_classes()
+              << " classes in shards of " << shard_rows << " rows\n";
+    model = TrainSrdaOnRows(&reader, reader.labels(), reader.num_classes(),
+                            reader.raw_labels(), alpha, solver,
+                            lsqr_iterations, observe);
+    std::cout << "streamed " << reader.bytes_streamed()
+              << " bytes total, peak shard " << reader.peak_shard_bytes()
+              << " bytes\n";
   } else if (format == "libsvm") {
     SRDA_CHECK(algorithm == "srda")
         << "sparse data supports --algorithm=srda only";
@@ -209,22 +212,11 @@ int Main(int argc, char** argv) {
               << dataset.features.cols() << " features ("
               << dataset.features.AvgNonZerosPerRow()
               << " nnz/sample), " << dataset.num_classes << " classes\n";
-    SrdaOptions options;
-    options.alpha = alpha;
-    options.solver = SrdaSolver::kLsqr;
-    options.lsqr_iterations = lsqr_iterations;
-    const SrdaModel trained = FitSrda(dataset.features, dataset.labels,
-                                      dataset.num_classes, options);
-    SRDA_CHECK(trained.converged) << "SRDA training failed";
-    if (observe) {
-      PrintLsqrDiagnostics(trained.lsqr_diagnostics,
-                           trained.total_lsqr_iterations);
-    }
-    model = model::BuildModel(trained.embedding,
-                              trained.embedding.Transform(dataset.features),
-                              dataset.labels, dataset.num_classes,
-                              dataset.raw_labels,
-                              MakeProvenance(algorithm, alpha));
+    SparseMatrixShardSource source(&dataset.features,
+                                   std::max(dataset.features.rows(), 1));
+    model = TrainSrdaOnRows(&source, dataset.labels, dataset.num_classes,
+                            dataset.raw_labels, alpha, solver,
+                            lsqr_iterations, observe);
   } else {
     const DenseDataset dataset = format == "binary"
                                      ? ReadDenseBinaryFile(data_path)
