@@ -50,6 +50,22 @@ void ExpectAdjoint(const LinearOperator& op, const Matrix& x, const Matrix& y) {
   }
 }
 
+// The dense operator view (a whole-matrix ShardedOperator) against the
+// in-RAM kernels.
+TEST(DenseOperatorTest, MatchesMatrixProducts) {
+  Rng rng(1);
+  const Matrix a = RandomMatrix(6, 4, &rng);
+  const DenseRows op_rows(&a);
+  const LinearOperator& op = op_rows.op;
+  EXPECT_EQ(op.rows(), 6);
+  EXPECT_EQ(op.cols(), 4);
+  const Matrix x = RandomMatrix(4, 3, &rng);
+  EXPECT_LT(MaxAbsDiff(op.ApplyMulti(x), Multiply(a, x)), 1e-14);
+  const Matrix y = RandomMatrix(6, 3, &rng);
+  EXPECT_LT(MaxAbsDiff(op.ApplyTransposedMulti(y), MultiplyTransposedA(a, y)),
+            1e-14);
+}
+
 TEST(SparseOperatorTest, MatchesSparseProducts) {
   SparseMatrixBuilder builder(3, 2);
   builder.Add(0, 0, 2.0);
