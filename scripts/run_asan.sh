@@ -1,9 +1,10 @@
 #!/bin/sh
 # Builds the LSQR, operator, solver, sharded and sparse test
 # binaries, plus the Cholesky/triangular-sweep, rank-1 update, eigen, SVD,
-# LDA, RLDA, IDR/QR, incremental, model-selection, determinism,
-# dataset-IO, model-codec, obs and serving tests, plus the SIMD dispatch
-# test, with AddressSanitizer and UndefinedBehaviorSanitizer
+# LDA, RLDA, IDR/QR, incremental, PCA/Fisherfaces, kernel, graph and
+# semi-supervised, model-selection, determinism, dataset-IO, model-codec,
+# obs and serving tests, plus the SIMD dispatch test, with
+# AddressSanitizer and UndefinedBehaviorSanitizer
 # (-DSRDA_SANITIZE=address builds both; any UB report aborts the binary),
 # and runs them with a multi-thread pool. Catches out-of-bounds reads and
 # writes, use-after-free, leaks and undefined behaviour (signed overflow,
@@ -23,7 +24,8 @@ TESTS="linalg_lsqr_test solver_test sharded_test core_srda_test
   sparse_test linalg_cholesky_test linalg_cholesky_update_test blocking_test
   linalg_eigen_test linalg_svd_test core_lda_test core_rlda_test
   core_idr_qr_test core_incremental_test select_test parallel_test
-  io_test model_test obs_test serving_test simd_test tools_integration_test"
+  io_test model_test obs_test serving_test simd_test tools_integration_test
+  graph_test kernel_test core_pca_test"
 
 cmake -B build-asan -S . -DSRDA_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

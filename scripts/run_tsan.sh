@@ -14,7 +14,7 @@ cmake --build build-tsan --target \
   blocking_test simd_test linalg_cholesky_test linalg_cholesky_update_test \
   solver_test obs_test io_test sharded_test classify_test \
   model_test serving_test linalg_eigen_test linalg_svd_test core_lda_test \
-  select_test
+  select_test graph_test kernel_test core_pca_test
 
 export SRDA_NUM_THREADS=4
 for t in parallel_test matrix_test sparse_test linalg_lsqr_test \
@@ -22,7 +22,7 @@ for t in parallel_test matrix_test sparse_test linalg_lsqr_test \
          linalg_cholesky_update_test solver_test obs_test io_test \
          sharded_test classify_test model_test \
          serving_test linalg_eigen_test linalg_svd_test core_lda_test \
-         select_test; do
+         select_test graph_test kernel_test core_pca_test; do
   echo "== TSan: $t =="
   ./build-tsan/tests/"$t" --gtest_filter='-*DeathTest*'
 done

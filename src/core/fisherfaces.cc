@@ -31,9 +31,7 @@ FisherfacesModel FitFisherfaces(const Matrix& x,
 
   // Stage 2: LDA in the PCA space.
   const Matrix reduced = pca.embedding.Transform(x);
-  LdaOptions lda_options;
-  lda_options.eigen_tolerance = options.eigen_tolerance;
-  const LdaModel lda = FitLda(reduced, labels, num_classes, lda_options);
+  const LdaModel lda = FitLda(reduced, labels, num_classes);
   if (!lda.converged) return model;
   model.num_directions = lda.num_directions;
 

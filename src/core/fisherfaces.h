@@ -20,8 +20,6 @@ struct FisherfacesOptions {
   // PCA components kept before LDA (0 = m - c, the classical choice that
   // makes the reduced within-class scatter nonsingular).
   int pca_components = 0;
-  // Forwarded to the LDA stage.
-  double eigen_tolerance = 1e-9;
 };
 
 struct FisherfacesModel {

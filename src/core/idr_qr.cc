@@ -10,11 +10,18 @@
 #include "matrix/blas.h"
 
 namespace srda {
+namespace {
+
+// Ridge added to the reduced within-class scatter before inversion.
+constexpr double kRegularization = 1e-8;
+// Eigenvalues at or below this are treated as zero.
+constexpr double kEigenTolerance = 1e-12;
+
+}  // namespace
 
 IdrQrModel FitIdrQr(const Matrix& x, const std::vector<int>& labels,
-                    int num_classes, const IdrQrOptions& options) {
+                    int num_classes) {
   SRDA_CHECK_GT(num_classes, 1) << "need at least two classes";
-  SRDA_CHECK_GE(options.regularization, 0.0);
   const int m = x.rows();
   const int n = x.cols();
   SRDA_CHECK_GE(n, num_classes) << "IDR/QR needs at least c features";
@@ -71,8 +78,7 @@ IdrQrModel FitIdrQr(const Matrix& x, const std::vector<int>& labels,
 
   // Stage 3: generalized eigenproblem S_b' v = lambda (S_w' + eps I) v via
   // Cholesky reduction to a standard symmetric problem.
-  AddDiagonal(options.regularization +
-                  1e-12 * (1.0 + std::fabs(sw_reduced(0, 0))),
+  AddDiagonal(kRegularization + 1e-12 * (1.0 + std::fabs(sw_reduced(0, 0))),
               &sw_reduced);
   Cholesky chol;
   if (!chol.Factor(sw_reduced)) {
@@ -95,7 +101,7 @@ IdrQrModel FitIdrQr(const Matrix& x, const std::vector<int>& labels,
 
   int num_directions = 0;
   for (int j = c - 1; j >= 0; --j) {
-    if (eigen.eigenvalues[j] <= options.eigen_tolerance) break;
+    if (eigen.eigenvalues[j] <= kEigenTolerance) break;
     if (num_directions == c - 1) break;
     ++num_directions;
   }

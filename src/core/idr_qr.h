@@ -17,13 +17,6 @@
 
 namespace srda {
 
-struct IdrQrOptions {
-  // Ridge added to the reduced within-class scatter before inversion.
-  double regularization = 1e-8;
-  // Eigenvalues at or below this are treated as zero.
-  double eigen_tolerance = 1e-12;
-};
-
 struct IdrQrModel {
   LinearEmbedding embedding;
   int num_directions = 0;
@@ -32,7 +25,7 @@ struct IdrQrModel {
 
 // Trains IDR/QR on dense data (rows are samples). Requires n >= c.
 IdrQrModel FitIdrQr(const Matrix& x, const std::vector<int>& labels,
-                    int num_classes, const IdrQrOptions& options = {});
+                    int num_classes);
 
 }  // namespace srda
 

@@ -9,6 +9,12 @@
 #include "solver/ridge_solver.h"
 
 namespace srda {
+namespace {
+
+// Small absolute ridge eps keeping the right-hand side positive definite.
+constexpr double kEpsilon = 1e-8;
+
+}  // namespace
 
 Matrix KdaModel::Transform(const Matrix& queries) const {
   SRDA_CHECK(converged_) << "Transform on an untrained KDA model";
@@ -23,7 +29,6 @@ KdaModel FitKda(const Matrix& x, const std::vector<int>& labels,
                 const KdaOptions& options) {
   SRDA_CHECK(kernel != nullptr) << "null kernel";
   SRDA_CHECK_GT(options.alpha, 0.0) << "KDA requires alpha > 0";
-  SRDA_CHECK_GT(options.epsilon, 0.0) << "KDA requires epsilon > 0";
   SRDA_CHECK_EQ(static_cast<int>(labels.size()), x.rows())
       << "label count mismatch";
 
@@ -46,7 +51,7 @@ KdaModel FitKda(const Matrix& x, const std::vector<int>& labels,
 
   // Numerator is (K Ybar)(K Ybar)^T with rank d = c-1: collapse to d x d.
   const Matrix m_block = Multiply(k, responses);  // m x d
-  RidgeSolution ridge = solver.Solve(m_block, options.epsilon);
+  RidgeSolution ridge = solver.Solve(m_block, kEpsilon);
   if (!ridge.ok) return model;
   const Matrix& solved = ridge.coefficients;  // N^{-1} (K Ybar)
   const Matrix small = MultiplyTransposedA(m_block, solved);  // d x d

@@ -24,8 +24,6 @@ namespace srda {
 struct KdaOptions {
   // Regularizer rho on the kernel scatter (rho * K term).
   double alpha = 0.01;
-  // Small absolute ridge keeping the right-hand side positive definite.
-  double epsilon = 1e-8;
 };
 
 // A trained exact-KDA model; same interface shape as KsrdaModel.

@@ -9,9 +9,22 @@
 #include "matrix/blas.h"
 
 namespace srda {
+namespace {
+
+// Relative truncation threshold for the data SVD (numerical rank of the
+// centered data matrix). The cross-product SVD resolves singular values
+// only down to ~sqrt(eps) * sigma_max ~ 1e-8, so this keeps a safe margin
+// above that floor; anything tighter lets pure round-off directions into
+// the basis, which the 1/sigma weighting then amplifies catastrophically.
+constexpr double kSvdRankTolerance = 1e-6;
+// Between-class eigenvalues at or below this are treated as zero; LDA
+// yields at most c-1 directions.
+constexpr double kEigenTolerance = 1e-9;
+
+}  // namespace
 
 LdaModel FitLda(const Matrix& x, const std::vector<int>& labels,
-                int num_classes, const LdaOptions& options) {
+                int num_classes) {
   SRDA_CHECK_GT(num_classes, 1) << "need at least two classes";
   const int m = x.rows();
   SRDA_CHECK_EQ(static_cast<int>(labels.size()), m) << "label count mismatch";
@@ -29,7 +42,7 @@ LdaModel FitLda(const Matrix& x, const std::vector<int>& labels,
   Matrix centered = x;
   SubtractRowVector(mean, &centered);
 
-  const SvdResult svd = ThinSvd(centered, options.svd_rank_tolerance);
+  const SvdResult svd = ThinSvd(centered, kSvdRankTolerance);
   model.data_rank = svd.rank;
   if (!svd.converged || svd.rank == 0) {
     model.converged = false;
@@ -65,7 +78,7 @@ LdaModel FitLda(const Matrix& x, const std::vector<int>& labels,
   // Keep eigenvalues above tolerance, at most c-1 of them, largest first.
   int num_directions = 0;
   for (int j = num_classes - 1; j >= 0; --j) {
-    if (eigen.eigenvalues[j] <= options.eigen_tolerance) break;
+    if (eigen.eigenvalues[j] <= kEigenTolerance) break;
     if (num_directions == num_classes - 1) break;
     ++num_directions;
   }

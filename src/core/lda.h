@@ -16,19 +16,6 @@
 
 namespace srda {
 
-struct LdaOptions {
-  // Relative truncation threshold for the data SVD (numerical rank of the
-  // centered data matrix). The cross-product SVD resolves singular values
-  // only down to ~sqrt(eps) * sigma_max ~ 1e-8, so the default keeps a safe
-  // margin above that floor; anything tighter lets pure round-off directions
-  // into the basis, which the 1/sigma weighting then amplifies
-  // catastrophically.
-  double svd_rank_tolerance = 1e-6;
-  // Between-class eigenvalues at or below this are treated as zero; LDA
-  // yields at most c-1 directions.
-  double eigen_tolerance = 1e-9;
-};
-
 struct LdaModel {
   LinearEmbedding embedding;
   // Numerical rank of the centered training data.
@@ -43,7 +30,7 @@ struct LdaModel {
 // a^T S_t a = lambda (whitened up to a sqrt(lambda) length, the
 // optimal-scoring-equivalent metric shared by all trainers here).
 LdaModel FitLda(const Matrix& x, const std::vector<int>& labels,
-                int num_classes, const LdaOptions& options = {});
+                int num_classes);
 
 }  // namespace srda
 

@@ -18,7 +18,8 @@ PcaModel FitPca(const Matrix& x, const PcaOptions& options) {
   Matrix centered = x;
   SubtractRowVector(mean, &centered);
 
-  const SvdResult svd = ThinSvd(centered, options.rank_tolerance);
+  // ThinSvd's default relative singular-value truncation threshold.
+  const SvdResult svd = ThinSvd(centered);
   if (!svd.converged) return model;
 
   // Explained variance of component k is sigma_k^2 / (m - 1).

@@ -20,8 +20,6 @@ struct PcaOptions {
   // Keep the smallest number of components explaining at least this fraction
   // of the total variance (applied after max_components; 1.0 disables).
   double variance_to_keep = 1.0;
-  // Relative singular-value truncation threshold.
-  double rank_tolerance = 1e-10;
 };
 
 struct PcaModel {

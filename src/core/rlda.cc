@@ -12,6 +12,9 @@
 namespace srda {
 namespace {
 
+// Eigenvalues at or below this are treated as zero.
+constexpr double kEigenTolerance = 1e-9;
+
 // Class-sum matrix Hd (c x n, S_b = Hd^T Hd) from the centered data.
 Matrix BuildClassSums(const Matrix& centered, const std::vector<int>& labels,
                       int num_classes, const std::vector<int>& counts) {
@@ -33,12 +36,11 @@ Matrix BuildClassSums(const Matrix& centered, const std::vector<int>& labels,
 }
 
 // Extracts the top eigenpairs (descending) above tolerance, at most c-1.
-int CountDirections(const SymmetricEigenResult& eigen, int num_classes,
-                    double tolerance) {
+int CountDirections(const SymmetricEigenResult& eigen, int num_classes) {
   const int size = eigen.eigenvalues.size();
   int num_directions = 0;
   for (int j = size - 1; j >= 0; --j) {
-    if (eigen.eigenvalues[j] <= tolerance) break;
+    if (eigen.eigenvalues[j] <= kEigenTolerance) break;
     if (num_directions == num_classes - 1) break;
     ++num_directions;
   }
@@ -89,8 +91,7 @@ RldaModel FitRlda(const Matrix& x, const std::vector<int>& labels,
       model.converged = false;
       return model;
     }
-    const int num_directions =
-        CountDirections(eigen, num_classes, options.eigen_tolerance);
+    const int num_directions = CountDirections(eigen, num_classes);
     model.num_directions = num_directions;
     projection = Matrix(n, num_directions);
     for (int d = 0; d < num_directions; ++d) {
@@ -114,8 +115,7 @@ RldaModel FitRlda(const Matrix& x, const std::vector<int>& labels,
       model.converged = false;
       return model;
     }
-    const int num_directions =
-        CountDirections(eigen, num_classes, options.eigen_tolerance);
+    const int num_directions = CountDirections(eigen, num_classes);
     model.num_directions = num_directions;
     // Top eigenvectors q, descending, then a = L^{-T} q for all of them in
     // one backward sweep.

@@ -26,8 +26,6 @@ struct RldaOptions {
   // accepted but reports converged == false when the scatter is
   // rank-deficient (same contract as SRDA).
   double alpha = 1.0;
-  // Eigenvalues at or below this are treated as zero.
-  double eigen_tolerance = 1e-9;
   // Collapse the eigenproblem to c x c using the low rank of S_b. Off by
   // default so timings reproduce the paper's RLDA cost profile.
   bool exploit_low_rank = false;

@@ -1,16 +1,32 @@
 #include "core/semi_supervised_srda.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
+#include "core/srda.h"
 #include "linalg/gram_schmidt.h"
-#include "linalg/linear_operator.h"
+#include "linalg/sharded_operator.h"
 #include "linalg/symmetric_eigen.h"
-#include "matrix/blas.h"
 #include "solver/ridge_solver.h"
 
 namespace srda {
 namespace {
+
+// Eigenvalues of the normalized graph at or below this are dropped.
+constexpr double kEigenTolerance = 1e-9;
+
+// The input checks both data layouts share; m is the sample count.
+void CheckInputs(int m, const std::vector<int>& labels, int num_classes,
+                 const SemiSupervisedSrdaOptions& options) {
+  SRDA_CHECK_GT(num_classes, 1) << "need at least two classes";
+  SRDA_CHECK_EQ(static_cast<int>(labels.size()), m) << "label count mismatch";
+  SRDA_CHECK_GT(m, 1) << "need at least two samples";
+  SRDA_CHECK_GE(options.alpha, 0.0) << "alpha must be non-negative";
+  SRDA_CHECK_GE(options.graph_weight, 0.0);
+  SRDA_CHECK_GT(options.lsqr_iterations, 0);
+}
 
 // The label-block graph of the paper's Eqn. 6, restricted to labeled
 // samples: w_ij = 1/m_k when i and j are both labeled with class k.
@@ -53,7 +69,7 @@ void AccumulateGraph(const SparseMatrix& affinity, double weight, Matrix* w) {
 // Spectral step shared by both data layouts: solves W y = lambda D y on the
 // combined graph and returns up to c-1 response vectors orthogonal to the
 // ones vector (empty matrix on failure).
-Matrix SpectralResponses(Matrix w, int num_classes, double eigen_tolerance) {
+Matrix SpectralResponses(Matrix w, int num_classes) {
   const int m = w.rows();
   Vector degrees(m);
   for (int i = 0; i < m; ++i) {
@@ -82,7 +98,7 @@ Matrix SpectralResponses(Matrix w, int num_classes, double eigen_tolerance) {
   for (int i = 0; i < m; ++i) responses(i, 0) = 1.0;  // ones first
   for (int r = 0; r < take; ++r) {
     const int src = m - 1 - r;
-    if (eigen.eigenvalues[src] <= eigen_tolerance) break;
+    if (eigen.eigenvalues[src] <= kEigenTolerance) break;
     for (int i = 0; i < m; ++i) {
       responses(i, r + 1) =
           eigen.eigenvectors(i, src) / std::sqrt(degrees[i]);
@@ -98,83 +114,64 @@ Matrix SpectralResponses(Matrix w, int num_classes, double eigen_tolerance) {
   return result;
 }
 
+// The spectral step on the combined graph `w`, then the regression step
+// through the solver bound to the samples — FitSrda's responses overload,
+// the one ridge objective every SRDA variant fits (bias undamped, Eq. 15).
+// A failed factorization — alpha == 0 on rank-deficient data with normal
+// equations — leaves converged == false.
+SemiSupervisedSrdaModel FitOnGraph(Matrix w, int num_classes,
+                                   RidgeSolver* solver, SrdaSolver method,
+                                   const SemiSupervisedSrdaOptions& options) {
+  SemiSupervisedSrdaModel model;
+  const Matrix responses = SpectralResponses(std::move(w), num_classes);
+  if (responses.cols() == 0) return model;
+  model.num_directions = responses.cols();
+
+  SrdaOptions srda_options;
+  srda_options.alpha = options.alpha;
+  srda_options.solver = method;
+  srda_options.lsqr_iterations = options.lsqr_iterations;
+  SrdaModel fit = FitSrda(solver, responses, srda_options);
+  if (!fit.converged) return model;
+  model.embedding = std::move(fit.embedding);
+  model.converged = true;
+  return model;
+}
+
 }  // namespace
 
 SemiSupervisedSrdaModel FitSemiSupervisedSrda(
     const Matrix& x, const std::vector<int>& labels, int num_classes,
     const SemiSupervisedSrdaOptions& options) {
-  const int m = x.rows();
-  SRDA_CHECK_GT(num_classes, 1) << "need at least two classes";
-  SRDA_CHECK_EQ(static_cast<int>(labels.size()), m) << "label count mismatch";
-  SRDA_CHECK_GT(m, 1) << "need at least two samples";
-  SRDA_CHECK_GE(options.alpha, 0.0) << "alpha must be non-negative";
-  SRDA_CHECK_GE(options.graph_weight, 0.0);
-
-  SemiSupervisedSrdaModel model;
-
+  CheckInputs(x.rows(), labels, num_classes, options);
   // Combined graph: label blocks + weighted kNN affinity.
   Matrix w = LabelGraph(labels, num_classes);
   if (options.graph_weight > 0.0) {
     AccumulateGraph(BuildKnnGraph(x, options.graph), options.graph_weight,
                     &w);
   }
-  const Matrix responses =
-      SpectralResponses(std::move(w), num_classes, options.eigen_tolerance);
-  if (responses.cols() == 0) return model;
-  model.num_directions = responses.cols();
-
-  // Regression step on implicitly centered data (identical to supervised
-  // SRDA's normal-equations path; the engine picks primal vs dual by shape).
-  // A failed factorization — alpha == 0 on rank-deficient data — leaves
-  // converged == false.
+  // Normal equations; the engine picks primal vs dual by shape.
   RidgeSolver solver(&x);
-  RidgeSolution solution = solver.Solve(responses, options.alpha);
-  if (!solution.ok) return model;
-
-  model.embedding = LinearEmbedding(std::move(solution.coefficients),
-                                    std::move(solution.bias));
-  model.converged = true;
-  return model;
+  return FitOnGraph(std::move(w), num_classes, &solver,
+                    SrdaSolver::kNormalEquations, options);
 }
 
 SemiSupervisedSrdaModel FitSemiSupervisedSrda(
     const SparseMatrix& x, const std::vector<int>& labels, int num_classes,
     const SemiSupervisedSrdaOptions& options) {
-  const int m = x.rows();
-  SRDA_CHECK_GT(num_classes, 1) << "need at least two classes";
-  SRDA_CHECK_EQ(static_cast<int>(labels.size()), m) << "label count mismatch";
-  SRDA_CHECK_GT(m, 1) << "need at least two samples";
-  SRDA_CHECK_GE(options.alpha, 0.0) << "alpha must be non-negative";
-  SRDA_CHECK_GE(options.graph_weight, 0.0);
-  SRDA_CHECK_GT(options.lsqr_iterations, 0);
-
-  SemiSupervisedSrdaModel model;
-
+  CheckInputs(x.rows(), labels, num_classes, options);
   Matrix w = LabelGraph(labels, num_classes);
   if (options.graph_weight > 0.0) {
     AccumulateGraph(BuildCosineKnnGraph(x, options.graph.num_neighbors),
                     options.graph_weight, &w);
   }
-  const Matrix responses =
-      SpectralResponses(std::move(w), num_classes, options.eigen_tolerance);
-  if (responses.cols() == 0) return model;
-  model.num_directions = responses.cols();
-
-  // Regression step by batched damped LSQR against [X 1]: bias absorbed,
-  // the sparse matrix never centered or densified (the paper's Section
-  // III-B trick), one matrix pass per iteration for all responses.
-  const SparseOperator data(&x);
-  RidgeSolver solver(&data, RidgeBias::kAugmentedOnes);
-  RidgeSolveOptions solve_options;
-  solve_options.lsqr_iterations = options.lsqr_iterations;
-  RidgeSolution solution =
-      solver.Solve(responses, options.alpha, solve_options);
-  SRDA_CHECK(solution.ok);
-
-  model.embedding = LinearEmbedding(std::move(solution.coefficients),
-                                    std::move(solution.bias));
-  model.converged = true;
-  return model;
+  // Batched LSQR over one whole-matrix shard of x (no copy), as
+  // FitSrda(const SparseMatrix&) binds it: the sparse matrix is never
+  // centered or densified.
+  SparseMatrixShardSource source(&x, x.rows());
+  RidgeSolver solver(&source);
+  return FitOnGraph(std::move(w), num_classes, &solver, SrdaSolver::kLsqr,
+                    options);
 }
 
 }  // namespace srda

@@ -5,8 +5,10 @@
 // labels (the class-block graph of Eqn. 6) and an unsupervised kNN affinity
 // graph over all samples (labeled and unlabeled), extract the top graph
 // embedding responses from the generalized eigenproblem W y = lambda D y,
-// and regress them onto the features with a ridge penalty — the same
-// regression step as supervised SRDA, so the cost stays linear.
+// and regress them onto the features with a ridge penalty — supervised
+// SRDA's regression step itself (FitSrda's responses overload), so the cost
+// stays linear and both data layouts fit one objective: implicitly centered
+// data with the bias left out of the penalty (the paper's Eq. 15).
 
 #ifndef SRDA_CORE_SEMI_SUPERVISED_SRDA_H_
 #define SRDA_CORE_SEMI_SUPERVISED_SRDA_H_
@@ -35,8 +37,6 @@ struct SemiSupervisedSrdaOptions {
   KnnGraphOptions graph;
   // LSQR budget for the sparse regression step.
   int lsqr_iterations = 20;
-  // Eigenvalues of the normalized graph at or below this are dropped.
-  double eigen_tolerance = 1e-9;
 };
 
 struct SemiSupervisedSrdaModel {
@@ -54,8 +54,9 @@ SemiSupervisedSrdaModel FitSemiSupervisedSrda(
     const SemiSupervisedSrdaOptions& options = {});
 
 // Sparse-data variant (text): cosine-similarity kNN graph, LSQR for the
-// regression step — the data is never densified or centered (same spectral
-// step cost caveat: m x m dense eigendecomposition).
+// regression step on the implicitly centered rows, bound like
+// FitSrda(const SparseMatrix&) — the data is never densified or explicitly
+// centered (same spectral step cost caveat: m x m dense eigendecomposition).
 SemiSupervisedSrdaModel FitSemiSupervisedSrda(
     const SparseMatrix& x, const std::vector<int>& labels, int num_classes,
     const SemiSupervisedSrdaOptions& options = {});

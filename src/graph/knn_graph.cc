@@ -13,7 +13,6 @@ SparseMatrix BuildKnnGraph(const Matrix& x, const KnnGraphOptions& options) {
   const int m = x.rows();
   SRDA_CHECK_GT(m, 1) << "graph needs at least two samples";
   SRDA_CHECK_GT(options.num_neighbors, 0);
-  SRDA_CHECK_GE(options.heat_bandwidth, 0.0);
   const int k = std::min(options.num_neighbors, m - 1);
 
   // All pairwise squared distances, then per-row k smallest.
@@ -47,11 +46,9 @@ SparseMatrix BuildKnnGraph(const Matrix& x, const KnnGraphOptions& options) {
     }
   }
 
-  double bandwidth = options.heat_bandwidth;
-  if (bandwidth == 0.0) {
-    bandwidth = knn_distance_sum / std::max(knn_distance_count, 1);
-    if (bandwidth == 0.0) bandwidth = 1.0;  // All points identical.
-  }
+  // Heat-kernel bandwidth: the mean kNN distance.
+  double bandwidth = knn_distance_sum / std::max(knn_distance_count, 1);
+  if (bandwidth == 0.0) bandwidth = 1.0;  // All points identical.
   const double inv_two_bw_sq = 1.0 / (2.0 * bandwidth * bandwidth);
 
   // Symmetrize: w_ij = max over both directions (duplicates are summed by

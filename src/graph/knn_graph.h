@@ -17,14 +17,13 @@ namespace srda {
 
 enum class GraphWeightScheme {
   kBinary,      // w_ij = 1 for neighbors
-  kHeatKernel,  // w_ij = exp(-||x_i - x_j||^2 / (2 t^2))
+  // w_ij = exp(-||x_i - x_j||^2 / (2 t^2)), t the mean kNN distance
+  kHeatKernel,
 };
 
 struct KnnGraphOptions {
   int num_neighbors = 5;
   GraphWeightScheme weights = GraphWeightScheme::kHeatKernel;
-  // Heat-kernel bandwidth; 0 selects the mean kNN distance automatically.
-  double heat_bandwidth = 0.0;
 };
 
 // Builds the symmetrized kNN affinity graph over the rows of `x`:

@@ -69,43 +69,4 @@ Matrix CenterColumnsOperator::ApplyTransposedMulti(const Matrix& x) const {
   return y;
 }
 
-AppendOnesColumnOperator::AppendOnesColumnOperator(const LinearOperator* base)
-    : base_(base) {
-  SRDA_CHECK(base != nullptr);
-}
-
-int AppendOnesColumnOperator::rows() const { return base_->rows(); }
-int AppendOnesColumnOperator::cols() const { return base_->cols() + 1; }
-
-Matrix AppendOnesColumnOperator::ApplyMulti(const Matrix& x) const {
-  SRDA_CHECK_EQ(x.rows(), cols()) << "[A 1]*X shape mismatch";
-  const int d = x.cols();
-  const Matrix base_x = x.Block(0, 0, base_->cols(), d);
-  const double* bias = x.RowPtr(base_->cols());
-  Matrix y = base_->ApplyMulti(base_x);
-  for (int i = 0; i < y.rows(); ++i) {
-    double* yrow = y.RowPtr(i);
-    for (int j = 0; j < d; ++j) yrow[j] += bias[j];
-  }
-  return y;
-}
-
-Matrix AppendOnesColumnOperator::ApplyTransposedMulti(const Matrix& x) const {
-  SRDA_CHECK_EQ(x.rows(), rows()) << "[A 1]^T*X shape mismatch";
-  const int d = x.cols();
-  const Matrix base_y = base_->ApplyTransposedMulti(x);
-  Matrix y(cols(), d);
-  for (int j2 = 0; j2 < base_y.rows(); ++j2) {
-    const double* src = base_y.RowPtr(j2);
-    double* dst = y.RowPtr(j2);
-    for (int j = 0; j < d; ++j) dst[j] = src[j];
-  }
-  double* last = y.RowPtr(base_->cols());
-  for (int i = 0; i < x.rows(); ++i) {
-    const double* xrow = x.RowPtr(i);
-    for (int j = 0; j < d; ++j) last[j] += xrow[j];
-  }
-  return y;
-}
-
 }  // namespace srda

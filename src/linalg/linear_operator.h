@@ -3,9 +3,8 @@
 // LSQR (and any other iterative solver) only needs the two products A*X and
 // A^T*Y. Expressing that as an interface lets the same solver run on row
 // shard streams (linalg/sharded_operator.h, in RAM or out of core), CSR
-// matrices, and the paper's "append a constant 1 feature" bias-absorption
-// trick (Section III-B) without ever materializing an augmented or centered
-// matrix.
+// matrices, and implicitly centered data without ever materializing a
+// centered matrix.
 
 #ifndef SRDA_LINALG_LINEAR_OPERATOR_H_
 #define SRDA_LINALG_LINEAR_OPERATOR_H_
@@ -73,25 +72,6 @@ class CenterColumnsOperator final : public LinearOperator {
  private:
   const LinearOperator* base_;
   const Vector* mean_;
-};
-
-// Augments a base operator with one trailing all-ones column: [A 1]. This is
-// the paper's trick for absorbing the regression bias so sparse data never
-// needs explicit centering — note that combining it with LSQR damping also
-// (incorrectly, w.r.t. Eq. 15) penalizes the bias coefficient; prefer
-// CenterColumnsOperator when the right-hand sides are mean-free. The base
-// operator is not owned.
-class AppendOnesColumnOperator final : public LinearOperator {
- public:
-  explicit AppendOnesColumnOperator(const LinearOperator* base);
-
-  int rows() const override;
-  int cols() const override;  // base->cols() + 1
-  Matrix ApplyMulti(const Matrix& x) const override;
-  Matrix ApplyTransposedMulti(const Matrix& x) const override;
-
- private:
-  const LinearOperator* base_;
 };
 
 }  // namespace srda

@@ -201,6 +201,17 @@ char SniffFirstByte(const std::string& path) {
                                                                       : 'T';
 }
 
+// The codec `path` holds, by magic. Aborts if the file opens but matches no
+// known format.
+Codec DetectCodec(const std::string& path) {
+  if (SniffFirstByte(path) == 'B') return Codec::kBinary;
+  std::ifstream in(path);
+  std::string magic;
+  SRDA_CHECK(static_cast<bool>(in >> magic) && magic == kTextMagic)
+      << path << ": not an srda model file";
+  return Codec::kText;
+}
+
 }  // namespace
 
 void SaveText(const SrdaModel& m, const std::string& path) {
@@ -351,15 +362,6 @@ void SaveBinary(const SrdaModel& m, const std::string& path) {
 SrdaModel LoadBinary(const std::string& path) {
   const std::vector<unsigned char> buffer = SlurpFile(path);
   return ParseBinary(buffer.data(), static_cast<int64_t>(buffer.size()), path);
-}
-
-Codec DetectCodec(const std::string& path) {
-  if (SniffFirstByte(path) == 'B') return Codec::kBinary;
-  std::ifstream in(path);
-  std::string magic;
-  SRDA_CHECK(static_cast<bool>(in >> magic) && magic == kTextMagic)
-      << path << ": not an srda model file";
-  return Codec::kText;
 }
 
 void Save(const SrdaModel& m, const std::string& path, Codec codec) {

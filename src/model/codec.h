@@ -44,11 +44,7 @@ void Save(const SrdaModel& m, const std::string& path, Codec codec);
 // Anything else aborts with the path.
 SrdaModel Load(const std::string& path);
 
-// The codec `path` holds, by magic. Aborts if the file opens but matches no
-// known format.
-Codec DetectCodec(const std::string& path);
-
-// Codec-explicit entry points (Load/DetectCodec are the normal interface).
+// Codec-explicit entry points (Save/Load are the normal interface).
 void SaveText(const SrdaModel& m, const std::string& path);
 void SaveBinary(const SrdaModel& m, const std::string& path);
 SrdaModel LoadText(const std::string& path);

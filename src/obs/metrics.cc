@@ -360,11 +360,6 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
   return rows;
 }
 
-std::vector<WindowedMetricSnapshot> MetricsRegistry::WindowedSnapshot(
-    int window_s) const {
-  return WindowedSnapshotAt(window_s, obs::EpochSeconds());
-}
-
 std::vector<WindowedMetricSnapshot> MetricsRegistry::WindowedSnapshotAt(
     int window_s, int64_t now_s) const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -131,11 +131,11 @@ class Histogram {
 };
 
 // Sliding-window counter: a ring of per-second slots. Add() lands in the
-// slot of the current epoch second; SumOver(window_s) folds the slots whose
-// second lies in (now - window_s, now], so stale slots age out without a
-// sweeper thread. Adding is one relaxed atomic add once the slot is
-// current; the first touch of a new second recycles the slot behind a CAS
-// claim (concurrent adders briefly spin on the claim, never block).
+// slot of the current epoch second; SumOverAt(window_s, now_s) folds the
+// slots whose second lies in (now - window_s, now], so stale slots age out
+// without a sweeper thread. Adding is one relaxed atomic add once the slot
+// is current; the first touch of a new second recycles the slot behind a
+// CAS claim (concurrent adders briefly spin on the claim, never block).
 // Windows longer than kMaxWindowSeconds are clamped.
 class WindowedCounter {
  public:
@@ -149,17 +149,12 @@ class WindowedCounter {
   // Test seam: observe as-of an explicit epoch second.
   void AddAt(int64_t epoch_s, double delta);
 
-  // Sum of observations in the trailing `window_s` seconds (including the
-  // in-progress second). 0 when nothing was observed in the window.
-  double SumOver(int window_s) const {
-    return SumOverAt(window_s, obs::EpochSeconds());
-  }
+  // Sum of observations in the trailing `window_s` seconds as of epoch
+  // second `now_s` (including that second). 0 when nothing was observed in
+  // the window.
   double SumOverAt(int window_s, int64_t now_s) const;
 
-  // Observations per second over the window: SumOver / window_s.
-  double RateOver(int window_s) const {
-    return RateOverAt(window_s, obs::EpochSeconds());
-  }
+  // Observations per second over the window: SumOverAt / window_s.
   double RateOverAt(int window_s, int64_t now_s) const;
 
   void Reset();
@@ -177,11 +172,11 @@ class WindowedCounter {
 };
 
 // Sliding-window histogram: per-second slots each holding Histogram's
-// bucket layout, merged at query time so CountOver / QuantileOver report
-// the distribution of the trailing window_s seconds only. QuantileOver
-// runs Histogram::ApproxQuantile's walk over the merged buckets, so the
-// two views answer identically on the same observations (and the empty
-// window gives quiet NaN).
+// bucket layout, merged at query time so CountOverAt / QuantileOverAt
+// report the distribution of the trailing window_s seconds only.
+// QuantileOverAt runs Histogram::ApproxQuantile's walk over the merged
+// buckets, so the two views answer identically on the same observations
+// (and the empty window gives quiet NaN).
 class WindowedHistogram {
  public:
   static constexpr int kSlots = 128;
@@ -191,17 +186,8 @@ class WindowedHistogram {
   void Observe(double value) { ObserveAt(obs::EpochSeconds(), value); }
   void ObserveAt(int64_t epoch_s, double value);
 
-  int64_t CountOver(int window_s) const {
-    return CountOverAt(window_s, obs::EpochSeconds());
-  }
   int64_t CountOverAt(int window_s, int64_t now_s) const;
-  double SumOver(int window_s) const {
-    return SumOverAt(window_s, obs::EpochSeconds());
-  }
   double SumOverAt(int window_s, int64_t now_s) const;
-  double QuantileOver(int window_s, double q) const {
-    return QuantileOverAt(window_s, q, obs::EpochSeconds());
-  }
   double QuantileOverAt(int window_s, double q, int64_t now_s) const;
 
   void Reset();
@@ -274,9 +260,8 @@ class MetricsRegistry {
   std::vector<MetricSnapshot> Snapshot() const;
   void Print(std::ostream& os) const;
 
-  // Trailing-window view of every windowed instrument, sorted by name.
-  // The *At overload injects the clock for tests.
-  std::vector<WindowedMetricSnapshot> WindowedSnapshot(int window_s) const;
+  // Trailing-window view of every windowed instrument as of epoch second
+  // `now_s`, sorted by name.
   std::vector<WindowedMetricSnapshot> WindowedSnapshotAt(int window_s,
                                                          int64_t now_s) const;
 

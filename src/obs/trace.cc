@@ -72,7 +72,6 @@ TraceRecorder::ThreadBuffer* TraceRecorder::LocalBuffer() {
       std::lock_guard<std::mutex> lock(mutex_);
       owner.buffer.tid = next_tid_++;
       buffers_.push_back(&owner.buffer);
-      ++buffers_ever_;
     }
     tls_owner = &owner;
   }
@@ -130,11 +129,6 @@ std::vector<TraceEvent> TraceRecorder::Collect() {
 
 int64_t TraceRecorder::EventCount() {
   return static_cast<int64_t>(Collect().size());
-}
-
-int TraceRecorder::ThreadBufferCount() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return buffers_ever_;
 }
 
 void TraceRecorder::WriteJson(std::ostream& os) {

@@ -69,9 +69,8 @@ class TraceRecorder {
   void WriteJson(std::ostream& os);
   bool WriteJsonFile(const std::string& path);
 
-  // Totals for tests: events recorded and thread buffers ever registered.
+  // Total events recorded, for tests.
   int64_t EventCount();
-  int ThreadBufferCount();
 
   // Nanoseconds since the recorder epoch (steady clock).
   int64_t NowNs() const {
@@ -108,7 +107,6 @@ class TraceRecorder {
   std::vector<ThreadBuffer*> buffers_;            // live threads
   std::vector<std::vector<TraceEvent>> retired_;  // from exited threads
   int next_tid_ = 0;
-  int buffers_ever_ = 0;
 };
 
 // True when SRDA_TRACE (or SetEnabled) turned tracing on. One relaxed load.

@@ -53,11 +53,10 @@ RidgeSolver::RidgeSolver(const Matrix* x, GramSide side) {
   use_primal_ = side == GramSide::kPrimal || x->cols() <= x->rows();
 }
 
-RidgeSolver::RidgeSolver(const LinearOperator* data, RidgeBias bias) {
+RidgeSolver::RidgeSolver(const LinearOperator* data, RidgeBias /*bias*/) {
   SRDA_CHECK(data != nullptr);
   binding_ = Binding::kOperator;
   operator_ = data;
-  bias_mode_ = bias;
 }
 
 RidgeSolver::RidgeSolver(RowShardSource* source) {
@@ -341,26 +340,18 @@ RidgeSolution RidgeSolver::SolveLsqr(const Matrix& responses, double alpha,
 
   RidgeSolution solution;
   solution.coefficients = Matrix(n, d);
-
-  std::vector<LsqrResult> results;
   solution.bias = Vector(d);
-  if (bias_mode_ == RidgeBias::kImplicitCentering) {
-    const Vector& column_mean = mean();
-    const CenterColumnsOperator centered(data, &column_mean);
-    results = LsqrBatch(centered, responses, lsqr_options);
-    for (int j = 0; j < d; ++j) {
-      const LsqrResult& result = results[static_cast<size_t>(j)];
-      for (int i = 0; i < n; ++i) solution.coefficients(i, j) = result.x[i];
-      solution.bias[j] = -Dot(column_mean, result.x);
-    }
-  } else {
-    const AppendOnesColumnOperator augmented(data);
-    results = LsqrBatch(augmented, responses, lsqr_options);
-    for (int j = 0; j < d; ++j) {
-      const LsqrResult& result = results[static_cast<size_t>(j)];
-      for (int i = 0; i < n; ++i) solution.coefficients(i, j) = result.x[i];
-      solution.bias[j] = result.x[n];
-    }
+
+  // The implicitly centered operator keeps the bias out of the damping
+  // (Eq. 15); b = -meanᵀ a folds the mean back in.
+  const Vector& column_mean = mean();
+  const CenterColumnsOperator centered(data, &column_mean);
+  const std::vector<LsqrResult> results =
+      LsqrBatch(centered, responses, lsqr_options);
+  for (int j = 0; j < d; ++j) {
+    const LsqrResult& result = results[static_cast<size_t>(j)];
+    for (int i = 0; i < n; ++i) solution.coefficients(i, j) = result.x[i];
+    solution.bias[j] = -Dot(column_mean, result.x);
   }
 
   solution.lsqr.reserve(static_cast<size_t>(d));

@@ -39,12 +39,9 @@ namespace srda {
 enum class RidgeBias {
   // Solve on the implicitly centered data (A - 1 meanᵀ) and recover
   // b = -meanᵀ a. This keeps the bias out of the ridge penalty — the
-  // paper's Eq. 15 convention — and is what SRDA uses on both paths.
+  // paper's Eq. 15 convention — and is the one objective every binding
+  // solves.
   kImplicitCentering,
-  // Solve on [A 1]; the bias is the trailing coefficient. Kept for the
-  // semi-supervised sparse path (note the damping then also penalizes the
-  // bias, which kImplicitCentering avoids).
-  kAugmentedOnes,
 };
 
 // Which solve algorithm Solve() runs.
@@ -110,7 +107,8 @@ class RidgeSolver {
   // case: it cannot stream row-wise, so it is built from X̄ = centered().
   explicit RidgeSolver(const Matrix* x, GramSide side = GramSide::kAuto);
 
-  // Binds a matrix-free operator; Solve() always runs batched LSQR.
+  // Binds a matrix-free operator; Solve() always runs batched LSQR on the
+  // implicitly centered operator. `bias` has the one value above.
   explicit RidgeSolver(const LinearOperator* data,
                        RidgeBias bias = RidgeBias::kImplicitCentering);
 
@@ -183,7 +181,6 @@ class RidgeSolver {
 
   Binding binding_ = Binding::kGram;
   const LinearOperator* operator_ = nullptr;
-  RidgeBias bias_mode_ = RidgeBias::kImplicitCentering;
   // Rows binding: the shard stream and its operator view (owned).
   RowShardSource* source_ = nullptr;
   std::unique_ptr<ShardedOperator> sharded_operator_;

@@ -378,6 +378,38 @@ TEST(SrdaDeathTest, LabelMismatchAborts) {
   EXPECT_DEATH(FitSrda(x, {0, 1}, 2), "label count");
 }
 
+// The responses overload checks the row count on every binding: the rows
+// binding on both solvers, and the Gram binding.
+TEST(SrdaDeathTest, ResponsesOverloadRejectsWrongRowCount) {
+  Rng rng(31);
+  Matrix x(6, 3);
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 3; ++j) x(i, j) = rng.NextGaussian();
+  }
+  const Matrix responses(5, 1, 1.0);
+  SrdaOptions options;
+  EXPECT_DEATH(
+      {
+        RidgeSolver solver(&x);
+        FitSrda(&solver, responses, options);
+      },
+      "response count mismatch");
+  options.solver = SrdaSolver::kLsqr;
+  EXPECT_DEATH(
+      {
+        RidgeSolver solver(&x);
+        FitSrda(&solver, responses, options);
+      },
+      "response count mismatch");
+  options.solver = SrdaSolver::kNormalEquations;
+  EXPECT_DEATH(
+      {
+        RidgeSolver solver = RidgeSolver::FromGram(Gram(x));
+        FitSrda(&solver, Matrix(6, 1, 1.0), options);
+      },
+      "response count mismatch");
+}
+
 // Property sweep: SRDA solves the ridge normal equations on centered data
 // (primal path), verified directly.
 class SrdaNormalEquationTest : public ::testing::TestWithParam<int> {};

@@ -1,10 +1,12 @@
 // Tests for the kNN affinity graph and semi-supervised SRDA.
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "classify/classifiers.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/semi_supervised_srda.h"
 #include "core/srda.h"
@@ -277,6 +279,90 @@ TEST(SemiSupervisedSrdaTest, UnlabeledDataImprovesFewLabelCase) {
       truth);
 
   EXPECT_LE(semi_error, supervised_error + 0.05);
+}
+
+// Random sparse rows (~30% density) over three classes; every fourth
+// sample is unlabeled.
+void MakeSparseSemiSupervised(int rows, int cols, uint64_t seed,
+                              SparseMatrix* x, std::vector<int>* labels) {
+  Rng rng(seed);
+  SparseMatrixBuilder builder(rows, cols);
+  labels->clear();
+  for (int i = 0; i < rows; ++i) {
+    const int label = i % 3;
+    for (int j = 0; j < cols; ++j) {
+      if (rng.NextDouble() < 0.3) {
+        builder.Add(i, j, rng.NextGaussian() + (j % 3 == label ? 1.5 : 0.0));
+      }
+    }
+    labels->push_back(i % 4 == 3 ? kUnlabeled : label);
+  }
+  *x = std::move(builder).Build();
+}
+
+bool BitwiseEqual(const LinearEmbedding& a, const LinearEmbedding& b) {
+  const Matrix& pa = a.projection();
+  const Matrix& pb = b.projection();
+  if (pa.rows() != pb.rows() || pa.cols() != pb.cols() ||
+      a.bias().size() != b.bias().size()) {
+    return false;
+  }
+  return std::memcmp(pa.data(), pb.data(),
+                     sizeof(double) * pa.rows() * pa.cols()) == 0 &&
+         std::memcmp(a.bias().data(), b.bias().data(),
+                     sizeof(double) * a.bias().size()) == 0;
+}
+
+// Both layouts fit the one ridge objective of Eq. 15 (implicitly centered
+// data, bias out of the penalty): with the label graph alone (graph_weight
+// = 0) the two build bitwise-equal responses, so the sparse LSQR fit run to
+// convergence must land on the dense normal-equations solution.
+TEST(SemiSupervisedSrdaTest, SparseAndDenseLayoutsFitOneObjective) {
+  SparseMatrix x;
+  std::vector<int> labels;
+  MakeSparseSemiSupervised(40, 25, 17, &x, &labels);
+  const Matrix dense = x.ToDense();
+  for (double alpha : {1.0, 0.1}) {
+    SCOPED_TRACE(alpha);
+    SemiSupervisedSrdaOptions options;
+    options.alpha = alpha;
+    options.graph_weight = 0.0;
+    options.lsqr_iterations = 500;
+    const SemiSupervisedSrdaModel sparse_fit =
+        FitSemiSupervisedSrda(x, labels, 3, options);
+    const SemiSupervisedSrdaModel dense_fit =
+        FitSemiSupervisedSrda(dense, labels, 3, options);
+    ASSERT_TRUE(sparse_fit.converged);
+    ASSERT_TRUE(dense_fit.converged);
+    ASSERT_EQ(sparse_fit.num_directions, 2);
+    ASSERT_EQ(dense_fit.num_directions, 2);
+    EXPECT_LT(MaxAbsDiff(sparse_fit.embedding.projection(),
+                         dense_fit.embedding.projection()),
+              1e-10);
+    EXPECT_LT(MaxAbsDiff(sparse_fit.embedding.bias(),
+                         dense_fit.embedding.bias()),
+              1e-10);
+  }
+}
+
+// The sparse fit (cosine kNN graph, spectral step, batched LSQR across the
+// 512-row transpose chunk grid) is bitwise independent of the thread count.
+TEST(SemiSupervisedSrdaTest, SparseFitBitwiseAcrossThreadCounts) {
+  SparseMatrix x;
+  std::vector<int> labels;
+  MakeSparseSemiSupervised(520, 60, 23, &x, &labels);
+  SemiSupervisedSrdaOptions options;
+  options.graph_weight = 0.5;
+  SetGlobalThreadCount(1);
+  const SemiSupervisedSrdaModel serial =
+      FitSemiSupervisedSrda(x, labels, 3, options);
+  SetGlobalThreadCount(4);
+  const SemiSupervisedSrdaModel threaded =
+      FitSemiSupervisedSrda(x, labels, 3, options);
+  SetGlobalThreadCount(0);
+  ASSERT_TRUE(serial.converged);
+  ASSERT_TRUE(threaded.converged);
+  EXPECT_TRUE(BitwiseEqual(serial.embedding, threaded.embedding));
 }
 
 TEST(SemiSupervisedSrdaDeathTest, ClassWithoutLabelsAborts) {

@@ -81,41 +81,6 @@ TEST(SparseOperatorTest, MatchesSparseProducts) {
   EXPECT_DOUBLE_EQ(x(1, 0), -1.0);
 }
 
-TEST(AppendOnesColumnOperatorTest, AppendsBiasColumn) {
-  Rng rng(2);
-  const Matrix a = RandomMatrix(5, 3, &rng);
-  const DenseRows base_rows(&a);
-  const LinearOperator& base = base_rows.op;
-  const AppendOnesColumnOperator op(&base);
-  EXPECT_EQ(op.cols(), 4);
-  const Matrix y = op.ApplyMulti(Column(Vector{1.0, 2.0, 3.0, 10.0}));
-  // Equivalent to A * x[0:3] + 10.
-  const Vector expected = Multiply(a, Vector{1.0, 2.0, 3.0});
-  for (int i = 0; i < 5; ++i) EXPECT_NEAR(y(i, 0), expected[i] + 10.0, 1e-13);
-}
-
-TEST(AppendOnesColumnOperatorTest, TransposeSumsLastRow) {
-  Rng rng(3);
-  const Matrix a = RandomMatrix(4, 2, &rng);
-  const DenseRows base_rows(&a);
-  const LinearOperator& base = base_rows.op;
-  const AppendOnesColumnOperator op(&base);
-  const Matrix x = op.ApplyTransposedMulti(Column(Vector{1.0, 2.0, 3.0, 4.0}));
-  EXPECT_EQ(x.rows(), 3);
-  EXPECT_NEAR(x(2, 0), 10.0, 1e-13);  // Sum of y.
-}
-
-TEST(AppendOnesColumnOperatorTest, AdjointIdentity) {
-  Rng rng(4);
-  const Matrix a = RandomMatrix(7, 5, &rng);
-  const DenseRows base_rows(&a);
-  const LinearOperator& base = base_rows.op;
-  const AppendOnesColumnOperator op(&base);
-  const Matrix x = RandomMatrix(6, 3, &rng);
-  const Matrix y = RandomMatrix(7, 3, &rng);
-  ExpectAdjoint(op, x, y);
-}
-
 TEST(LsqrTest, SolvesConsistentSquareSystem) {
   Rng rng(5);
   const Matrix a = RandomMatrix(6, 6, &rng);
@@ -415,20 +380,13 @@ TEST(OperatorContractTest, ColumnsIndependentOfTheirNeighbours) {
   const Vector sparse_mean = ColumnMeans(sparse_dense);
   Matrix centered = sparse_dense;
   SubtractRowVector(sparse_mean, &centered);
-  Matrix augmented(dense.rows(), dense.cols() + 1, 1.0);
-  for (int i = 0; i < dense.rows(); ++i) {
-    for (int j = 0; j < dense.cols(); ++j) augmented(i, j) = dense(i, j);
-  }
 
   // The dense case is sharded(dense, 150) below: one whole-matrix shard.
-  const DenseRows dense_rows(&dense);
   const SparseOperator sparse_op(&sparse);
   const CenterColumnsOperator center_op(&sparse_op, &sparse_mean);
-  const AppendOnesColumnOperator ones_op(&dense_rows.op);
   std::vector<OperatorCase> cases = {
       {"sparse", &sparse_op, &sparse_dense},
       {"center_columns(sparse)", &center_op, &centered},
-      {"append_ones(dense)", &ones_op, &augmented},
   };
   std::vector<std::unique_ptr<RowShardSource>> sources;
   std::vector<std::unique_ptr<ShardedOperator>> sharded;

@@ -3,9 +3,9 @@
 // The refactor that moved every trainer onto RidgeSolver promises bitwise
 // identical results to the per-trainer solve loops it replaced. These tests
 // keep local copies of the pre-refactor arithmetic (normal equations and
-// per-column damped LSQR, exactly as they lived in core/srda.cc and
-// core/semi_supervised_srda.cc) and require MaxAbsDiff == 0 against the
-// engine on fixed-seed data, dense and sparse, at several thread counts.
+// per-column damped LSQR, exactly as they lived in core/srda.cc) and
+// require MaxAbsDiff == 0 against the engine on fixed-seed data, dense and
+// sparse, at several thread counts.
 
 #include <cmath>
 #include <cstring>
@@ -108,27 +108,6 @@ void ReferenceLsqrCentered(const LinearOperator& data, const Matrix& responses,
   }
 }
 
-// Verbatim copy of the pre-refactor augmented-ones LSQR path
-// (core/semi_supervised_srda.cc, sparse overload).
-void ReferenceLsqrAugmented(const LinearOperator& data, const Matrix& responses,
-                            double alpha, int max_iterations,
-                            Matrix* projection, Vector* bias) {
-  const int n = data.cols();
-  const int d = responses.cols();
-  const AppendOnesColumnOperator augmented(&data);
-  LsqrOptions lsqr_options;
-  lsqr_options.max_iterations = max_iterations;
-  lsqr_options.damp = std::sqrt(alpha);
-  *projection = Matrix(n, d);
-  *bias = Vector(d);
-  for (int j = 0; j < d; ++j) {
-    const LsqrResult result =
-        SerialLsqr(augmented, responses.Col(j), lsqr_options);
-    for (int i = 0; i < n; ++i) (*projection)(i, j) = result.x[i];
-    (*bias)[j] = result.x[n];
-  }
-}
-
 TEST(RidgeSolverTest, PrimalNormalEquationsMatchGoldenBitwise) {
   const Matrix x = RandomMatrix(40, 12, 7);  // m > n: primal Gram.
   const Matrix responses = RandomMatrix(40, 3, 8);
@@ -196,23 +175,6 @@ TEST(RidgeSolverTest, SparseLsqrMatchesGoldenBitwise) {
   EXPECT_EQ(0.0, MaxAbsDiff(solution.coefficients, golden_projection));
   EXPECT_EQ(0.0, MaxAbsDiff(solution.bias, golden_bias));
   EXPECT_EQ(golden_iterations, solution.total_lsqr_iterations);
-}
-
-TEST(RidgeSolverTest, AugmentedOnesLsqrMatchesGoldenBitwise) {
-  const SparseMatrix x = RandomSparse(25, 18, 15);
-  const Matrix responses = RandomMatrix(25, 2, 16);
-  const SparseOperator data(&x);
-  Matrix golden_projection;
-  Vector golden_bias;
-  ReferenceLsqrAugmented(data, responses, 0.3, 30, &golden_projection,
-                         &golden_bias);
-  RidgeSolver solver(&data, RidgeBias::kAugmentedOnes);
-  RidgeSolveOptions options;
-  options.lsqr_iterations = 30;
-  const RidgeSolution solution = solver.Solve(responses, 0.3, options);
-  ASSERT_TRUE(solution.ok);
-  EXPECT_EQ(0.0, MaxAbsDiff(solution.coefficients, golden_projection));
-  EXPECT_EQ(0.0, MaxAbsDiff(solution.bias, golden_bias));
 }
 
 TEST(RidgeSolverTest, GramBindingMatchesDirectCholesky) {
