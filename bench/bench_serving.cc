@@ -126,8 +126,8 @@ ServeRun RunServing(const model::SrdaModel& model,
                     const std::vector<Matrix>& blocks, int clients,
                     int client_block, int64_t requests,
                     const serve::ServeOptions& options) {
-  Histogram* const latency_us =
-      MetricsRegistry::Global().histogram("serve.latency_us");
+  WindowedHistogram* const latency_us =
+      MetricsRegistry::Global().windowed_histogram("serve.latency_us");
   latency_us->Reset();
   serve::PredictionService service(&model, options);
   std::atomic<int64_t> budget{requests};
@@ -156,8 +156,8 @@ ServeRun RunServing(const model::SrdaModel& model,
   run.requests = stats.requests;
   run.seconds = seconds;
   run.predictions_per_s = static_cast<double>(stats.requests) / seconds;
-  run.p50_us = latency_us->ApproxQuantile(0.50);
-  run.p99_us = latency_us->ApproxQuantile(0.99);
+  run.p50_us = latency_us->total().ApproxQuantile(0.50);
+  run.p99_us = latency_us->total().ApproxQuantile(0.99);
   run.mean_batch = stats.mean_batch();
   run.max_batch_seen = stats.max_batch_seen;
   return run;

@@ -4,10 +4,12 @@
 // Drives the same micro-batched serving workload twice against one SRDA
 // model:
 //
-//   plain      — PredictionService alone. The windowed instruments are
-//                still fed (they always are; one atomic CAS + add per
-//                batch), so this is the shipping configuration with
-//                nobody watching.
+//   plain      — PredictionService alone. The two windowed histograms
+//                are still fed (they always are: one serve.batch_size
+//                observation per batch, one serve.latency_us observation
+//                per request, each a few relaxed atomic updates to the
+//                all-time view and the current second's slot), so this
+//                is the shipping configuration with nobody watching.
 //   telemetry  — the same traffic while a TelemetryServer answers
 //                /metrics scrapes at 1 Hz from a client thread AND a
 //                background Exporter snapshots the registry to a file at
@@ -45,9 +47,9 @@
 #include "model/model.h"
 #include "obs/exporter.h"
 #include "obs/http.h"
-#include "obs/json_check.h"
 #include "serve/serving.h"
 #include "serve/telemetry.h"
+#include "tools/obs_check.h"
 
 namespace srda {
 namespace bench {

@@ -17,24 +17,22 @@ namespace {
 thread_local bool tls_pool_worker = false;
 
 // Pool accounting, recorded only while tracing is enabled: wall time spent
-// running chunks vs. parked on the work cv, summed over every worker and
-// the calling thread. The imbalance of a kernel shows up as busy spread in
-// the pool.chunk_us histogram.
+// running chunks (the pool.chunk_us histogram, whose count is the chunks
+// run and whose sum is the busy time) vs. parked on the work cv
+// (pool.idle_ns), summed over every worker and the calling thread. The
+// imbalance of a kernel shows up as spread in pool.chunk_us.
 struct PoolInstruments {
-  Counter* busy_ns;
   Counter* idle_ns;
   Counter* jobs;
-  Counter* chunks;
   Histogram* chunk_us;
 };
 
 const PoolInstruments& PoolMetrics() {
   static const PoolInstruments instruments = [] {
     MetricsRegistry& registry = MetricsRegistry::Global();
-    return PoolInstruments{
-        registry.counter("pool.busy_ns"), registry.counter("pool.idle_ns"),
-        registry.counter("pool.jobs"), registry.counter("pool.chunks"),
-        registry.histogram("pool.chunk_us")};
+    return PoolInstruments{registry.counter("pool.idle_ns"),
+                           registry.counter("pool.jobs"),
+                           registry.histogram("pool.chunk_us")};
   }();
   return instruments;
 }
@@ -96,7 +94,6 @@ struct ThreadPool::Job {
       TraceRecorder& recorder = TraceRecorder::Global();
       const int64_t duration_ns = recorder.NowNs() - start_ns;
       recorder.RecordComplete("pool.chunk", start_ns, duration_ns);
-      PoolMetrics().busy_ns->Add(static_cast<double>(duration_ns));
       PoolMetrics().chunk_us->Observe(static_cast<double>(duration_ns) / 1e3);
     }
     if (finished_chunks.fetch_add(1) + 1 == num_chunks) {
@@ -187,7 +184,6 @@ void ThreadPool::ParallelFor(int begin, int end,
     span.AddArg("count", static_cast<double>(count));
     span.AddArg("chunks", static_cast<double>(job->num_chunks));
     PoolMetrics().jobs->Increment();
-    PoolMetrics().chunks->Add(static_cast<double>(job->num_chunks));
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

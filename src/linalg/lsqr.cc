@@ -13,27 +13,13 @@
 namespace srda {
 namespace {
 
-// Iteration accounting, recorded while tracing: the counter totals
-// iterations across every solve, the histogram shows the per-RHS spread.
-struct LsqrInstruments {
-  Counter* iterations;
-  Histogram* iterations_per_rhs;
-};
-
-const LsqrInstruments& LsqrMetrics() {
-  static const LsqrInstruments instruments = [] {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    return LsqrInstruments{registry.counter("lsqr.iterations"),
-                           registry.histogram("lsqr.iterations_per_rhs")};
-  }();
-  return instruments;
-}
-
+// Iteration accounting, recorded while tracing: the per-RHS spread, whose
+// sum is the iteration total across every solve.
 void RecordLsqrMetrics(const LsqrResult& result) {
   if (!TraceEnabled()) return;
-  LsqrMetrics().iterations->Add(static_cast<double>(result.iterations));
-  LsqrMetrics().iterations_per_rhs->Observe(
-      static_cast<double>(result.iterations));
+  static Histogram* const iterations_per_rhs =
+      MetricsRegistry::Global().histogram("lsqr.iterations_per_rhs");
+  iterations_per_rhs->Observe(static_cast<double>(result.iterations));
 }
 
 // Per-column bidiagonalization state for LsqrBatch; `active` is false once

@@ -92,33 +92,19 @@ std::string PrometheusTextAt(const MetricsRegistry& registry, int window_s,
         break;
     }
   }
-  const std::string window_label =
-      "{window=\"" + std::to_string(window_s) + "\"}";
+  const std::string window = "window=\"" + std::to_string(window_s) + "\"";
   for (const WindowedMetricSnapshot& row :
        registry.WindowedSnapshotAt(window_s, now_s)) {
     const std::string name = PrometheusName(row.name) + "_window";
-    switch (row.kind) {
-      case WindowedMetricSnapshot::Kind::kCounter:
-        AppendTyped(&out, name + "_sum", "gauge");
-        AppendSample(&out, name + "_sum", window_label, row.sum);
-        AppendTyped(&out, name + "_rate", "gauge");
-        AppendSample(&out, name + "_rate", window_label, row.rate);
-        break;
-      case WindowedMetricSnapshot::Kind::kHistogram:
-        AppendTyped(&out, name, "summary");
-        if (row.count > 0) {
-          AppendSample(&out, name, "{window=\"" + std::to_string(window_s) +
-                                       "\",quantile=\"0.5\"}",
-                       row.p50);
-          AppendSample(&out, name, "{window=\"" + std::to_string(window_s) +
-                                       "\",quantile=\"0.99\"}",
-                       row.p99);
-        }
-        AppendSample(&out, name + "_sum", window_label, row.sum);
-        AppendSample(&out, name + "_count", window_label,
-                     static_cast<double>(row.count));
-        break;
+    AppendTyped(&out, name, "summary");
+    if (row.count > 0) {
+      AppendSample(&out, name, "{" + window + ",quantile=\"0.5\"}", row.p50);
+      AppendSample(&out, name, "{" + window + ",quantile=\"0.99\"}",
+                   row.p99);
     }
+    AppendSample(&out, name + "_sum", "{" + window + "}", row.sum);
+    AppendSample(&out, name + "_count", "{" + window + "}",
+                 static_cast<double>(row.count));
   }
   return out;
 }

@@ -3,11 +3,11 @@
 // PrometheusText() turns the process-wide MetricsRegistry (cumulative AND
 // trailing-window instruments) into Prometheus text exposition format
 // 0.0.4. Metric names are sanitized ('.' -> '_', "srda_" prefix);
-// cumulative histograms export as summaries with quantile labels plus
-// _sum/_count, and windowed instruments export as gauges labeled with
-// their window ({window="10"}). Quantile samples are omitted when the
-// histogram is empty — a scrape never invents a latency from zero
-// observations.
+// histograms export as summaries with quantile labels plus _sum/_count (a
+// windowed histogram's all-time view among them), and each windowed
+// histogram adds a second summary, "<name>_window", labeled with its
+// window ({window="10"}). Quantile samples are omitted when the histogram
+// is empty — a scrape never invents a latency from zero observations.
 //
 // The Exporter wraps the serializer in a background thread that writes a
 // fresh snapshot to a file every interval (write-to-temp + rename, so a
@@ -16,8 +16,8 @@
 // whatever the file extension); the live HTTP path in serve/telemetry.h
 // calls PrometheusText() directly per scrape.
 //
-// The output validates against obs/json_check.h (ValidatePrometheusText)
-// — the unit tests hold it to it.
+// The output validates against ValidatePrometheusText
+// (tools/obs_check.h) — the unit tests hold it to it.
 
 #ifndef SRDA_OBS_EXPORTER_H_
 #define SRDA_OBS_EXPORTER_H_

@@ -90,6 +90,21 @@ double NearestRankQuantile(const int64_t* buckets, double q) {
   }
 }
 
+MetricSnapshot HistogramRow(const std::string& name,
+                            const Histogram& histogram) {
+  MetricSnapshot row;
+  row.name = name;
+  row.kind = MetricSnapshot::Kind::kHistogram;
+  row.value = histogram.sum();
+  row.count = histogram.count();
+  row.mean = histogram.mean();
+  row.min = histogram.min();
+  row.max = histogram.max();
+  row.p50 = histogram.ApproxQuantile(0.5);
+  row.p99 = histogram.ApproxQuantile(0.99);
+  return row;
+}
+
 }  // namespace
 
 void Histogram::Observe(double value) {
@@ -124,60 +139,16 @@ void Histogram::Reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
 }
 
-void WindowedCounter::AddAt(int64_t epoch_s, double delta) {
-  Slot& slot = slots_[static_cast<size_t>(epoch_s % kSlots)];
-  for (;;) {
-    int64_t tag = slot.epoch.load(std::memory_order_acquire);
-    if (tag == kBusy) continue;  // another thread is recycling; spin briefly
-    if (tag >= epoch_s) break;   // current (or a racing newer second: the
-                                 // observation lands one slot late, which a
-                                 // one-second-granular window tolerates)
-    if (slot.epoch.compare_exchange_weak(tag, kBusy,
-                                         std::memory_order_acq_rel)) {
-      slot.value.store(0.0, std::memory_order_relaxed);
-      slot.epoch.store(epoch_s, std::memory_order_release);
-      break;
-    }
-  }
-  obs::AtomicAdd(&slot.value, delta);
-}
-
-double WindowedCounter::SumOverAt(int window_s, int64_t now_s) const {
-  window_s = std::min(std::max(window_s, 1), kMaxWindowSeconds);
-  double sum = 0.0;
-  for (const Slot& slot : slots_) {
-    const int64_t tag = slot.epoch.load(std::memory_order_acquire);
-    if (tag > now_s - window_s && tag <= now_s) {
-      sum += slot.value.load(std::memory_order_relaxed);
-    }
-  }
-  return sum;
-}
-
-double WindowedCounter::RateOverAt(int window_s, int64_t now_s) const {
-  window_s = std::min(std::max(window_s, 1), kMaxWindowSeconds);
-  return SumOverAt(window_s, now_s) / static_cast<double>(window_s);
-}
-
-void WindowedCounter::Reset() {
-  for (Slot& slot : slots_) {
-    slot.epoch.store(-1, std::memory_order_relaxed);
-    slot.value.store(0.0, std::memory_order_relaxed);
-  }
-}
-
 void WindowedHistogram::EnsureSlot(Slot* slot, int64_t epoch_s) {
   for (;;) {
     int64_t tag = slot->epoch.load(std::memory_order_acquire);
-    if (tag == kBusy) continue;
-    if (tag >= epoch_s) return;
+    if (tag == kBusy) continue;  // another thread is recycling; spin briefly
+    if (tag >= epoch_s) return;  // current (or a racing newer second: the
+                                 // observation lands one slot late, which a
+                                 // one-second-granular window tolerates)
     if (slot->epoch.compare_exchange_weak(tag, kBusy,
                                           std::memory_order_acq_rel)) {
-      slot->count.store(0, std::memory_order_relaxed);
-      slot->sum.store(0.0, std::memory_order_relaxed);
-      for (auto& bucket : slot->buckets) {
-        bucket.store(0, std::memory_order_relaxed);
-      }
+      slot->histogram.Reset();
       slot->epoch.store(epoch_s, std::memory_order_release);
       return;
     }
@@ -185,40 +156,39 @@ void WindowedHistogram::EnsureSlot(Slot* slot, int64_t epoch_s) {
 }
 
 void WindowedHistogram::ObserveAt(int64_t epoch_s, double value) {
+  total_.Observe(value);
   Slot& slot = slots_[static_cast<size_t>(epoch_s % kSlots)];
   EnsureSlot(&slot, epoch_s);
-  slot.count.fetch_add(1, std::memory_order_relaxed);
-  obs::AtomicAdd(&slot.sum, value);
-  slot.buckets[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+  slot.histogram.Observe(value);
 }
 
-int64_t WindowedHistogram::MergeWindow(int window_s, int64_t now_s,
-                                       int64_t merged[kNumBuckets],
-                                       double* sum) const {
+int64_t WindowedHistogram::MergeWindow(
+    int window_s, int64_t now_s, int64_t merged[Histogram::kNumBuckets],
+    double* sum) const {
   window_s = std::min(std::max(window_s, 1), kMaxWindowSeconds);
-  std::fill(merged, merged + kNumBuckets, 0);
+  std::fill(merged, merged + Histogram::kNumBuckets, 0);
   *sum = 0.0;
   int64_t count = 0;
   for (const Slot& slot : slots_) {
     const int64_t tag = slot.epoch.load(std::memory_order_acquire);
     if (tag <= now_s - window_s || tag > now_s) continue;
-    count += slot.count.load(std::memory_order_relaxed);
-    *sum += slot.sum.load(std::memory_order_relaxed);
-    for (int b = 0; b < kNumBuckets; ++b) {
-      merged[b] += slot.buckets[b].load(std::memory_order_relaxed);
+    count += slot.histogram.count();
+    *sum += slot.histogram.sum();
+    for (int b = 0; b < Histogram::kNumBuckets; ++b) {
+      merged[b] += slot.histogram.bucket(b);
     }
   }
   return count;
 }
 
 int64_t WindowedHistogram::CountOverAt(int window_s, int64_t now_s) const {
-  int64_t merged[kNumBuckets];
+  int64_t merged[Histogram::kNumBuckets];
   double sum = 0.0;
   return MergeWindow(window_s, now_s, merged, &sum);
 }
 
 double WindowedHistogram::SumOverAt(int window_s, int64_t now_s) const {
-  int64_t merged[kNumBuckets];
+  int64_t merged[Histogram::kNumBuckets];
   double sum = 0.0;
   MergeWindow(window_s, now_s, merged, &sum);
   return sum;
@@ -226,20 +196,17 @@ double WindowedHistogram::SumOverAt(int window_s, int64_t now_s) const {
 
 double WindowedHistogram::QuantileOverAt(int window_s, double q,
                                          int64_t now_s) const {
-  int64_t merged[kNumBuckets];
+  int64_t merged[Histogram::kNumBuckets];
   double sum = 0.0;
   MergeWindow(window_s, now_s, merged, &sum);
   return NearestRankQuantile(merged, q);
 }
 
 void WindowedHistogram::Reset() {
+  total_.Reset();
   for (Slot& slot : slots_) {
     slot.epoch.store(-1, std::memory_order_relaxed);
-    slot.count.store(0, std::memory_order_relaxed);
-    slot.sum.store(0.0, std::memory_order_relaxed);
-    for (auto& bucket : slot.buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
+    slot.histogram.Reset();
   }
 }
 
@@ -250,67 +217,39 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) {
+template <typename Instrument>
+Instrument* MetricsRegistry::FindOrCreate(
+    std::map<std::string, std::unique_ptr<Instrument>>* instruments,
+    const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (gauges_.count(name) != 0 || histograms_.count(name) != 0) {
+  const size_t kinds = counters_.count(name) + gauges_.count(name) +
+                       histograms_.count(name) +
+                       windowed_histograms_.count(name);
+  if (kinds != instruments->count(name)) {
     std::fprintf(stderr, "metric '%s' already registered with another kind\n",
                  name.c_str());
     std::abort();
   }
-  std::unique_ptr<Counter>& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
+  std::unique_ptr<Instrument>& slot = (*instruments)[name];
+  if (slot == nullptr) slot = std::make_unique<Instrument>();
   return slot.get();
+}
+
+Counter* MetricsRegistry::counter(const std::string& name) {
+  return FindOrCreate(&counters_, name);
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (counters_.count(name) != 0 || histograms_.count(name) != 0) {
-    std::fprintf(stderr, "metric '%s' already registered with another kind\n",
-                 name.c_str());
-    std::abort();
-  }
-  std::unique_ptr<Gauge>& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
+  return FindOrCreate(&gauges_, name);
 }
 
 Histogram* MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (counters_.count(name) != 0 || gauges_.count(name) != 0) {
-    std::fprintf(stderr, "metric '%s' already registered with another kind\n",
-                 name.c_str());
-    std::abort();
-  }
-  std::unique_ptr<Histogram>& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return slot.get();
-}
-
-WindowedCounter* MetricsRegistry::windowed_counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (windowed_histograms_.count(name) != 0) {
-    std::fprintf(stderr,
-                 "windowed metric '%s' already registered with another kind\n",
-                 name.c_str());
-    std::abort();
-  }
-  std::unique_ptr<WindowedCounter>& slot = windowed_counters_[name];
-  if (slot == nullptr) slot = std::make_unique<WindowedCounter>();
-  return slot.get();
+  return FindOrCreate(&histograms_, name);
 }
 
 WindowedHistogram* MetricsRegistry::windowed_histogram(
     const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (windowed_counters_.count(name) != 0) {
-    std::fprintf(stderr,
-                 "windowed metric '%s' already registered with another kind\n",
-                 name.c_str());
-    std::abort();
-  }
-  std::unique_ptr<WindowedHistogram>& slot = windowed_histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<WindowedHistogram>();
-  return slot.get();
+  return FindOrCreate(&windowed_histograms_, name);
 }
 
 void MetricsRegistry::ResetAll() {
@@ -318,7 +257,6 @@ void MetricsRegistry::ResetAll() {
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-  for (auto& [name, windowed] : windowed_counters_) windowed->Reset();
   for (auto& [name, windowed] : windowed_histograms_) windowed->Reset();
 }
 
@@ -340,17 +278,10 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     rows.push_back(row);
   }
   for (const auto& [name, histogram] : histograms_) {
-    MetricSnapshot row;
-    row.name = name;
-    row.kind = MetricSnapshot::Kind::kHistogram;
-    row.value = histogram->sum();
-    row.count = histogram->count();
-    row.mean = histogram->mean();
-    row.min = histogram->min();
-    row.max = histogram->max();
-    row.p50 = histogram->ApproxQuantile(0.5);
-    row.p99 = histogram->ApproxQuantile(0.99);
-    rows.push_back(row);
+    rows.push_back(HistogramRow(name, *histogram));
+  }
+  for (const auto& [name, windowed] : windowed_histograms_) {
+    rows.push_back(HistogramRow(name, windowed->total()));
   }
   // std::map iteration is sorted within each kind; interleave by name.
   std::sort(rows.begin(), rows.end(),
@@ -364,19 +295,9 @@ std::vector<WindowedMetricSnapshot> MetricsRegistry::WindowedSnapshotAt(
     int window_s, int64_t now_s) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<WindowedMetricSnapshot> rows;
-  for (const auto& [name, counter] : windowed_counters_) {
-    WindowedMetricSnapshot row;
-    row.name = name;
-    row.kind = WindowedMetricSnapshot::Kind::kCounter;
-    row.window_s = window_s;
-    row.sum = counter->SumOverAt(window_s, now_s);
-    row.rate = counter->RateOverAt(window_s, now_s);
-    rows.push_back(row);
-  }
   for (const auto& [name, histogram] : windowed_histograms_) {
     WindowedMetricSnapshot row;
     row.name = name;
-    row.kind = WindowedMetricSnapshot::Kind::kHistogram;
     row.window_s = window_s;
     row.count = histogram->CountOverAt(window_s, now_s);
     row.sum = histogram->SumOverAt(window_s, now_s);
@@ -384,10 +305,7 @@ std::vector<WindowedMetricSnapshot> MetricsRegistry::WindowedSnapshotAt(
     row.p99 = histogram->QuantileOverAt(window_s, 0.99, now_s);
     rows.push_back(row);
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const WindowedMetricSnapshot& a,
-               const WindowedMetricSnapshot& b) { return a.name < b.name; });
-  return rows;
+  return rows;  // std::map iteration is already sorted by name
 }
 
 void MetricsRegistry::Print(std::ostream& os) const {

@@ -11,11 +11,12 @@
 // invalidating pointers.
 //
 // Alongside the cumulative instruments, the registry carries *windowed*
-// counters and histograms: a ring of per-second slots so QPS, batch size,
-// and latency quantiles are queryable over the trailing N seconds while
-// the process runs (the live read path behind obs/exporter.h and the
-// /metrics endpoint), not just at exit. Observing is lock-free; a slot is
-// recycled with a short CAS claim the first time a new second touches it.
+// histograms: an all-time histogram plus a ring of per-second slots, so
+// batch size and latency (their counts and sums included) are queryable
+// over the trailing N seconds while the process runs (the live read path
+// behind obs/exporter.h and the /metrics endpoint), not just at exit.
+// Observing is lock-free; a slot is recycled with a short CAS claim the
+// first time a new second touches it.
 //
 // Like obs/trace.h, this sits below src/common and depends only on the
 // standard library.
@@ -130,83 +131,57 @@ class Histogram {
   std::atomic<int64_t> buckets_[kNumBuckets] = {};
 };
 
-// Sliding-window counter: a ring of per-second slots. Add() lands in the
-// slot of the current epoch second; SumOverAt(window_s, now_s) folds the
-// slots whose second lies in (now - window_s, now], so stale slots age out
-// without a sweeper thread. Adding is one relaxed atomic add once the slot
-// is current; the first touch of a new second recycles the slot behind a
-// CAS claim (concurrent adders briefly spin on the claim, never block).
-// Windows longer than kMaxWindowSeconds are clamped.
-class WindowedCounter {
+// Sliding-window histogram: an all-time Histogram (total()) beside a ring
+// of per-second Histogram slots. One Observe feeds both views: total() is
+// what the run summary, srda_serve and BENCH_serving.json read, and the
+// slots whose second lies in (now - window_s, now] are merged at query time
+// so CountOverAt / SumOverAt / QuantileOverAt report the trailing window
+// only. Stale slots age out without a sweeper thread; the first touch of a
+// new second recycles its slot behind a CAS claim (concurrent observers
+// briefly spin on the claim, never block). QuantileOverAt runs
+// Histogram::ApproxQuantile's walk over the merged buckets, so the two
+// views answer identically on the same observations (and the empty window
+// gives quiet NaN). Windows longer than kMaxWindowSeconds are clamped.
+class WindowedHistogram {
  public:
   static constexpr int kSlots = 128;
   // One guard slot: the slot being recycled for the new second must never
   // also be inside the queryable window.
   static constexpr int kMaxWindowSeconds = kSlots - 1;
 
-  void Add(double delta) { AddAt(obs::EpochSeconds(), delta); }
-  void Increment() { Add(1.0); }
-  // Test seam: observe as-of an explicit epoch second.
-  void AddAt(int64_t epoch_s, double delta);
-
-  // Sum of observations in the trailing `window_s` seconds as of epoch
-  // second `now_s` (including that second). 0 when nothing was observed in
-  // the window.
-  double SumOverAt(int window_s, int64_t now_s) const;
-
-  // Observations per second over the window: SumOverAt / window_s.
-  double RateOverAt(int window_s, int64_t now_s) const;
-
-  void Reset();
-
- private:
-  struct Slot {
-    // Epoch second this slot currently represents; kUnclaimed when empty,
-    // kBusy while a recycling thread zeroes it.
-    std::atomic<int64_t> epoch{-1};
-    std::atomic<double> value{0.0};
-  };
-  static constexpr int64_t kBusy = -2;
-
-  Slot slots_[kSlots];
-};
-
-// Sliding-window histogram: per-second slots each holding Histogram's
-// bucket layout, merged at query time so CountOverAt / QuantileOverAt
-// report the distribution of the trailing window_s seconds only.
-// QuantileOverAt runs Histogram::ApproxQuantile's walk over the merged
-// buckets, so the two views answer identically on the same observations
-// (and the empty window gives quiet NaN).
-class WindowedHistogram {
- public:
-  static constexpr int kSlots = 128;
-  static constexpr int kMaxWindowSeconds = kSlots - 1;
-  static constexpr int kNumBuckets = Histogram::kNumBuckets;
-
   void Observe(double value) { ObserveAt(obs::EpochSeconds(), value); }
+  // Test seam: observe as-of an explicit epoch second.
   void ObserveAt(int64_t epoch_s, double value);
 
+  // Every observation since construction or the last Reset().
+  const Histogram& total() const { return total_; }
+
+  // The trailing `window_s` seconds as of epoch second `now_s` (including
+  // that second); 0 / NaN when nothing was observed in the window.
   int64_t CountOverAt(int window_s, int64_t now_s) const;
   double SumOverAt(int window_s, int64_t now_s) const;
   double QuantileOverAt(int window_s, double q, int64_t now_s) const;
 
+  // Clears both views.
   void Reset();
 
  private:
   struct Slot {
+    // Epoch second this slot currently represents; -1 when empty, kBusy
+    // while a recycling thread clears it.
     std::atomic<int64_t> epoch{-1};
-    std::atomic<int64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<int64_t> buckets[kNumBuckets] = {};
+    Histogram histogram;
   };
   static constexpr int64_t kBusy = -2;
 
-  // Claims `slot` for `epoch_s` (zeroing it) unless already current.
+  // Claims `slot` for `epoch_s` (clearing it) unless already current.
   static void EnsureSlot(Slot* slot, int64_t epoch_s);
   // Folds the window's buckets into `merged`; returns the total count.
   int64_t MergeWindow(int window_s, int64_t now_s,
-                      int64_t merged[kNumBuckets], double* sum) const;
+                      int64_t merged[Histogram::kNumBuckets],
+                      double* sum) const;
 
+  Histogram total_;
   Slot slots_[kSlots];
 };
 
@@ -224,15 +199,13 @@ struct MetricSnapshot {
 };
 
 // One row of a windowed snapshot: the trailing-window view of a windowed
-// counter (sum + rate) or histogram (count/sum + nearest-rank quantiles).
+// histogram (count/sum + nearest-rank quantiles).
 struct WindowedMetricSnapshot {
   std::string name;
-  enum class Kind { kCounter, kHistogram } kind;
   int window_s = 0;
   double sum = 0.0;
-  int64_t count = 0;   // histogram observations (counter: 0)
-  double rate = 0.0;   // counter: sum / window_s
-  double p50 = 0.0;    // histogram quantiles; NaN when count == 0
+  int64_t count = 0;
+  double p50 = 0.0;  // NaN when count == 0
   double p99 = 0.0;
 };
 
@@ -243,20 +216,19 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   // Create-on-demand; returned pointers are stable for the process
-  // lifetime. A name maps to exactly one instrument kind — looking the
-  // same name up as a different kind aborts. Windowed instruments live in
-  // their own namespace: a windowed counter may share its name with a
-  // cumulative one (the serving layer feeds both from one site).
+  // lifetime. A name maps to exactly one instrument kind, windowed
+  // histograms included — looking the same name up as a different kind
+  // aborts.
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);
-  WindowedCounter* windowed_counter(const std::string& name);
   WindowedHistogram* windowed_histogram(const std::string& name);
 
   // Zeroes every instrument; registered pointers stay valid.
   void ResetAll();
 
   // Sorted-by-name snapshot / human-readable dump of non-zero instruments.
+  // A windowed histogram's row is its total().
   std::vector<MetricSnapshot> Snapshot() const;
   void Print(std::ostream& os) const;
 
@@ -268,11 +240,17 @@ class MetricsRegistry {
  private:
   MetricsRegistry() = default;
 
+  // The instrument named `name` in `instruments`, created on first use;
+  // aborts when another kind's map holds the name.
+  template <typename Instrument>
+  Instrument* FindOrCreate(
+      std::map<std::string, std::unique_ptr<Instrument>>* instruments,
+      const std::string& name);
+
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<WindowedCounter>> windowed_counters_;
   std::map<std::string, std::unique_ptr<WindowedHistogram>>
       windowed_histograms_;
 };

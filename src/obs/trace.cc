@@ -25,9 +25,10 @@ struct ThreadBufferOwner {
 
 thread_local ThreadBufferOwner* tls_owner = nullptr;
 
-void EscapeJsonInto(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
+}  // namespace
+
+void AppendJsonEscaped(std::string_view text, std::string* out) {
+  for (const char c : text) {
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -38,7 +39,8 @@ void EscapeJsonInto(const char* s, std::string* out) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
+          std::snprintf(hex, sizeof(hex), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
           *out += hex;
         } else {
           *out += c;
@@ -46,8 +48,6 @@ void EscapeJsonInto(const char* s, std::string* out) {
     }
   }
 }
-
-}  // namespace
 
 TraceRecorder& TraceRecorder::Global() {
   // Leaked: thread buffers retire into the recorder during static teardown
@@ -127,10 +127,6 @@ std::vector<TraceEvent> TraceRecorder::Collect() {
   return merged;
 }
 
-int64_t TraceRecorder::EventCount() {
-  return static_cast<int64_t>(Collect().size());
-}
-
 void TraceRecorder::WriteJson(std::ostream& os) {
   const std::vector<TraceEvent> events = Collect();
   std::string out;
@@ -140,7 +136,7 @@ void TraceRecorder::WriteJson(std::ostream& os) {
   for (size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& event = events[i];
     out += "{\"name\":\"";
-    EscapeJsonInto(event.name, &out);
+    AppendJsonEscaped(event.name, &out);
     std::snprintf(line, sizeof(line),
                   "\",\"cat\":\"srda\",\"ph\":\"X\",\"ts\":%.3f,"
                   "\"dur\":%.3f,\"pid\":1,\"tid\":%d",
@@ -152,7 +148,7 @@ void TraceRecorder::WriteJson(std::ostream& os) {
       for (int a = 0; a < event.num_args; ++a) {
         if (a > 0) out += ',';
         out += '"';
-        EscapeJsonInto(event.arg_keys[a], &out);
+        AppendJsonEscaped(event.arg_keys[a], &out);
         // Non-finite arg values would break the JSON; record them as 0.
         const double value =
             std::isfinite(event.arg_values[a]) ? event.arg_values[a] : 0.0;

@@ -24,9 +24,15 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace srda {
+
+// Appends `text` to *out escaped for the inside of a JSON string literal:
+// '"' and '\' get a backslash, other control characters become \u00XX.
+// The one escaper behind the trace writer and the /buildz endpoint.
+void AppendJsonEscaped(std::string_view text, std::string* out);
 
 // One completed span. `name` and the arg keys must be string literals (or
 // otherwise outlive the recorder); events store the pointers only.
@@ -68,9 +74,6 @@ class TraceRecorder {
   // ts/dur in microseconds). WriteJsonFile returns false on I/O failure.
   void WriteJson(std::ostream& os);
   bool WriteJsonFile(const std::string& path);
-
-  // Total events recorded, for tests.
-  int64_t EventCount();
 
   // Nanoseconds since the recorder epoch (steady clock).
   int64_t NowNs() const {

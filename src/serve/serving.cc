@@ -57,21 +57,12 @@ std::vector<int> PredictionService::ScoreBatch(
 }
 
 void PredictionService::DispatcherLoop() {
-  static Counter* const requests_counter =
-      MetricsRegistry::Global().counter("serve.requests");
-  static Counter* const batches_counter =
-      MetricsRegistry::Global().counter("serve.batches");
-  static Histogram* const batch_size_hist =
-      MetricsRegistry::Global().histogram("serve.batch_size");
-  static Histogram* const latency_hist =
-      MetricsRegistry::Global().histogram("serve.latency_us");
-  // Windowed twins of the cumulative instruments (same names, separate
-  // registry namespace): the live-scrape view behind /metrics.
-  static WindowedCounter* const requests_window =
-      MetricsRegistry::Global().windowed_counter("serve.requests");
-  static WindowedHistogram* const batch_size_window =
+  // One instrument per fact; each carries its all-time total and the
+  // trailing-window view behind /metrics. Request and batch counts are
+  // batch_size's sum and count.
+  static WindowedHistogram* const batch_size =
       MetricsRegistry::Global().windowed_histogram("serve.batch_size");
-  static WindowedHistogram* const latency_window =
+  static WindowedHistogram* const latency_us =
       MetricsRegistry::Global().windowed_histogram("serve.latency_us");
 
   const auto max_delay = std::chrono::nanoseconds(
@@ -114,11 +105,7 @@ void PredictionService::DispatcherLoop() {
       results = ScoreBatch(batch);
     }
     const int64_t done_ns = NowNs();
-    requests_counter->Add(static_cast<double>(batch.size()));
-    batches_counter->Increment();
-    batch_size_hist->Observe(static_cast<double>(batch.size()));
-    requests_window->Add(static_cast<double>(batch.size()));
-    batch_size_window->Observe(static_cast<double>(batch.size()));
+    batch_size->Observe(static_cast<double>(batch.size()));
 
     lock.lock();
     stats_.requests += static_cast<int64_t>(batch.size());
@@ -126,10 +113,9 @@ void PredictionService::DispatcherLoop() {
     stats_.max_batch_seen =
         std::max(stats_.max_batch_seen, static_cast<int>(batch.size()));
     for (size_t i = 0; i < batch.size(); ++i) {
-      const double latency_us =
+      const double latency =
           static_cast<double>(done_ns - batch[i]->enqueue_ns) * 1e-3;
-      latency_hist->Observe(latency_us);
-      latency_window->Observe(latency_us);
+      latency_us->Observe(latency);
       batch[i]->result = results[i];
       batch[i]->done = true;
     }

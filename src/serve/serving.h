@@ -16,12 +16,14 @@
 // Blocks from concurrent clients coalesce into shared batches.
 //
 // Observability: every batch runs under a `serve.batch` span (rows +
-// wait-us args); the registry carries serve.requests / serve.batches
-// counters and serve.batch_size / serve.latency_us histograms (cumulative
-// and windowed). Request latency (enqueue -> completion, microseconds) is
-// recorded only there, in fixed memory: p50/p99 are the histogram's
-// nearest-rank quantiles, within Histogram::kRelativeError (1%), and the
-// same figures reach /metrics, srda_serve and BENCH_serving.json.
+// wait-us args), and the dispatcher feeds two windowed histograms, one per
+// fact: serve.batch_size (once per batch; its sum and count are the
+// request and batch counts) and serve.latency_us (once per request,
+// enqueue -> completion in microseconds). Each holds its all-time total()
+// beside its trailing-window slots, in fixed memory: p50/p99 are the
+// histogram's nearest-rank quantiles, within Histogram::kRelativeError
+// (1%), and the same figures reach /metrics, srda_serve and
+// BENCH_serving.json.
 
 #ifndef SRDA_SERVE_SERVING_H_
 #define SRDA_SERVE_SERVING_H_

@@ -3,8 +3,8 @@
 #include <utility>
 
 #include "obs/exporter.h"
-#include "obs/json_check.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace srda {
 namespace serve {
@@ -62,7 +62,11 @@ std::string TelemetryServer::BuildzJson() const {
   for (const auto& [key, value] : build_info_) {
     if (!first) out += ',';
     first = false;
-    out += '"' + JsonEscape(key) + "\":\"" + JsonEscape(value) + '"';
+    out += '"';
+    AppendJsonEscaped(key, &out);
+    out += "\":\"";
+    AppendJsonEscaped(value, &out);
+    out += '"';
   }
   out += '}';
   return out;

@@ -5,8 +5,9 @@
 //
 //   /metrics       Prometheus text exposition: every cumulative counter,
 //                  gauge, and histogram in the global registry plus the
-//                  trailing-window serving instruments (QPS, batch size,
-//                  latency p50/p99 over the last window_s seconds).
+//                  trailing-window view of the serving histograms (batch
+//                  size, whose sum is the request count, and latency
+//                  p50/p99 over the last window_s seconds).
 //   /healthz       200 "ok" once SetReady(true) — i.e. after the model is
 //                  loaded and the service can answer — 503 before that and
 //                  after SetReady(false). Load balancers key on this.

@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs): trace recording, per-thread
-// buffer merging, metric atomicity, the JSON emitter/validator pair, and
-// the phase-summary aggregation.
+// buffer merging, metric atomicity, the JSON emitter/validator pair
+// (tools/obs_check.h), and the phase-summary aggregation.
 //
 // The trace recorder and metrics registry are process-wide singletons, so
 // every test starts from a clean slate via the fixture and restores the
@@ -31,10 +31,10 @@
 #include "linalg/lsqr.h"
 #include "obs/exporter.h"
 #include "obs/http.h"
-#include "obs/json_check.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "tools/obs_check.h"
 
 namespace srda {
 namespace {
@@ -63,13 +63,13 @@ int64_t CountByName(const std::vector<TraceEvent>& events,
 }
 
 TEST_F(ObsTest, DisabledSpansRecordNothing) {
-  const int64_t before = TraceRecorder::Global().EventCount();
+  const size_t before = TraceRecorder::Global().Collect().size();
   for (int i = 0; i < 100; ++i) {
     TraceSpan span("noop");
     EXPECT_FALSE(span.recording());
     span.AddArg("flops", 1.0);  // must be dropped, not crash
   }
-  EXPECT_EQ(TraceRecorder::Global().EventCount(), before);
+  EXPECT_EQ(TraceRecorder::Global().Collect().size(), before);
 }
 
 TEST_F(ObsTest, RecordsCompleteSpansWithArgs) {
@@ -306,25 +306,21 @@ TEST_F(ObsTest, HistogramApproxQuantile) {
 // At 16 the nearest-rank p99 is the tail, one rank past the body; both
 // histogram views must report it within alpha, not a body value.
 TEST_F(ObsTest, HistogramP99TracksSparseTailAtNearestRank) {
-  Histogram* cumulative = MetricsRegistry::Global().histogram("test.tail");
   auto windowed = std::make_unique<WindowedHistogram>();
   for (const int tail : {15, 16, 17}) {
-    cumulative->Reset();
     windowed->Reset();
     std::vector<double> values;
     for (int i = 0; i < 1600 - tail; ++i) values.push_back(100.0 + i % 100);
     for (int i = 0; i < tail; ++i) values.push_back(1354.0);
     for (size_t i = 0; i < values.size(); ++i) {
-      cumulative->Observe(values[i]);
       windowed->ObserveAt(1000 + static_cast<int64_t>(i % 7), values[i]);
     }
     const double exact = ExactNearestRank(values, 0.99);
     EXPECT_EQ(exact, tail >= 16 ? 1354.0 : 199.0);
     const std::string what = "tail " + std::to_string(tail);
-    ExpectWithinAlpha(cumulative->ApproxQuantile(0.99), exact, what);
+    ExpectWithinAlpha(windowed->total().ApproxQuantile(0.99), exact, what);
     ExpectWithinAlpha(windowed->QuantileOverAt(10, 0.99, 1006), exact, what);
   }
-  cumulative->Reset();
 }
 
 TEST_F(ObsTest, RegistryResetKeepsPointersValid) {
@@ -377,6 +373,9 @@ TEST_F(ObsTest, JsonParserRejectsMalformedDocuments) {
   ASSERT_NE(value.Find("a"), nullptr);
   EXPECT_EQ(value.Find("a")->array.size(), 3u);
   EXPECT_EQ(value.Find("b")->number, -2500.0);
+  // ASCII \u escapes decode exactly.
+  ASSERT_TRUE(ParseJson("\"\\u0001\\u0041\"", &value, &error)) << error;
+  EXPECT_EQ(value.string, "\x01" "A");
 
   EXPECT_FALSE(ValidateTraceJson("[]", {}, &error));  // root must be object
   EXPECT_FALSE(ValidateTraceJson("{\"traceEvents\":[]}", {}, &error));
@@ -448,43 +447,56 @@ TEST_F(ObsTest, LsqrStopNamesAreStable) {
 
 // ---- Windowed instruments (the live-scrape read path). ----
 
-TEST_F(ObsTest, WindowedCounterSlidesAndAges) {
-  WindowedCounter counter;
+TEST_F(ObsTest, WindowedHistogramSlidesAndAges) {
+  // ~1.8 MB of slots: keep it off the stack.
+  auto histogram = std::make_unique<WindowedHistogram>();
   // Observations at explicit epoch seconds (the test seam): three seconds
   // of traffic, then a query clock that moves past them.
-  counter.AddAt(100, 10.0);
-  counter.AddAt(101, 20.0);
-  counter.AddAt(102, 30.0);
-  EXPECT_DOUBLE_EQ(counter.SumOverAt(3, 102), 60.0);
-  EXPECT_DOUBLE_EQ(counter.SumOverAt(1, 102), 30.0);   // current second only
-  EXPECT_DOUBLE_EQ(counter.SumOverAt(2, 102), 50.0);
-  EXPECT_DOUBLE_EQ(counter.RateOverAt(2, 102), 25.0);  // 50 / 2
-  // The window slides: at t=104 the first second has aged out of a
-  // 3-second window, and at t=200 everything has.
-  EXPECT_DOUBLE_EQ(counter.SumOverAt(3, 104), 30.0);
-  EXPECT_DOUBLE_EQ(counter.SumOverAt(3, 200), 0.0);
+  histogram->ObserveAt(100, 10.0);
+  histogram->ObserveAt(101, 20.0);
+  histogram->ObserveAt(102, 30.0);
+  EXPECT_DOUBLE_EQ(histogram->SumOverAt(3, 102), 60.0);
+  EXPECT_DOUBLE_EQ(histogram->SumOverAt(1, 102), 30.0);  // current second
+  EXPECT_DOUBLE_EQ(histogram->SumOverAt(2, 102), 50.0);
+  EXPECT_EQ(histogram->CountOverAt(2, 102), 2);
+  // The window slides: at t=104 the first two seconds have aged out of a
+  // 3-second window, and at t=200 everything has. The all-time view keeps
+  // them.
+  EXPECT_DOUBLE_EQ(histogram->SumOverAt(3, 104), 30.0);
+  EXPECT_EQ(histogram->CountOverAt(3, 200), 0);
+  EXPECT_EQ(histogram->total().count(), 3);
+  EXPECT_DOUBLE_EQ(histogram->total().sum(), 60.0);
   // Slot reuse: second 228 recycles the ring slot second 100 used
-  // (128-slot ring), and the old value must not bleed through.
-  counter.AddAt(228, 7.0);
-  EXPECT_DOUBLE_EQ(counter.SumOverAt(1, 228), 7.0);
-  counter.Reset();
-  EXPECT_DOUBLE_EQ(counter.SumOverAt(WindowedCounter::kMaxWindowSeconds, 228),
-                   0.0);
+  // (128-slot ring), and none of the old buckets may bleed through.
+  histogram->ObserveAt(228, 7.0);
+  EXPECT_EQ(histogram->CountOverAt(1, 228), 1);
+  EXPECT_DOUBLE_EQ(histogram->SumOverAt(1, 228), 7.0);
+  ExpectWithinAlpha(histogram->QuantileOverAt(1, 1.0, 228), 7.0, "reused");
+  EXPECT_EQ(histogram->total().count(), 4);
+  // Reset clears both views.
+  histogram->Reset();
+  EXPECT_EQ(histogram->CountOverAt(WindowedHistogram::kMaxWindowSeconds, 228),
+            0);
+  EXPECT_EQ(histogram->total().count(), 0);
 }
 
-TEST_F(ObsTest, WindowedCounterConcurrentAdds) {
-  WindowedCounter counter;
+TEST_F(ObsTest, WindowedHistogramConcurrentObserves) {
+  auto histogram = std::make_unique<WindowedHistogram>();
   constexpr int kThreads = 8;
-  constexpr int kAdds = 10000;
+  constexpr int kObserves = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < kAdds; ++i) counter.AddAt(500 + (i % 3), 1.0);
+    threads.emplace_back([&histogram] {
+      for (int i = 0; i < kObserves; ++i) {
+        histogram->ObserveAt(500 + (i % 3), 1.0);
+      }
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_DOUBLE_EQ(counter.SumOverAt(3, 502),
-                   static_cast<double>(kThreads * kAdds));
+  EXPECT_EQ(histogram->CountOverAt(3, 502), kThreads * kObserves);
+  EXPECT_EQ(histogram->total().count(), kThreads * kObserves);
+  EXPECT_DOUBLE_EQ(histogram->SumOverAt(3, 502),
+                   static_cast<double>(kThreads * kObserves));
 }
 
 TEST_F(ObsTest, WindowedHistogramQuantilesAndEmptyWindow) {
@@ -496,14 +508,11 @@ TEST_F(ObsTest, WindowedHistogramQuantilesAndEmptyWindow) {
   EXPECT_TRUE(std::isnan(histogram->QuantileOverAt(10, 0.5, 100)));
 
   // Spread over five seconds, each distribution's windowed quantiles are
-  // within alpha of nearest rank and equal to the cumulative histogram's.
-  Histogram* cumulative = MetricsRegistry::Global().histogram("test.twin");
+  // within alpha of nearest rank and equal to the all-time view's.
   for (const Distribution& d : QuantileDistributions()) {
     histogram->Reset();
-    cumulative->Reset();
     for (size_t i = 0; i < d.values.size(); ++i) {
       histogram->ObserveAt(100 + static_cast<int64_t>(i % 5), d.values[i]);
-      cumulative->Observe(d.values[i]);
     }
     EXPECT_EQ(histogram->CountOverAt(10, 104),
               static_cast<int64_t>(d.values.size()));
@@ -511,10 +520,9 @@ TEST_F(ObsTest, WindowedHistogramQuantilesAndEmptyWindow) {
       const double windowed = histogram->QuantileOverAt(10, q, 104);
       ExpectWithinAlpha(windowed, ExactNearestRank(d.values, q),
                         d.name + " q=" + std::to_string(q));
-      EXPECT_EQ(windowed, cumulative->ApproxQuantile(q)) << d.name;
+      EXPECT_EQ(windowed, histogram->total().ApproxQuantile(q)) << d.name;
     }
   }
-  cumulative->Reset();
 
   histogram->Reset();
   for (int i = 1; i <= 100; ++i) {
@@ -533,36 +541,48 @@ TEST_F(ObsTest, WindowedHistogramQuantilesAndEmptyWindow) {
 
 TEST_F(ObsTest, RegistryWindowedSnapshot) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  WindowedCounter* counter = registry.windowed_counter("test.win_requests");
   WindowedHistogram* histogram =
       registry.windowed_histogram("test.win_latency");
-  counter->Reset();
   histogram->Reset();
-  // Same name as a different kind in the cumulative namespace must be
-  // legal (serving feeds both from one site).
-  registry.counter("test.win_requests")->Add(5.0);
-  counter->AddAt(1000, 40.0);
   histogram->ObserveAt(1000, 3.0);
   histogram->ObserveAt(1000, 5.0);
 
   const std::vector<WindowedMetricSnapshot> rows =
       registry.WindowedSnapshotAt(10, 1000);
-  const WindowedMetricSnapshot* counter_row = nullptr;
-  const WindowedMetricSnapshot* histogram_row = nullptr;
+  const WindowedMetricSnapshot* windowed_row = nullptr;
   for (const WindowedMetricSnapshot& row : rows) {
-    if (row.name == "test.win_requests") counter_row = &row;
-    if (row.name == "test.win_latency") histogram_row = &row;
+    if (row.name == "test.win_latency") windowed_row = &row;
   }
-  ASSERT_NE(counter_row, nullptr);
-  EXPECT_EQ(counter_row->kind, WindowedMetricSnapshot::Kind::kCounter);
-  EXPECT_DOUBLE_EQ(counter_row->sum, 40.0);
-  EXPECT_DOUBLE_EQ(counter_row->rate, 4.0);
-  ASSERT_NE(histogram_row, nullptr);
-  EXPECT_EQ(histogram_row->count, 2);
-  EXPECT_DOUBLE_EQ(histogram_row->sum, 8.0);
-  EXPECT_FALSE(std::isnan(histogram_row->p50));
-  counter->Reset();
+  ASSERT_NE(windowed_row, nullptr);
+  EXPECT_EQ(windowed_row->count, 2);
+  EXPECT_DOUBLE_EQ(windowed_row->sum, 8.0);
+  EXPECT_FALSE(std::isnan(windowed_row->p50));
+
+  // The cumulative snapshot carries the same histogram's all-time row.
+  const MetricSnapshot* total_row = nullptr;
+  const std::vector<MetricSnapshot> totals = registry.Snapshot();
+  for (const MetricSnapshot& row : totals) {
+    if (row.name == "test.win_latency") total_row = &row;
+  }
+  ASSERT_NE(total_row, nullptr);
+  EXPECT_EQ(total_row->kind, MetricSnapshot::Kind::kHistogram);
+  EXPECT_EQ(total_row->count, 2);
+  EXPECT_DOUBLE_EQ(total_row->value, 8.0);
   histogram->Reset();
+}
+
+// One namespace: a windowed histogram's name cannot be reused by another
+// kind, in either lookup order.
+TEST(ObsDeathTest, WindowedNameIsOneKind) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.windowed_histogram("test.one_kind");
+  EXPECT_DEATH(registry.histogram("test.one_kind"),
+               "already registered with another kind");
+  EXPECT_DEATH(registry.counter("test.one_kind"),
+               "already registered with another kind");
+  registry.histogram("test.one_kind_cumulative");
+  EXPECT_DEATH(registry.windowed_histogram("test.one_kind_cumulative"),
+               "already registered with another kind");
 }
 
 // ---- Format validators (srda_trace_check --format=prom). ----
@@ -622,14 +642,17 @@ TEST_F(ObsTest, PrometheusTextValidatesAndOmitsEmptyQuantiles) {
   filled->Reset();
   filled->Observe(5.0);
   filled->Observe(9.0);
-  registry.windowed_counter("export.win")->AddAt(50, 8.0);
+  WindowedHistogram* windowed = registry.windowed_histogram("export.win");
+  windowed->Reset();
+  windowed->ObserveAt(50, 8.0);
 
   const std::string text = obs::PrometheusTextAt(registry, 10, 50);
   std::string error;
   EXPECT_TRUE(ValidatePrometheusText(
       text,
       {"srda_up", "srda_export_requests", "srda_export_filled_hist_count",
-       "srda_export_win_window_sum", "srda_export_win_window_rate"},
+       "srda_export_win_count", "srda_export_win_window_sum",
+       "srda_export_win_window_count"},
       &error))
       << error << "\n" << text;
   // The empty histogram must not advertise quantiles...
@@ -637,9 +660,11 @@ TEST_F(ObsTest, PrometheusTextValidatesAndOmitsEmptyQuantiles) {
   // ...but the filled one must.
   EXPECT_NE(text.find("srda_export_filled_hist{quantile=\"0.5\"}"),
             std::string::npos);
-  // Windowed rows carry the window label.
+  // Windowed rows carry the window label; the all-time rows do not.
   EXPECT_NE(text.find("srda_export_win_window_sum{window=\"10\"} 8"),
             std::string::npos);
+  EXPECT_NE(text.find("srda_export_win_sum 8"), std::string::npos);
+  windowed->Reset();
 }
 
 TEST_F(ObsTest, ExporterWritesSnapshotsAtomically) {

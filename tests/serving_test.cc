@@ -18,10 +18,10 @@
 #include "core/trainers.h"
 #include "model/model.h"
 #include "obs/http.h"
-#include "obs/json_check.h"
 #include "obs/metrics.h"
 #include "serve/serving.h"
 #include "serve/telemetry.h"
+#include "tools/obs_check.h"
 
 namespace srda {
 namespace {
@@ -78,8 +78,11 @@ TEST(ServingTest, ConcurrentClientsBatchedScoringIsExact) {
   // Many clients hammer the service with overlapping blocks; every response
   // must equal the single-pass reference no matter how rows were batched.
   const Fixture f = MakeFixture(80, 64, 8, 4, {});
-  Histogram* const latency_us =
-      MetricsRegistry::Global().histogram("serve.latency_us");
+  WindowedHistogram* const batch_size =
+      MetricsRegistry::Global().windowed_histogram("serve.batch_size");
+  WindowedHistogram* const latency_us =
+      MetricsRegistry::Global().windowed_histogram("serve.latency_us");
+  batch_size->Reset();
   latency_us->Reset();
   serve::ServeOptions options;
   options.max_batch = 32;
@@ -119,8 +122,12 @@ TEST(ServingTest, ConcurrentClientsBatchedScoringIsExact) {
   EXPECT_EQ(stats.requests, static_cast<int64_t>(kClients) * kRounds * 8);
   EXPECT_GT(stats.batches, 0);
   EXPECT_LE(stats.max_batch_seen, options.max_batch);
-  // One latency observation per request.
-  EXPECT_EQ(latency_us->count(), stats.requests);
+  // One batch_size observation per batch, one latency observation per
+  // request.
+  EXPECT_EQ(batch_size->total().count(), stats.batches);
+  EXPECT_DOUBLE_EQ(batch_size->total().sum(),
+                   static_cast<double>(stats.requests));
+  EXPECT_EQ(latency_us->total().count(), stats.requests);
 }
 
 TEST(ServingTest, RawLabelsComeBack) {
@@ -161,19 +168,17 @@ double ScrapeValue(const std::string& text,
 }
 
 // Acceptance: a live scrape during serving must return valid Prometheus
-// text whose windowed request count and latency quantiles agree with the
-// service's own end-of-run stats and the cumulative latency histogram (the
-// window spans the whole run, so the windowed view and the cumulative view
-// see the same traffic).
+// text whose request and batch counts (batch_size's sum and count) and
+// latency quantiles agree with the service's own end-of-run stats and the
+// all-time latency view (the window spans the whole run, so the windowed
+// view and the all-time view see the same traffic).
 TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   // The serving instruments are process-wide; clear anything earlier
   // tests in this binary fed into them.
-  Histogram* const latency_us =
-      MetricsRegistry::Global().histogram("serve.latency_us");
+  WindowedHistogram* const latency_us =
+      MetricsRegistry::Global().windowed_histogram("serve.latency_us");
   latency_us->Reset();
-  MetricsRegistry::Global().windowed_counter("serve.requests")->Reset();
   MetricsRegistry::Global().windowed_histogram("serve.batch_size")->Reset();
-  MetricsRegistry::Global().windowed_histogram("serve.latency_us")->Reset();
 
   constexpr int kWindow = 120;  // >> run length: nothing ages out
   serve::TelemetryServer telemetry(kWindow);
@@ -190,6 +195,9 @@ TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   const Fixture f = MakeFixture(80, 64, 6, 3, {});
   telemetry.SetReady(true);
   telemetry.SetBuildInfo("model", "in-memory-fixture");
+  // Every character class the /buildz escaper rewrites.
+  const std::string awkward = "q\"b\\s\nn\tt\x01" "end";
+  telemetry.SetBuildInfo("awkward", awkward);
   ASSERT_TRUE(obs::ParseHttpResponse(
       obs::HttpGet(telemetry.port(), "/healthz"), &status, &body));
   EXPECT_EQ(status, 200);
@@ -203,8 +211,8 @@ TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   }
   const serve::ServeStats stats = service.Stats();
   ASSERT_EQ(stats.requests, static_cast<int64_t>(kRounds) * 64);
-  // Every request's latency is in the cumulative histogram.
-  EXPECT_EQ(latency_us->count(), stats.requests);
+  // Every request's latency is in the all-time view.
+  EXPECT_EQ(latency_us->total().count(), stats.requests);
 
   // Live scrape while the service (and its dispatcher thread) is up.
   std::string raw = obs::HttpGet(telemetry.port(), "/metrics");
@@ -213,28 +221,30 @@ TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   std::string error;
   EXPECT_TRUE(ValidatePrometheusText(
       body,
-      {"srda_up", "srda_serve_requests", "srda_serve_requests_window_sum",
+      {"srda_up", "srda_serve_batch_size_count",
+       "srda_serve_batch_size_window_sum",
        "srda_serve_latency_us_window_count"},
       &error))
       << error;
 
   const std::string window_label = "{window=\"" + std::to_string(kWindow) +
                                    "\"}";
-  // Windowed request count == the service's own request count (the window
-  // covers the whole run).
+  // Request and batch counts == the service's own (the window covers the
+  // whole run): requests are batch_size's sum, in the window and all-time,
+  // and batches are its count.
   EXPECT_DOUBLE_EQ(
-      ScrapeValue(body, "srda_serve_requests_window_sum" + window_label),
+      ScrapeValue(body, "srda_serve_batch_size_window_sum" + window_label),
       static_cast<double>(stats.requests));
+  EXPECT_DOUBLE_EQ(ScrapeValue(body, "srda_serve_batch_size_sum"),
+                   static_cast<double>(stats.requests));
+  EXPECT_DOUBLE_EQ(ScrapeValue(body, "srda_serve_batch_size_count"),
+                   static_cast<double>(stats.batches));
   EXPECT_DOUBLE_EQ(
       ScrapeValue(body, "srda_serve_latency_us_window_count" + window_label),
       static_cast<double>(stats.requests));
-  // The windowed QPS gauge exists and is positive under live traffic.
-  EXPECT_GT(
-      ScrapeValue(body, "srda_serve_requests_window_rate" + window_label),
-      0.0);
 
-  // The windowed and cumulative histograms share one bucket layout and
-  // one nearest-rank walk, so on the same traffic they report the same
+  // The windowed and all-time views share one bucket layout and one
+  // nearest-rank walk, so on the same traffic they report the same
   // quantiles (printed with round-trip precision).
   const double scraped_p50 = ScrapeValue(
       body, "srda_serve_latency_us_window{window=\"" +
@@ -245,8 +255,8 @@ TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   ASSERT_FALSE(std::isnan(scraped_p50));
   ASSERT_FALSE(std::isnan(scraped_p99));
   EXPECT_GT(scraped_p50, 0.0);
-  EXPECT_DOUBLE_EQ(scraped_p50, latency_us->ApproxQuantile(0.5));
-  EXPECT_DOUBLE_EQ(scraped_p99, latency_us->ApproxQuantile(0.99));
+  EXPECT_DOUBLE_EQ(scraped_p50, latency_us->total().ApproxQuantile(0.5));
+  EXPECT_DOUBLE_EQ(scraped_p99, latency_us->total().ApproxQuantile(0.99));
   EXPECT_GE(scraped_p99, scraped_p50);
 
   // /buildz is one parseable object carrying the row we set.
@@ -258,6 +268,9 @@ TEST(ServingTest, TelemetryScrapeMatchesServingStats) {
   const JsonValue* model = root.Find("model");
   ASSERT_NE(model, nullptr) << body;
   EXPECT_EQ(model->string, "in-memory-fixture");
+  const JsonValue* escaped = root.Find("awkward");
+  ASSERT_NE(escaped, nullptr) << body;
+  EXPECT_EQ(escaped->string, awkward) << body;
 
   // Readiness can be withdrawn.
   telemetry.SetReady(false);

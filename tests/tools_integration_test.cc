@@ -670,7 +670,8 @@ TEST(ToolsIntegrationTest, ServeTraceAndMetricsRecordLifecycle) {
             0)
       << output;
   EXPECT_EQ(RunCommand(ToolPath("srda_trace_check") + " " + metrics +
-                    " --format=prom --require=srda_up,srda_serve_requests",
+                    " --format=prom --require=srda_up,"
+                    "srda_serve_batch_size_count",
                 &output),
             0)
       << output;

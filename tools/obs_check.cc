@@ -1,7 +1,6 @@
-#include "obs/json_check.h"
+#include "tools/obs_check.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <sstream>
@@ -187,9 +186,12 @@ class Parser {
                 return Fail("invalid \\u escape");
               }
             }
-            // Code point decoded only far enough to validate; the
-            // validator never inspects escaped text.
-            *out += '?';
+            // The obs emitters write \u only for ASCII control
+            // characters, which decode exactly; other code points are
+            // only validated.
+            const unsigned long code =
+                std::strtoul(text_.substr(pos_ + 1, 4).c_str(), nullptr, 16);
+            *out += code < 0x80 ? static_cast<char>(code) : '?';
             pos_ += 4;
             break;
           }
@@ -466,40 +468,6 @@ bool ValidatePrometheusText(const std::string& text,
     }
   }
   return true;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace srda

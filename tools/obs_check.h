@@ -1,15 +1,17 @@
 // Minimal JSON parser and schema validators for the obs emitters.
 //
-// Backs the tools/srda_trace_check CLI and the obs unit tests: parses a
-// whole document into a small DOM (no external dependency) and checks the
-// structures our own emitters produce — the Chrome trace JSON written by
-// TraceRecorder::WriteJson (a top-level object with a "traceEvents" array
-// of complete events carrying name/ph/ts/dur/pid/tid) and the Prometheus
-// text exposition written by obs/exporter.h. These are validators for our
-// own emitters, not general format libraries.
+// Not part of the library: the srda_obs_check target links them into the
+// srda_trace_check and srda_bench_diff CLIs, bench_telemetry_overhead and
+// the obs and serving unit tests. Parses a whole document into a small DOM
+// (no external dependency) and checks the structures our own emitters
+// produce — the Chrome trace JSON written by TraceRecorder::WriteJson (a
+// top-level object with a "traceEvents" array of complete events carrying
+// name/ph/ts/dur/pid/tid) and the Prometheus text exposition written by
+// obs/exporter.h. These are validators for our own emitters, not general
+// format libraries.
 
-#ifndef SRDA_OBS_JSON_CHECK_H_
-#define SRDA_OBS_JSON_CHECK_H_
+#ifndef SRDA_TOOLS_OBS_CHECK_H_
+#define SRDA_TOOLS_OBS_CHECK_H_
 
 #include <map>
 #include <memory>
@@ -59,10 +61,6 @@ bool ValidatePrometheusText(const std::string& text,
                             const std::vector<std::string>& required_names,
                             std::string* error);
 
-// Escapes a string for embedding inside a JSON string literal (used by
-// the /buildz emitter).
-std::string JsonEscape(const std::string& text);
-
 }  // namespace srda
 
-#endif  // SRDA_OBS_JSON_CHECK_H_
+#endif  // SRDA_TOOLS_OBS_CHECK_H_

@@ -40,7 +40,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/json_check.h"
+#include "tools/obs_check.h"
 
 namespace srda {
 namespace {

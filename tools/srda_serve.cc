@@ -27,14 +27,14 @@
 //
 // --json-out writes the measurements as JSON (the serving bench's format);
 // --trace-out / --metrics record serve.batch / model.load spans and the
-// serve.* counters through the obs layer.
+// serve.* histograms through the obs layer.
 //
 // Live telemetry (serve/telemetry.h): --http-port binds an embedded
 // loopback HTTP listener (0 = ephemeral; the chosen port is printed as
 // "telemetry listening on PORT") exposing /metrics (Prometheus text with
-// windowed QPS and latency quantiles over --metrics-window seconds),
-// /healthz (503 until the model is loaded), and /buildz (model path,
-// shape and SIMD level).
+// windowed request counts and latency quantiles over --metrics-window
+// seconds), /healthz (503 until the model is loaded), and /buildz (model
+// path, shape and SIMD level).
 // --linger keeps the process (and the endpoint) alive that many seconds
 // after the traffic drains, so a scraper can observe a quiescing server.
 // --metrics-out snapshots the registry to a file every --metrics-interval
@@ -195,10 +195,10 @@ int Main(int argc, char** argv) {
     std::cout << "predictions written to " << predictions_path << "\n";
   }
 
-  // The traffic's latency quantiles come from this histogram; drop what
-  // the --predictions-out pass fed it.
-  Histogram* const latency_us =
-      MetricsRegistry::Global().histogram("serve.latency_us");
+  // The traffic's latency quantiles come from this histogram's all-time
+  // view; drop what the --predictions-out pass fed it.
+  WindowedHistogram* const latency_us =
+      MetricsRegistry::Global().windowed_histogram("serve.latency_us");
   latency_us->Reset();
   double seconds = 0.0;
   serve::ServeStats stats;
@@ -231,8 +231,8 @@ int Main(int argc, char** argv) {
 
   if (stats.requests > 0) {
     const double throughput = static_cast<double>(stats.requests) / seconds;
-    const double p50 = latency_us->ApproxQuantile(0.50);
-    const double p99 = latency_us->ApproxQuantile(0.99);
+    const double p50 = latency_us->total().ApproxQuantile(0.50);
+    const double p99 = latency_us->total().ApproxQuantile(0.99);
     std::cout << "served " << stats.requests << " predictions in " << seconds
               << " s: " << throughput << " predictions/s\n";
     std::cout << "latency p50 " << p50 << " us, p99 " << p99 << " us; "

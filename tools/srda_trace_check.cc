@@ -8,7 +8,7 @@
 //           (TraceRecorder::WriteJsonFile); --require names spans.
 //   prom    Prometheus text exposition written by --metrics-out or scraped
 //           from /metrics; --require names metrics (post-sanitization,
-//           e.g. srda_serve_requests).
+//           e.g. srda_serve_batch_size_count).
 //
 // Exits 0 when FILE validates and every --require'd name appears at least
 // once; prints the first violation to stderr and exits 1 otherwise. Used as
@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/json_check.h"
+#include "tools/obs_check.h"
 
 namespace srda {
 namespace {
