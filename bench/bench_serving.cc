@@ -290,7 +290,6 @@ int Main(int argc, char** argv) {
        << "  \"served_equals_direct\": " << (exact ? "true" : "false")
        << ",\n"
        << "  \"max_batch\": " << options.max_batch << ",\n"
-       << "  \"max_delay_ms\": " << options.max_delay_ms << ",\n"
        << "  \"client_block\": " << client_block << ",\n"
        << "  \"runs\": [\n";
   for (size_t i = 0; i < runs.size(); ++i) {

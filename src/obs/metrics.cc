@@ -168,16 +168,18 @@ int64_t WindowedHistogram::MergeWindow(
   window_s = std::min(std::max(window_s, 1), kMaxWindowSeconds);
   std::fill(merged, merged + Histogram::kNumBuckets, 0);
   *sum = 0.0;
-  int64_t count = 0;
   for (const Slot& slot : slots_) {
     const int64_t tag = slot.epoch.load(std::memory_order_acquire);
     if (tag <= now_s - window_s || tag > now_s) continue;
-    count += slot.histogram.count();
     *sum += slot.histogram.sum();
     for (int b = 0; b < Histogram::kNumBuckets; ++b) {
       merged[b] += slot.histogram.bucket(b);
     }
   }
+  // Counted from the buckets, not the slots' counters (which an in-flight
+  // Observe bumps first), so the count matches what a quantile walks.
+  int64_t count = 0;
+  for (int b = 0; b < Histogram::kNumBuckets; ++b) count += merged[b];
   return count;
 }
 
@@ -200,6 +202,17 @@ double WindowedHistogram::QuantileOverAt(int window_s, double q,
   double sum = 0.0;
   MergeWindow(window_s, now_s, merged, &sum);
   return NearestRankQuantile(merged, q);
+}
+
+WindowedMetricSnapshot WindowedHistogram::SnapshotAt(int window_s,
+                                                     int64_t now_s) const {
+  int64_t merged[Histogram::kNumBuckets];
+  WindowedMetricSnapshot row;
+  row.window_s = window_s;
+  row.count = MergeWindow(window_s, now_s, merged, &row.sum);
+  row.p50 = NearestRankQuantile(merged, 0.50);
+  row.p99 = NearestRankQuantile(merged, 0.99);
+  return row;
 }
 
 void WindowedHistogram::Reset() {
@@ -296,13 +309,8 @@ std::vector<WindowedMetricSnapshot> MetricsRegistry::WindowedSnapshotAt(
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<WindowedMetricSnapshot> rows;
   for (const auto& [name, histogram] : windowed_histograms_) {
-    WindowedMetricSnapshot row;
+    WindowedMetricSnapshot row = histogram->SnapshotAt(window_s, now_s);
     row.name = name;
-    row.window_s = window_s;
-    row.count = histogram->CountOverAt(window_s, now_s);
-    row.sum = histogram->SumOverAt(window_s, now_s);
-    row.p50 = histogram->QuantileOverAt(window_s, 0.50, now_s);
-    row.p99 = histogram->QuantileOverAt(window_s, 0.99, now_s);
     rows.push_back(row);
   }
   return rows;  // std::map iteration is already sorted by name

@@ -131,6 +131,17 @@ class Histogram {
   std::atomic<int64_t> buckets_[kNumBuckets] = {};
 };
 
+// One row of a windowed snapshot: the trailing-window view of a windowed
+// histogram (count/sum + nearest-rank quantiles).
+struct WindowedMetricSnapshot {
+  std::string name;
+  int window_s = 0;
+  double sum = 0.0;
+  int64_t count = 0;
+  double p50 = 0.0;  // NaN when count == 0
+  double p99 = 0.0;
+};
+
 // Sliding-window histogram: an all-time Histogram (total()) beside a ring
 // of per-second Histogram slots. One Observe feeds both views: total() is
 // what the run summary, srda_serve and BENCH_serving.json read, and the
@@ -161,6 +172,9 @@ class WindowedHistogram {
   int64_t CountOverAt(int window_s, int64_t now_s) const;
   double SumOverAt(int window_s, int64_t now_s) const;
   double QuantileOverAt(int window_s, double q, int64_t now_s) const;
+  // Count, sum, p50 and p99 from one merge, so the row stays consistent
+  // under concurrent observers; `name` is left empty.
+  WindowedMetricSnapshot SnapshotAt(int window_s, int64_t now_s) const;
 
   // Clears both views.
   void Reset();
@@ -176,7 +190,7 @@ class WindowedHistogram {
 
   // Claims `slot` for `epoch_s` (clearing it) unless already current.
   static void EnsureSlot(Slot* slot, int64_t epoch_s);
-  // Folds the window's buckets into `merged`; returns the total count.
+  // Folds the window's buckets into `merged`; returns their total count.
   int64_t MergeWindow(int window_s, int64_t now_s,
                       int64_t merged[Histogram::kNumBuckets],
                       double* sum) const;
@@ -195,17 +209,6 @@ struct MetricSnapshot {
   double min = 0.0;
   double max = 0.0;
   double p50 = 0.0;       // histogram quantiles; NaN when count == 0
-  double p99 = 0.0;
-};
-
-// One row of a windowed snapshot: the trailing-window view of a windowed
-// histogram (count/sum + nearest-rank quantiles).
-struct WindowedMetricSnapshot {
-  std::string name;
-  int window_s = 0;
-  double sum = 0.0;
-  int64_t count = 0;
-  double p50 = 0.0;  // NaN when count == 0
   double p99 = 0.0;
 };
 

@@ -27,11 +27,6 @@ PredictionService::PredictionService(const model::SrdaModel* model,
   SRDA_CHECK(model_ != nullptr) << "serving needs a model";
   model_->Validate();
   SRDA_CHECK_GT(options_.max_batch, 0) << "max_batch must be positive";
-  // The dispatcher casts the delay to integer nanoseconds; a non-finite or
-  // huge value would overflow that cast.
-  SRDA_CHECK(options_.max_delay_ms >= 0.0 && options_.max_delay_ms <= 1e6)
-      << "max_delay_ms (--max-delay-ms) must be in [0, 1e6], got "
-      << options_.max_delay_ms;
   scorer_.SetCentroids(model_->centroids);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
@@ -65,28 +60,14 @@ void PredictionService::DispatcherLoop() {
   static WindowedHistogram* const latency_us =
       MetricsRegistry::Global().windowed_histogram("serve.latency_us");
 
-  const auto max_delay = std::chrono::nanoseconds(
-      static_cast<int64_t>(options_.max_delay_ms * 1e6));
   std::vector<Request*> batch;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
+    // Greedy batching: sleep only while the queue is empty, then take up to
+    // max_batch pending rows; rows that arrive meanwhile form the next batch.
+    // Stopping drains the queue first, so the destructor strands no client.
     pending_cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
-    if (pending_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    // The batch closes at max_batch pending or when the oldest query's
-    // max_delay budget expires — whichever happens first. Stopping flushes
-    // immediately so the destructor never strands a client.
-    const auto deadline =
-        std::chrono::steady_clock::time_point(
-            std::chrono::nanoseconds(pending_.front()->enqueue_ns)) +
-        max_delay;
-    pending_cv_.wait_until(lock, deadline, [this] {
-      return stopping_ ||
-             static_cast<int>(pending_.size()) >= options_.max_batch;
-    });
-    batch.clear();
+    if (pending_.empty()) return;
     const int take =
         std::min(static_cast<int>(pending_.size()), options_.max_batch);
     batch.assign(pending_.begin(), pending_.begin() + take);
@@ -123,44 +104,47 @@ void PredictionService::DispatcherLoop() {
   }
 }
 
+void PredictionService::EnqueueAndWait(Request* requests, size_t count) {
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    SRDA_CHECK(!stopping_) << "Predict on a stopped service";
+    const int64_t now = NowNs();
+    for (size_t i = 0; i < count; ++i) {
+      requests[i].enqueue_ns = now;
+      pending_.push_back(&requests[i]);
+    }
+  }
+  pending_cv_.notify_one();
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_cv_.wait(lock, [requests, count] {
+    for (size_t i = 0; i < count; ++i) {
+      if (!requests[i].done) return false;
+    }
+    return true;
+  });
+}
+
 std::vector<int> PredictionService::Predict(const Matrix& queries) {
   SRDA_CHECK_EQ(queries.cols(), model_->input_dim())
       << "query width does not match the model";
   SRDA_CHECK_GT(queries.rows(), 0) << "empty query block";
   std::vector<Request> requests(static_cast<size_t>(queries.rows()));
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    SRDA_CHECK(!stopping_) << "Predict on a stopped service";
-    const int64_t now = NowNs();
-    for (int i = 0; i < queries.rows(); ++i) {
-      Request& request = requests[static_cast<size_t>(i)];
-      request.features = queries.RowPtr(i);
-      request.enqueue_ns = now;
-      pending_.push_back(&request);
-    }
+  for (int i = 0; i < queries.rows(); ++i) {
+    requests[static_cast<size_t>(i)].features = queries.RowPtr(i);
   }
-  pending_cv_.notify_all();
-  std::vector<int> predictions(static_cast<size_t>(queries.rows()));
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&requests] {
-      for (const Request& request : requests) {
-        if (!request.done) return false;
-      }
-      return true;
-    });
-    for (size_t i = 0; i < requests.size(); ++i) {
-      predictions[i] = requests[i].result;
-    }
+  EnqueueAndWait(requests.data(), requests.size());
+  std::vector<int> predictions(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    predictions[i] = requests[i].result;
   }
   return predictions;
 }
 
 int PredictionService::Predict(const double* features) {
-  Matrix query(1, model_->input_dim());
-  std::memcpy(query.RowPtr(0), features,
-              static_cast<size_t>(model_->input_dim()) * sizeof(double));
-  return Predict(query)[0];
+  Request request;
+  request.features = features;
+  EnqueueAndWait(&request, 1);
+  return request.result;
 }
 
 ServeStats PredictionService::Stats() {

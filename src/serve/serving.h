@@ -1,9 +1,11 @@
 // Micro-batching prediction serving: the "millions of users" path.
 //
 // A PredictionService owns a queue of in-flight prediction requests and one
-// dispatcher thread that drains it in micro-batches: a batch closes as soon
-// as `max_batch` queries are pending or the oldest pending query has waited
-// `max_delay_ms`, whichever comes first. Each batch is embedded with one
+// dispatcher thread that drains it greedily: it sleeps only while the queue
+// is empty, and whenever it wakes or finishes a batch it takes every
+// pending query, up to `max_batch`, as the next batch. No timer holds a
+// batch open; under load batches still fill, because rows queue up while
+// the previous batch computes. Each batch is embedded with one
 // blocked GEMM (LinearEmbedding::Transform) and scored with one batched
 // Scorer call (classify/classifiers.h), so server throughput rides the
 // level-3 kernels and the common/parallel.h pool instead of paying a gemv
@@ -42,10 +44,8 @@ namespace srda {
 namespace serve {
 
 struct ServeOptions {
-  // A batch closes when this many queries are pending...
+  // The most queries one batch scores; it bounds the batch's memory.
   int max_batch = 256;
-  // ...or when the oldest pending query has waited this long.
-  double max_delay_ms = 0.2;
 };
 
 // Aggregate counters since construction.
@@ -79,7 +79,8 @@ class PredictionService {
   // all rows complete; rows from concurrent Predict calls share batches.
   std::vector<int> Predict(const Matrix& queries);
 
-  // Single-query convenience: `features` points at input_dim() doubles.
+  // Single-query path: `features` points at input_dim() doubles, read in
+  // place until the call returns.
   int Predict(const double* features);
 
   int input_dim() const { return model_->input_dim(); }
@@ -95,6 +96,9 @@ class PredictionService {
     int64_t enqueue_ns = 0;
   };
 
+  // Queues `count` requests and blocks until the dispatcher has scored
+  // every one of them.
+  void EnqueueAndWait(Request* requests, size_t count);
   void DispatcherLoop();
   // Scores one closed batch outside the lock; returns raw labels.
   std::vector<int> ScoreBatch(const std::vector<Request*>& batch) const;

@@ -571,6 +571,48 @@ TEST_F(ObsTest, RegistryWindowedSnapshot) {
   histogram->Reset();
 }
 
+// A snapshot row comes from one merge of the window; on a quiescent
+// histogram it must agree exactly with the per-figure accessors, each of
+// which merges on its own.
+TEST_F(ObsTest, WindowedSnapshotRowMatchesAccessors) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  WindowedHistogram* histogram =
+      registry.windowed_histogram("test.win_snapshot");
+  histogram->Reset();
+  for (int i = 1; i <= 200; ++i) {
+    histogram->ObserveAt(2000 + (i % 7), 0.37 * i * i);
+  }
+  for (const int window_s : {1, 3, 10, WindowedHistogram::kMaxWindowSeconds}) {
+    for (const int64_t now_s : {2003, 2006, 2200}) {
+      const WindowedMetricSnapshot* row = nullptr;
+      const std::vector<WindowedMetricSnapshot> rows =
+          registry.WindowedSnapshotAt(window_s, now_s);
+      for (const WindowedMetricSnapshot& r : rows) {
+        if (r.name == "test.win_snapshot") row = &r;
+      }
+      ASSERT_NE(row, nullptr);
+      const std::string where = "window " + std::to_string(window_s) +
+                                " at " + std::to_string(now_s);
+      EXPECT_EQ(row->window_s, window_s) << where;
+      EXPECT_EQ(row->count, histogram->CountOverAt(window_s, now_s)) << where;
+      EXPECT_EQ(row->sum, histogram->SumOverAt(window_s, now_s)) << where;
+      const double p50 = histogram->QuantileOverAt(window_s, 0.50, now_s);
+      const double p99 = histogram->QuantileOverAt(window_s, 0.99, now_s);
+      if (row->count == 0) {
+        EXPECT_TRUE(std::isnan(row->p50) && std::isnan(p50)) << where;
+        EXPECT_TRUE(std::isnan(row->p99) && std::isnan(p99)) << where;
+      } else {
+        EXPECT_EQ(row->p50, p50) << where;
+        EXPECT_EQ(row->p99, p99) << where;
+      }
+    }
+  }
+  // The windows above include both non-empty and aged-out views.
+  EXPECT_GT(histogram->CountOverAt(3, 2006), 0);
+  EXPECT_EQ(histogram->CountOverAt(10, 2200), 0);
+  histogram->Reset();
+}
+
 // One namespace: a windowed histogram's name cannot be reused by another
 // kind, in either lookup order.
 TEST(ObsDeathTest, WindowedNameIsOneKind) {

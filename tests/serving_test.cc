@@ -86,7 +86,6 @@ TEST(ServingTest, ConcurrentClientsBatchedScoringIsExact) {
   latency_us->Reset();
   serve::ServeOptions options;
   options.max_batch = 32;
-  options.max_delay_ms = 0.5;
   serve::PredictionService service(&f.model, options);
   constexpr int kClients = 8;
   constexpr int kRounds = 20;
@@ -140,15 +139,32 @@ TEST(ServingTest, RawLabelsComeBack) {
 }
 
 TEST(ServingTest, MaxBatchRespectedUnderBlockLargerThanBatch) {
-  // A single 100-row block must be split into <=16-row batches.
+  // A 100-row block is queued under one lock, so the greedy dispatcher
+  // takes it in exactly ceil(100 / 16) = 7 batches of at most 16 rows.
   const Fixture f = MakeFixture(40, 100, 5, 2, {});
   serve::ServeOptions options;
   options.max_batch = 16;
   serve::PredictionService service(&f.model, options);
   EXPECT_EQ(service.Predict(f.queries), f.expected);
   const serve::ServeStats stats = service.Stats();
-  EXPECT_LE(stats.max_batch_seen, 16);
-  EXPECT_GE(stats.batches, (100 + 15) / 16);
+  EXPECT_EQ(stats.batches, 7);
+  EXPECT_EQ(stats.max_batch_seen, 16);
+}
+
+TEST(ServingTest, SequentialSingleRowsAreScoredOneBatchEach) {
+  // One client waits for each row before sending the next, so no two rows
+  // are ever pending together: with no timer to hold a batch open, every
+  // request is its own batch.
+  const Fixture f = MakeFixture(40, 30, 5, 2, {});
+  serve::PredictionService service(&f.model);
+  for (int i = 0; i < f.queries.rows(); ++i) {
+    EXPECT_EQ(service.Predict(f.queries.RowPtr(i)),
+              f.expected[static_cast<size_t>(i)]);
+  }
+  const serve::ServeStats stats = service.Stats();
+  EXPECT_EQ(stats.requests, f.queries.rows());
+  EXPECT_EQ(stats.batches, stats.requests);
+  EXPECT_EQ(stats.max_batch_seen, 1);
 }
 
 // Pulls the value of the sample line that starts with `name_and_labels`
@@ -286,16 +302,6 @@ TEST(ServingDeathTest, QueryWidthMismatchAborts) {
   serve::PredictionService service(&f.model);
   Matrix wrong(2, 3);
   EXPECT_DEATH(service.Predict(wrong), "query width");
-}
-
-TEST(ServingDeathTest, InfiniteMaxDelayAborts) {
-  // The dispatcher converts max_delay_ms to integer nanoseconds, which an
-  // infinite delay would overflow.
-  const Fixture f = MakeFixture(40, 4, 5, 2, {});
-  serve::ServeOptions options;
-  options.max_delay_ms = INFINITY;
-  EXPECT_DEATH({ serve::PredictionService service(&f.model, options); },
-               "max_delay_ms");
 }
 
 }  // namespace

@@ -205,11 +205,14 @@ TEST(ToolsIntegrationTest, HelpAndBadFlagsExitCleanly) {
       << output;
   const std::string serve = ToolPath("srda_serve") + " --model=" + model +
                             " --data=" + data + " --requests=100";
+  // The batching timer is gone: its flag is an unknown flag, not ignored.
+  EXPECT_NE(RunCommand(serve + " --max-delay-ms=0.2", &output), 0);
+  EXPECT_NE(output.find("unknown flag --max-delay-ms"), std::string::npos)
+      << output;
   const struct {
     std::string command;
     const char* flag;
   } bad_durations[] = {
-      {serve + " --max-delay-ms=inf", "--max-delay-ms"},
       {serve + " --linger=inf", "--linger"},
       {serve + " --metrics-interval=inf", "--metrics-interval"},
       {ToolPath("srda_train") + " --data=" + data + " --model-out=" + model +
@@ -498,7 +501,7 @@ TEST(ToolsIntegrationTest, ServeMatchesPredictExactly) {
       << output;
   ASSERT_EQ(RunCommand(ToolPath("srda_serve") + " --model=" + model +
                     " --data=" + data + " --clients=3 --client-block=17" +
-                    " --requests=5000 --max-batch=64 --max-delay-ms=0.2" +
+                    " --requests=5000 --max-batch=64" +
                     " --predictions-out=" + serve_out + " --json-out=" + json,
                 &output),
             0)

@@ -3,9 +3,8 @@
 // Usage:
 //   srda_serve --model=FILE --data=FILE [--format=csv|binary]
 //              [--clients=4] [--client-block=64] [--requests=100000]
-//              [--max-batch=256] [--max-delay-ms=0.2]
-//              [--predictions-out=FILE] [--json-out=FILE]
-//              [--trace-out=FILE] [--metrics]
+//              [--max-batch=256] [--predictions-out=FILE]
+//              [--json-out=FILE] [--trace-out=FILE] [--metrics]
 //              [--http-port=N] [--metrics-window=10]
 //              [--metrics-out=FILE] [--metrics-interval=SEC]
 //              [--linger=SEC]
@@ -14,8 +13,9 @@
 // drives synthetic traffic through the micro-batching PredictionService
 // (serve/serving.h): --clients threads each submit blocks of
 // --client-block query rows drawn from the data file, cycling until
-// --requests total rows are served. Blocks from different clients coalesce
-// into shared batches closed by the --max-batch / --max-delay-ms policy.
+// --requests total rows are served. The dispatcher scores whatever is
+// queued, up to --max-batch rows, as soon as it is free, so blocks from
+// different clients coalesce into shared batches under load.
 // Reported: sustained predictions/s, p50/p99 request latency (nearest-rank
 // quantiles of the serve.latency_us histogram, within 1% relative error;
 // the figures /metrics exposes), and the realized batch-size distribution.
@@ -71,8 +71,8 @@ constexpr char kUsage[] =
     "usage: srda_serve --model=FILE --data=FILE [--format=csv|binary]\n"
     "                  [--clients=4] [--client-block=64]\n"
     "                  [--requests=100000] [--max-batch=256]\n"
-    "                  [--max-delay-ms=0.2] [--predictions-out=FILE]\n"
-    "                  [--json-out=FILE] [--trace-out=FILE] [--metrics]\n"
+    "                  [--predictions-out=FILE] [--json-out=FILE]\n"
+    "                  [--trace-out=FILE] [--metrics]\n"
     "                  [--http-port=N] [--metrics-window=10]\n"
     "                  [--metrics-out=FILE] [--metrics-interval=SEC]\n"
     "                  [--linger=SEC]\n"
@@ -105,7 +105,6 @@ int Main(int argc, char** argv) {
   const int client_block = args.GetInt("client-block", 64);
   const int64_t requests = args.GetInt("requests", 100000);
   const int max_batch = args.GetInt("max-batch", 256);
-  const double max_delay_ms = args.GetDouble("max-delay-ms", 0.2);
   const std::string predictions_path = args.GetString("predictions-out", "");
   const std::string json_path = args.GetString("json-out", "");
   const std::string trace_path = args.GetString("trace-out", "");
@@ -180,7 +179,6 @@ int Main(int argc, char** argv) {
 
   serve::ServeOptions options;
   options.max_batch = max_batch;
-  options.max_delay_ms = max_delay_ms;
 
   if (!predictions_path.empty()) {
     // One ordered pass: blocks submitted in dataset order from one client,
@@ -245,7 +243,6 @@ int Main(int argc, char** argv) {
           << "  \"clients\": " << clients << ",\n"
           << "  \"client_block\": " << client_block << ",\n"
           << "  \"max_batch\": " << max_batch << ",\n"
-          << "  \"max_delay_ms\": " << max_delay_ms << ",\n"
           << "  \"requests\": " << stats.requests << ",\n"
           << "  \"seconds\": " << seconds << ",\n"
           << "  \"predictions_per_s\": " << throughput << ",\n"
