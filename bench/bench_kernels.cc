@@ -64,7 +64,13 @@ void BM_Cholesky(benchmark::State& state) {
     benchmark::DoNotOptimize(chol.Factor(spd));
   }
 }
-BENCHMARK(BM_Cholesky)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_Cholesky)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(680)
+    ->Arg(1024);
 
 void BM_SymmetricEigen(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -78,10 +78,10 @@ IdrQrModel FitIdrQr(const Matrix& x, const std::vector<int>& labels,
 
   // Stage 3: generalized eigenproblem S_b' v = lambda (S_w' + eps I) v via
   // Cholesky reduction to a standard symmetric problem.
-  AddDiagonal(kRegularization + 1e-12 * (1.0 + std::fabs(sw_reduced(0, 0))),
-              &sw_reduced);
+  const double shift =
+      kRegularization + 1e-12 * (1.0 + std::fabs(sw_reduced(0, 0)));
   Cholesky chol;
-  if (!chol.Factor(sw_reduced)) {
+  if (!chol.Factor(sw_reduced, shift)) {
     model.converged = false;
     return model;
   }

@@ -148,7 +148,7 @@ void BackwardSweep(const Matrix& l, Matrix* x) {
 
 }  // namespace
 
-bool Cholesky::Factor(const Matrix& a) {
+bool Cholesky::Factor(const Matrix& a, double shift) {
   SRDA_CHECK_EQ(a.rows(), a.cols()) << "Cholesky needs a square matrix";
   const int n = a.rows();
   TraceSpan span("cholesky.factor");
@@ -160,27 +160,36 @@ bool Cholesky::Factor(const Matrix& a) {
     refactors->Increment();
   }
   ok_ = false;
-  l_ = Matrix(n, n);
   // Pivots below this relative threshold indicate a numerically singular
   // matrix; round-off can leave them slightly positive, so an exact <= 0
   // test would let garbage factors through.
   double max_diag = 0.0;
   for (int j = 0; j < n; ++j) {
-    if (!std::isfinite(a(j, j))) return false;
-    max_diag = std::max(max_diag, std::fabs(a(j, j)));
+    const double d = a(j, j) + shift;
+    if (!std::isfinite(d)) return false;
+    max_diag = std::max(max_diag, std::fabs(d));
   }
   const double pivot_floor = 1e-14 * max_diag;
   AddFlops(static_cast<double>(n) * n * n / 3.0);
-  // Work on a copy of the lower triangle; the upper stays zero.
+  // Work on a copy of the shifted lower triangle. Nothing writes above the
+  // diagonal, so a previous factor's storage of the same order still has
+  // a zero upper triangle and is reused.
+  if (l_.rows() != n) l_ = Matrix(n, n);
   ParallelFor(0, n, [&](int row_begin, int row_end) {
     for (int i = row_begin; i < row_end; ++i) {
       const double* arow = a.RowPtr(i);
       double* lrow = l_.RowPtr(i);
-      std::copy(arow, arow + i + 1, lrow);
+      std::copy(arow, arow + i, lrow);
+      lrow[i] = arow[i] + shift;
     }
   });
   const BlockConfig& blk = GetBlockConfig();
   const simd::KernelTable& kt = simd::Dispatch();
+  // The finished panel columns below the diagonal block, transposed:
+  // row k holds l[j][p0 + k] for j = p1..n-1, the B operand of the
+  // trailing update's gemm_tile.
+  std::vector<double> panel_t(
+      static_cast<size_t>(std::min(blk.nb, n)) * (n - std::min(blk.nb, n)));
   for (int p0 = 0; p0 < n; p0 += blk.nb) {
     const int p1 = std::min(p0 + blk.nb, n);
     const int kk = p1 - p0;
@@ -188,30 +197,58 @@ bool Cholesky::Factor(const Matrix& a) {
     if (p1 == n) break;
     std::vector<double> inv_diag(kk);
     for (int j = 0; j < kk; ++j) inv_diag[j] = 1.0 / l_(p0 + j, p0 + j);
+    const int trailing = n - p1;
     // TRSM: finish the panel's columns in the rows below the block. Row i
     // only reads rows < p1 (final) and its own earlier columns, so rows
-    // are independent. The kernel scratch is chunk-local, allocated and
-    // first-touched by the worker that uses it.
+    // are independent; each chunk then writes its finished rows' columns
+    // of the transposed pack. The kernel scratch is chunk-local, allocated
+    // and first-touched by the worker that uses it.
     ParallelFor(p1, n, [&](int row_begin, int row_end) {
       PanelScratch scratch;
       double* s = scratch.Acquire(
           static_cast<size_t>(simd::kTrsmMaxLanes) * kk);
       kt.trsm_rows(l_.data(), n, p0, p1, inv_diag.data(), row_begin,
                    row_end - row_begin, s);
+      for (int j = row_begin; j < row_end; ++j) {
+        const int q = (j - p1) / blk.nc;
+        const int wq = std::min(blk.nc, trailing - q * blk.nc);
+        const double* lrow = l_.RowPtr(j) + p0;
+        double* col = panel_t.data() + static_cast<size_t>(q) * blk.nc * kk +
+                      (j - p1 - q * blk.nc);
+        for (int k = 0; k < kk; ++k) col[static_cast<size_t>(k) * wq] = lrow[k];
+      }
     });
     // SYRK: subtract the panel's outer product from the trailing lower
-    // triangle. Row i writes columns [p1, i] and reads only panel columns
-    // [p0, p1) — already final — so the row partition is race-free, and
-    // each element's k-chain (ascending within the panel, panels in
-    // order) is independent of the partition: bitwise-deterministic at
-    // any thread count.
-    ParallelFor(p1, n, [&](int row_begin, int row_end) {
+    // triangle, one mc x nc tile at a time. gemm_tile sums the panel rows
+    // (read in place) against the transposed pack into a zero-seeded
+    // tile, so element (i, j) is 0 + l_i0 l_j0 + ... in ascending k,
+    // subtracted from l[i][j] once: the same chain at any tile shape,
+    // thread count, or SIMD level. Row i writes columns [p1, i] and reads
+    // only the final panel columns, so the row partition is race-free.
+    // Chunks map to rows bottom-up: workers claim chunks in index order,
+    // so the longest rows of the triangle are handed out first.
+    ParallelFor(0, trailing, [&](int chunk_begin, int chunk_end) {
+      const int row_begin = n - chunk_end;
+      const int row_end = n - chunk_begin;
+      PanelScratch scratch;
+      double* tile = scratch.Acquire(static_cast<size_t>(blk.mc) * blk.nc);
       for (int i0 = row_begin; i0 < row_end; i0 += blk.mc) {
         const int i1 = std::min(i0 + blk.mc, row_end);
         for (int j0 = p1; j0 < i1; j0 += blk.nc) {
           const int j1 = std::min(j0 + blk.nc, i1);
-          for (int i = std::max(i0, j0); i < i1; ++i) {
-            kt.syrk_row(l_.data(), n, i, p0, kk, j0, std::min(j1, i + 1));
+          const int width = j1 - j0;
+          const int ib = std::max(i0, j0);  // rows above j0 have no j <= i
+          std::fill(tile, tile + static_cast<size_t>(i1 - ib) * width, 0.0);
+          const int q = (j0 - p1) / blk.nc;
+          const int wq = std::min(blk.nc, trailing - q * blk.nc);
+          kt.gemm_tile(l_.RowPtr(ib) + p0, n, kk,
+                       panel_t.data() + static_cast<size_t>(q) * blk.nc * kk,
+                       wq, 0, tile, width, 0, i1 - ib, 0, width);
+          for (int i = ib; i < i1; ++i) {
+            double* lrow = l_.RowPtr(i) + j0;
+            const double* trow = tile + static_cast<size_t>(i - ib) * width;
+            const int jend = std::min(j1, i + 1) - j0;
+            for (int j = 0; j < jend; ++j) lrow[j] -= trow[j];
           }
         }
       }

@@ -8,12 +8,15 @@
 // panel's diagonal block is factored serially, then the panel below it is
 // solved (TRSM) and the trailing matrix updated (SYRK) on the thread pool,
 // with the panel width taken from matrix/blocking.h (BlockConfig::nb).
-// Every element's update chain runs over the reduction index in one fixed
-// ascending order regardless of the ParallelFor partition, so — like the
-// rest of the library — 1-thread and N-thread factors are bitwise
-// identical. The multi-right-hand-side triangular solves sweep the same
-// panels: a serial diagonal block, then a row-parallel GEMM update of the
-// rows not yet solved.
+// The TRSM also packs the finished panel columns transposed, and the SYRK
+// step is a simd gemm_tile of the panel rows against that pack into a
+// zero-seeded mc x nc tile, subtracted from the trailing lower triangle
+// once. Every element's update chain runs over the reduction index in one
+// fixed ascending order regardless of the ParallelFor partition or tile
+// shape, so — like the rest of the library — 1-thread and N-thread
+// factors are bitwise identical. The multi-right-hand-side triangular
+// solves sweep the same panels: a serial diagonal block, then a
+// row-parallel GEMM update of the rows not yet solved.
 
 #ifndef SRDA_LINALG_CHOLESKY_H_
 #define SRDA_LINALG_CHOLESKY_H_
@@ -33,10 +36,14 @@ class Cholesky {
  public:
   Cholesky() = default;
 
-  // Factors `a` (square, symmetric; only the lower triangle is read).
-  // Returns false if a non-positive pivot is met, i.e. `a` is not numerically
+  // Factors `a + shift * I` (`a` square, symmetric; only its lower
+  // triangle is read). The shift is added to each diagonal element as the
+  // triangle is copied into the factor's storage, one add per element, so
+  // the factor is bitwise that of a copy of `a` shifted by AddDiagonal.
+  // The storage is reused when the order is unchanged. Returns false if a
+  // non-positive pivot is met, i.e. the shifted matrix is not numerically
   // positive definite; the object is then unusable until the next Factor().
-  bool Factor(const Matrix& a);
+  bool Factor(const Matrix& a, double shift = 0.0);
 
   // Solves A X = B for all k columns of B at once (B is n x k); a single
   // right-hand side is a one-column B. Requires a successful Factor(). Both

@@ -168,35 +168,6 @@ inline void DotTile(const double* a, int a_stride, const double* b,
   }
 }
 
-// Blocked-Cholesky SYRK inner loop for factor row i: subtract the panel
-// outer product from columns [j0, jend). Two-wide unroll, each element a
-// fresh ascending-k dot.
-inline void SyrkRow(double* l, int stride, int i, int p0, int kk, int j0,
-                    int jend) {
-  const double* rowi = l + static_cast<size_t>(i) * stride + p0;
-  double* crow = l + static_cast<size_t>(i) * stride;
-  int j = j0;
-  for (; j + 2 <= jend; j += 2) {
-    const double* rj0 = l + static_cast<size_t>(j) * stride + p0;
-    const double* rj1 = rj0 + stride;
-    double s0 = 0.0;
-    double s1 = 0.0;
-    for (int k = 0; k < kk; ++k) {
-      const double v = rowi[k];
-      s0 += v * rj0[k];
-      s1 += v * rj1[k];
-    }
-    crow[j] -= s0;
-    crow[j + 1] -= s1;
-  }
-  for (; j < jend; ++j) {
-    const double* rowj = l + static_cast<size_t>(j) * stride + p0;
-    double sum = 0.0;
-    for (int k = 0; k < kk; ++k) sum += rowi[k] * rowj[k];
-    crow[j] -= sum;
-  }
-}
-
 // Blocked-Cholesky TRSM for rows [i, i + rows): finish panel columns
 // [p0, p1). Row r only reads rows < p1 (final) and its own earlier
 // columns, so rows are independent; `scratch` is unused here.

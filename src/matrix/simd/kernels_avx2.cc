@@ -23,7 +23,7 @@ namespace {
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
-      &GemmTileYmm,     &DotTileYmm,      &SyrkRowYmm,
+      &GemmTileYmm,     &DotTileYmm,
       &TrsmRowsYmm,     &DowndateTileYmm, &RotatePanelYmm,
   };
   return table;

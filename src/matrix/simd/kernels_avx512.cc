@@ -2,7 +2,7 @@
 // entered when __builtin_cpu_supports("avx512f") said yes. The zmm
 // kernels widen the axpy-form GEMM tile (4 rows x 16 columns), run the
 // 8-lane downdate step in a single register, and push TRSM to 8 rows in
-// lockstep; the dot-form kernels reuse the ymm bodies, whose 4x4
+// lockstep; the dot-form kernel reuses the ymm body, whose 4x4
 // transpose shape does not benefit from wider registers. Remainder
 // regions delegate to the ymm or generic kernels — same per-element
 // chains, so the choice of width never shows up in the bits.
@@ -189,7 +189,7 @@ void RotatePanelZmm(double* panel, const PlaneRotation* rotations,
 
 const KernelTable& Avx512Table() {
   static const KernelTable table = {
-      &GemmTileZmm,     &DotTileYmm,      &SyrkRowYmm,
+      &GemmTileZmm,     &DotTileYmm,
       &TrsmRowsZmm,     &DowndateTileZmm, &RotatePanelZmm,
   };
   return table;

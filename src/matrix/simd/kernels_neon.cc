@@ -131,37 +131,6 @@ void DotTileNeon(const double* a, int a_stride, const double* b,
   }
 }
 
-// syrk_row: two output columns per iteration.
-void SyrkRowNeon(double* l, int stride, int i, int p0, int kk, int j0,
-                 int jend) {
-  const double* rowi = l + static_cast<size_t>(i) * stride + p0;
-  double* crow = l + static_cast<size_t>(i) * stride;
-  int j = j0;
-  for (; j + 2 <= jend; j += 2) {
-    const double* r0 = l + static_cast<size_t>(j) * stride + p0;
-    const double* r1 = r0 + stride;
-    float64x2_t s = vdupq_n_f64(0.0);
-    int k = 0;
-    for (; k + 2 <= kk; k += 2) {
-      const float64x2_t q0 = vld1q_f64(r0 + k);
-      const float64x2_t q1 = vld1q_f64(r1 + k);
-      const float64x2_t t0 = vzip1q_f64(q0, q1);
-      const float64x2_t t1 = vzip2q_f64(q0, q1);
-      s = vaddq_f64(s, vmulq_f64(vdupq_n_f64(rowi[k]), t0));
-      s = vaddq_f64(s, vmulq_f64(vdupq_n_f64(rowi[k + 1]), t1));
-    }
-    for (; k < kk; ++k) {
-      float64x2_t t = vdupq_n_f64(r0[k]);
-      t = vsetq_lane_f64(r1[k], t, 1);
-      s = vaddq_f64(s, vmulq_f64(vdupq_n_f64(rowi[k]), t));
-    }
-    vst1q_f64(crow + j, vsubq_f64(vld1q_f64(crow + j), s));
-  }
-  if (j < jend) {
-    generic::SyrkRow(l, stride, i, p0, kk, j, jend);
-  }
-}
-
 // trsm_rows: two factor rows in lockstep, scratch[2 * jj + lane].
 void TrsmRowsNeon(double* l, int stride, int p0, int p1,
                   const double* inv_diag, int i, int rows, double* scratch) {
@@ -238,7 +207,7 @@ void DowndateTileNeon(double* const* lrows, double* wtile, const double* p,
 // that loop already compiles to q-register code.
 const KernelTable& NeonTable() {
   static const KernelTable table = {
-      &GemmTileNeon, &DotTileNeon, &SyrkRowNeon, &TrsmRowsNeon,
+      &GemmTileNeon,     &DotTileNeon,          &TrsmRowsNeon,
       &DowndateTileNeon, &generic::RotatePanel,
   };
   return table;

@@ -13,7 +13,7 @@ namespace internal {
 
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
-      &generic::GemmTile,     &generic::DotTile,      &generic::SyrkRow,
+      &generic::GemmTile,     &generic::DotTile,
       &generic::TrsmRows,     &generic::DowndateTile, &generic::RotatePanel,
   };
   return table;

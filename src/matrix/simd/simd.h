@@ -1,8 +1,9 @@
 // Explicit SIMD micro-kernels behind one-time runtime CPU dispatch.
 //
-// The blocked dense kernels (GEMM family, SYRK/TRSM of the blocked
-// Cholesky, the downdate engine's rotation sweep, and the QL eigen
-// sweep's plane rotations) funnel their innermost loops through the
+// The blocked dense kernels (the GEMM family, which also carries the
+// blocked Cholesky's trailing update and the triangular sweeps, the
+// Cholesky panel TRSM, the downdate engine's rotation sweep, and the QL
+// eigen sweep's plane rotations) funnel their innermost loops through the
 // function-pointer table returned by Dispatch(). The table is resolved
 // once, on first use, from CPUID (x86-64) or the architecture baseline
 // (aarch64 NEON), and can be forced with
@@ -73,14 +74,6 @@ struct KernelTable {
   void (*dot_tile)(const double* a, int a_stride, const double* b,
                    int b_stride, int k0, int kk, double* c, int c_stride,
                    int i0, int i1, int j0, int j1);
-
-  // Blocked-Cholesky SYRK inner loop: for j in [j0, jend),
-  // l[i][j] -= dot(l[i][p0:p0+kk], l[j][p0:p0+kk]), each dot a fresh
-  // ascending-k chain. Requires j0 >= p0 + kk (the trailing-update call
-  // site guarantees it): writes must not alias the panel columns, or the
-  // j-order — which differs between implementations — would show.
-  void (*syrk_row)(double* l, int stride, int i, int p0, int kk, int j0,
-                   int jend);
 
   // Blocked-Cholesky TRSM: finishes panel columns [p0, p1) for the
   // `rows` factor rows starting at row `i`. inv_diag[j - p0] is the

@@ -166,9 +166,7 @@ const Cholesky* RidgeSolver::Factor(double alpha, const Matrix* responses) {
     span.AddArg("alpha", alpha);
     RidgeMetrics().factor_misses->Increment();
   }
-  Matrix shifted = GramBase(responses);
-  AddDiagonal(alpha, &shifted);
-  factor_ok_ = chol_.Factor(shifted);
+  factor_ok_ = chol_.Factor(GramBase(responses), alpha);
   factor_alpha_ = alpha;
   factor_ready_ = true;
   return factor_ok_ ? &chol_ : nullptr;

@@ -1,10 +1,17 @@
 // Tests for Cholesky factorization and triangular solves.
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "linalg/cholesky.h"
 #include "matrix/blas.h"
+#include "matrix/blocking.h"
+#include "matrix/simd/simd.h"
+#include "tests/row_syrk_cholesky.h"
+#include "tests/scoped_level.h"
 
 namespace srda {
 namespace {
@@ -73,6 +80,105 @@ TEST(CholeskyTest, SolveMatrixSolvesEachColumn) {
   ASSERT_TRUE(chol.Factor(a));
   const Matrix x = chol.SolveMatrix(b);
   EXPECT_LT(MaxAbsDiff(Multiply(a, x), b), 1e-9);
+}
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  return std::memcmp(a.data(), b.data(),
+                     sizeof(double) * static_cast<size_t>(a.rows()) *
+                         static_cast<size_t>(a.cols())) == 0;
+}
+
+// The gemm_tile trailing update gives every element the per-row SYRK
+// kernel's chain, so the factor is the row-SYRK loop's bit for bit at
+// every dispatch level, thread count and panel width (nb changes the
+// bits, so each nb has its own reference). One Cholesky object serves
+// every call, so its reused storage (after failed factors too) is covered.
+TEST(CholeskyTest, FactorBitwiseEqualsRowSyrkReference) {
+  struct Restore {
+    ~Restore() {
+      SetBlockConfig(BlockConfig{});
+      SetGlobalThreadCount(1);
+    }
+  } restore;
+  std::vector<BlockConfig> configs;
+  for (int nb : {16, 48, 64}) {
+    BlockConfig config;
+    config.nb = nb;
+    configs.push_back(config);
+  }
+  BlockConfig odd_tiles;  // trailing tiles cut at odd rows and columns
+  odd_tiles.mc = 5;
+  odd_tiles.nc = 7;
+  odd_tiles.nb = 16;
+  configs.push_back(odd_tiles);
+  Cholesky chol;
+  for (int n : {1, 2, 5, 63, 64, 65, 129, 300, 680, 1024}) {
+    Rng rng(static_cast<uint64_t>(900 + n));
+    const Matrix spd = RandomSpd(n, &rng);
+    // Indefinite past the first panels: a negative diagonal entry, and a
+    // 2x2 principal block [[d, 2d], [2d, d]] with positive diagonal.
+    std::vector<Matrix> indefinite;
+    if (n >= 129) {
+      Matrix negative = spd;
+      negative(n / 2, n / 2) = -1.0;
+      indefinite.push_back(negative);
+      Matrix block = spd;
+      const int r = n - 2;
+      block(r + 1, r) = 2.0 * block(r, r);
+      block(r + 1, r + 1) = block(r, r);
+      indefinite.push_back(block);
+    }
+    for (const BlockConfig& config : configs) {
+      SetBlockConfig(config);
+      Matrix want;
+      {
+        ScopedLevel scalar_level(simd::CpuLevel::kScalar);
+        SetGlobalThreadCount(1);
+        ASSERT_TRUE(reference::RowSyrkCholeskyFactor(spd, &want)) << n;
+        for (const Matrix& bad : indefinite) {
+          Matrix unused;
+          EXPECT_FALSE(reference::RowSyrkCholeskyFactor(bad, &unused)) << n;
+        }
+      }
+      for (simd::CpuLevel level : simd::SupportedLevels()) {
+        ScopedLevel forced(level);
+        for (int threads : {1, 4}) {
+          SetGlobalThreadCount(threads);
+          for (const Matrix& bad : indefinite) {
+            EXPECT_FALSE(chol.Factor(bad)) << n;
+          }
+          ASSERT_TRUE(chol.Factor(spd));
+          EXPECT_TRUE(BitwiseEqual(want, chol.factor()))
+              << simd::CpuLevelName(level) << " n=" << n
+              << " threads=" << threads << " nb=" << config.nb
+              << " mc=" << config.mc << " nc=" << config.nc;
+        }
+      }
+    }
+  }
+}
+
+// Factor(a, shift) adds the shift during its copy, the same single add as
+// AddDiagonal on a copy of `a`.
+TEST(CholeskyTest, ShiftedFactorEqualsAddDiagonalFactor) {
+  Rng rng(6);
+  const Matrix a = RandomSpd(150, &rng);
+  for (double shift : {0.0, 1e-3, 0.7, 12.5}) {
+    Matrix shifted = a;
+    AddDiagonal(shift, &shifted);
+    Cholesky want;
+    ASSERT_TRUE(want.Factor(shifted));
+    Cholesky got;
+    ASSERT_TRUE(got.Factor(a, shift));
+    EXPECT_TRUE(BitwiseEqual(want.factor(), got.factor())) << shift;
+  }
+  // The shift can make an indefinite matrix definite, and the reverse.
+  const Matrix indefinite = Matrix::FromRows({{1.0, 2.0}, {2.0, 1.0}});
+  Cholesky chol;
+  EXPECT_FALSE(chol.Factor(indefinite));
+  EXPECT_TRUE(chol.Factor(indefinite, 1.5));
+  EXPECT_FALSE(chol.Factor(Matrix::Identity(3), -1.0));
 }
 
 TEST(CholeskyTest, IndefiniteMatrixRejected) {

@@ -154,34 +154,6 @@ TEST(SimdKernelTest, DotTileMatchesGenericBitwise) {
   }
 }
 
-TEST(SimdKernelTest, SyrkRowMatchesGenericBitwise) {
-  Rng rng(17);
-  const int n = 41;  // prime
-  const Matrix l0 = RandomMatrix(n, n, &rng);
-  const int kDepth[] = {1, 2, 3, 4, 5, 8, 13};
-  for (int kk : kDepth) {
-    for (int i : {16, 20, 40}) {
-      // The call-site contract (blocked Cholesky trailing update) keeps the
-      // written columns [j0, jend) disjoint from the panel [p0, p0 + kk).
-      const int p0 = 1;
-      for (int j0 : {p0 + kk, p0 + kk + 1, p0 + kk + 5}) {
-        const int jend = i + 1;
-        if (p0 + kk > n || j0 >= jend) continue;
-        Matrix want = l0;
-        simd::generic::SyrkRow(want.data(), n, i, p0, kk, j0, jend);
-        for (simd::CpuLevel level : Levels()) {
-          ScopedLevel forced(level);
-          Matrix got = l0;
-          simd::Dispatch().syrk_row(got.data(), n, i, p0, kk, j0, jend);
-          ASSERT_TRUE(BitwiseEqual(want, got))
-              << simd::CpuLevelName(level) << " kk=" << kk << " i=" << i
-              << " j0=" << j0;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, TrsmRowsMatchesGenericBitwise) {
   Rng rng(19);
   const int n = 43;  // prime
