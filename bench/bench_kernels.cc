@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the numeric kernels every algorithm
-// in the library is built from: dense products, Gram matrices, Cholesky,
+// in the library is built from: dense products (square and the thin
+// serving shape), Gram matrices, Cholesky,
 // the symmetric eigensolver, SVD, QR, sparse mat-vec, and LSQR.
 
 #include <benchmark/benchmark.h>
@@ -44,6 +45,22 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * int64_t{n} * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+
+// Thin products at the serving shape: m query rows against the
+// 1024 x 67 faces projection (the c - 1 = 67 responses of 68 classes).
+// m = 1 and 4 run the kernel's one-row passes and a single register tile;
+// m = 64 runs whole tiles.
+void BM_MultiplyThin(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  Rng rng(7);
+  const Matrix a = RandomMatrix(m, 1024, &rng);
+  const Matrix b = RandomMatrix(1024, 67, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Multiply(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{m});
+}
+BENCHMARK(BM_MultiplyThin)->Arg(1)->Arg(4)->Arg(64);
 
 void BM_Gram(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

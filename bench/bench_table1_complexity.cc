@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "classify/classifiers.h"
 #include "common/flops.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -282,9 +283,10 @@ void WriteKernelBlockingJson(const BlockConfig& blk,
 // time. One pass is enough in practice — kc/nc size the streaming panels,
 // mc the output tile, and nb is independent of all three — and keeps the
 // sweep to a couple of minutes at n = 1024. The winning configuration is
-// printed as BlockConfig defaults to paste into matrix/blocking.h and used
-// to refresh BENCH_kernel_blocking.json so the recorded speedups match the
-// tuned shapes.
+// printed as BlockConfig defaults to paste into matrix/blocking.h, with the
+// blocked-vs-naive table re-measured under it. The sweep writes no file:
+// BENCH_kernel_blocking.json has one writer, Part 4 of the complexity run
+// at the default BlockConfig.
 int SweepBlocks(bool smoke, bool full, Rng* rng) {
   SetGlobalThreadCount(1);
   const int n = smoke ? 64 : (full ? 1024 : 512);
@@ -363,14 +365,15 @@ int SweepBlocks(bool smoke, bool full, Rng* rng) {
             << "  int nc = " << best.nc << ";\n"
             << "  int nb = " << best.nb << ";\n";
 
-  // Re-measure blocked vs naive under the tuned shapes and refresh the
-  // recorded experiment.
+  // Re-measure blocked vs naive under the tuned shapes. Printed only:
+  // BENCH_kernel_blocking.json records the default BlockConfig (Part 4 of
+  // the complexity run), and a tuned nb changes the factor's bits.
   std::cout << "\n== Blocked vs naive kernels (tuned config, 1 thread) ==\n";
-  const std::vector<KernelRow> rows = MeasureKernelRows(n, reps, rng);
   TablePrinter kernel_table(KernelTableHeader());
-  for (const KernelRow& row : rows) AppendKernelRow(row, &kernel_table);
+  for (const KernelRow& row : MeasureKernelRows(n, reps, rng)) {
+    AppendKernelRow(row, &kernel_table);
+  }
   kernel_table.Print(std::cout);
-  if (!smoke) WriteKernelBlockingJson(best, rows);
   SetGlobalThreadCount(0);  // Restore the env/hardware default.
   return 0;
 }
@@ -380,10 +383,12 @@ int SweepBlocks(bool smoke, bool full, Rng* rng) {
 // SRDA_CPU_LEVEL=scalar and under the detected best level and compares the
 // two files byte-for-byte. The digest covers a dense normal-equations fit,
 // a sparse LSQR fit, a cross-validated alpha search, a rank-k downdated
-// factor, a multi-panel SolveMatrix, and an LDA fit (its eigen stage runs
-// the QL rotation panels) — each at 1 and at 4 threads — so
-// any dispatch level or thread count changing any output bit changes the
-// file.
+// factor, a multi-panel SolveMatrix, an LDA fit (its eigen stage runs
+// the QL rotation panels), thin serving-shape products (1, 2, 3 and 5
+// rows against a 300 x 67 projection: the GEMM tile's leftover rows and
+// column tails) and one-row centroid scoring — each at 1 and at 4
+// threads — so any dispatch level or thread count changing any output bit
+// changes the file.
 uint64_t Fnv1a(const double* values, size_t count, uint64_t hash) {
   const unsigned char* bytes = reinterpret_cast<const unsigned char*>(values);
   for (size_t i = 0; i < count * sizeof(double); ++i) {
@@ -419,6 +424,10 @@ int WriteDigest(const std::string& path, Rng* rng) {
   AddDiagonal(static_cast<double>(solve_spd.rows()), &solve_spd);
   const Matrix solve_rhs = RandomMatrix(200, kSolveResponses, rng);
 
+  const Matrix thin_b = RandomMatrix(300, kSolveResponses, rng);
+  std::vector<Matrix> thin_a;
+  for (int m : {1, 2, 3, 5}) thin_a.push_back(RandomMatrix(m, 300, rng));
+
   for (int threads : {1, 4}) {
     SetGlobalThreadCount(threads);
     const SrdaModel dense_model =
@@ -444,6 +453,22 @@ int WriteDigest(const std::string& path, Rng* rng) {
     hash = HashMatrix(l, hash);
     hash = HashMatrix(solve_chol.SolveMatrix(solve_rhs), hash);
     hash = HashMatrix(lda.embedding.projection(), hash);
+    for (const Matrix& a : thin_a) {
+      hash = HashMatrix(Multiply(a, thin_b), hash);
+    }
+
+    // One-row batches, as a serving client sends them: each row's
+    // embedding and its label from the dense fit's centroid head.
+    CentroidClassifier head;
+    head.Fit(dense_model.embedding.Transform(dense.features), dense.labels,
+             kNumClasses);
+    for (int i = 0; i < 8; ++i) {
+      const Matrix row = dense_model.embedding.Transform(
+          dense.features.Block(i, 0, 1, dense.features.cols()));
+      const double label = head.ScoreBatch(row)[0];
+      hash = HashMatrix(row, hash);
+      hash = Fnv1a(&label, 1, hash);
+    }
   }
   SetGlobalThreadCount(0);
 
@@ -490,8 +515,8 @@ int Main(int argc, char** argv) {
 
   if (HasFlag(argc, argv, "--sweep-blocks")) {
     // Autotune mode (scripts/autotune_blocks.sh): sweep the BlockConfig
-    // knobs and refresh BENCH_kernel_blocking.json, skipping the
-    // complexity experiments.
+    // knobs and print the tuned defaults, skipping the complexity
+    // experiments.
     return SweepBlocks(smoke, full, &rng);
   }
 
@@ -602,16 +627,22 @@ int Main(int argc, char** argv) {
     SetGlobalThreadCount(threads);
     ScalingRow row;
     row.num_threads = threads;
-    row.gram_seconds = TimeMedian([&] { Gram(gram_data.features); });
+    // Minimum of kFitReps runs, as in Part 1: one disturbed run of the
+    // ~10 ms Gram must not decide the thread-scaling check below.
+    row.gram_seconds =
+        TimeKernel([&] { Gram(gram_data.features); }, kFitReps).seconds;
     row.gram_gflops =
         row.gram_seconds > 0.0
             ? static_cast<double>(gram_m) * gram_n * (gram_n + 1) /
                   row.gram_seconds / 1e9
             : 0.0;
-    row.fit_seconds = TimeMedian([&] {
-      FitSrda(lsqr_data.features, lsqr_data.labels, kNumClasses,
-              lsqr_options);
-    });
+    row.fit_seconds = TimeKernel(
+                          [&] {
+                            FitSrda(lsqr_data.features, lsqr_data.labels,
+                                    kNumClasses, lsqr_options);
+                          },
+                          kFitReps)
+                          .seconds;
     scaling.push_back(row);
     thread_table.AddRow(
         {std::to_string(threads), FormatDouble(row.gram_seconds, 4),

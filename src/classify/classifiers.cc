@@ -50,13 +50,17 @@ void CentroidClassifier::Fit(const Matrix& embedded,
     double* centroid = centroids_.RowPtr(k);
     for (int j = 0; j < embedded.cols(); ++j) centroid[j] *= inv;
   }
-  centroid_sq_norms_ = RowSquaredNorms(centroids_);
-  fitted_ = true;
+  PrepareScoring();
 }
 
 void CentroidClassifier::SetCentroids(Matrix centroids) {
   SRDA_CHECK_GT(centroids.rows(), 0) << "need at least one centroid";
   centroids_ = std::move(centroids);
+  PrepareScoring();
+}
+
+void CentroidClassifier::PrepareScoring() {
+  centroids_t_ = centroids_.Transposed();
   centroid_sq_norms_ = RowSquaredNorms(centroids_);
   fitted_ = true;
 }
@@ -69,7 +73,7 @@ std::vector<int> CentroidClassifier::ScoreBatch(const Matrix& embedded) const {
   // One blocked GEMM for every query x centroid cross product; row i of the
   // result depends only on query i, so any sub-batching of the rows scores
   // identically.
-  const Matrix cross = MultiplyTransposedB(embedded, centroids_);
+  const Matrix cross = Multiply(embedded, centroids_t_);
   std::vector<int> predictions(static_cast<size_t>(embedded.rows()), 0);
   for (int i = 0; i < cross.rows(); ++i) {
     const double* row = cross.RowPtr(i);

@@ -46,7 +46,10 @@ class Scorer {
 // scoring expands |q - c_k|^2 = |q|^2 - 2 q.c_k + |c_k|^2 and drops the
 // query term (constant per row): one blocked GEMM produces every q.c_k
 // cross product, then an argmin over |c_k|^2 - 2 q.c_k per row. Ties take
-// the lowest class id.
+// the lowest class id. The GEMM runs in axpy form against a transposed
+// centroid copy (Multiply), whose kernel keeps a one-row query on vector
+// chains; each q.c_k is the same ascending-j chain as the dot form
+// (MultiplyTransposedB against the centroids), so the bits are too.
 class CentroidClassifier : public Scorer {
  public:
   // Fits centroids from embedded training data (one row per sample).
@@ -68,7 +71,11 @@ class CentroidClassifier : public Scorer {
   const Matrix& centroids() const { return centroids_; }
 
  private:
+  // Derives the transposed copy and the squared norms from centroids_.
+  void PrepareScoring();
+
   Matrix centroids_;            // num_classes x dim
+  Matrix centroids_t_;          // dim x num_classes, the scoring GEMM's B
   Vector centroid_sq_norms_;    // |c_k|^2, precomputed at fit time
   bool fitted_ = false;
 };

@@ -75,7 +75,7 @@ void ForwardSweep(const Matrix& l, Matrix* x) {
     if (p1 == n) break;
     // Rows below the panel read only the finished rows [p0, p1) and write
     // only themselves, so the row partition is race-free.
-    ParallelFor(p1, n, [&](int row_begin, int row_end) {
+    ParallelForRowTiles(p1, n, [&](int row_begin, int row_end) {
       PanelScratch scratch;
       double* pack = scratch.Acquire(static_cast<size_t>(blk.mc) * kk);
       for (int i0 = row_begin; i0 < row_end; i0 += blk.mc) {
@@ -127,7 +127,7 @@ void BackwardSweep(const Matrix& l, Matrix* x) {
       std::copy(xrow, xrow + width,
                 solved.begin() + static_cast<ptrdiff_t>(r) * width);
     }
-    ParallelFor(0, p0, [&](int row_begin, int row_end) {
+    ParallelForRowTiles(0, p0, [&](int row_begin, int row_end) {
       PanelScratch scratch;
       double* pack = scratch.Acquire(static_cast<size_t>(blk.mc) * kk);
       for (int c0 = row_begin; c0 < row_end; c0 += blk.mc) {
@@ -226,8 +226,9 @@ bool Cholesky::Factor(const Matrix& a, double shift) {
     // thread count, or SIMD level. Row i writes columns [p1, i] and reads
     // only the final panel columns, so the row partition is race-free.
     // Chunks map to rows bottom-up: workers claim chunks in index order,
-    // so the longest rows of the triangle are handed out first.
-    ParallelFor(0, trailing, [&](int chunk_begin, int chunk_end) {
+    // so the longest rows of the triangle are handed out first. The tile
+    // grid is counted from row n, so only the top chunk has leftover rows.
+    ParallelForRowTiles(0, trailing, [&](int chunk_begin, int chunk_end) {
       const int row_begin = n - chunk_end;
       const int row_end = n - chunk_begin;
       PanelScratch scratch;

@@ -202,7 +202,7 @@ void GemmAtBInto(const Matrix& a, const Matrix& b, Matrix* c) {
   const int n = b.cols();
   const BlockConfig& blk = GetBlockConfig();
   const simd::KernelTable& kt = simd::Dispatch();
-  ParallelFor(0, p, [&](int col_begin, int col_end) {
+  ParallelForRowTiles(0, p, [&](int col_begin, int col_end) {
     // Chunk-local scratch: the packed panel is allocated and first-touched
     // by the worker that streams it (NUMA-local under pinning).
     PanelScratch scratch;
@@ -228,7 +228,7 @@ void GramUpperInto(const Matrix& a, Matrix* c) {
   const int n = a.cols();
   const BlockConfig& blk = GetBlockConfig();
   const simd::KernelTable& kt = simd::Dispatch();
-  ParallelFor(0, n, [&](int row_begin, int row_end) {
+  ParallelForRowTiles(0, n, [&](int row_begin, int row_end) {
     PanelScratch scratch;
     double* pack = scratch.Acquire(static_cast<size_t>(blk.mc) * blk.kc);
     for (int i0 = row_begin; i0 < row_end; i0 += blk.mc) {
@@ -275,7 +275,7 @@ Matrix Multiply(const Matrix& a, const Matrix& b) {
   Matrix c(m, n);
   const BlockConfig& blk = GetBlockConfig();
   const simd::KernelTable& kt = simd::Dispatch();
-  ParallelFor(0, m, [&](int row_begin, int row_end) {
+  ParallelForRowTiles(0, m, [&](int row_begin, int row_end) {
     for (int i0 = row_begin; i0 < row_end; i0 += blk.mc) {
       const int i1 = std::min(i0 + blk.mc, row_end);
       for (int k0 = 0; k0 < kdim; k0 += blk.kc) {

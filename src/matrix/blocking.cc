@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <new>
 
+#include "common/parallel.h"
+#include "matrix/simd/simd.h"
+
 namespace srda {
 namespace {
 
@@ -14,6 +17,14 @@ BlockConfig& ActiveConfig() {
 }  // namespace
 
 const BlockConfig& GetBlockConfig() { return ActiveConfig(); }
+
+void ParallelForRowTiles(int begin, int end,
+                         const std::function<void(int, int)>& fn) {
+  constexpr int kRows = simd::kGemmTileRows;
+  ParallelFor(0, (end - begin + kRows - 1) / kRows, [&](int t0, int t1) {
+    fn(begin + t0 * kRows, std::min(end, begin + t1 * kRows));
+  });
+}
 
 PanelScratch::~PanelScratch() {
   if (data_ != nullptr) {

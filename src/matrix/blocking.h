@@ -16,6 +16,7 @@
 #define SRDA_MATRIX_BLOCKING_H_
 
 #include <cstddef>
+#include <functional>
 
 namespace srda {
 
@@ -42,6 +43,13 @@ const BlockConfig& GetBlockConfig();
 // Not safe to call concurrently with running kernels — intended for tests
 // and benchmark sweeps, mirroring SetGlobalThreadCount.
 void SetBlockConfig(const BlockConfig& config);
+
+// ParallelFor over the output rows [begin, end) of a gemm_tile product,
+// cut only at multiples of simd::kGemmTileRows from `begin`: every chunk
+// but the last hands the kernel whole register tiles. A 4-row product then
+// runs as one tile on one thread instead of four one-row chunks.
+void ParallelForRowTiles(int begin, int end,
+                         const std::function<void(int, int)>& fn);
 
 // Scratch buffer for packed K-panels and kernel workspaces, owned by the
 // thread that consumes it. Acquire() allocates 64-byte-aligned storage

@@ -30,6 +30,7 @@ namespace generic {
 inline void GemmTile(const double* panel, int panel_stride, int kk,
                      const double* b, int b_stride, int k0, double* c,
                      int c_stride, int i0, int i1, int j0, int j1) {
+  static_assert(kGemmTileRows == 4, "generic gemm_tile uses 4-row tiles");
   const double* bbase = b + static_cast<size_t>(k0) * b_stride;
   int i = i0;
   for (; i + 4 <= i1; i += 4) {

@@ -8,6 +8,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 
 #include "matrix/simd/kernel_impl.h"
@@ -23,7 +24,7 @@ namespace {
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
-      &GemmTileYmm,     &DotTileYmm,
+      &GemmTileX86<Ymm>, &DotTileYmm,
       &TrsmRowsYmm,     &DowndateTileYmm, &RotatePanelYmm,
   };
   return table;

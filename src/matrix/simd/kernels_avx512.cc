@@ -1,11 +1,12 @@
 // AVX-512 kernel table. Compiled with -mavx512f -ffp-contract=off; only
 // entered when __builtin_cpu_supports("avx512f") said yes. The zmm
-// kernels widen the axpy-form GEMM tile (4 rows x 16 columns), run the
+// kernels widen the axpy-form GEMM tile (4 rows x 16 columns, with masked
+// column tails and vector one-row passes for the leftover rows), run the
 // 8-lane downdate step in a single register, and push TRSM to 8 rows in
 // lockstep; the dot-form kernel reuses the ymm body, whose 4x4
-// transpose shape does not benefit from wider registers. Remainder
-// regions delegate to the ymm or generic kernels — same per-element
-// chains, so the choice of width never shows up in the bits.
+// transpose shape does not benefit from wider registers. TRSM's leftover
+// rows delegate to the ymm kernel — same per-element chains, so the
+// choice of width never shows up in the bits.
 
 #include "matrix/simd/tables.h"
 
@@ -13,6 +14,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 
 #include "matrix/simd/kernel_impl.h"
@@ -24,68 +26,29 @@ namespace {
 
 #include "matrix/simd/kernels_x86_ymm.inl"
 
-// gemm_tile, 4 rows x 16 columns (8 zmm accumulators = 64 C elements).
-void GemmTileZmm(const double* panel, int panel_stride, int kk,
-                 const double* b, int b_stride, int k0, double* c,
-                 int c_stride, int i0, int i1, int j0, int j1) {
-  const double* bbase = b + static_cast<size_t>(k0) * b_stride;
-  int i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const double* p0 = panel + static_cast<size_t>(i - i0) * panel_stride;
-    const double* p1 = p0 + panel_stride;
-    const double* p2 = p1 + panel_stride;
-    const double* p3 = p2 + panel_stride;
-    double* c0 = c + static_cast<size_t>(i) * c_stride;
-    double* c1 = c0 + c_stride;
-    double* c2 = c1 + c_stride;
-    double* c3 = c2 + c_stride;
-    int j = j0;
-    for (; j + 16 <= j1; j += 16) {
-      __m512d a00 = _mm512_loadu_pd(c0 + j);
-      __m512d a01 = _mm512_loadu_pd(c0 + j + 8);
-      __m512d a10 = _mm512_loadu_pd(c1 + j);
-      __m512d a11 = _mm512_loadu_pd(c1 + j + 8);
-      __m512d a20 = _mm512_loadu_pd(c2 + j);
-      __m512d a21 = _mm512_loadu_pd(c2 + j + 8);
-      __m512d a30 = _mm512_loadu_pd(c3 + j);
-      __m512d a31 = _mm512_loadu_pd(c3 + j + 8);
-      const double* brow = bbase + j;
-      for (int k = 0; k < kk; ++k, brow += b_stride) {
-        const __m512d b0 = _mm512_loadu_pd(brow);
-        const __m512d b1 = _mm512_loadu_pd(brow + 8);
-        __m512d v = _mm512_set1_pd(p0[k]);
-        a00 = _mm512_add_pd(a00, _mm512_mul_pd(v, b0));
-        a01 = _mm512_add_pd(a01, _mm512_mul_pd(v, b1));
-        v = _mm512_set1_pd(p1[k]);
-        a10 = _mm512_add_pd(a10, _mm512_mul_pd(v, b0));
-        a11 = _mm512_add_pd(a11, _mm512_mul_pd(v, b1));
-        v = _mm512_set1_pd(p2[k]);
-        a20 = _mm512_add_pd(a20, _mm512_mul_pd(v, b0));
-        a21 = _mm512_add_pd(a21, _mm512_mul_pd(v, b1));
-        v = _mm512_set1_pd(p3[k]);
-        a30 = _mm512_add_pd(a30, _mm512_mul_pd(v, b0));
-        a31 = _mm512_add_pd(a31, _mm512_mul_pd(v, b1));
-      }
-      _mm512_storeu_pd(c0 + j, a00);
-      _mm512_storeu_pd(c0 + j + 8, a01);
-      _mm512_storeu_pd(c1 + j, a10);
-      _mm512_storeu_pd(c1 + j + 8, a11);
-      _mm512_storeu_pd(c2 + j, a20);
-      _mm512_storeu_pd(c2 + j + 8, a21);
-      _mm512_storeu_pd(c3 + j, a30);
-      _mm512_storeu_pd(c3 + j + 8, a31);
-    }
-    if (j < j1) {
-      GemmTileYmm(p0, panel_stride, kk, b, b_stride, k0, c, c_stride, i,
-                  i + 4, j, j1);
-    }
+// The zmm register width of the shared GEMM tile (GemmTileX86 in
+// kernels_x86_ymm.inl): 4 rows x 16 columns per block. Masked loads read
+// masked-off lanes as zero and never fault on them; masked stores skip
+// them.
+struct Zmm {
+  using Reg = __m512d;
+  using Mask = __mmask8;
+  static constexpr int kLanes = 8;
+  // The lanes [0, n), 1 <= n <= 8.
+  static Mask LaneMask(int n) { return static_cast<Mask>((1u << n) - 1u); }
+  static Reg Load(const double* src) { return _mm512_loadu_pd(src); }
+  static Reg Load(const double* src, Mask m) {
+    return _mm512_maskz_loadu_pd(m, src);
   }
-  if (i < i1) {
-    GemmTileYmm(panel + static_cast<size_t>(i - i0) * panel_stride,
-                panel_stride, kk, b, b_stride, k0, c, c_stride, i, i1, j0,
-                j1);
+  static void Store(double* dst, Reg v) { _mm512_storeu_pd(dst, v); }
+  static void Store(double* dst, Reg v, Mask m) {
+    _mm512_mask_storeu_pd(dst, m, v);
   }
-}
+  static Reg Broadcast(double x) { return _mm512_set1_pd(x); }
+  static Reg MulAdd(Reg acc, Reg x, Reg b) {
+    return _mm512_add_pd(acc, _mm512_mul_pd(x, b));
+  }
+};
 
 // trsm_rows, 8 factor rows in lockstep; scratch[8 * jj + lane] parks the
 // finished column values (uses the full kTrsmMaxLanes scratch width).
@@ -189,7 +152,7 @@ void RotatePanelZmm(double* panel, const PlaneRotation* rotations,
 
 const KernelTable& Avx512Table() {
   static const KernelTable table = {
-      &GemmTileZmm,     &DotTileYmm,
+      &GemmTileX86<Zmm>, &DotTileYmm,
       &TrsmRowsZmm,     &DowndateTileZmm, &RotatePanelZmm,
   };
   return table;

@@ -33,6 +33,12 @@ enum class CpuLevel {
   kNeon = 3,    // 128-bit kernels (aarch64 baseline)
 };
 
+// Rows of the gemm_tile register tile at every level. A row range that is
+// cut off this grid leaves leftover rows, which run one-row passes instead
+// of sharing B loads across a tile, so the callers that split gemm_tile
+// rows across threads cut on it (ParallelForRowTiles, matrix/blocking.h).
+inline constexpr int kGemmTileRows = 4;
+
 // Lane count of the downdate sweep's interleaved workspace tiles. The
 // layout constant lives here so the widest kernel (one zmm row per
 // rotation step) and the workspace builder in linalg/cholesky_update.cc

@@ -9,7 +9,9 @@
 // blocked GEMM (LinearEmbedding::Transform) and scored with one batched
 // Scorer call (classify/classifiers.h), so server throughput rides the
 // level-3 kernels and the common/parallel.h pool instead of paying a gemv
-// per query. Because per-row scoring is independent of the batch a row
+// per query. A lone single-row request is the common case at low load;
+// both of its products run the GEMM tile's one-row vector passes
+// (DESIGN.md §4j), so a 1-row batch costs under half of a 4-row one. Because per-row scoring is independent of the batch a row
 // lands in, the service returns exactly the predictions a single-pass
 // srda_predict run produces, regardless of traffic interleaving.
 //

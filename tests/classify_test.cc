@@ -1,15 +1,37 @@
 // Tests for classifiers and evaluation helpers.
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "classify/classifiers.h"
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "matrix/blas.h"
 #include "matrix/matrix.h"
+#include "matrix/simd/simd.h"
+#include "tests/scoped_level.h"
 
 namespace srda {
 namespace {
+
+Matrix RandomMatrix(int rows, int cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) m(i, j) = rng->NextGaussian();
+  }
+  return m;
+}
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) * static_cast<size_t>(a.rows()) *
+                         static_cast<size_t>(a.cols())) == 0;
+}
 
 TEST(CentroidClassifierTest, SeparatedClusters) {
   Matrix train = Matrix::FromRows({{0.0, 0.0},
@@ -31,6 +53,69 @@ TEST(CentroidClassifierTest, CentroidsAreClassMeans) {
   EXPECT_DOUBLE_EQ(classifier.centroids()(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(classifier.centroids()(0, 1), 1.0);
   EXPECT_DOUBLE_EQ(classifier.centroids()(1, 0), 10.0);
+}
+
+// The classifier scores with the axpy-form Multiply against transposed
+// centroids; the dot-form MultiplyTransposedB against the centroids is the
+// oracle. Cross products and labels must match it bit for bit at every
+// dispatch level and at 1 and 4 threads, on the faces head's shape
+// (68 classes, 67 dimensions). Classes 2 and 5 share a centroid, so a
+// query placed on it ties exactly and must take the lower class id.
+TEST(CentroidClassifierTest, ScoresBitwiseEqualDotFormOracle) {
+  Rng rng(43);
+  const int classes = 68;
+  const int dim = 67;
+  Matrix centroids = RandomMatrix(classes, dim, &rng);
+  for (int j = 0; j < dim; ++j) centroids(5, j) = centroids(2, j);
+  CentroidClassifier classifier;
+  classifier.SetCentroids(centroids);
+  std::vector<double> sq_norms(classes, 0.0);
+  for (int k = 0; k < classes; ++k) {
+    for (int j = 0; j < dim; ++j) {
+      sq_norms[k] += centroids(k, j) * centroids(k, j);
+    }
+  }
+  const Matrix centroids_t = centroids.Transposed();
+
+  for (int rows : {1, 3, 64}) {
+    Matrix queries = RandomMatrix(rows, dim, &rng);
+    for (int j = 0; j < dim; ++j) queries(0, j) = centroids(2, j);
+    Matrix oracle_cross;
+    {
+      SetGlobalThreadCount(1);
+      ScopedLevel scalar_level(simd::CpuLevel::kScalar);
+      oracle_cross = MultiplyTransposedB(queries, centroids);
+    }
+    std::vector<int> oracle_labels;
+    for (int i = 0; i < rows; ++i) {
+      int best_class = 0;
+      double best_score = std::numeric_limits<double>::infinity();
+      for (int k = 0; k < classes; ++k) {
+        const double score = sq_norms[k] - 2.0 * oracle_cross(i, k);
+        if (score < best_score) {
+          best_score = score;
+          best_class = k;
+        }
+      }
+      oracle_labels.push_back(best_class);
+    }
+    ASSERT_EQ(oracle_labels[0], 2) << "the tie row must take the lower id";
+
+    for (simd::CpuLevel level : simd::SupportedLevels()) {
+      ScopedLevel forced(level);
+      for (int threads : {1, 4}) {
+        SetGlobalThreadCount(threads);
+        EXPECT_TRUE(
+            BitwiseEqual(Multiply(queries, centroids_t), oracle_cross))
+            << simd::CpuLevelName(level) << " rows=" << rows
+            << " t=" << threads;
+        EXPECT_EQ(classifier.ScoreBatch(queries), oracle_labels)
+            << simd::CpuLevelName(level) << " rows=" << rows
+            << " t=" << threads;
+      }
+    }
+  }
+  SetGlobalThreadCount(0);
 }
 
 TEST(CentroidClassifierDeathTest, PredictBeforeFitAborts) {

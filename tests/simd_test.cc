@@ -89,28 +89,33 @@ TEST(SimdDispatchTest, RejectsUnsupportedLevel) {
 
 TEST(SimdKernelTest, GemmTileMatchesGenericBitwise) {
   Rng rng(11);
-  // Shapes around the zmm (16), ymm (8/4) and register-tile (4) widths.
-  const int kRows[] = {1, 3, 4, 5, 8};
-  const int kCols[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 37};
-  const int kDepth[] = {1, 2, 7, 13};
+  // Shapes around the zmm (16), ymm (8/4) and register-tile (4) widths:
+  // 1-3 leftover rows after 0 or 1 tiles, masked column tails, and rows
+  // wide enough (63..257) for several one-row passes of up to 8 vectors.
+  const int kRows[] = {1, 2, 3, 4, 5, 6, 7, 8};
+  const int kCols[] = {1,  3,  4,  5,  7,  8,  9,   15,  16,
+                       17, 31, 37, 63, 64, 65, 67, 129, 257};
+  const int kDepth[] = {1, 2, 7, 13, 128};
   for (int mr : kRows) {
     for (int nc : kCols) {
       for (int kk : kDepth) {
         const int i0 = 2, j0 = 3;  // nonzero offsets into C
         const int k0 = 4;          // b rows [k0, k0 + kk)
+        // A panel stride past kk, as when Multiply reads A's rows in place.
+        const int stride = kk + 3;
         const std::vector<double> panel =
-            RandomBuffer(static_cast<size_t>(mr) * kk, &rng);
+            RandomBuffer(static_cast<size_t>(mr) * stride, &rng);
         const Matrix b = RandomMatrix(k0 + kk, j0 + nc, &rng);
         const Matrix c0 = RandomMatrix(i0 + mr, j0 + nc, &rng);
 
         Matrix want = c0;
-        simd::generic::GemmTile(panel.data(), kk, kk, b.data(), b.cols(),
+        simd::generic::GemmTile(panel.data(), stride, kk, b.data(), b.cols(),
                                 k0, want.data(), want.cols(), i0, i0 + mr,
                                 j0, j0 + nc);
         for (simd::CpuLevel level : Levels()) {
           ScopedLevel forced(level);
           Matrix got = c0;
-          simd::Dispatch().gemm_tile(panel.data(), kk, kk, b.data(),
+          simd::Dispatch().gemm_tile(panel.data(), stride, kk, b.data(),
                                      b.cols(), k0, got.data(), got.cols(),
                                      i0, i0 + mr, j0, j0 + nc);
           ASSERT_TRUE(BitwiseEqual(want, got))
@@ -310,6 +315,38 @@ TEST(SimdBlasTest, DenseKernelsBitwiseIdenticalAcrossLevelsAndThreads) {
       }
     }
   }
+}
+
+// Thin products at the serving shape (a few query rows against a k x n
+// projection): leftover rows, masked column tails and the row partition at
+// 4 threads, against the scalar table at 1 thread.
+TEST(SimdBlasTest, ThinMultiplyBitwiseIdenticalAcrossLevelsAndThreads) {
+  Rng rng(37);
+  for (int n : {19, 67}) {
+    const Matrix b = RandomMatrix(300, n, &rng);
+    for (int m : {1, 2, 3, 5, 7, 63}) {
+      const Matrix a = RandomMatrix(m, 300, &rng);
+      SetGlobalThreadCount(1);
+      Matrix want;
+      {
+        ScopedLevel scalar_level(simd::CpuLevel::kScalar);
+        want = Multiply(a, b);
+      }
+      EXPECT_LT(MaxAbsDiff(want, naive::Multiply(a, b)), 1e-9);
+      for (simd::CpuLevel level : Levels()) {
+        ScopedLevel forced(level);
+        for (int threads : {1, 4}) {
+          SetGlobalThreadCount(threads);
+          const Matrix got = Multiply(a, b);
+          SetGlobalThreadCount(1);
+          EXPECT_TRUE(BitwiseEqual(want, got))
+              << simd::CpuLevelName(level) << " m=" << m << " n=" << n
+              << " t=" << threads;
+        }
+      }
+    }
+  }
+  SetGlobalThreadCount(0);
 }
 
 TEST(SimdLinalgTest, BlockedCholeskyBitwiseIdenticalAcrossLevelsAndThreads) {
